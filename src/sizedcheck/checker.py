@@ -160,6 +160,7 @@ class Checker:
 
     def check_program(self, decls: list[Declaration]) -> tuple[Signature, list[str]]:
         for d in decls:
+            self.ev.reset_budget(d.pos)
             match d:
                 case DataDecl():
                     self.check_data_decl(d)
@@ -172,7 +173,7 @@ class Checker:
         outputs = []
         for d in decls:
             if isinstance(d, LetDecl) and d.eval:
-                self.ev.reset_budget()
+                self.ev.reset_budget(d.pos)
                 v = self.ev.evaluate({}, Def(d.name, d.pos))
                 rb = self.ev.readback(v)
                 outputs.append(f"{d.name.text} = {pretty(rb)}")

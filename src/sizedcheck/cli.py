@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         p.add_argument("--explain-totality", metavar="NAME",
                        help="print the call graph and rule justifying NAME")
         p.add_argument("--unfold-fuel", type=int, default=100_000, metavar="N",
-                       help="unfold budget per evaluation/conversion")
+                       help="unfold budget per declaration and per eval let")
         p.add_argument("--print-depth", type=int, default=3, metavar="N",
                        help="coconstructor layers printed before eliding")
 

@@ -1,5 +1,17 @@
 """Weak-head evaluation with erased sizes, runtime pattern matching,
-readback for printing, and erasure-aware conversion checking."""
+readback for printing, and erasure-aware conversion checking.
+
+Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
+natural semantics shares thunks).  The unfold memo maps a function and the
+arguments of its head, `spine[:arity]`, to the value its matching clause
+returned.  A size argument is keyed by its normal form, so `fib #` and
+`fib ($ #)` share one unfolding, since sizes are erased at run time; every
+other argument is keyed by the identity of its thunk.  Only a clause that
+matched and whose right-hand side was evaluated is stored, never a stuck or
+unmatched head.  A memo hit unfolds no clause and so costs no fuel.  The memo
+serves evaluation and conversion alike and lives as long as the unfold
+budget: `reset_budget`, called for every declaration and every eval let,
+drops both."""
 
 from __future__ import annotations
 
@@ -86,18 +98,22 @@ class Evaluator:
         self.unfold_fuel = unfold_fuel
         self.print_depth = print_depth
         self.print_sizes = print_sizes
-        self.steps = 0
         self.forces = 0
+        self.reset_budget()
 
     # -- budgets ------------------------------------------------------------
 
-    def reset_budget(self):
+    def reset_budget(self, pos: Pos = (0, 0)):
+        """Start a fresh unfold budget, and a fresh unfold memo, for the
+        declaration or eval let at pos; FUEL is reported there."""
         self.steps = 0
+        self.budget_pos = pos
+        self.unfolded: dict[tuple, Value] = {}
 
-    def _tick(self, pos: Pos = (0, 0)):
+    def _tick(self):
         self.steps += 1
         if self.steps > self.unfold_fuel:
-            raise Diagnostic("FUEL", "unfold budget exhausted", pos)
+            raise Diagnostic("FUEL", "unfold budget exhausted", self.budget_pos)
 
     # -- forcing and evaluation ----------------------------------------------
 
@@ -226,23 +242,36 @@ class Evaluator:
         if v.stuck or len(v.spine) < entry.arity:
             return None
         head, rest = v.spine[: entry.arity], v.spine[entry.arity :]
-        r = self.match_clauses(entry.clauses, [t for t, _ in head], pos)
-        if r is _STUCK:
-            v.stuck = True
-            return None
-        if r is _NOMATCH:
-            if strict:
-                raise Diagnostic(
-                    "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
-                )
-            v.stuck = True
-            return None
-        env, clause = r
-        self._tick(pos)
-        out = self.evaluate(env, clause.rhs)
+        args = [t for t, _ in head]
+        key = (v.name, *map(self._memo_key, args))
+        out = self.unfolded.get(key)
+        if out is None:
+            r = self.match_clauses(entry.clauses, args, pos)
+            if r is _STUCK:
+                v.stuck = True
+                return None
+            if r is _NOMATCH:
+                if strict:
+                    raise Diagnostic(
+                        "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
+                    )
+                v.stuck = True
+                return None
+            env, clause = r
+            self._tick()
+            out = self.unfolded[key] = self.evaluate(env, clause.rhs)
         for th, annot in rest:
             out = self.apply(out, th, annot, pos)
         return out
+
+    def _memo_key(self, th: Thunk):
+        # a size is erased at run time, so only its normal form matters;
+        # evaluating a suspended size expression is pure and cheap
+        if th.value is None and isinstance(th.expr, Size):
+            self.force(th)
+        if isinstance(th.value, VSize):
+            return th.value.size
+        return th
 
     def whnf(self, v: Value, pos: Pos = (0, 0)) -> Value:
         while isinstance(v, VDef):
@@ -473,7 +502,12 @@ class Evaluator:
             case (VCon(c1, args1), VCon(c2, args2)):
                 if c1 != c2 or len(args1) != len(args2):
                     return False
-                annots = self.sig.con(c1).annots
+                centry = self.sig.con(c1)
+                if self.sig.data(centry.data).coinductive:
+                    # shared unfoldings make streams cyclic: comparing two
+                    # of them unfolds nothing, so each layer costs fuel
+                    self._tick()
+                annots = centry.annots
                 for k, (t1, t2) in enumerate(zip(args1, args2)):
                     annot = annots[k] if k < len(annots) else Annot.RELEVANT
                     if annot is Annot.PARAMETRIC:

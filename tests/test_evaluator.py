@@ -2,13 +2,17 @@
 
 import pytest
 
+from sizedcheck import RunConfig, check_source
+from sizedcheck.checker import Checker
 from sizedcheck.evaluator import Evaluator
+from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
+from sizedcheck.scope import scope_check
 from sizedcheck.sizes import SizeCtx, ns_infty, ns_var
-from sizedcheck.syntax import Annot, Def, Elided, fresh_ident
+from sizedcheck.syntax import App, Annot, Def, Elided, SInfty, Size, SSucc, fresh_ident
 from sizedcheck.values import Thunk, VCon, VDef, VNe, VSize
 
-from conftest import NAT, SNAT_PARAMETRIC, STREAM, build
+from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build
 
 PRED = SNAT_PARAMETRIC + """
 fun pred : [i : Size] -> SNat ($$ i) -> SNat ($ i)
@@ -247,3 +251,108 @@ let r : Stream Nat # = repeat Nat zero #
         with pytest.raises(Diagnostic) as e:
             ch.ev.readback(v, depth=50)
         assert e.value.code == "FUEL"
+
+
+# the Fibonacci stream program without its eval lets
+FIB = (CORPUS / "accept" / "fib.ma").read_text().split("\neval let")[0] + "\n"
+
+# a type-level function that unfolds once per succ of its argument
+DEPTH = NAT + """
+fun T : Nat -> Set
+{ T  zero    = Nat
+; T (succ n) = T n
+}
+"""
+
+
+def numeral(n: int) -> str:
+    return "zero" if n == 0 else f"(succ {numeral(n - 1)})"
+
+
+def checked(src: str, unfold_fuel: int):
+    return Checker(unfold_fuel=unfold_fuel).check_program(scope_check(parse_source(src)))
+
+
+class TestUnfoldMemo:
+    def test_fib_is_linear_in_the_index(self):
+        # nth 12 (fib #) unfolds 2115 times without sharing
+        src = FIB + f"eval let f : Nat = nth {numeral(12)} (fib #)\n"
+        _, outputs = checked(src, unfold_fuel=500)
+        assert outputs[0].count("succ") == 144
+
+    def test_distinct_non_size_arguments_keep_their_values(self):
+        src = NAT + STREAM + """
+fun add : Nat -> Nat -> Nat
+{ add  zero    y = y
+; add (succ x) y = succ (add x y)
+}
+fun head : [A : Set] -> [i : Size] -> Stream A ($ i) -> A
+{ head A i (cons .A .i a as) = a
+}
+cofun repeat : [A : Set] -> (a : A) -> [i : Size] -> Stream A i
+{ repeat A a ($ i) = cons A i a (repeat A a i)
+}
+eval let s : Nat =
+  add (head Nat # (repeat Nat zero #)) (head Nat # (repeat Nat (succ (succ zero)) #))
+"""
+        _, _, outputs = build(src)
+        assert outputs == ["s = succ (succ zero)"]
+
+    def test_equal_normal_sizes_share_one_unfolding(self):
+        ch, _, _ = build(FIB)
+        ev = ch.ev
+        fib = Def(ch.sig.by_text["fib"])
+        ev.reset_budget()
+        at_infty = ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC))
+        at_succ_infty = ev.evaluate({}, App(fib, Size(SSucc(SInfty())), Annot.PARAMETRIC))
+        v = ev.whnf(at_infty)
+        assert isinstance(v, VCon) and ev.steps == 1
+        assert ev.whnf(at_succ_infty) is v
+        assert ev.steps == 1  # the hit unfolded no clause
+
+    def test_reset_budget_drops_the_memo(self):
+        ch, _, _ = build(FIB)
+        ev = ch.ev
+        fib = Def(ch.sig.by_text["fib"])
+        ev.reset_budget()
+        v = ev.whnf(ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC)))
+        ev.reset_budget()
+        assert ev.whnf(ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC))) is not v
+        assert ev.steps == 1
+
+
+class TestFuelPerDeclaration:
+    # each `let xk : T 3 = zero` costs 4 ticks, `T 12` costs 13
+    MANY = DEPTH + "".join(f"let x{k} : T {numeral(3)} = zero\n" for k in range(5))
+
+    def test_budget_is_per_declaration(self):
+        checked(self.MANY, unfold_fuel=10)
+
+    def test_one_declaration_over_budget_fails_at_its_position(self):
+        src = self.MANY + f"let deep : T {numeral(12)} = zero\n"
+        d = check_source(src, "<t>", RunConfig([], unfold_fuel=10)).diagnostic
+        assert d.code == "FUEL"
+        assert d.pos[0] > 0 and d.pos[0] == len(src.splitlines())
+
+    def test_cyclic_streams_compare_under_fuel(self):
+        # zeros # and zeros2 # unfold to cyclic values through the memo
+        src = NAT + STREAM + """
+data Eq (A : Set) (a : A) : A -> Set
+{ refl : Eq A a a
+}
+cofun zeros : [i : Size] -> Stream Nat i
+{ zeros ($ i) = cons Nat i zero (zeros i)
+}
+cofun zeros2 : [i : Size] -> Stream Nat i
+{ zeros2 ($ i) = cons Nat i zero (zeros2 i)
+}
+let p : Eq (Stream Nat #) (zeros #) (zeros2 #) = refl (Stream Nat #) (zeros #)
+"""
+        d = check_source(src, "<t>", RunConfig([], unfold_fuel=10)).diagnostic
+        assert d.code == "FUEL" and d.pos[0] == len(src.splitlines())
+
+    def test_fuel_reports_the_eval_let(self):
+        src = FIB + f"eval let f : Nat = nth {numeral(12)} (fib #)\n"
+        d = check_source(src, "<t>", RunConfig([], unfold_fuel=100)).diagnostic
+        assert d.code == "FUEL"
+        assert d.pos[0] > 0 and d.pos[0] == len(src.splitlines())
