@@ -51,7 +51,6 @@ from .syntax import (
     Ident,
     Lam,
     LetDecl,
-    NOPOS,
     Pattern,
     PCon,
     PDot,
@@ -68,13 +67,12 @@ from .syntax import (
     SizeU,
     SMeta,
     SVar,
-    SSucc,
     Var,
     fresh_ident,
     leq_pol,
     size_metas,
     size_vars,
-    substitute,
+    spine,
     substitute_metas,
 )
 from .totality import (
@@ -92,22 +90,42 @@ class _Binding:
     annot: Annot
 
 
+@dataclass
+class ClauseState:
+    """What checking one clause or let body gathers: its size constraints and
+    holes, solved once the body is checked, and the recursive calls of the
+    function `fun` (None for a let, which records none), each with the size
+    matched by clause `index`."""
+
+    fun: int | None = None
+    index: int = 0
+    lhs_size: NormalSize | None = None
+    collector: list[SizeConstraint] = field(default_factory=list)
+    metas: set[int] = field(default_factory=set)
+    calls: list[CallSite] = field(default_factory=list)
+
+
 class Ctx:
     """Typing context: binding types and annotations, a semantic environment
-    mapping each bound variable to its (usually neutral) value, and the size
-    hypothesis set."""
+    mapping each bound variable to its (usually neutral) value, the size
+    hypothesis set, and the state of the clause being checked, if any."""
 
-    def __init__(self, bindings=None, env=None, sctx=None):
+    def __init__(self, bindings=None, env=None, sctx=None, state=None):
         self.bindings: dict[int, _Binding] = bindings or {}
         self.env: dict[int, Thunk] = env or {}
         self.sctx: SizeCtx = sctx or SizeCtx()
+        self.state: ClauseState | None = state
+
+    @property
+    def collector(self) -> list[SizeConstraint] | None:
+        return self.state.collector if self.state is not None else None
 
     def _extended(self, x: Ident, b: _Binding, th: Thunk, sctx: SizeCtx) -> "Ctx":
         bindings = dict(self.bindings)
         env = dict(self.env)
         bindings[x.uid] = b
         env[x.uid] = th
-        return Ctx(bindings, env, sctx)
+        return Ctx(bindings, env, sctx, self.state)
 
     def bind(
         self,
@@ -148,13 +166,6 @@ class Checker:
         self.ev = Evaluator(self.sig, unfold_fuel, print_depth, print_sizes)
         self.collect_constraints = collect_constraints
         self.constraint_dump: list[str] = []
-        # clause-local state
-        self.collector: list[SizeConstraint] | None = None
-        self.created_metas: set[int] | None = None
-        self.calls: list[CallSite] | None = None
-        self.current: int | None = None
-        self.clause_lhs_size: NormalSize | None = None
-        self.clause_index: int = 0
 
     # -- program ------------------------------------------------------------
 
@@ -191,19 +202,13 @@ class Checker:
             params.append((p.name, p.polarity, pt, pv))
 
         index_elab = self.check_type(ctx, d.index_sig)
-        t = self.ev.evaluate(ctx.env, index_elab)
-        index_domains: list[Value] = []
-        while isinstance(t, VPi):
-            index_domains.append(self.ev.whnf(t.domain))
-            t = self.ev.whnf(
-                self.ev.instantiate(t, self.ev.fresh_neutral(t.binder.text, t.domain))
-            )
+        indices, t = self.ev.telescope(self.ev.evaluate(ctx.env, index_elab))
         if not isinstance(t, VSet):
             raise Diagnostic(
                 "TYPE-MISMATCH", "a data type signature must end in Set", d.pos
             )
         if d.sized:
-            if not index_domains or not isinstance(index_domains[0], VSizeU):
+            if not indices or not isinstance(indices[0][1], VSizeU):
                 raise Diagnostic(
                     "SIZE-INDEX-SHAPE",
                     "the size index must be the first index of a sized type",
@@ -219,7 +224,7 @@ class Checker:
             d.coinductive,
             [(n, pol) for n, pol, _, _ in params],
             self.ev.evaluate({}, kind),
-            len(index_domains),
+            len(indices),
         )
         self.sig.add(d.name, entry)
 
@@ -246,39 +251,21 @@ class Checker:
         pos: Pos,
     ) -> ConEntry:
         n_params = len(params)
-        t = self.ev.whnf(cv)
-        annots: list[Annot] = []
-        param_neutrals: list[Value] = []
-        for k in range(n_params):
-            if not isinstance(t, VPi):
-                raise Diagnostic(
-                    "TYPE-MISMATCH", "constructor type ends before its parameters", pos
-                )
-            x = self.ev.fresh_neutral(t.binder.text, t.domain)
-            param_neutrals.append(x)
-            annots.append(t.annot)
-            t = self.ev.whnf(self.ev.instantiate(t, x))
-
-        size_var: Ident | None = None
-        if d.sized:
-            if not (isinstance(t, VPi) and isinstance(self.ev.whnf(t.domain), VSizeU)):
-                raise Diagnostic(
-                    "SIZE-INDEX-SHAPE",
-                    f"constructor '{cname.text}' of a sized type must quantify "
-                    "over its size first",
-                    pos,
-                )
-            size_var = fresh_ident(t.binder.text)
-            annots.append(t.annot)
-            t = self.ev.whnf(self.ev.instantiate(t, VSize(ns_var(size_var))))
-
-        arg_domains: list[Value] = []
-        while isinstance(t, VPi):
-            arg_domains.append(self.ev.whnf(t.domain))
-            annots.append(t.annot)
-            t = self.ev.whnf(
-                self.ev.instantiate(t, self.ev.fresh_neutral(t.binder.text, t.domain))
+        binders, t = self.ev.telescope(cv)
+        if len(binders) < n_params:
+            raise Diagnostic(
+                "TYPE-MISMATCH", "constructor type ends before its parameters", pos
             )
+        n_fixed = n_params + (1 if d.sized else 0)
+        if d.sized and (len(binders) == n_params or not isinstance(binders[n_params][1], VSizeU)):
+            raise Diagnostic(
+                "SIZE-INDEX-SHAPE",
+                f"constructor '{cname.text}' of a sized type must quantify "
+                "over its size first",
+                pos,
+            )
+        annots = [annot for annot, _, _ in binders]
+        arg_domains = [dom for _, dom, _ in binders[n_fixed:]]
 
         if not (isinstance(t, VData) and t.name == d.name):
             raise Diagnostic(
@@ -287,7 +274,7 @@ class Checker:
                 pos,
             )
         for k in range(n_params):
-            if not self.ev.convertible(self.ev.force(t.args[k]), param_neutrals[k]):
+            if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2]):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     f"constructor '{cname.text}' must target '{d.name.text}' "
@@ -297,8 +284,8 @@ class Checker:
 
         arg_exprs = [self.ev.quote(b) for b in arg_domains]
         if d.sized:
-            assert size_var is not None
-            ts = self.ev._as_size(self.ev.force(t.args[n_params]))
+            size_var = binders[n_params][2].size.atom()[0]
+            ts = self.ev.size_view(self.ev.force(t.args[n_params]))
             if ts is None or not ts.is_atom() or ts.atom() != (size_var, 1):
                 raise Diagnostic(
                     "SIZE-INDEX-SHAPE",
@@ -330,7 +317,7 @@ class Checker:
             n_params,
             d.sized,
             annots,
-            n_params + (1 if d.sized else 0) + len(arg_domains),
+            len(binders),
         )
 
     def _check_rec_sizes(
@@ -339,20 +326,13 @@ class Checker:
         """Every recursive occurrence of the defined type carries size
         exactly i."""
 
-        def spine(e: Expr):
-            args = []
-            while isinstance(e, App):
-                args.append(e.arg)
-                e = e.fun
-            return e, list(reversed(args))
-
         def go(e: Expr):
             match e:
                 case App(_, _):
                     head, args = spine(e)
                     if isinstance(head, Def) and head.name == dname:
                         if len(args) <= n_params or not isinstance(
-                            args[n_params], Size
+                            args[n_params][0], Size
                         ):
                             raise Diagnostic(
                                 "SIZE-INDEX-SHAPE",
@@ -360,7 +340,7 @@ class Checker:
                                 f"'{cname.text}' lacks its size index",
                                 pos,
                             )
-                        ns = normalize(args[n_params].size)
+                        ns = normalize(args[n_params][0].size)
                         if not (ns.is_atom() and ns.atom() == (i, 0)):
                             raise Diagnostic(
                                 "SIZE-INDEX-SHAPE",
@@ -369,7 +349,7 @@ class Checker:
                                 f"{i.text}",
                                 pos,
                             )
-                    for a in args:
+                    for a, _ in args:
                         go(a)
                     if not isinstance(head, (Def, Con, Var)):
                         go(head)
@@ -400,117 +380,77 @@ class Checker:
             )
         arity = arities.pop() if arities else 0
 
-        size_param = None
-        t = tv
-        for k in range(arity):
-            t = self.ev.whnf(t)
-            if not isinstance(t, VPi):
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "clauses bind more patterns than the type has arguments",
-                    f.pos,
-                )
-            if size_param is None and isinstance(self.ev.whnf(t.domain), VSizeU):
-                size_param = k
-            t = self.ev.instantiate(t, self.ev.fresh_neutral(t.binder.text, t.domain))
+        binders, _ = self.ev.telescope(tv, limit=arity)
+        if len(binders) < arity:
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                "clauses bind more patterns than the type has arguments",
+                f.pos,
+            )
+        size_param = next(
+            (k for k, (_, dom, _) in enumerate(binders) if isinstance(dom, VSizeU)), None
+        )
 
         entry = FunEntry(f.name, f.coinductive, ty, tv, arity, size_param)
         self.sig.add(f.name, entry)
-
-        self.current = f.name.uid
-        try:
-            for idx, clause in enumerate(f.clauses):
-                self.clause_index = idx
-                elab = self._check_clause(f, entry, clause, tv, idx)
-                entry.clauses.append(elab)
-        finally:
-            self.current = None
+        for idx, clause in enumerate(f.clauses):
+            entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
         entry.report = termination_check(entry, self.sig)
         entry.totality = Totality.CHECKED
 
-    def _check_clause(
-        self, f: FunDecl, entry: FunEntry, clause: Clause, tv: Value, idx: int
-    ) -> ElabClause:
-        self.collector = []
-        self.created_metas = set()
-        self.calls = []
-        self.clause_lhs_size = None
-        try:
-            ctx, values, obligations, pats = self._elaborate_patterns(
-                clause, tv, f.coinductive, entry.size_param
-            )
-            residual = tv
-            for v in values:
-                residual = self.ev.whnf(residual)
-                residual = self.ev.instantiate(residual, v)
-            self._check_obligations(ctx, obligations)
-            rhs = self.check(ctx, clause.rhs, residual, erased=False)
-            try:
-                sol = solve_metas(self.collector, ctx.sctx, self.created_metas)
-            except (Unsolvable, Ambiguous) as exc:
-                raise Diagnostic("UNSOLVED-META", str(exc), clause.pos)
-            if self.collect_constraints:
-                self._dump_constraints(f.name.text, idx)
-            sol_exprs = {m: to_size_expr(ns) for m, ns in sol.items()}
-            rhs = substitute_metas(rhs, sol_exprs)
-            for call in self.calls:
-                if call.size_arg is not None:
-                    ns = call.size_arg
-                    for m, val in sol.items():
-                        ns = subst_base(ns, Meta(m), val)
-                    call.size_arg = ns
-            entry.calls.extend(self.calls)
-            return ElabClause(pats, rhs, self.clause_lhs_size, ctx.sctx, clause.pos)
-        finally:
-            self.collector = None
-            self.created_metas = None
-            self.calls = None
-            self.clause_lhs_size = None
+    def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
+        ctx, residual, obligations, pats = self._elaborate_patterns(
+            Ctx(state=state), clause, entry
+        )
+        self._check_obligations(ctx, obligations)
+        rhs = self.check(ctx, clause.rhs, residual, erased=False)
+        rhs, sol = self._solve_holes(
+            ctx, rhs, clause.pos, f"{entry.name.text} clause {state.index + 1}"
+        )
+        for call in state.calls:
+            if call.size_arg is not None:
+                for m, val in sol.items():
+                    call.size_arg = subst_base(call.size_arg, Meta(m), val)
+        entry.calls.extend(state.calls)
+        return ElabClause(pats, rhs, state.lhs_size, ctx.sctx, clause.pos)
 
-    def _dump_constraints(self, name: str, idx: int | None):
-        if not self.collector:
-            return
-        naming: dict[int, str] = {}
-        for c in self.collector:
-            for m in sorted(c.metas()):
-                if m not in naming:
-                    naming[m] = f"m{len(naming) + 1}"
-        where = name if idx is None else f"{name} clause {idx + 1}"
-        self.constraint_dump.append(f"-- {where}")
-        for c in self.collector:
-            self.constraint_dump.append(
-                f"{format_size(c.lhs, naming)} {c.rel.value} {format_size(c.rhs, naming)}"
-            )
+    def _solve_holes(self, ctx: Ctx, e: Expr, pos: Pos, where: str):
+        """Solve the size holes of the checked body e and fill them in;
+        returns e and the solution."""
+        collector = ctx.state.collector
+        try:
+            sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
+        except (Unsolvable, Ambiguous) as exc:
+            raise Diagnostic("UNSOLVED-META", str(exc), pos)
+        if self.collect_constraints and collector:
+            naming: dict[int, str] = {}
+            for c in collector:
+                for m in sorted(c.metas()):
+                    naming.setdefault(m, f"m{len(naming) + 1}")
+            self.constraint_dump.append(f"-- {where}")
+            for c in collector:
+                self.constraint_dump.append(
+                    f"{format_size(c.lhs, naming)} {c.rel.value} {format_size(c.rhs, naming)}"
+                )
+        return substitute_metas(e, {m: to_size_expr(ns) for m, ns in sol.items()}), sol
 
     def check_let_decl(self, d: LetDecl):
         ty = self.check_type(Ctx(), d.type)
         tv = self.ev.evaluate({}, ty)
-        self.collector = []
-        self.created_metas = set()
-        try:
-            body = self.check(Ctx(), d.body, tv, erased=False)
-            try:
-                sol = solve_metas(self.collector, SizeCtx(), self.created_metas)
-            except (Unsolvable, Ambiguous) as exc:
-                raise Diagnostic("UNSOLVED-META", str(exc), d.pos)
-            if self.collect_constraints:
-                self._dump_constraints(d.name.text, None)
-            body = substitute_metas(body, {m: to_size_expr(ns) for m, ns in sol.items()})
-        finally:
-            self.collector = None
-            self.created_metas = None
+        ctx = Ctx(state=ClauseState())
+        body = self.check(ctx, d.body, tv, erased=False)
+        body, _ = self._solve_holes(ctx, body, d.pos, d.name.text)
         self.sig.add(d.name, LetEntry(d.name, tv, body, d.eval))
 
     # -- pattern elaboration ----------------------------------------------------
 
-    def _elaborate_patterns(
-        self, clause: Clause, tv: Value, is_cofun: bool, size_param: int | None
-    ):
-        ctx = Ctx()
-        values: list[Value] = []
+    def _elaborate_patterns(self, ctx: Ctx, clause: Clause, entry: FunEntry):
+        """Elaborate a clause's patterns against the function's type; returns
+        the context they bind, the type of the right-hand side, the dot
+        obligations and the elaborated patterns."""
         obligations: list = []
         pats: list[Pattern] = []
-        t = tv
+        t = entry.type_value
         for k, p in enumerate(clause.lhs):
             t = self.ev.whnf(t)
             if not isinstance(t, VPi):
@@ -521,15 +461,14 @@ class Checker:
             annot = t.annot
             if isinstance(dom, VSizeU):
                 ctx, val, p2 = self._elab_size_param(
-                    ctx, t, p, annot, is_cofun, designated=(k == size_param)
+                    ctx, t, p, annot, entry.coinductive, designated=(k == entry.size_param)
                 )
             else:
                 ctx, val, obls, p2 = self._elab_pattern(ctx, dom, annot, p)
                 obligations.extend(obls)
-            values.append(val)
             pats.append(p2)
             t = self.ev.instantiate(t, val)
-        return ctx, values, obligations, pats
+        return ctx, t, obligations, pats
 
     def _elab_size_param(
         self, ctx: Ctx, pi: VPi, p: Pattern, annot: Annot, is_cofun: bool, designated: bool
@@ -539,7 +478,7 @@ class Checker:
                 ctx = ctx.bind(x, VSizeU(), annot)
                 val = VSize(ns_var(x))
                 if designated:
-                    self.clause_lhs_size = ns_var(x)
+                    ctx.state.lhs_size = ns_var(x)
                 return ctx, val, p
             case PWild():
                 x = fresh_ident("_i")
@@ -560,7 +499,7 @@ class Checker:
                 ctx = ctx.bind(j, VSizeU(), annot)
                 val = VSize(bump(ns_var(j), 1))
                 if designated:
-                    self.clause_lhs_size = bump(ns_var(j), 1)
+                    ctx.state.lhs_size = bump(ns_var(j), 1)
                 return ctx, val, p
             case PDot(_):
                 raise Diagnostic(
@@ -675,7 +614,7 @@ class Checker:
         # the size argument
         if centry.has_size:
             ct = self.ev.whnf(ct)
-            s_ns = self.ev._as_size(self.ev.force(dty.args[centry.n_params]))
+            s_ns = self.ev.size_view(self.ev.force(dty.args[centry.n_params]))
             if s_ns is None:
                 raise Diagnostic(
                     "TYPE-MISMATCH", "scrutinee size index is not a size", p.pos
@@ -786,7 +725,7 @@ class Checker:
                 self.ev.force(target.args[k]),
                 self.ev.force(dty.args[k]),
                 ctx.sctx,
-                self.collector,
+                ctx.collector,
             ):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -806,7 +745,7 @@ class Checker:
             else:
                 elab = self.check(ctx, e, ty, erased=True)
                 v = self.ev.evaluate(ctx.env, elab)
-            if not self.ev.convertible(v, forced, ctx.sctx, self.collector):
+            if not self.ev.convertible(v, forced, ctx.sctx, ctx.collector):
                 raise Diagnostic(
                     "DOT-MISMATCH",
                     f"dot pattern '{pretty(e)}' does not match the forced "
@@ -858,23 +797,19 @@ class Checker:
                         )
                     self._use_check(ctx, x, erased, e.pos)
                 for m in size_metas(s):
-                    self._register_meta(m, e.pos)
+                    if ctx.state is None:
+                        raise Diagnostic(
+                            "UNSOLVED-META",
+                            "size holes are only allowed on clause right-hand sides",
+                            e.pos,
+                        )
+                    ctx.state.metas.add(m)
                 return s
         raise Diagnostic(
             "TYPE-MISMATCH",
             "expected a size expression (a size variable, $, #, max or _)",
             e.pos,
         )
-
-    def _register_meta(self, m: int, pos: Pos):
-        if self.collector is None:
-            raise Diagnostic(
-                "UNSOLVED-META",
-                "size holes are only allowed on clause right-hand sides",
-                pos,
-            )
-        assert self.created_metas is not None
-        self.created_metas.add(m)
 
     def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
         b = ctx.lookup(x)
@@ -912,11 +847,9 @@ class Checker:
                 return self._infer_atom(ctx, e, erased)
             case Def(x):
                 elab, ty = self._infer_atom(ctx, e, erased)
-                if self.calls is not None and self.current == x.uid:
-                    self.calls.append(
-                        CallSite([], None, ctx.sctx, self.clause_lhs_size,
-                                 self.clause_index, e.pos)
-                    )
+                st = ctx.state
+                if st is not None and st.fun == x.uid:
+                    st.calls.append(CallSite([], None, ctx.sctx, st.lhs_size, st.index, e.pos))
                 return elab, ty
             case Pi(_, _, _, _):
                 return self.check_type(ctx, e), VSet()
@@ -950,18 +883,9 @@ class Checker:
         raise AssertionError(f"infer: unhandled node {e!r}")
 
     def _infer_app(self, ctx: Ctx, e: App, erased: bool) -> tuple[Expr, Value]:
-        head = e
-        args: list[Expr] = []
-        while isinstance(head, App):
-            args.append(head.arg)
-            head = head.fun
-        args.reverse()
-
-        is_self = (
-            isinstance(head, Def)
-            and self.calls is not None
-            and self.current == head.name.uid
-        )
+        head, args = spine(e)
+        st = ctx.state
+        is_self = isinstance(head, Def) and st is not None and st.fun == head.name.uid
         if isinstance(head, (Var, Def, Con)):
             elab, fty = self._infer_atom(ctx, head, erased)
         else:
@@ -973,7 +897,7 @@ class Checker:
         if is_self:
             size_param = self.sig.fun(head.name).size_param
 
-        for k, arg in enumerate(args):
+        for k, (arg, _) in enumerate(args):
             fty = self.ev.whnf(fty)
             if not isinstance(fty, VPi):
                 raise Diagnostic(
@@ -999,10 +923,7 @@ class Checker:
             fty = self.ev.instantiate(fty, val)
 
         if is_self:
-            self.calls.append(
-                CallSite(arg_elabs, size_arg, ctx.sctx, self.clause_lhs_size,
-                         self.clause_index, e.pos)
-            )
+            st.calls.append(CallSite(arg_elabs, size_arg, ctx.sctx, st.lhs_size, st.index, e.pos))
         return elab, fty
 
     def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
@@ -1073,13 +994,12 @@ class Checker:
         reason = admissibility_check(self.ev, self.sig, expected, i, cofun=True)
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
+        # in the branch i stands for $ j; it is parametric there, as j is
         j = e.binder
         ctx2 = ctx.bind(j, VSizeU(), Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
-        succ_j = Size(SSucc(SVar(j)), e.pos)
-        branch = substitute(e.branch, i, succ_j)
-        expected_q = substitute(self.ev.quote(expected), i, succ_j)
-        expected2 = self.ev.evaluate(ctx2.env, expected_q)
-        branch_elab = self.check(ctx2, branch, expected2, erased)
+        ctx2 = ctx2.bind_value(i, VSizeU(), Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
+        expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))
+        branch_elab = self.check(ctx2, e.branch, expected2, erased)
         return CaseSize(SVar(i), j, branch_elab, e.pos)
 
     def _check_case_data(self, ctx: Ctx, e: CaseData, expected: Value, erased: bool) -> Expr:
@@ -1135,27 +1055,28 @@ class Checker:
                     elif pol is Polarity.UNUSED:
                         ok = True
                     else:
-                        ok = self.ev.convertible(va, vb, ctx.sctx, self.collector)
+                        ok = self.ev.convertible(va, vb, ctx.sctx, ctx.collector)
                 elif entry.sized and k == n_params:
-                    sa, sb = self.ev._as_size(va), self.ev._as_size(vb)
+                    sa, sb = self.ev.size_view(va), self.ev.size_view(vb)
                     if sa is None or sb is None:
                         ok = False
                     elif entry.coinductive:
-                        ok = self.ev.size_entails(ctx.sctx, sb, Rel.LE, sa, self.collector)
+                        ok = self.ev.size_entails(ctx.sctx, sb, Rel.LE, sa, ctx.collector)
                     else:
-                        ok = self.ev.size_entails(ctx.sctx, sa, Rel.LE, sb, self.collector)
+                        ok = self.ev.size_entails(ctx.sctx, sa, Rel.LE, sb, ctx.collector)
                 else:
-                    ok = self.ev.convertible(va, vb, ctx.sctx, self.collector)
+                    ok = self.ev.convertible(va, vb, ctx.sctx, ctx.collector)
                 if not ok:
                     return False
             return True
         if isinstance(a, VPi) and isinstance(b, VPi):
             if a.annot is not b.annot:
                 return False
-            if not self.subtype(ctx, self.ev.whnf(b.domain), self.ev.whnf(a.domain)):
+            dom = self.ev.whnf(b.domain)
+            if not self.subtype(ctx, dom, self.ev.whnf(a.domain)):
                 return False
-            x = self.ev.fresh_neutral(a.binder.text, self.ev.whnf(b.domain))
-            return self.subtype(
-                ctx, self.ev.instantiate(a, x), self.ev.instantiate(b, x)
-            )
-        return self.ev.convertible(a, b, ctx.sctx, self.collector)
+            x = fresh_ident(a.binder.text)
+            ctx2 = ctx.bind(x, dom, a.annot)
+            xv = self.ev.force(ctx2.env[x.uid])
+            return self.subtype(ctx2, self.ev.instantiate(a, xv), self.ev.instantiate(b, xv))
+        return self.ev.convertible(a, b, ctx.sctx, ctx.collector)

@@ -1,14 +1,15 @@
 """Batch driver: check files, run eval lets, run the golden corpus.
 
 Exit codes: 0 full success, 1 language-level rejection, 2 environment
-failure (unreadable file, malformed expectation)."""
+failure (unreadable file, malformed expectation), 3 internal error (an
+exception that is not a diagnostic, reported on one line)."""
 
 from __future__ import annotations
 
 import argparse
 import difflib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .checker import Checker
@@ -200,9 +201,11 @@ def main(argv=None) -> int:
         unfold_fuel=ns.unfold_fuel,
         print_depth=ns.print_depth,
     )
-    if ns.mode == "check":
-        return run_check(cfg)
-    return run_golden(cfg)
+    try:
+        return run_check(cfg) if ns.mode == "check" else run_golden(cfg)
+    except Exception as exc:  # diagnostics never get here: check_source reports them
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

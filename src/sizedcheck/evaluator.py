@@ -16,13 +16,12 @@ drops both."""
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .signature import ConEntry, DataEntry, FunEntry, LetEntry, Signature, Totality
+from .signature import DataEntry, FunEntry, LetEntry, Signature, Totality
 from .sizes import (
     NormalSize,
     Rel,
     SizeConstraint,
     SizeCtx,
-    bump,
     entails,
     normalize,
     ns_var,
@@ -230,6 +229,21 @@ class Evaluator:
             return VSize(ns_var(x))
         return VNe(x)
 
+    def telescope(
+        self, t: Value, limit: int | None = None
+    ) -> tuple[list[tuple[Annot, Value, Value]], Value]:
+        """Walk the Pi telescope of t, at most `limit` binders deep, binding
+        each to a fresh variable; returns (annot, whnf domain, variable) per
+        binder and the whnf rest."""
+        binders: list[tuple[Annot, Value, Value]] = []
+        t = self.whnf(t)
+        while isinstance(t, VPi) and len(binders) != limit:
+            dom = self.whnf(t.domain)
+            x = self.fresh_neutral(t.binder.text, dom)
+            binders.append((t.annot, dom, x))
+            t = self.whnf(self.instantiate(t, x))
+        return binders, t
+
     # -- definition unfolding -------------------------------------------------
 
     def _unfold(self, v: VDef, pos: Pos, strict: bool) -> Value | None:
@@ -311,7 +325,7 @@ class Evaluator:
             case PWild() | PDot(_):
                 return True
             case PSucc(j):
-                ns = self._as_size(self.force(th))
+                ns = self.size_view(self.force(th))
                 if ns is None:
                     return _STUCK
                 env[j.uid] = Thunk.of(VSize(_size_pred(ns)))
@@ -449,7 +463,8 @@ class Evaluator:
             return True
         return entails(sctx, a, rel, b)
 
-    def _as_size(self, v: Value) -> NormalSize | None:
+    def size_view(self, v: Value) -> NormalSize | None:
+        """The normal form of a size value or of a bare size variable."""
         match v:
             case VSize(ns):
                 return ns
@@ -461,7 +476,7 @@ class Evaluator:
         if a is b:
             return True
         if isinstance(a, VSize) or isinstance(b, VSize):
-            nsa, nsb = self._as_size(a), self._as_size(b)
+            nsa, nsb = self.size_view(a), self.size_view(b)
             if nsa is None or nsb is None:
                 return False
             return self.size_entails(sctx, nsa, Rel.LE, nsb, col) and self.size_entails(
@@ -488,6 +503,8 @@ class Evaluator:
                 if not self._conv(d1, d2, sctx, col):
                     return False
                 x = self.fresh_neutral(b1.text, d1)
+                if isinstance(x, VSize):
+                    sctx = sctx.declare(x.size.atom()[0])
                 return self._conv(self.close(c1, x), self.close(c2, x), sctx, col)
             case (VLam(b1, _), _):
                 x = self.fresh_neutral(b1.text)

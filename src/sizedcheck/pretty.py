@@ -40,6 +40,7 @@ from .syntax import (
     SVar,
     Var,
     free_vars,
+    spine,
 )
 
 
@@ -131,8 +132,8 @@ def _expr(e: Expr, nm: _Namer) -> str:
         case Lam(binder, body):
             return f"\\ {nm.name(binder)} -> {_expr(body, nm)}"
         case App(_, _):
-            head, args = _spine(e)
-            parts = [_arg(head, nm)] + [_arg(a, nm) for a in args]
+            head, args = spine(e)
+            parts = [_arg(head, nm)] + [_arg(a, nm) for a, _ in args]
             return " ".join(parts)
         case CaseSize(s, binder, branch):
             return (
@@ -146,14 +147,6 @@ def _expr(e: Expr, nm: _Namer) -> str:
             )
             return f"case {scruts} {{ {bs} }}"
     raise AssertionError(e)
-
-
-def _spine(e: Expr):
-    args = []
-    while isinstance(e, App):
-        args.append(e.arg)
-        e = e.fun
-    return e, list(reversed(args))
 
 
 def _arg(e: Expr, nm: _Namer) -> str:

@@ -1,10 +1,10 @@
 """Abstract syntax: identifiers, polarities, size expressions, terms,
-patterns and declarations, plus capture-avoiding substitution."""
+patterns and declarations, plus free variables and spines."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 Pos = tuple[int, int]  # 1-based (line, column)
@@ -396,7 +396,7 @@ class LetDecl(Declaration):
 
 
 # ---------------------------------------------------------------------------
-# Binding structure, free variables and substitution
+# Binding structure, free variables, spines and substitution of holes
 
 
 def pattern_binders(p: Pattern) -> list[Ident]:
@@ -457,6 +457,16 @@ def _pattern_dots(p: Pattern) -> list[Expr]:
             return []
 
 
+def spine(e: Expr) -> tuple[Expr, list[tuple[Expr, Annot | None]]]:
+    """Split f a1 ... an into f and [(a1, annot1), ..., (an, annotn)]."""
+    args = []
+    while isinstance(e, App):
+        args.append((e.arg, e.annot))
+        e = e.fun
+    args.reverse()
+    return e, args
+
+
 def subst_size(s: SizeExpr, x: Ident, r: SizeExpr) -> SizeExpr:
     match s:
         case SVar(y):
@@ -467,97 +477,6 @@ def subst_size(s: SizeExpr, x: Ident, r: SizeExpr) -> SizeExpr:
             return SMax(subst_size(a, x, r), subst_size(b, x, r))
         case _:
             return s
-
-
-def substitute(e: Expr, x: Ident, r: Expr) -> Expr:
-    """Capture-avoiding substitution of r for the free occurrences of x.
-
-    Size variables may only be replaced by size-valued expressions (a bare
-    Var or a Size term); binders shadow by uid and are renamed on capture.
-    """
-    rfv = free_vars(r)
-
-    def rsize() -> SizeExpr:
-        match r:
-            case Var(y):
-                return SVar(y)
-            case Size(s):
-                return s
-        raise ValueError("size variable replaced by a non-size expression")
-
-    def freshen(binder: Ident, body: Expr) -> tuple[Ident, Expr]:
-        if binder in rfv:
-            nb = fresh_ident(binder.text)
-            return nb, substitute(body, binder, Var(nb))
-        return binder, body
-
-    def go(e: Expr) -> Expr:
-        match e:
-            case Var(y):
-                return r if y == x else e
-            case Def(_) | Con(_) | SetU() | SizeU() | Elided():
-                return e
-            case Pi(annot, binder, dom, cod, pos):
-                dom2 = go(dom)
-                if binder == x:
-                    return Pi(annot, binder, dom2, cod, pos)
-                if binder is not None:
-                    binder, cod = freshen(binder, cod)
-                return Pi(annot, binder, dom2, go(cod), pos)
-            case Lam(binder, body, pos):
-                if binder == x:
-                    return e
-                binder, body = freshen(binder, body)
-                return Lam(binder, go(body), pos)
-            case App(f, a, annot, pos):
-                return App(go(f), go(a), annot, pos)
-            case Size(s, pos):
-                if x in size_vars(s):
-                    return Size(subst_size(s, x, rsize()), pos)
-                return e
-            case CaseSize(s, binder, branch, pos):
-                if x in size_vars(s):
-                    s = subst_size(s, x, rsize())
-                if binder == x:
-                    return CaseSize(s, binder, branch, pos)
-                binder, branch = freshen(binder, branch)
-                return CaseSize(s, binder, go(branch), pos)
-            case CaseData(scrut, branches, pos):
-                out = []
-                for pat, body in branches:
-                    bound = set(pattern_binders(pat))
-                    if x in bound:
-                        out.append((pat, body))
-                        continue
-                    if bound & rfv:
-                        for b in sorted(bound & rfv, key=lambda i: i.uid):
-                            nb = fresh_ident(b.text)
-                            pat = rename_pattern_var(pat, b, nb)
-                            body = substitute(body, b, Var(nb))
-                    pat = map_pattern_dots(pat, go)
-                    out.append((pat, go(body)))
-                return CaseData(go(scrut), out, pos)
-        raise AssertionError(f"substitute: unhandled node {e!r}")
-
-    return go(e)
-
-
-def rename_pattern_var(p: Pattern, old: Ident, new: Ident) -> Pattern:
-    match p:
-        case PVar(x, pos):
-            return PVar(new, pos) if x == old else p
-        case PCon(c, args, pos):
-            return PCon(c, [rename_pattern_var(a, old, new) for a in args], pos)
-        case PSizeRel(parent, child, pos):
-            return PSizeRel(
-                new if parent == old else parent,
-                new if child == old else child,
-                pos,
-            )
-        case PSucc(child, pos):
-            return PSucc(new, pos) if child == old else p
-        case _:
-            return p
 
 
 def map_pattern_dots(p: Pattern, f) -> Pattern:

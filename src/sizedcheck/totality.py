@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .diagnostics import Diagnostic
-from .signature import CallSite, DataEntry, FunEntry, Signature
+from .signature import DataEntry, FunEntry, Signature
 from .sizes import Rel, entails
 from .syntax import (
     Annot,
@@ -33,16 +33,9 @@ from .syntax import (
     join,
     leq_pol,
     size_vars,
+    spine,
 )
-from .values import Value, VData, VPi, VSizeU
-
-
-def _spine(e: Expr):
-    args = []
-    while isinstance(e, App):
-        args.append((e.arg, e.annot))
-        e = e.fun
-    return e, list(reversed(args))
+from .values import Value, VData
 
 
 def polarity_of(v: Ident, t: Expr, sig: Signature) -> Polarity:
@@ -73,7 +66,7 @@ def polarity_of(v: Ident, t: Expr, sig: Signature) -> Polarity:
             )
             return Polarity.INVARIANT if occ else Polarity.UNUSED
         case App(_, _):
-            head, args = _spine(t)
+            head, args = spine(t)
             if isinstance(head, Def):
                 entry = sig.get(head.name)
                 if isinstance(entry, DataEntry):
@@ -147,7 +140,7 @@ def _sized_data_at(ev, sig: Signature, t: Value, i: Ident, coinductive: bool) ->
     n_params = len(entry.params)
     if len(t.args) <= n_params:
         return False
-    ns = ev._as_size(ev.force(t.args[n_params]))
+    ns = ev.size_view(ev.force(t.args[n_params]))
     if ns is None or not ns.is_atom():
         return False
     base, off = ns.atom()
@@ -166,13 +159,9 @@ def admissibility_check(ev, sig: Signature, residual: Value, i: Ident, cofun: bo
     exactly i; for recursion the dual reading applies."""
     from .pretty import pretty
 
-    domains: list[Value] = []
-    t = ev.whnf(residual)
-    while isinstance(t, VPi):
-        domains.append(ev.whnf(t.domain))
-        t = ev.whnf(ev.instantiate(t, ev.fresh_neutral(t.binder.text, t.domain)))
+    binders, t = ev.telescope(residual)
     good_dom = Polarity.NEG if cofun else Polarity.POS
-    for k, d in enumerate(domains):
+    for _, d, _ in binders:
         p = polarity_of(i, ev.quote(d), sig)
         if leq_pol(p, good_dom):
             continue

@@ -175,6 +175,35 @@ class TestSubtype:
         assert ch.subtype(ctx, s_si, s_i)
         assert not ch.subtype(ctx, s_i, s_si)
 
+    # function types that quantify over a size: the codomains are compared
+    # with the fresh size variable declared
+    SIZED_ID = "([i : Size] -> SNat i -> SNat i)"
+    EQ = """
+data Eq (A : Set) (a : A) : A -> Set
+{ refl : Eq A a a
+}
+"""
+
+    def test_pi_over_a_size_is_a_subtype_of_itself(self):
+        t = self.SIZED_ID
+        ok(SNAT_PARAMETRIC + f"let f : {t} -> {t} = \\ g -> g")
+
+    def test_pi_over_a_size_converts_with_itself(self):
+        t = self.SIZED_ID
+        ok(SNAT_PARAMETRIC + self.EQ + f"let p : Eq Set {t} {t} = refl Set {t}")
+
+    def test_pi_codomain_larger_size_is_a_mismatch(self):
+        grown = "([i : Size] -> SNat i -> SNat ($ i))"
+        rejected(
+            SNAT_PARAMETRIC + f"let f : {grown} -> {self.SIZED_ID} = \\ g -> g",
+            "TYPE-MISMATCH",
+        )
+        rejected(
+            SNAT_PARAMETRIC + self.EQ
+            + f"let p : Eq Set {self.SIZED_ID} {grown} = refl Set {self.SIZED_ID}",
+            "TYPE-MISMATCH",
+        )
+
 
 class TestDataDecl:
     def test_snat_accepted(self):
@@ -327,14 +356,12 @@ let inc2 : [i : Size] -> SNat i -> SNat ($$ i)
 """
         ch, _, _ = build(src)
         entry = ch.sig.entries[ch.sig.by_text["inc2"].uid]
-        from sizedcheck.checker import Checker, Ctx
+        from sizedcheck.checker import Checker, ClauseState
 
         again = Checker()
         again.sig = ch.sig
         again.ev.sig = ch.sig
-        again.collector = []
-        again.created_metas = set()
-        out = again.check(Ctx(), entry.body, entry.type_value, erased=False)
+        out = again.check(Ctx(state=ClauseState()), entry.body, entry.type_value, erased=False)
         assert out is not None
 
     def test_unsolvable_hole_reported(self):
@@ -400,3 +427,18 @@ cofun f : [i : Size] -> (Stream Nat i -> Stream Nat #) -> Stream Nat i
 }
 eval let spinner : Stream Nat # = f # (tail Nat #)
 """, "ADMISSIBILITY")
+
+
+class TestCaseSize:
+    def test_relevant_use_of_the_scrutinee_names_it(self):
+        # in the branch i stands for $ j, which is parametric: the error
+        # names i where the user wrote it
+        line = "{ g ($ i) = cons Nat i zero (case i { ($ j) -> cons Nat j zero (g i) })"
+        src = NAT + STREAM + f"""
+cofun g : (i : Size) -> Stream Nat i
+{line}
+}}
+"""
+        d = rejected(src, "PARAMETRIC-VIOLATION")
+        assert "'i'" in d.message
+        assert d.pos == (src.splitlines().index(line) + 1, line.index("(g i)") + 4)

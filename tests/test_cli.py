@@ -10,13 +10,27 @@ from conftest import CORPUS
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_module_entry_point_runs_golden_without_warnings():
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    r = subprocess.run(
-        [sys.executable, "-m", "sizedcheck", "golden", str(CORPUS)],
+    return subprocess.run(
+        [sys.executable, "-m", "sizedcheck", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_runs_golden_without_warnings():
+    r = run_cli("golden", str(CORPUS))
     assert r.returncode == 0, r.stdout + r.stderr
     assert "RuntimeWarning" not in r.stderr
     assert r.stdout.count("PASS ") == len(list(CORPUS.glob("*/*.ma")))
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path):
+    # nesting this deep exhausts Python's recursion limit in the parser
+    deep = tmp_path / "deep.ma"
+    deep.write_text("let x : Set = " + "(" * 3000 + "Set" + ")" * 3000 + "\n")
+    r = run_cli("check", str(deep))
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: RecursionError: ")

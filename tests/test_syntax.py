@@ -1,4 +1,4 @@
-"""Core syntax: substitution, free variables, the polarity lattice."""
+"""Core syntax: free variables, spines, the polarity lattice."""
 
 import itertools
 
@@ -7,27 +7,22 @@ import pytest
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
 from sizedcheck.syntax import (
+    Annot,
     App,
     Con,
     Def,
     FunDecl,
-    Lam,
     LetDecl,
     Polarity,
-    Size,
-    SInfty,
-    SSucc,
-    SVar,
     Var,
     compose,
     free_vars,
-    fresh_ident,
     join,
     leq_pol,
-    substitute,
+    spine,
 )
 
-from conftest import SNAT_PARAMETRIC, STREAM, alpha_eq_programs
+from conftest import SNAT_PARAMETRIC, alpha_eq_programs
 
 
 def _decls(src):
@@ -46,60 +41,6 @@ def _fun(src, name):
         if isinstance(d, FunDecl) and d.name.text == name:
             return d
     raise AssertionError(name)
-
-
-class TestSubstitute:
-    def test_direct_replacement_in_sizes(self):
-        # substitute($ i, i := $ j) folds into the size expression
-        d = _let_body(
-            SNAT_PARAMETRIC + "let f : [i : Size] -> Set = \\ i -> SNat ($ i)",
-            "f",
-        )
-        lam = d.body
-        i = lam.binder
-        j = fresh_ident("j")
-        out = substitute(lam.body, i, Size(SSucc(SVar(j))))
-        # SNat ($ ($ j))
-        arg = out.arg
-        assert isinstance(arg, Size)
-        assert isinstance(arg.size, SSucc) and isinstance(arg.size.arg, SSucc)
-        assert arg.size.arg.arg == SVar(j)
-
-    def test_bound_occurrence_untouched(self):
-        d = _let_body("let f : Size -> Size = \\ i -> i", "f")
-        lam = d.body
-        out = substitute(lam, lam.binder, Size(SInfty()))
-        assert out == lam
-
-    def test_structural_function_type(self):
-        # Stream A i -> Stream A #  with i := $ j
-        src = STREAM + "let T : [A : Set] -> [i : Size] -> Set = \\ A -> \\ i -> Stream A i -> Stream A #"
-        d = _let_body(src, "T")
-        lam_a = d.body
-        lam_i = lam_a.body
-        i = lam_i.binder
-        j = fresh_ident("j")
-        out = substitute(lam_i.body, i, Size(SSucc(SVar(j))))
-        # domain became Stream A ($ j), codomain still Stream A #
-        dom, cod = out.domain, out.codomain
-        assert dom.arg.size == SSucc(SVar(j))
-        assert isinstance(cod.arg.size, SInfty)
-
-    def test_identity_substitution(self):
-        src = SNAT_PARAMETRIC + "let f : [i : Size] -> Set = \\ i -> SNat ($ i)"
-        lam = _let_body(src, "f").body
-        for target in (lam, lam.body):
-            for x in free_vars(target) | {lam.binder}:
-                assert substitute(target, x, Var(x)) == target
-
-    def test_free_vars_equation(self):
-        src = STREAM + "let T : [A : Set] -> [i : Size] -> Set = \\ A -> \\ i -> Stream A i -> Stream A #"
-        lam_i = _let_body(src, "T").body.body
-        e, i = lam_i.body, lam_i.binder
-        j = fresh_ident("j")
-        r = Size(SSucc(SVar(j)))
-        assert i in free_vars(e)
-        assert free_vars(substitute(e, i, r)) == (free_vars(e) - {i}) | free_vars(r)
 
 
 class TestFreeVars:
@@ -130,6 +71,23 @@ fun div : [i : Size] -> SNat i -> SNat # -> SNat i
         clause = _fun(src, "div").clauses[1]
         fv = {x.text for x in free_vars(clause.rhs)}
         assert fv == {"succ", "div", "minus", "j", "x", "y"}
+
+
+class TestSpine:
+    def test_head_and_arguments_in_order(self):
+        src = SNAT_PARAMETRIC + "let f : [i : Size] -> SNat i -> SNat ($ i) = \\ i -> \\ n -> succ i n"
+        app = _let_body(src, "f").body.body.body
+        app = App(app.fun, app.arg, Annot.RELEVANT)
+        head, args = spine(app)
+        assert isinstance(head, Con) and head.name.text == "succ"
+        assert [(a.name.text, annot) for a, annot in args] == [
+            ("i", None), ("n", Annot.RELEVANT)
+        ]
+        assert all(isinstance(a, Var) for a, _ in args)
+
+    def test_non_application_is_its_own_head(self):
+        d = _let_body("let x : Set = Set", "x")
+        assert spine(d.body) == (d.body, [])
 
 
 class TestPolarity:
