@@ -27,12 +27,12 @@ from .sizes import (
     SizeConstraint,
     SizeCtx,
     Unsolvable,
+    apply_solution,
     bump,
     format_size,
     normalize,
     ns_var,
     solve_metas,
-    subst_base,
     to_size_expr,
     Meta,
 )
@@ -409,19 +409,15 @@ class Checker:
         )
         for call in state.calls:
             if call.size_arg is not None:
-                for m, val in sol.items():
-                    call.size_arg = subst_base(call.size_arg, Meta(m), val)
+                call.size_arg = apply_solution(call.size_arg, sol)
         entry.calls.extend(state.calls)
         return ElabClause(pats, rhs, state.lhs_size, ctx.sctx, clause.pos)
 
     def _solve_holes(self, ctx: Ctx, e: Expr, pos: Pos, where: str):
-        """Solve the size holes of the checked body e and fill them in;
-        returns e and the solution."""
+        """Dump the constraints of the checked body e if asked (before solving,
+        so a rejection shows them too), then solve its size holes and fill
+        them in; returns e and the solution."""
         collector = ctx.state.collector
-        try:
-            sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
-        except (Unsolvable, Ambiguous) as exc:
-            raise Diagnostic("UNSOLVED-META", str(exc), pos)
         if self.collect_constraints and collector:
             naming: dict[int, str] = {}
             for c in collector:
@@ -432,6 +428,10 @@ class Checker:
                 self.constraint_dump.append(
                     f"{format_size(c.lhs, naming)} {c.rel.value} {format_size(c.rhs, naming)}"
                 )
+        try:
+            sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
+        except (Unsolvable, Ambiguous) as exc:
+            raise Diagnostic("UNSOLVED-META", str(exc), pos)
         return substitute_metas(e, {m: to_size_expr(ns) for m, ns in sol.items()}), sol
 
     def check_let_decl(self, d: LetDecl):

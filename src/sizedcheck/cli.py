@@ -48,23 +48,24 @@ def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> Ch
     cfg = cfg or RunConfig([])
     try:
         decls = scope_check(parse_source(source))
-        checker = Checker(
-            unfold_fuel=cfg.unfold_fuel,
-            print_depth=cfg.print_depth,
-            print_sizes=cfg.print_sizes,
-            collect_constraints=cfg.print_constraints,
-        )
-        sig, outputs = checker.check_program(decls)
-        return CheckResult(sig, outputs, checker.constraint_dump, None)
     except ParseError as e:
         d = Diagnostic("PARSE", e.message, (e.line, e.col), filename)
         return CheckResult(None, [], [], d)
     except ScopeError as e:
         d = Diagnostic(e.code, e.message, e.pos, filename)
         return CheckResult(None, [], [], d)
+    checker = Checker(
+        unfold_fuel=cfg.unfold_fuel,
+        print_depth=cfg.print_depth,
+        print_sizes=cfg.print_sizes,
+        collect_constraints=cfg.print_constraints,
+    )
+    try:
+        sig, outputs = checker.check_program(decls)
     except Diagnostic as d:
         d.file = filename
-        return CheckResult(None, [], [], d)
+        return CheckResult(None, [], checker.constraint_dump, d)
+    return CheckResult(sig, outputs, checker.constraint_dump, None)
 
 
 def run_check(cfg: RunConfig, out=None, err=None) -> int:
@@ -78,12 +79,12 @@ def run_check(cfg: RunConfig, out=None, err=None) -> int:
             print(f"error: cannot read {path}: {e}", file=err)
             return 2
         result = check_source(source, path, cfg)
+        for line in result.constraint_dump:
+            print(line, file=out)
         if result.diagnostic is not None:
             print(result.diagnostic.render(), file=err)
             status = max(status, 1)
             continue
-        for line in result.constraint_dump:
-            print(line, file=out)
         if cfg.explain_totality:
             entry = result.signature.lookup_text(cfg.explain_totality)
             if isinstance(entry, FunEntry) and entry.report is not None:

@@ -507,12 +507,16 @@ class Evaluator:
                     sctx = sctx.declare(x.size.atom()[0])
                 return self._conv(self.close(c1, x), self.close(c2, x), sctx, col)
             case (VLam(b1, _), _):
+                # the domain is unknown, so the variable is declared as a
+                # size in case the body uses it as one
                 x = self.fresh_neutral(b1.text)
+                sctx = sctx.declare(x.head)
                 return self._conv(
                     self.close(a.closure, x), self.apply(b, Thunk.of(x), Annot.RELEVANT), sctx, col
                 )
             case (_, VLam(b2, _)):
                 x = self.fresh_neutral(b2.text)
+                sctx = sctx.declare(x.head)
                 return self._conv(
                     self.apply(a, Thunk.of(x), Annot.RELEVANT), self.close(b.closure, x), sctx, col
                 )

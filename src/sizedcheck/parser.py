@@ -117,7 +117,8 @@ def tokenize(source: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # two more copies of eof cover the deepest lookahead (ahead=2)
+        self.toks = tokens + [tokens[-1]] * 2
         self.i = 0
         # one Ident per name text; binding structure is scope checking's job
         self.interned: dict[str, object] = {}
@@ -125,7 +126,7 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.i]

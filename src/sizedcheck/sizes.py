@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 from .syntax import (
     Ident,
@@ -327,10 +328,24 @@ class Ambiguous(Exception):
     pass
 
 
-def _subst_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:
-    for mid, val in sol.items():
-        ns = subst_base(ns, Meta(mid), val)
-    return ns
+def apply_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:
+    """Replace every solved hole in ns by its solution, in one pass; ns
+    itself when it mentions no solved hole.  A hole solved as # makes the
+    whole of ns #, whatever offsets the other pairs would reach."""
+    out, hits = [], []
+    for b, n in ns.pairs:
+        val = sol.get(b.mid) if isinstance(b, Meta) else None
+        if val is None:
+            out.append((b, n))
+        elif val.is_infty():
+            return val
+        else:
+            hits.append((val, n))
+    if not hits:
+        return ns
+    for val, n in hits:
+        out.extend(bump(val, n).pairs)
+    return NormalSize(_prune(out))
 
 
 def solve_metas(
@@ -343,12 +358,14 @@ def solve_metas(
     Lower bounds s <= m+n are shifted into solved form only when the left
     offset covers n (there is no subtraction below a variable); each hole
     takes the least solution consistent with its lower bounds, holes without
-    lower bounds fall back to #, and every constraint is re-verified."""
-    mids: set[int] = set(known_metas or set())
+    lower bounds fall back to #, and every constraint is re-verified.  Holes
+    are solved once each, in dependency order: a depth-first walk over the
+    holes named in their lower bounds."""
+    mids: set[int] = set()
     for c in constraints:
         mids |= c.metas()
     if known_metas:
-        unconstrained = {m for m in known_metas if not any(m in c.metas() for c in constraints)}
+        unconstrained = known_metas - mids
         if unconstrained:
             raise Ambiguous(f"size hole ?{min(unconstrained)} has no constraints")
 
@@ -378,29 +395,33 @@ def solve_metas(
                 pair = NormalSize(frozenset({(lb, k - rn)}))
                 lower[rb.mid].append(pair)
 
+    def deps(m: int):
+        return (d for b in lower[m] for d in b.metas())
+
     sol: dict[int, NormalSize] = {}
-    pending = set(mids)
-    while pending:
-        progressed = False
-        for m in sorted(pending):
-            bounds = [_subst_solution(b, sol) for b in lower[m]]
-            if any(b.metas() for b in bounds):
-                continue
-            if bounds:
-                acc = bounds[0]
-                for b in bounds[1:]:
-                    acc = ns_max(acc, b)
-                sol[m] = acc
+    for root in sorted(mids):
+        if root in sol:
+            continue
+        # each frame holds a hole and the iterator over the holes it needs
+        stack = [(root, deps(root))]
+        walking = {root}
+        while stack:
+            m, needs = stack[-1]
+            d = next((d for d in needs if d not in sol), None)
+            if d is None:
+                stack.pop()
+                walking.discard(m)
+                bounds = [apply_solution(b, sol) for b in lower[m]]
+                sol[m] = reduce(ns_max, bounds) if bounds else ns_infty()
+            elif d in walking:
+                raise Unsolvable("cyclic size hole constraints")
             else:
-                sol[m] = ns_infty()
-            pending.discard(m)
-            progressed = True
-        if not progressed:
-            raise Unsolvable("cyclic size hole constraints")
+                stack.append((d, deps(d)))
+                walking.add(d)
 
     for c in constraints:
-        lhs = _subst_solution(c.lhs, sol)
-        rhs = _subst_solution(c.rhs, sol)
+        lhs = apply_solution(c.lhs, sol)
+        rhs = apply_solution(c.rhs, sol)
         if not entails(c.sctx if c.sctx is not None else ctx, lhs, c.rel, rhs):
             raise Unsolvable(
                 f"no size expression fits: needs "

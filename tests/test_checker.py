@@ -204,6 +204,22 @@ data Eq (A : Set) (a : A) : A -> Set
             "TYPE-MISMATCH",
         )
 
+    # two functions over a size are compared under a fresh variable that the
+    # bodies use as a size
+    SIZED_FAMILY = "([i : Size] -> Set)"
+
+    def test_lambdas_over_a_size_convert_with_themselves(self):
+        t, f = self.SIZED_FAMILY, "(\\ i -> SNat i)"
+        ok(SNAT_PARAMETRIC + self.EQ + f"let p : Eq {t} {f} {f} = refl {t} {f}")
+
+    def test_lambdas_over_different_sizes_are_a_mismatch(self):
+        t, f = self.SIZED_FAMILY, "(\\ i -> SNat i)"
+        rejected(
+            SNAT_PARAMETRIC + self.EQ
+            + f"let p : Eq {t} {f} (\\ i -> SNat ($ i)) = refl {t} {f}",
+            "TYPE-MISMATCH",
+        )
+
 
 class TestDataDecl:
     def test_snat_accepted(self):

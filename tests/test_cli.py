@@ -34,3 +34,17 @@ def test_internal_error_has_its_own_exit_code(tmp_path):
     assert r.returncode == 3
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: RecursionError: ")
+
+
+def test_constraint_dump_is_printed_on_rejection():
+    r = run_cli("check", "--print-constraints", str(CORPUS / "reject" / "deep_rewritten.ma"))
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == [
+        "-- deep clause 1",
+        "j2 <= m1+2",
+        "m1+1 <= m2",
+        "m2+1 <= m3",
+        "j2 <= m3",
+        "m3+1 <= m4",
+    ]
+    assert r.stderr.startswith("UNSOLVED-META ")

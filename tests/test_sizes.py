@@ -3,6 +3,7 @@ hole solver, against hand-checked and brute-forced expectations."""
 
 import pytest
 
+from sizedcheck import sizes
 from sizedcheck.sizes import (
     Ambiguous,
     NormalSize,
@@ -211,6 +212,60 @@ class TestSolveMetas:
         ]
         with pytest.raises(Unsolvable):
             solve_metas(cs, ctx, {1})
+
+    def test_self_loop_is_cyclic(self):
+        cs = [SizeConstraint(ns_meta(1, 1), Rel.LE, ns_meta(1))]
+        with pytest.raises(Unsolvable, match="cyclic"):
+            solve_metas(cs, SizeCtx(), {1})
+
+    def test_two_cycle_is_cyclic(self):
+        cs = [
+            SizeConstraint(ns_meta(1), Rel.LE, ns_meta(2)),
+            SizeConstraint(ns_meta(2), Rel.LE, ns_meta(1)),
+        ]
+        with pytest.raises(Unsolvable, match="cyclic"):
+            solve_metas(cs, SizeCtx(), {1, 2})
+
+    def test_cycle_beside_a_solvable_hole_is_cyclic(self):
+        cs = [
+            SizeConstraint(ns_var(i), Rel.LE, ns_meta(1)),
+            SizeConstraint(ns_meta(2), Rel.LE, ns_meta(3)),
+            SizeConstraint(ns_meta(3), Rel.LE, ns_meta(2)),
+        ]
+        with pytest.raises(Unsolvable, match="cyclic"):
+            solve_metas(cs, ctx_of(i), {1, 2, 3})
+
+    @staticmethod
+    def _chain(n):
+        # ?n >= i and ?m >= ?(m+1) + 1: each hole needs the one with the next
+        # higher id, so ?m = i + (n - m)
+        cs = [SizeConstraint(ns_var(i), Rel.LE, ns_meta(n))]
+        cs += [SizeConstraint(ns_meta(m + 1, 1), Rel.LE, ns_meta(m)) for m in range(1, n)]
+        return cs, set(range(1, n + 1))
+
+    def test_chain_from_low_to_high_ids(self):
+        n = 300
+        cs, mids = self._chain(n)
+        sol = solve_metas(cs, ctx_of(i), mids)
+        assert sol == {m: ns_var(i, n - m) for m in mids}
+
+    def test_work_grows_linearly_with_the_chain(self, monkeypatch):
+        calls = 0
+        prune = sizes._prune
+
+        def counting(pairs):
+            nonlocal calls
+            calls += 1
+            return prune(pairs)
+
+        monkeypatch.setattr(sizes, "_prune", counting)
+        counts = []
+        for n in (100, 200):
+            cs, mids = self._chain(n)
+            calls = 0
+            solve_metas(cs, ctx_of(i), mids)
+            counts.append(calls)
+        assert counts[1] / counts[0] < 3
 
 
 class TestFormat:
