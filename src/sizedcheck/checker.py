@@ -1,14 +1,19 @@
 """Bidirectional type checking: sized data/codata well-formedness, subtyping
 with size entailment and declared polarities, the parametric-argument
 discipline, pattern elaboration with dot/size/successor patterns, the
-size-case rule, and clause-level solving of size holes."""
+size-case rule, and clause-level solving of size holes.
+
+Elaborated syntax keeps its size holes.  Once a clause or let body is
+checked, its holes are solved and each solution is stored once in the
+signature's hole table; the evaluator reads it there whenever it normalizes
+the hole, so no clause or let body is rewritten."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
-from .evaluator import Evaluator
+from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
 from .signature import (
     CallSite,
@@ -73,7 +78,6 @@ from .syntax import (
     size_metas,
     size_vars,
     spine,
-    substitute_metas,
 )
 from .totality import (
     admissibility_check,
@@ -157,8 +161,8 @@ class Ctx:
 class Checker:
     def __init__(
         self,
-        unfold_fuel: int = 100_000,
-        print_depth: int = 3,
+        unfold_fuel: int = DEFAULT_UNFOLD_FUEL,
+        print_depth: int = DEFAULT_PRINT_DEPTH,
         print_sizes: bool = False,
         collect_constraints: bool = False,
     ):
@@ -224,7 +228,6 @@ class Checker:
             d.coinductive,
             [(n, pol) for n, pol, _, _ in params],
             self.ev.evaluate({}, kind),
-            len(indices),
         )
         self.sig.add(d.name, entry)
 
@@ -235,18 +238,16 @@ class Checker:
                 internal = Pi(Annot.PARAMETRIC, name, pt, internal, c.pos)
             ct = self.check_type(Ctx(), internal)
             cv = self.ev.evaluate({}, ct)
-            centry = self._check_constructor(d, entry, params, strict_params, c.name, ct, cv, c.pos)
+            centry = self._check_constructor(d, params, strict_params, c.name, cv, c.pos)
             self.sig.add(c.name, centry)
             entry.constructors.append(c.name)
 
     def _check_constructor(
         self,
         d: DataDecl,
-        entry: DataEntry,
         params,
         strict_params: list[Ident],
         cname: Ident,
-        ct: Expr,
         cv: Value,
         pos: Pos,
     ) -> ConEntry:
@@ -309,16 +310,7 @@ class Checker:
 
         strict_positivity_check(d.name, strict_params, cname, arg_exprs, self.sig, pos)
 
-        return ConEntry(
-            cname,
-            d.name,
-            ct,
-            cv,
-            n_params,
-            d.sized,
-            annots,
-            len(binders),
-        )
+        return ConEntry(cname, d.name, cv, n_params, d.sized, annots, len(binders))
 
     def _check_rec_sizes(
         self, dname: Ident, i: Ident, e: Expr, cname: Ident, n_params: int, pos: Pos
@@ -391,7 +383,7 @@ class Checker:
             (k for k, (_, dom, _) in enumerate(binders) if isinstance(dom, VSizeU)), None
         )
 
-        entry = FunEntry(f.name, f.coinductive, ty, tv, arity, size_param)
+        entry = FunEntry(f.name, f.coinductive, tv, arity, size_param)
         self.sig.add(f.name, entry)
         for idx, clause in enumerate(f.clauses):
             entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
@@ -404,19 +396,17 @@ class Checker:
         )
         self._check_obligations(ctx, obligations)
         rhs = self.check(ctx, clause.rhs, residual, erased=False)
-        rhs, sol = self._solve_holes(
-            ctx, rhs, clause.pos, f"{entry.name.text} clause {state.index + 1}"
-        )
+        sol = self._solve_holes(ctx, clause.pos, f"{entry.name.text} clause {state.index + 1}")
         for call in state.calls:
             if call.size_arg is not None:
                 call.size_arg = apply_solution(call.size_arg, sol)
         entry.calls.extend(state.calls)
-        return ElabClause(pats, rhs, state.lhs_size, ctx.sctx, clause.pos)
+        return ElabClause(pats, rhs, ctx.sctx, clause.pos)
 
-    def _solve_holes(self, ctx: Ctx, e: Expr, pos: Pos, where: str):
-        """Dump the constraints of the checked body e if asked (before solving,
-        so a rejection shows them too), then solve its size holes and fill
-        them in; returns e and the solution."""
+    def _solve_holes(self, ctx: Ctx, pos: Pos, where: str) -> dict[int, NormalSize]:
+        """Dump the constraints of the checked body if asked (before solving,
+        so a rejection shows them too), then solve its size holes and store
+        each solution in the signature's hole table; returns the solution."""
         collector = ctx.state.collector
         if self.collect_constraints and collector:
             naming: dict[int, str] = {}
@@ -432,15 +422,17 @@ class Checker:
             sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
         except (Unsolvable, Ambiguous) as exc:
             raise Diagnostic("UNSOLVED-META", str(exc), pos)
-        return substitute_metas(e, {m: to_size_expr(ns) for m, ns in sol.items()}), sol
+        for m, ns in sol.items():
+            self.sig.holes[m] = to_size_expr(ns)
+        return sol
 
     def check_let_decl(self, d: LetDecl):
         ty = self.check_type(Ctx(), d.type)
         tv = self.ev.evaluate({}, ty)
         ctx = Ctx(state=ClauseState())
         body = self.check(ctx, d.body, tv, erased=False)
-        body, _ = self._solve_holes(ctx, body, d.pos, d.name.text)
-        self.sig.add(d.name, LetEntry(d.name, tv, body, d.eval))
+        self._solve_holes(ctx, d.pos, d.name.text)
+        self.sig.add(d.name, LetEntry(d.name, tv, body))
 
     # -- pattern elaboration ----------------------------------------------------
 

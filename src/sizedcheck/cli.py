@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .checker import Checker
 from .diagnostics import Diagnostic
+from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL
 from .parser import ParseError, parse_source
 from .scope import ScopeError, scope_check
 from .signature import FunEntry, Signature
@@ -22,12 +23,11 @@ from .signature import FunEntry, Signature
 @dataclass
 class RunConfig:
     paths: list[str]
-    mode: str = "check"  # check | golden
     print_constraints: bool = False
     print_sizes: bool = False
     explain_totality: str | None = None
-    unfold_fuel: int = 100_000
-    print_depth: int = 3
+    unfold_fuel: int = DEFAULT_UNFOLD_FUEL
+    print_depth: int = DEFAULT_PRINT_DEPTH
 
 
 @dataclass
@@ -125,7 +125,7 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
         if not lines:
             print(f"error: empty expectation file {case.expectation}", file=err)
             return 2
-        header = lines[0].split()
+        header = lines[0].split() or [""]  # a blank header is malformed
         result = check_source(case.source.read_text(), str(case.source), cfg)
         ok, detail = False, ""
         if header[0] == "ACCEPT":
@@ -178,9 +178,9 @@ def main(argv=None) -> int:
                        help="show erased size arguments in eval output")
         p.add_argument("--explain-totality", metavar="NAME",
                        help="print the call graph and rule justifying NAME")
-        p.add_argument("--unfold-fuel", type=int, default=100_000, metavar="N",
+        p.add_argument("--unfold-fuel", type=int, default=DEFAULT_UNFOLD_FUEL, metavar="N",
                        help="unfold budget per declaration and per eval let")
-        p.add_argument("--print-depth", type=int, default=3, metavar="N",
+        p.add_argument("--print-depth", type=int, default=DEFAULT_PRINT_DEPTH, metavar="N",
                        help="coconstructor layers printed before eliding")
 
     pc = sub.add_parser("check", help="check files and run their eval lets")
@@ -195,7 +195,6 @@ def main(argv=None) -> int:
         ap.error("--unfold-fuel must be >= 1 and --print-depth >= 0")
     cfg = RunConfig(
         paths=ns.files if ns.mode == "check" else [ns.dir],
-        mode=ns.mode,
         print_constraints=ns.print_constraints,
         print_sizes=ns.print_sizes,
         explain_totality=ns.explain_totality,

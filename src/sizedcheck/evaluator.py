@@ -1,5 +1,12 @@
 """Weak-head evaluation with erased sizes, runtime pattern matching,
-readback for printing, and erasure-aware conversion checking.
+readback, and erasure-aware conversion checking.
+
+Readback is one walk from values to syntax with two modes: `quote` reads
+back structurally, for types, diagnostics and the static analyses, and
+`readback` displays eval output (unfolding, eliding coinductive layers past
+the print depth, erasing parametric sizes, costing fuel).  A size hole is
+read through the signature's table of solved holes: `eval_size` normalizes a
+solved hole as its solution, so elaborated syntax is never rewritten.
 
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
@@ -191,7 +198,7 @@ class Evaluator:
                     return ns_var(h)
             raise AssertionError(f"size variable bound to non-size value {v!r}")
 
-        return normalize(s, lookup)
+        return normalize(s, lookup, self.sig.holes)
 
     def apply(self, fv: Value, th: Thunk, annot: Annot, pos: Pos = (0, 0)) -> Value:
         match fv:
@@ -355,6 +362,23 @@ class Evaluator:
     def quote(self, v: Value) -> Expr:
         """Full structural readback, without unfolding defined heads; used for
         diagnostics and the static analyses."""
+        return self._read(v, None)
+
+    def readback(self, v: Value, depth: int | None = None) -> Expr:
+        """Display readback: inductive values print fully, coinductive values
+        are unrolled `depth` layers and then elided; erased size arguments
+        print as _ unless print_sizes is set."""
+        return self._read(v, self.print_depth if depth is None else depth)
+
+    def _read(self, v: Value, depth: int | None) -> Expr:
+        """The one readback walk.  With depth None it is structural: nothing
+        is unfolded, elided or erased.  Otherwise it displays: each value is
+        put in whnf first, coinductive layers past depth are elided,
+        constructor parameters are skipped, parametric arguments print as _
+        unless print_sizes is set, and each constructor argument costs fuel.
+        Types and sizes always read back structurally."""
+        if depth is not None:
+            v = self.whnf(v, self.budget_pos)
         match v:
             case VSet():
                 return SetU()
@@ -365,78 +389,48 @@ class Evaluator:
             case VPi(annot, binder, dom, clo):
                 x = fresh_ident(binder.text)
                 body = self.close(clo, VNe(x))
-                return Pi(annot, x, self.quote(dom), self.quote(body))
+                return Pi(annot, x, self._read(dom, None), self._read(body, None))
             case VLam(binder, clo):
                 x = fresh_ident(binder.text)
-                return Lam(x, self.quote(self.close(clo, VNe(x))))
-            case VCon(c, args):
-                annots = self.sig.con(c).annots
-                e: Expr = Con(c)
-                for k, th in enumerate(args):
-                    a = annots[k] if k < len(annots) else Annot.RELEVANT
-                    e = App(e, self.quote(self.force(th)), a)
-                return e
-            case VData(d, args):
-                e = Def(d)
-                for th in args:
-                    e = App(e, self.quote(self.force(th)), Annot.RELEVANT)
-                return e
-            case VNe(h, spine):
-                return self._quote_spine(Var(h), spine)
-            case VDef(f, spine):
-                return self._quote_spine(Def(f), spine)
-        raise AssertionError(f"quote: unhandled value {v!r}")
-
-    def _quote_spine(self, head: Expr, spine: Spine) -> Expr:
-        for th, annot in spine:
-            head = App(head, self.quote(self.force(th)), annot)
-        return head
-
-    def readback(self, v: Value, depth: int | None = None) -> Expr:
-        """Display readback: inductive values print fully, coinductive values
-        are unrolled `depth` layers and then elided; erased size arguments
-        print as _ unless print_sizes is set."""
-        if depth is None:
-            depth = self.print_depth
-        v = self.whnf(v)
-        match v:
+                return Lam(x, self._read(self.close(clo, VNe(x)), depth))
             case VCon(c, args):
                 centry = self.sig.con(c)
-                dentry = self.sig.data(centry.data)
-                if dentry.coinductive:
+                if depth is not None and self.sig.data(centry.data).coinductive:
                     if depth <= 0:
                         return Elided()
                     depth -= 1
                 e: Expr = Con(c)
                 for k, th in enumerate(args):
-                    if k < centry.n_params:
-                        continue  # parameters are determined by the type
                     annot = centry.annots[k] if k < len(centry.annots) else Annot.RELEVANT
-                    if centry.has_size and k == centry.n_params:
+                    if depth is None:
+                        arg = self._read(self.force(th), None)
+                    elif k < centry.n_params:
+                        continue  # parameters are determined by the type
+                    elif centry.has_size and k == centry.n_params:
                         if annot is Annot.PARAMETRIC and not self.print_sizes:
-                            e = App(e, Size(SMeta(-1)), annot)
+                            arg = Size(SMeta(-1))
                         else:
-                            e = App(e, self.quote(self.force(th)), annot)
-                        continue
-                    self._tick()
-                    e = App(e, self.readback(self.force(th), depth), annot)
+                            arg = self._read(self.force(th), None)
+                    else:
+                        self._tick()
+                        arg = self._read(self.force(th), depth)
+                    e = App(e, arg, annot)
                 return e
+            case VData(d, args):
+                return self._read_spine(Def(d), [(th, Annot.RELEVANT) for th in args], None)
             case VNe(h, spine):
-                return self._readback_spine(Var(h), spine, depth)
+                return self._read_spine(Var(h), spine, depth)
             case VDef(f, spine):
-                return self._readback_spine(Def(f), spine, depth)
-            case VLam(binder, clo):
-                x = fresh_ident(binder.text)
-                return Lam(x, self.readback(self.close(clo, VNe(x)), depth))
-            case _:
-                return self.quote(v)
+                return self._read_spine(Def(f), spine, depth)
+        raise AssertionError(f"readback: unhandled value {v!r}")
 
-    def _readback_spine(self, head: Expr, spine: Spine, depth: int) -> Expr:
+    def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
-            if annot is Annot.PARAMETRIC and not self.print_sizes:
-                head = App(head, Size(SMeta(-1)), annot)
+            if depth is not None and annot is Annot.PARAMETRIC and not self.print_sizes:
+                arg: Expr = Size(SMeta(-1))
             else:
-                head = App(head, self.readback(self.force(th), depth), annot)
+                arg = self._read(self.force(th), depth)
+            head = App(head, arg, annot)
         return head
 
     # -- conversion -----------------------------------------------------------

@@ -5,7 +5,7 @@ tree with resolved names."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     App,
@@ -64,7 +64,6 @@ class ParseError(Exception):
     message: str
     line: int
     col: int
-    expected: list[str] = field(default_factory=list)
 
     def __str__(self):
         return f"{self.line}:{self.col}: {self.message}"
@@ -142,10 +141,7 @@ class _Parser:
         t = self.peek()
         if not self.at(kind, text):
             want = text if text is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {t.text or t.kind!r}",
-                t.line, t.col, [want],
-            )
+            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
         return self.next()
 
     def pos(self) -> tuple[int, int]:
@@ -175,10 +171,7 @@ class _Parser:
         if self.at("keyword", "eval") or self.at("keyword", "let"):
             return self.let_decl(p)
         t = self.peek()
-        raise ParseError(
-            f"expected a declaration, found {t.text or t.kind!r}",
-            t.line, t.col, ["data", "codata", "fun", "cofun", "let"],
-        )
+        raise ParseError(f"expected a declaration, found {t.text or t.kind!r}", t.line, t.col)
 
     def data_decl(self, p) -> DataDecl:
         sized = False
@@ -299,8 +292,6 @@ class _Parser:
             return Pi(Annot.RELEVANT, None, head, cod, p)
         return head
 
-    _ATOM_STARTS = ("ident", "Set", "Size", "max", "case", "(", "$", "#", "_")
-
     def at_atom(self) -> bool:
         t = self.peek()
         if t.kind == "ident":
@@ -368,10 +359,7 @@ class _Parser:
             e = self.expr()
             self.expect("symbol", ")")
             return e
-        raise ParseError(
-            f"expected an expression, found {t.text or t.kind!r}",
-            t.line, t.col, ["expression"],
-        )
+        raise ParseError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
 
     def size_atom(self) -> SizeExpr:
         t = self.peek()
@@ -410,7 +398,7 @@ class _Parser:
                     raise ParseError(
                         "successor patterns admit exactly one successor: "
                         f"expected a size variable after '$', found {tv.text or tv.kind!r}",
-                        tv.line, tv.col, ["identifier"],
+                        tv.line, tv.col,
                     )
                 x, _ = self.ident()
                 self.expect("symbol", ")")
@@ -433,17 +421,10 @@ class _Parser:
             tv = self.peek()
             raise ParseError(
                 f"expected a pattern, found {tv.text or tv.kind!r}",
-                tv.line, tv.col, ["pattern"],
+                tv.line, tv.col,
             )
-        raise ParseError(
-            f"expected a pattern, found {t.text or t.kind!r}",
-            t.line, t.col, ["pattern"],
-        )
-
-
-def parse_program(tokens: list[Token]) -> list[Declaration]:
-    return _Parser(tokens).program()
+        raise ParseError(f"expected a pattern, found {t.text or t.kind!r}", t.line, t.col)
 
 
 def parse_source(source: str) -> list[Declaration]:
-    return parse_program(tokenize(source))
+    return _Parser(tokenize(source)).program()

@@ -69,14 +69,6 @@ def pretty(e: Expr, namer: _Namer | None = None) -> str:
     return _expr(e, namer or _Namer())
 
 
-def pretty_pattern(p: Pattern, namer: _Namer | None = None) -> str:
-    return _pattern(p, namer or _Namer())
-
-
-def pretty_size(s: SizeExpr, namer: _Namer | None = None) -> str:
-    return _size(s, namer or _Namer())
-
-
 def _size(s: SizeExpr, nm: _Namer) -> str:
     match s:
         case SVar(x):

@@ -44,19 +44,16 @@ from .syntax import (
     PSizeRel,
     PSucc,
     PVar,
-    PWild,
     SetU,
     Size,
     SizeExpr,
     SizeU,
-    SInfty,
     SMax,
     SMeta,
     SSucc,
     SVar,
     Var,
     fresh_ident,
-    fresh_uid,
 )
 
 

@@ -1,5 +1,6 @@
 """The checked global environment: data/codata entries, constructors,
-functions with elaborated clauses and totality verdicts, and lets."""
+functions with elaborated clauses and totality verdicts, lets, and the
+solutions of the program's size holes."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .sizes import NormalSize, SizeCtx
-from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos
+from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, SizeExpr
 from .values import Thunk, Value
 
 
@@ -23,7 +24,6 @@ class DataEntry:
     coinductive: bool
     params: list[tuple[Ident, Polarity]]
     kind_value: Value
-    n_indices: int  # indices after the parameters, including the size
     constructors: list[Ident] = field(default_factory=list)
 
 
@@ -31,8 +31,7 @@ class DataEntry:
 class ConEntry:
     name: Ident
     data: Ident
-    type_expr: Expr  # internal type: data parameters prepended parametrically
-    type_value: Value
+    type_value: Value  # data parameters prepended parametrically
     n_params: int
     has_size: bool
     annots: list[Annot]  # per telescope position
@@ -42,8 +41,7 @@ class ConEntry:
 @dataclass
 class ElabClause:
     patterns: list[Pattern]
-    rhs: Expr  # elaborated, size holes substituted
-    lhs_size: NormalSize | None  # value matched at the recursion size parameter
+    rhs: Expr  # elaborated; its size holes are read through Signature.holes
     sctx: SizeCtx
     pos: Pos
 
@@ -64,7 +62,6 @@ class CallSite:
 class FunEntry:
     name: Ident
     coinductive: bool
-    type_expr: Expr
     type_value: Value
     arity: int = 0
     size_param: int | None = None
@@ -79,7 +76,6 @@ class LetEntry:
     name: Ident
     type_value: Value
     body: Expr
-    eval: bool = False
     thunk: Thunk | None = None
 
 
@@ -87,10 +83,14 @@ Entry = DataEntry | ConEntry | FunEntry | LetEntry
 
 
 class Signature:
-    """Append-only map from resolved idents to checked entries."""
+    """Append-only map from resolved idents to checked entries, and the
+    table of solved size holes.  Hole ids are unique in a program, so each
+    solution is stored once, as a size expression, when its clause or let
+    is checked; the evaluator reads it wherever the hole is normalized."""
 
     def __init__(self):
         self.entries: dict[int, Entry] = {}
+        self.holes: dict[int, SizeExpr] = {}
         self.order: list[Ident] = []
         # the first ident declared under each text: for a constructor name
         # reused across data types this is the earliest declaration
@@ -101,9 +101,6 @@ class Signature:
         self.entries[name.uid] = entry
         self.order.append(name)
         self.by_text.setdefault(name.text, name)
-
-    def __contains__(self, name: Ident) -> bool:
-        return name.uid in self.entries
 
     def __getitem__(self, name: Ident) -> Entry:
         return self.entries[name.uid]

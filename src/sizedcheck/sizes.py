@@ -3,7 +3,7 @@ inequalities under a hypothesis context, and solving of size holes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
@@ -111,21 +111,15 @@ def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
     return NormalSize(_prune(list(a.pairs) + list(b.pairs)))
 
 
-def subst_base(ns: NormalSize, base: Base, repl: NormalSize) -> NormalSize:
-    out = []
-    for b, n in ns.pairs:
-        if b == base:
-            out.extend(bump(repl, n).pairs)
-        else:
-            out.append((b, n))
-    return NormalSize(_prune(out))
-
-
-def normalize(s: SizeExpr, lookup=None) -> NormalSize:
+def normalize(
+    s: SizeExpr, lookup=None, holes: dict[int, SizeExpr] | None = None
+) -> NormalSize:
     """Fold successors into offsets, collapse $ # to #, flatten max.
 
     `lookup` optionally maps a size variable to an already-normalized size
-    (used when evaluating under an environment)."""
+    (used when evaluating under an environment).  `holes` optionally maps
+    solved size holes to their solutions, which normalize, under the same
+    lookup, as if written in place of the hole."""
     match s:
         case SVar(x):
             if lookup is not None:
@@ -134,12 +128,14 @@ def normalize(s: SizeExpr, lookup=None) -> NormalSize:
                     return ns
             return ns_var(x)
         case SSucc(a):
-            return bump(normalize(a, lookup), 1)
+            return bump(normalize(a, lookup, holes), 1)
         case SInfty():
             return ns_infty()
         case SMax(a, b):
-            return ns_max(normalize(a, lookup), normalize(b, lookup))
+            return ns_max(normalize(a, lookup, holes), normalize(b, lookup, holes))
         case SMeta(m):
+            if holes and m in holes:
+                return normalize(holes[m], lookup, holes)
             return ns_meta(m)
     raise AssertionError(f"normalize: unhandled {s!r}")
 
@@ -228,10 +224,6 @@ class SizeCtx:
 
     def out_edges(self, x: Ident):
         return [(p, s) for c, p, s in self.edges if c == x]
-
-
-def add_hypothesis(ctx: SizeCtx, child: Ident, parent: NormalSize, strict: bool = True) -> SizeCtx:
-    return ctx.add(child, parent, strict)
 
 
 class Rel(Enum):

@@ -396,7 +396,7 @@ class LetDecl(Declaration):
 
 
 # ---------------------------------------------------------------------------
-# Binding structure, free variables, spines and substitution of holes
+# Binding structure, free variables and spines
 
 
 def pattern_binders(p: Pattern) -> list[Ident]:
@@ -465,63 +465,3 @@ def spine(e: Expr) -> tuple[Expr, list[tuple[Expr, Annot | None]]]:
         e = e.fun
     args.reverse()
     return e, args
-
-
-def subst_size(s: SizeExpr, x: Ident, r: SizeExpr) -> SizeExpr:
-    match s:
-        case SVar(y):
-            return r if y == x else s
-        case SSucc(a):
-            return SSucc(subst_size(a, x, r))
-        case SMax(a, b):
-            return SMax(subst_size(a, x, r), subst_size(b, x, r))
-        case _:
-            return s
-
-
-def map_pattern_dots(p: Pattern, f) -> Pattern:
-    match p:
-        case PDot(e, pos):
-            return PDot(f(e), pos)
-        case PCon(c, args, pos):
-            return PCon(c, [map_pattern_dots(a, f) for a in args], pos)
-        case _:
-            return p
-
-
-def substitute_metas(e: Expr, sol: dict[int, SizeExpr]) -> Expr:
-    """Replace solved size holes throughout e."""
-
-    def gos(s: SizeExpr) -> SizeExpr:
-        match s:
-            case SMeta(m):
-                return sol.get(m, s)
-            case SSucc(a):
-                return SSucc(gos(a))
-            case SMax(a, b):
-                return SMax(gos(a), gos(b))
-            case _:
-                return s
-
-    def go(e: Expr) -> Expr:
-        match e:
-            case Size(s, pos):
-                return Size(gos(s), pos)
-            case Pi(annot, binder, dom, cod, pos):
-                return Pi(annot, binder, go(dom), go(cod), pos)
-            case Lam(binder, body, pos):
-                return Lam(binder, go(body), pos)
-            case App(f, a, annot, pos):
-                return App(go(f), go(a), annot, pos)
-            case CaseSize(s, binder, branch, pos):
-                return CaseSize(gos(s), binder, go(branch), pos)
-            case CaseData(scrut, branches, pos):
-                return CaseData(
-                    go(scrut),
-                    [(map_pattern_dots(p, go), go(b)) for p, b in branches],
-                    pos,
-                )
-            case _:
-                return e
-
-    return go(e)

@@ -200,7 +200,6 @@ class StructRel(Enum):
 
 @dataclass
 class CallGraphEntry:
-    caller: str
     callee: str
     size_rel: SizeRel
     struct_rels: list[StructRel]
@@ -272,9 +271,7 @@ def _call_entries(entry: FunEntry) -> list[CallGraphEntry]:
                     rels.append(StructRel.EQ)
                     continue
             rels.append(StructRel.UNKNOWN)
-        out.append(
-            CallGraphEntry(entry.name.text, entry.name.text, srel, rels, c.pos)
-        )
+        out.append(CallGraphEntry(entry.name.text, srel, rels, c.pos))
     return out
 
 

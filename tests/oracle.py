@@ -3,14 +3,17 @@
 Sizes are valued in the linear order 0 < 1 < ... < omega < omega+1 < ... < top,
 where top is the closure ordinal #: successor is absorbed at top only, and
 size variables range over {0..6, omega}.  Streams get a tiny lazy-list
-implementation mirroring the paper equations."""
+implementation mirroring the paper equations.  Two substitutions that only
+the property tests use, on size expressions and on normal forms, live here
+too."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import reduce
 
-from sizedcheck.sizes import INFTY, Meta, NormalSize, Rel, SizeCtx
+from sizedcheck.sizes import INFTY, NormalSize, Rel, SizeCtx, bump, ns_max, ns_var
+from sizedcheck.syntax import Ident, SizeExpr, SMax, SSucc, SVar
 
 FIN, OM, TOP = 0, 1, 2
 VAR_RANGE = [(FIN, k) for k in range(7)] + [(OM, 0)]
@@ -41,8 +44,6 @@ def holds(valuation, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
 def satisfies(valuation, ctx: SizeCtx) -> bool:
     for child, parent, strict in ctx.edges:
         rel = Rel.LT if strict else Rel.LE
-        from sizedcheck.sizes import ns_var
-
         if not holds(valuation, ns_var(child), rel, parent):
             return False
     return True
@@ -54,10 +55,55 @@ def all_valuations(ctx: SizeCtx):
         yield dict(zip(vs, choice))
 
 
+def satisfying_valuations(ctx: SizeCtx):
+    """The valuations of all_valuations(ctx) that satisfy ctx, found without
+    enumerating the others: variables are assigned one by one in uid order,
+    and each hypothesis edge is checked as soon as its child and its
+    parent's variables have values, so a prefix that breaks one is cut off."""
+    vs = sorted(ctx.scope, key=lambda x: x.uid)
+    index = {x: k for k, x in enumerate(vs)}
+    ready: list[list] = [[] for _ in vs]
+    for child, parent, strict in ctx.edges:
+        k = max(index[x] for x in parent.vars() | {child})
+        ready[k].append((ns_var(child), Rel.LT if strict else Rel.LE, parent))
+    valuation: dict = {}
+
+    def extend(k: int):
+        if k == len(vs):
+            yield dict(valuation)
+            return
+        for choice in VAR_RANGE:
+            valuation[vs[k]] = choice
+            if all(holds(valuation, c, rel, p) for c, rel, p in ready[k]):
+                yield from extend(k + 1)
+        del valuation[vs[k]]
+
+    return extend(0)
+
+
 def semantically_valid(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
-    return all(
-        holds(v, a, rel, b) for v in all_valuations(ctx) if satisfies(v, ctx)
-    )
+    return all(holds(v, a, rel, b) for v in satisfying_valuations(ctx))
+
+
+def subst_size(s: SizeExpr, x: Ident, r: SizeExpr) -> SizeExpr:
+    """s with the size variable x replaced by r."""
+    match s:
+        case SVar(y):
+            return r if y == x else s
+        case SSucc(a):
+            return SSucc(subst_size(a, x, r))
+        case SMax(a, b):
+            return SMax(subst_size(a, x, r), subst_size(b, x, r))
+        case _:
+            return s
+
+
+def subst_base(ns: NormalSize, base, repl: NormalSize) -> NormalSize:
+    """ns with each pair on base replaced by repl, bumped by the pair's offset."""
+    parts = [
+        bump(repl, n) if b == base else NormalSize(frozenset({(b, n)})) for b, n in ns.pairs
+    ]
+    return reduce(ns_max, parts)
 
 
 # -- lazy streams for the ham and fib expectations ---------------------------

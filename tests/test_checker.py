@@ -343,12 +343,16 @@ fun f : Nat -> Nat
 
 class TestMetas:
     def test_holes_solved_and_substituted(self):
+        # the body keeps its holes; each has its solution in the signature's
+        # table, which the evaluator reads wherever it normalizes the hole
         src = SNAT_PARAMETRIC + """
 let inc2 : [i : Size] -> SNat i -> SNat ($$ i)
          = \\ i -> \\ n -> succ _ (succ _ n)
+eval let two : SNat # = inc2 # (zero #)
 """
         ch, _, _ = build(src)
         entry = ch.sig.entries[ch.sig.by_text["inc2"].uid]
+        from sizedcheck.cli import RunConfig, check_source
         from sizedcheck.syntax import size_metas, Size, App, Lam
 
         def metas_in(e):
@@ -362,7 +366,11 @@ let inc2 : [i : Size] -> SNat i -> SNat ($$ i)
                 case _:
                     return set()
 
-        assert metas_in(entry.body) == set()
+        holes = metas_in(entry.body)
+        assert len(holes) == 2 and holes <= ch.sig.holes.keys()
+        r = check_source(src, "<test>", RunConfig([], print_sizes=True))
+        assert r.outputs == ["two = succ # (succ # (zero #))"]
+        assert "_" not in r.outputs[0]
 
     def test_elaboration_idempotent_after_solving(self):
         # the solved body re-checks against the declared type

@@ -48,3 +48,12 @@ def test_constraint_dump_is_printed_on_rejection():
         "m3+1 <= m4",
     ]
     assert r.stderr.startswith("UNSOLVED-META ")
+
+
+def test_blank_expectation_header_is_malformed(tmp_path):
+    (tmp_path / "accept").mkdir()
+    (tmp_path / "accept" / "one.ma").write_text("let T : Set = Set\n")
+    (tmp_path / "accept" / "one.expect").write_text("\nACCEPT\n")
+    r = run_cli("golden", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: malformed expectation ")

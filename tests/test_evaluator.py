@@ -157,6 +157,13 @@ let r : Stream Nat # = repeat Nat zero #
         _, _, outputs = build(src)
         assert outputs == ["T = Set"]
 
+    def test_stuck_match_in_readback_reports_the_eval_let(self):
+        # f has no clauses, so displaying succ f cannot put f in whnf
+        src = NAT + "fun f : Nat { }\neval let x : Nat = succ f\n"
+        d = check_source(src, "<t>").diagnostic
+        assert d.code == "STUCK-MATCH" and "'f'" in d.message
+        assert d.pos == (len(src.splitlines()), 1)
+
     def test_print_sizes_shows_erased_arguments(self):
         from sizedcheck.checker import Checker
         from sizedcheck.parser import parse_source

@@ -13,7 +13,6 @@ from sizedcheck.sizes import (
     SizeCtx,
     UnknownVariable,
     Unsolvable,
-    add_hypothesis,
     bump,
     entails,
     format_size,
@@ -74,7 +73,7 @@ class TestNormalize:
 
 class TestEntails:
     def test_strict_hypothesis_gives_successor_bound(self):
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i), strict=True)
+        ctx = ctx_of(i).add(j, ns_var(i), True)
         assert entails(ctx, bump(ns_var(j), 1), Rel.LE, ns_var(i))
 
     def test_reflexivity(self):
@@ -82,8 +81,8 @@ class TestEntails:
 
     def test_no_max_inversion(self):
         # {j < i, k < i} does not entail i <= max j k (take j = k = 0, i = 1)
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
-        ctx = add_hypothesis(ctx, k, ns_var(i))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
+        ctx = ctx.add(k, ns_var(i), True)
         assert not entails(ctx, ns_var(i), Rel.LE, ns_max(ns_var(j), ns_var(k)))
 
     def test_anything_below_infinity(self):
@@ -102,8 +101,8 @@ class TestEntails:
         assert not entails(ctx, ns_var(i), Rel.LT, ns_var(i))
 
     def test_max_left_is_conjunction(self):
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
-        ctx = add_hypothesis(ctx, k, ns_var(i))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
+        ctx = ctx.add(k, ns_var(i), True)
         m = ns_max(ns_var(j), ns_var(k))
         assert entails(ctx, m, Rel.LT, ns_var(i))
         assert entails(ctx, m, Rel.LE, ns_var(i, 3))
@@ -119,28 +118,28 @@ class TestEntails:
 
 class TestAddHypothesis:
     def test_basic_edge(self):
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
         assert entails(ctx, ns_var(j), Rel.LT, ns_var(i))
 
     def test_top_element(self):
-        ctx = add_hypothesis(SizeCtx(), j, ns_infty())
+        ctx = SizeCtx().add(j, ns_infty(), True)
         assert entails(ctx, ns_var(j), Rel.LE, ns_infty())
         assert not entails(ctx, ns_infty(), Rel.LE, ns_var(j))
 
     def test_offset_accumulation(self):
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
-        ctx = add_hypothesis(ctx, k, ns_var(j))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
+        ctx = ctx.add(k, ns_var(j), True)
         assert entails(ctx, ns_var(k, 2), Rel.LE, ns_var(i))
         assert not entails(ctx, ns_var(k, 3), Rel.LE, ns_var(i))
 
     def test_shadowing_rejected(self):
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
         with pytest.raises(ShadowedVariable):
-            add_hypothesis(ctx, j, ns_var(i))
+            ctx.add(j, ns_var(i), True)
 
     def test_original_unchanged(self):
         base = ctx_of(i)
-        add_hypothesis(base, j, ns_var(i))
+        base.add(j, ns_var(i), True)
         assert j not in base.scope
 
 
@@ -157,7 +156,7 @@ class TestSolveMetas:
 
     def test_least_solution_with_lower_bound(self):
         # {m <= i, $ j <= m} under {j < i}: least solution m = j+1
-        ctx = add_hypothesis(ctx_of(i), j, ns_var(i))
+        ctx = ctx_of(i).add(j, ns_var(i), True)
         cs = [
             SizeConstraint(ns_meta(1), Rel.LE, ns_var(i)),
             SizeConstraint(ns_var(j, 1), Rel.LE, ns_meta(1)),

@@ -10,7 +10,6 @@ from sizedcheck.sizes import (
     NormalSize,
     Rel,
     SizeCtx,
-    add_hypothesis,
     bump,
     entails,
     normalize,
@@ -26,10 +25,16 @@ from sizedcheck.syntax import (
     SSucc,
     SVar,
     fresh_ident,
-    subst_size,
 )
 
-from oracle import semantically_valid
+from oracle import (
+    all_valuations,
+    satisfies,
+    satisfying_valuations,
+    semantically_valid,
+    subst_base,
+    subst_size,
+)
 
 
 def random_ctx(rng: random.Random, n_vars: int, n_edges: int) -> SizeCtx:
@@ -44,7 +49,7 @@ def random_ctx(rng: random.Random, n_vars: int, n_edges: int) -> SizeCtx:
             parent = ns_var(rng.choice(pool), rng.randrange(0, 3))
         else:
             parent = ns_infty()
-        ctx = add_hypothesis(ctx, child, parent, strict=rng.random() < 0.8)
+        ctx = ctx.add(child, parent, rng.random() < 0.8)
     return ctx
 
 
@@ -75,6 +80,22 @@ class TestSoundness:
                 checked += 1
                 assert semantically_valid(ctx, a, rel, b), (ctx, a, rel, b)
         assert checked > 100  # the fuzz must actually exercise positives
+
+
+class TestOracle:
+    def test_pruned_valuations_match_the_filtered_product(self):
+        # the oracle's pruned enumeration against the brute-force reference
+        def key(v):
+            return tuple(sorted((x.uid, val) for x, val in v.items()))
+
+        rng = random.Random(5)
+        for _ in range(300):
+            ctx = random_ctx(rng, rng.randrange(1, 4), rng.randrange(0, 4))
+            assert len(ctx.scope) <= 3
+            pruned = [key(v) for v in satisfying_valuations(ctx)]
+            brute = [key(v) for v in all_valuations(ctx) if satisfies(v, ctx)]
+            assert len(pruned) == len(set(pruned))
+            assert set(pruned) == set(brute), ctx.edges
 
 
 class TestCompleteness:
@@ -126,8 +147,6 @@ class TestNormalizeLaws:
         via = normalize(s)
         for b, n in via.pairs:
             assert b != new
-        from sizedcheck.sizes import subst_base
-
         assert subst_base(via, old, ns_var(new)) == direct
 
 
@@ -147,7 +166,7 @@ class TestAntisymmetry:
     def test_mutual_entailment_with_max_is_semantic_equality(self):
         # a hypothesis-dominated max component may make two distinct normal
         # forms mutually entailed; they must still agree at every valuation
-        from oracle import all_valuations, satisfies, val_size
+        from oracle import val_size
 
         rng = random.Random(8)
         for _ in range(300):
