@@ -1067,6 +1067,9 @@ class Checker:
             dom = self.ev.whnf(b.domain)
             if not self.subtype(ctx, dom, self.ev.whnf(a.domain)):
                 return False
+            if a.closure.binder is None and b.closure.binder is None:
+                a, b = self.ev.instantiate(a, None), self.ev.instantiate(b, None)
+                return self.subtype(ctx, a, b)
             x = fresh_ident(a.binder.text)
             ctx2 = ctx.bind(x, dom, a.annot)
             xv = self.ev.force(ctx2.env[x.uid])

@@ -68,20 +68,31 @@ def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> Ch
     return CheckResult(sig, outputs, checker.constraint_dump, None)
 
 
+def _read_source(path: str | Path, err) -> str | None:
+    """The text of a source file, or None once the reason it cannot be read
+    or decoded is reported."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read {path}: {e}", file=err)
+        return None
+
+
 def run_check(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     status = 0
     for path in cfg.paths:
-        try:
-            source = Path(path).read_text()
-        except OSError as e:
-            print(f"error: cannot read {path}: {e}", file=err)
+        source = _read_source(path, err)
+        if source is None:
             return 2
         result = check_source(source, path, cfg)
         for line in result.constraint_dump:
             print(line, file=out)
         if result.diagnostic is not None:
+            report = result.diagnostic.report
+            if report is not None and report.name == cfg.explain_totality:
+                print(report.render(), file=out)
             print(result.diagnostic.render(), file=err)
             status = max(status, 1)
             continue
@@ -126,7 +137,10 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
             print(f"error: empty expectation file {case.expectation}", file=err)
             return 2
         header = lines[0].split() or [""]  # a blank header is malformed
-        result = check_source(case.source.read_text(), str(case.source), cfg)
+        source = _read_source(case.source, err)
+        if source is None:
+            return 2
+        result = check_source(source, str(case.source), cfg)
         ok, detail = False, ""
         if header[0] == "ACCEPT":
             want = "\n".join(lines[1:])
@@ -177,7 +191,8 @@ def main(argv=None) -> int:
         p.add_argument("--print-sizes", action="store_true",
                        help="show erased size arguments in eval output")
         p.add_argument("--explain-totality", metavar="NAME",
-                       help="print the call graph and rule justifying NAME")
+                       help="print the call graph of NAME and the rule justifying it, "
+                       "or 'rejected'")
         p.add_argument("--unfold-fuel", type=int, default=DEFAULT_UNFOLD_FUEL, metavar="N",
                        help="unfold budget per declaration and per eval let")
         p.add_argument("--print-depth", type=int, default=DEFAULT_PRINT_DEPTH, metavar="N",

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .syntax import NOPOS, Pos
+
+if TYPE_CHECKING:
+    from .totality import TotalityReport
 
 # The catalog of stable codes; golden expectations match on these.
 CODES = (
@@ -41,6 +45,8 @@ class Diagnostic(Exception):
     message: str
     pos: Pos = NOPOS
     file: str | None = None
+    # the call table of a TERMINATION or PRODUCTIVITY rejection
+    report: TotalityReport | None = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         where = f"{self.file or '<input>'}:{self.pos[0]}:{self.pos[1]}"

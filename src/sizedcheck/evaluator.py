@@ -18,7 +18,17 @@ matched and whose right-hand side was evaluated is stored, never a stuck or
 unmatched head.  A memo hit unfolds no clause and so costs no fuel.  The memo
 serves evaluation and conversion alike and lives as long as the unfold
 budget: `reset_budget`, called for every declaration and every eval let,
-drops both."""
+drops both.
+
+The codomain of an arrow `A -> B` is shared too.  Scope checking leaves such
+a Pi without a binder, so its codomain cannot mention the argument, and its
+value depends only on the closure's environment, which nothing mutates.
+`close` evaluates it on the first instantiation and keeps it on the
+`Closure`; every later walk of the type (`telescope`, pattern elaboration,
+application, subtyping, conversion) gets the same value, with no copied
+environment and no fresh variable, and two such codomains are compared with
+no variable bound.  A codomain that unfolds definitions therefore pays fuel
+only on its first instantiation, whichever declaration makes it."""
 
 from __future__ import annotations
 
@@ -79,6 +89,8 @@ from .values import (
 
 _NOMATCH = object()
 _STUCK = object()
+# the binder of every arrow's VPi: displayed, never bound
+_ARROW = fresh_ident("_x")
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -157,8 +169,8 @@ class Evaluator:
             case Lam(x, body):
                 return VLam(x, Closure(env, x, body))
             case Pi(annot, binder, dom, cod):
-                b = binder or fresh_ident("_x")
-                return VPi(annot, b, self.evaluate(env, dom), Closure(env, b, cod))
+                clo = Closure(env, binder, cod)
+                return VPi(annot, binder or _ARROW, self.evaluate(env, dom), clo)
             case SetU():
                 return VSet()
             case SizeU():
@@ -222,12 +234,18 @@ class Evaluator:
                 return v
         raise Diagnostic("STUCK-MATCH", "application of a non-function value", pos)
 
-    def close(self, clo: Closure, v: Value) -> Value:
+    def close(self, clo: Closure, v: Value | None) -> Value:
+        """The body of clo with its binder bound to v.  A body that cannot
+        mention its binder ignores v and is evaluated only once."""
+        if clo.binder is None:
+            if clo.value is None:
+                clo.value = self.evaluate(clo.env, clo.body)
+            return clo.value
         env2 = dict(clo.env)
         env2[clo.binder.uid] = Thunk.of(v)
         return self.evaluate(env2, clo.body)
 
-    def instantiate(self, pi: VPi, v: Value) -> Value:
+    def instantiate(self, pi: VPi, v: Value | None) -> Value:
         return self.close(pi.closure, v)
 
     def fresh_neutral(self, text: str, domain: Value | None = None) -> Value:
@@ -387,8 +405,11 @@ class Evaluator:
             case VSize(ns):
                 return Size(to_size_expr(ns))
             case VPi(annot, binder, dom, clo):
-                x = fresh_ident(binder.text)
-                body = self.close(clo, VNe(x))
+                if clo.binder is None:
+                    x, body = None, self.close(clo, None)
+                else:
+                    x = fresh_ident(binder.text)
+                    body = self.close(clo, VNe(x))
                 return Pi(annot, x, self._read(dom, None), self._read(body, None))
             case VLam(binder, clo):
                 x = fresh_ident(binder.text)
@@ -496,6 +517,8 @@ class Evaluator:
                     return False
                 if not self._conv(d1, d2, sctx, col):
                     return False
+                if c1.binder is None and c2.binder is None:
+                    return self._conv(self.close(c1, None), self.close(c2, None), sctx, col)
                 x = self.fresh_neutral(b1.text, d1)
                 if isinstance(x, VSize):
                     sctx = sctx.declare(x.size.atom()[0])

@@ -209,7 +209,7 @@ class CallGraphEntry:
 @dataclass
 class TotalityReport:
     name: str
-    rule: str  # "size-descent" | "structural" | "non-recursive"
+    rule: str  # "size-descent" | "structural" | "non-recursive" | "rejected"
     position: int | None = None
     entries: list[CallGraphEntry] = field(default_factory=list)
 
@@ -303,4 +303,5 @@ def termination_check(entry: FunEntry, sig: Signature) -> TotalityReport:
         code,
         f"cannot justify recursive calls of '{name}': " + ", ".join(bad),
         entry.clauses[entry.calls[0].clause_index].pos if entry.clauses else (0, 0),
+        report=TotalityReport(name, "rejected", None, entries),
     )

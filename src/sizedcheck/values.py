@@ -32,33 +32,41 @@ class Thunk:
 Spine = list[tuple[Thunk, Annot]]
 
 
-@dataclass
+@dataclass(slots=True)
 class Closure:
+    """A body under one binder, with the environment it was built in.
+
+    The binder is None when the body cannot mention it: the codomain of an
+    arrow `A -> B`, whose binder scope checking drops.  Such a body has one
+    value whatever it is instantiated at, so `Evaluator.close` evaluates it
+    on the first instantiation and keeps the result in `value`."""
+
     env: dict
-    binder: Ident
+    binder: Ident | None
     body: Expr
+    value: Value | None = field(default=None, compare=False, repr=False)
 
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class VSet(Value):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VSizeU(Value):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VSize(Value):
     size: NormalSize
 
 
-@dataclass
+@dataclass(slots=True)
 class VPi(Value):
     annot: Annot
     binder: Ident
@@ -66,13 +74,13 @@ class VPi(Value):
     closure: Closure
 
 
-@dataclass
+@dataclass(slots=True)
 class VLam(Value):
     binder: Ident
     closure: Closure
 
 
-@dataclass
+@dataclass(slots=True)
 class VCon(Value):
     """Constructor value; args cover parameters, the size index and the
     proper arguments, all suspended."""
@@ -81,7 +89,7 @@ class VCon(Value):
     args: list[Thunk]
 
 
-@dataclass
+@dataclass(slots=True)
 class VData(Value):
     """A (possibly partially applied) data type former."""
 
@@ -89,7 +97,7 @@ class VData(Value):
     args: list[Thunk]
 
 
-@dataclass
+@dataclass(slots=True)
 class VNe(Value):
     """Neutral: a variable applied to a spine."""
 
@@ -97,7 +105,7 @@ class VNe(Value):
     spine: Spine = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class VDef(Value):
     """A defined function (fun/cofun) applied to a spine; unfolds on demand."""
 

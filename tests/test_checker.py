@@ -204,6 +204,28 @@ data Eq (A : Set) (a : A) : A -> Set
             "TYPE-MISMATCH",
         )
 
+    # arrows over a size: their codomains cannot mention the argument, so
+    # they are compared directly, with no variable declared
+    BOOL = "data Bool : Set { true : Bool ; false : Bool }\n"
+
+    def test_arrow_over_a_size_is_a_subtype_of_itself(self):
+        ok(NAT + "let f : (Size -> Nat) -> Size -> Nat = \\ g -> g")
+
+    def test_arrow_over_a_size_converts_with_itself(self):
+        t = "(Size -> Nat)"
+        ok(NAT + self.EQ + f"let p : Eq Set {t} {t} = refl Set {t}")
+
+    def test_arrows_to_different_codomains_are_a_mismatch(self):
+        rejected(
+            NAT + self.BOOL + "let f : (Size -> Nat) -> Size -> Bool = \\ g -> g",
+            "TYPE-MISMATCH",
+        )
+        rejected(
+            NAT + self.BOOL + self.EQ
+            + "let p : Eq Set (Size -> Nat) (Size -> Bool) = refl Set (Size -> Nat)",
+            "TYPE-MISMATCH",
+        )
+
     # two functions over a size are compared under a fresh variable that the
     # bodies use as a size
     SIZED_FAMILY = "([i : Size] -> Set)"

@@ -57,3 +57,32 @@ def test_blank_expectation_header_is_malformed(tmp_path):
     r = run_cli("golden", str(tmp_path))
     assert r.returncode == 2
     assert r.stderr.startswith("error: malformed expectation ")
+
+
+def test_undecodable_source_cannot_be_read(tmp_path):
+    bad = tmp_path / "latin1.ma"
+    bad.write_bytes("let café : Set = Set\n".encode("latin-1"))
+    r = run_cli("check", str(bad))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {bad}: ")
+
+
+def test_dangling_golden_source_cannot_be_read(tmp_path):
+    (tmp_path / "accept").mkdir()
+    src = tmp_path / "accept" / "gone.ma"
+    src.symlink_to(tmp_path / "nowhere.ma")
+    (tmp_path / "accept" / "gone.expect").write_text("ACCEPT\n")
+    r = run_cli("golden", str(tmp_path))
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {src}: ")
+
+
+def test_explain_totality_shows_the_calls_of_a_rejected_function():
+    spin = CORPUS / "reject" / "spin.ma"
+    r = run_cli("check", "--explain-totality", "spin", str(spin))
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["spin: rejected", "  call spin at 9:21: size <= args [? eq]"]
+    assert r.stderr == run_cli("check", str(spin)).stderr
+    assert r.stderr.startswith("TERMINATION ")

@@ -9,7 +9,7 @@ from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.scope import scope_check
 from sizedcheck.sizes import SizeCtx, ns_infty, ns_var
-from sizedcheck.syntax import App, Annot, Def, Elided, SInfty, Size, SSucc, fresh_ident
+from sizedcheck.syntax import App, Annot, Def, Elided, Pi, SInfty, Size, SSucc, fresh_ident
 from sizedcheck.values import Thunk, VCon, VDef, VNe, VSize
 
 from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build
@@ -363,3 +363,51 @@ let p : Eq (Stream Nat #) (zeros #) (zeros2 #) = refl (Stream Nat #) (zeros #)
         d = check_source(src, "<t>", RunConfig([], unfold_fuel=100)).diagnostic
         assert d.code == "FUEL"
         assert d.pos[0] > 0 and d.pos[0] == len(src.splitlines())
+
+
+def arrows(n: int, lets: int) -> str:
+    """A fun of n arrows over Bool and Nat, two clauses, and `lets` lets
+    applying it."""
+    ty = " -> ".join(["Bool"] + ["Nat"] * n)
+    xs = " ".join(f"x{k}" for k in range(1, n))
+    zeros = " ".join(["zero"] * (n - 1))
+    src = NAT + "data Bool : Set { true : Bool ; false : Bool }\n"
+    src += f"fun f : {ty}\n{{ f true {xs} = x1\n; f false {xs} = succ x1\n}}\n"
+    return src + "".join(f"let a{k} : Nat = f true {zeros}\n" for k in range(lets))
+
+
+class TestSharedCodomains:
+    def _pi_evaluations(self, monkeypatch, src: str) -> int:
+        count = 0
+        evaluate = Evaluator.evaluate
+
+        def counting(self, env, e):
+            nonlocal count
+            count += isinstance(e, Pi)
+            return evaluate(self, env, e)
+
+        monkeypatch.setattr(Evaluator, "evaluate", counting)
+        build(src)
+        return count
+
+    def test_each_arrow_codomain_is_evaluated_once(self, monkeypatch):
+        # the fun's n Pi nodes and succ's one; every clause, let and
+        # application walks the same values
+        n = 30
+        two = self._pi_evaluations(monkeypatch, arrows(n, lets=2))
+        assert two <= n + 2
+        assert self._pi_evaluations(monkeypatch, arrows(n, lets=3)) == two
+
+    def test_dependent_codomain_differs_per_instantiation(self):
+        src = SNAT_PARAMETRIC + "let f : [i : Size] -> SNat i -> SNat i = \\ i -> \\ x -> x\n"
+        ch, _, _ = build(src)
+        ev = ch.ev
+        ty = ch.sig[ch.sig.by_text["f"]].type_value
+        i = fresh_ident("i")
+        at_i = ev.instantiate(ty, VSize(ns_var(i)))
+        at_infty = ev.instantiate(ty, VSize(ns_infty()))
+        assert pretty(ev.quote(at_i)) == "SNat i -> SNat i"
+        assert pretty(ev.quote(at_infty)) == "SNat # -> SNat #"
+        # each arrow keeps its own codomain, evaluated once
+        assert ev.instantiate(at_i, VNe(fresh_ident("x"))) is ev.instantiate(at_i, None)
+        assert ev.instantiate(at_i, None) is not ev.instantiate(at_infty, None)
