@@ -1,7 +1,8 @@
-"""Bidirectional type checking: sized data/codata well-formedness, subtyping
-with size entailment and declared polarities, the parametric-argument
-discipline, pattern elaboration with dot/size/successor patterns, the
-size-case rule, and clause-level solving of size holes.
+"""Bidirectional type checking: sized data/codata well-formedness, the
+parametric-argument discipline, pattern elaboration with dot/size/successor
+patterns, the size-case rule, and clause-level solving of size holes.
+Subtyping, with size entailment and declared polarities, is the evaluator's
+`compare` at `Rel.LE` (see the `evaluator` module docstring).
 
 Elaborated syntax keeps its size holes.  Once a clause or let body is
 checked, its holes are solved and each solution is stored once in the
@@ -391,8 +392,8 @@ class Checker:
         entry.totality = Totality.CHECKED
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
-        ctx, residual, obligations, pats = self._elaborate_patterns(
-            Ctx(state=state), clause, entry
+        ctx, residual, obligations, pats, _ = self._elab_patterns(
+            Ctx(state=state), entry.type_value, clause.lhs, entry
         )
         self._check_obligations(ctx, obligations)
         rhs = self.check(ctx, clause.rhs, residual, erased=False)
@@ -436,47 +437,55 @@ class Checker:
 
     # -- pattern elaboration ----------------------------------------------------
 
-    def _elaborate_patterns(self, ctx: Ctx, clause: Clause, entry: FunEntry):
-        """Elaborate a clause's patterns against the function's type; returns
-        the context they bind, the type of the right-hand side, the dot
-        obligations and the elaborated patterns."""
+    def _elab_patterns(self, ctx: Ctx, t: Value, patterns: list[Pattern], fun: FunEntry | None):
+        """Elaborate patterns against the Pi telescope t: a clause's own
+        arguments against its function `fun`'s type, or (fun None) a
+        constructor's arguments past its parameters and size.  Returns the
+        context they bind, the rest of t, the dot obligations, the elaborated
+        patterns and the values they match."""
         obligations: list = []
         pats: list[Pattern] = []
-        t = entry.type_value
-        for k, p in enumerate(clause.lhs):
+        vals: list[Value] = []
+        for k, p in enumerate(patterns):
             t = self.ev.whnf(t)
             if not isinstance(t, VPi):
                 raise Diagnostic(
                     "TYPE-MISMATCH", "more patterns than the type has arguments", p.pos
                 )
             dom = self.ev.whnf(t.domain)
-            annot = t.annot
             if isinstance(dom, VSizeU):
-                ctx, val, p2 = self._elab_size_param(
-                    ctx, t, p, annot, entry.coinductive, designated=(k == entry.size_param)
-                )
+                designated = fun is not None and k == fun.size_param
+                ctx, val = self._elab_size_binder(ctx, t, p, fun, designated)
             else:
-                ctx, val, obls, p2 = self._elab_pattern(ctx, dom, annot, p)
+                ctx, val, obls, p = self._elab_pattern(ctx, dom, t.annot, p)
                 obligations.extend(obls)
-            pats.append(p2)
+            pats.append(p)
+            vals.append(val)
             t = self.ev.instantiate(t, val)
-        return ctx, t, obligations, pats
+        return ctx, t, obligations, pats, vals
 
-    def _elab_size_param(
-        self, ctx: Ctx, pi: VPi, p: Pattern, annot: Annot, is_cofun: bool, designated: bool
-    ):
+    def _elab_size_binder(
+        self, ctx: Ctx, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool
+    ) -> tuple[Ctx, Value]:
+        """A pattern against a Size binder: a variable or a wildcard, or, among
+        a clause's own arguments (fun not None), a successor pattern of a
+        cofun.  The size matched at the designated binder is the clause's
+        size for termination."""
         match p:
-            case PVar(x):
-                ctx = ctx.bind(x, VSizeU(), annot)
-                val = VSize(ns_var(x))
-                if designated:
-                    ctx.state.lhs_size = ns_var(x)
-                return ctx, val, p
             case PWild():
                 x = fresh_ident("_i")
-                return ctx.bind(x, VSizeU(), annot), VSize(ns_var(x)), p
+                return ctx.bind(x, VSizeU(), pi.annot), VSize(ns_var(x))
+            case PVar(x):
+                ctx = ctx.bind(x, VSizeU(), pi.annot)
+                size = ns_var(x)
+            case _ if fun is None:
+                raise Diagnostic(
+                    "TYPE-MISMATCH",
+                    "only variable patterns may match an inner size argument",
+                    p.pos,
+                )
             case PSucc(j):
-                if not is_cofun:
+                if not fun.coinductive:
                     raise Diagnostic(
                         "ADMISSIBILITY",
                         "successor patterns are only permitted in corecursive "
@@ -488,11 +497,8 @@ class Checker:
                 reason = admissibility_check(self.ev, self.sig, residual, i_star, cofun=True)
                 if reason is not None:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
-                ctx = ctx.bind(j, VSizeU(), annot)
-                val = VSize(bump(ns_var(j), 1))
-                if designated:
-                    ctx.state.lhs_size = bump(ns_var(j), 1)
-                return ctx, val, p
+                ctx = ctx.bind(j, VSizeU(), pi.annot)
+                size = bump(ns_var(j), 1)
             case PDot(_):
                 raise Diagnostic(
                     "ILLEGAL-SIZE-REFINEMENT",
@@ -510,6 +516,9 @@ class Checker:
                 raise Diagnostic(
                     "TYPE-MISMATCH", "cannot match a constructor against a size", p.pos
                 )
+        if designated:
+            ctx.state.lhs_size = size
+        return ctx, VSize(size)
 
     def _elab_pattern(self, ctx: Ctx, dom: Value, annot: Annot, p: Pattern):
         """Elaborate one pattern against its (whnf) domain type; returns the
@@ -571,7 +580,8 @@ class Checker:
                 f"found {len(p.args)}",
                 p.pos,
             )
-        if len(dty.args) < centry.n_params + (1 if centry.has_size else 0):
+        first_index = centry.n_params + (1 if centry.has_size else 0)
+        if len(dty.args) < first_index:
             raise Diagnostic(
                 "TYPE-MISMATCH", "match against an underapplied data type", p.pos
             )
@@ -679,39 +689,15 @@ class Checker:
             thunks.append(Thunk.of(size_val))
             ct = self.ev.instantiate(ct, size_val)
 
-        # remaining arguments
-        for k in range(centry.n_params + (1 if centry.has_size else 0), centry.arity):
-            ct = self.ev.whnf(ct)
-            dom = self.ev.whnf(ct.domain)
-            sub = p.args[k]
-            if isinstance(dom, VSizeU):
-                match sub:
-                    case PVar(x):
-                        ctx = ctx.bind(x, VSizeU(), ct.annot)
-                        val: Value = VSize(ns_var(x))
-                    case PWild():
-                        x = fresh_ident("_i")
-                        ctx = ctx.bind(x, VSizeU(), ct.annot)
-                        val = VSize(ns_var(x))
-                    case _:
-                        raise Diagnostic(
-                            "TYPE-MISMATCH",
-                            "only variable patterns may match an inner size "
-                            "argument",
-                            sub.pos,
-                        )
-                args_out.append(sub)
-            else:
-                ctx, val, obls, sub2 = self._elab_pattern(ctx, dom, ct.annot, sub)
-                obligations.extend(obls)
-                args_out.append(sub2)
-            thunks.append(Thunk.of(val))
-            ct = self.ev.instantiate(ct, val)
+        # the proper arguments
+        ctx, ct, obls, subs, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
+        obligations.extend(obls)
+        args_out.extend(subs)
+        thunks.extend(map(Thunk.of, vals))
 
         target = self.ev.whnf(ct)
         assert isinstance(target, VData) and target.name == dty.name
         # indices beyond the size must agree with the scrutinee type
-        first_index = centry.n_params + (1 if centry.has_size else 0)
         for k in range(first_index, min(len(target.args), len(dty.args))):
             if not self.ev.convertible(
                 self.ev.force(target.args[k]),
@@ -773,35 +759,31 @@ class Checker:
     def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> SizeExpr:
         match e:
             case Var(x):
-                b = ctx.lookup(x)
-                if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
-                    raise Diagnostic(
-                        "TYPE-MISMATCH", f"'{x.text}' is not a size variable", e.pos
-                    )
-                self._use_check(ctx, x, erased, e.pos)
-                return SVar(x)
+                s: SizeExpr = SVar(x)
             case Size(s):
-                for x in size_vars(s):
-                    b = ctx.lookup(x)
-                    if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
-                        raise Diagnostic(
-                            "TYPE-MISMATCH", f"'{x.text}' is not a size variable", e.pos
-                        )
-                    self._use_check(ctx, x, erased, e.pos)
-                for m in size_metas(s):
-                    if ctx.state is None:
-                        raise Diagnostic(
-                            "UNSOLVED-META",
-                            "size holes are only allowed on clause right-hand sides",
-                            e.pos,
-                        )
-                    ctx.state.metas.add(m)
-                return s
-        raise Diagnostic(
-            "TYPE-MISMATCH",
-            "expected a size expression (a size variable, $, #, max or _)",
-            e.pos,
-        )
+                pass
+            case _:
+                raise Diagnostic(
+                    "TYPE-MISMATCH",
+                    "expected a size expression (a size variable, $, #, max or _)",
+                    e.pos,
+                )
+        for x in size_vars(s):
+            b = ctx.lookup(x)
+            if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
+                raise Diagnostic(
+                    "TYPE-MISMATCH", f"'{x.text}' is not a size variable", e.pos
+                )
+            self._use_check(ctx, x, erased, e.pos)
+        for m in size_metas(s):
+            if ctx.state is None:
+                raise Diagnostic(
+                    "UNSOLVED-META",
+                    "size holes are only allowed on clause right-hand sides",
+                    e.pos,
+                )
+            ctx.state.metas.add(m)
+        return s
 
     def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
         b = ctx.lookup(x)
@@ -1022,56 +1004,5 @@ class Checker:
     # -- subtyping ----------------------------------------------------------------
 
     def subtype(self, ctx: Ctx, a: Value, b: Value) -> bool:
-        """a <= b: sized inductive types are covariant and sized coinductive
-        types contravariant in their size index, parameters follow their
-        declared polarity, Pi is contravariant/covariant, and everything else
-        falls back to conversion."""
-        a = self.ev.whnf(a)
-        b = self.ev.whnf(b)
-        if (
-            isinstance(a, VData)
-            and isinstance(b, VData)
-            and a.name == b.name
-            and len(a.args) == len(b.args)
-        ):
-            entry = self.sig.data(a.name)
-            n_params = len(entry.params)
-            for k, (ta, tb) in enumerate(zip(a.args, b.args)):
-                va, vb = self.ev.force(ta), self.ev.force(tb)
-                if k < n_params:
-                    pol = entry.params[k][1]
-                    if pol in (Polarity.STRICT_POS, Polarity.POS):
-                        ok = self.subtype(ctx, va, vb)
-                    elif pol is Polarity.NEG:
-                        ok = self.subtype(ctx, vb, va)
-                    elif pol is Polarity.UNUSED:
-                        ok = True
-                    else:
-                        ok = self.ev.convertible(va, vb, ctx.sctx, ctx.collector)
-                elif entry.sized and k == n_params:
-                    sa, sb = self.ev.size_view(va), self.ev.size_view(vb)
-                    if sa is None or sb is None:
-                        ok = False
-                    elif entry.coinductive:
-                        ok = self.ev.size_entails(ctx.sctx, sb, Rel.LE, sa, ctx.collector)
-                    else:
-                        ok = self.ev.size_entails(ctx.sctx, sa, Rel.LE, sb, ctx.collector)
-                else:
-                    ok = self.ev.convertible(va, vb, ctx.sctx, ctx.collector)
-                if not ok:
-                    return False
-            return True
-        if isinstance(a, VPi) and isinstance(b, VPi):
-            if a.annot is not b.annot:
-                return False
-            dom = self.ev.whnf(b.domain)
-            if not self.subtype(ctx, dom, self.ev.whnf(a.domain)):
-                return False
-            if a.closure.binder is None and b.closure.binder is None:
-                a, b = self.ev.instantiate(a, None), self.ev.instantiate(b, None)
-                return self.subtype(ctx, a, b)
-            x = fresh_ident(a.binder.text)
-            ctx2 = ctx.bind(x, dom, a.annot)
-            xv = self.ev.force(ctx2.env[x.uid])
-            return self.subtype(ctx2, self.ev.instantiate(a, xv), self.ev.instantiate(b, xv))
-        return self.ev.convertible(a, b, ctx.sctx, ctx.collector)
+        """a <= b under the size hypotheses of ctx (`Evaluator.compare`)."""
+        return self.ev.compare(a, b, Rel.LE, ctx.sctx, ctx.collector)

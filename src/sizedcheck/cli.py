@@ -1,13 +1,15 @@
 """Batch driver: check files, run eval lets, run the golden corpus.
 
 Exit codes: 0 full success, 1 language-level rejection, 2 environment
-failure (unreadable file, malformed expectation), 3 internal error (an
-exception that is not a diagnostic, reported on one line)."""
+failure (unreadable file, malformed expectation, a standard output that the
+reader closed), 3 internal error (an exception that is not a diagnostic,
+reported on one line)."""
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,13 +188,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="mode", required=True)
 
     def common(p):
-        p.add_argument("--print-constraints", action="store_true",
-                       help="dump each clause's size constraints")
         p.add_argument("--print-sizes", action="store_true",
                        help="show erased size arguments in eval output")
-        p.add_argument("--explain-totality", metavar="NAME",
-                       help="print the call graph of NAME and the rule justifying it, "
-                       "or 'rejected'")
         p.add_argument("--unfold-fuel", type=int, default=DEFAULT_UNFOLD_FUEL, metavar="N",
                        help="unfold budget per declaration and per eval let")
         p.add_argument("--print-depth", type=int, default=DEFAULT_PRINT_DEPTH, metavar="N",
@@ -200,6 +197,11 @@ def main(argv=None) -> int:
 
     pc = sub.add_parser("check", help="check files and run their eval lets")
     pc.add_argument("files", nargs="+", metavar="FILE")
+    pc.add_argument("--print-constraints", action="store_true",
+                    help="dump each clause's size constraints")
+    pc.add_argument("--explain-totality", metavar="NAME",
+                    help="print the call graph of NAME and the rule justifying it, "
+                    "or 'rejected'")
     common(pc)
     pg = sub.add_parser("golden", help="run an accept/reject corpus")
     pg.add_argument("dir", metavar="DIR")
@@ -208,16 +210,22 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     if ns.unfold_fuel < 1 or ns.print_depth < 0:
         ap.error("--unfold-fuel must be >= 1 and --print-depth >= 0")
+    check = ns.mode == "check"
     cfg = RunConfig(
-        paths=ns.files if ns.mode == "check" else [ns.dir],
-        print_constraints=ns.print_constraints,
+        paths=ns.files if check else [ns.dir],
+        print_constraints=check and ns.print_constraints,
         print_sizes=ns.print_sizes,
-        explain_totality=ns.explain_totality,
+        explain_totality=ns.explain_totality if check else None,
         unfold_fuel=ns.unfold_fuel,
         print_depth=ns.print_depth,
     )
     try:
-        return run_check(cfg) if ns.mode == "check" else run_golden(cfg)
+        return run_check(cfg) if check else run_golden(cfg)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail again (see the signal module's note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except Exception as exc:  # diagnostics never get here: check_source reports them
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

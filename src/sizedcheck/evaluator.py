@@ -1,5 +1,5 @@
 """Weak-head evaluation with erased sizes, runtime pattern matching,
-readback, and erasure-aware conversion checking.
+readback, and one comparison for both subtyping and conversion.
 
 Readback is one walk from values to syntax with two modes: `quote` reads
 back structurally, for types, diagnostics and the static analyses, and
@@ -28,7 +28,21 @@ value depends only on the closure's environment, which nothing mutates.
 application, subtyping, conversion) gets the same value, with no copied
 environment and no fresh variable, and two such codomains are compared with
 no variable bound.  A codomain that unfolds definitions therefore pays fuel
-only on its first instantiation, whichever declaration makes it."""
+only on its first instantiation, whichever declaration makes it.
+
+Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
+for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
+polarity.  Two cases read the relation.  A pair of data types compares each
+`++` parameter at the relation, each unmarked parameter and each index past
+the size for equality, and, under LE, its size index by entailment: upwards
+for data, downwards for codata (`Stream A ($ i) <= Stream A i`).  A pair of
+Pi types compares its domains the other way round and its codomains at the
+relation.  Every other pair is compared for equality: sizes, universes,
+constructors, lambdas, and neutral or defined heads with their spines.
+Under LE both sides are put in whnf first, strictly, so an unmatched closed
+value raises STUCK-MATCH; under EQ a defined head is unfolded only when the
+two sides differ, never strictly, and two sizes a, b are constrained as
+a <= b before b <= a, which fixes the order of the constraint dump."""
 
 from __future__ import annotations
 
@@ -59,6 +73,7 @@ from .syntax import (
     PCon,
     PDot,
     Pi,
+    Polarity,
     Pos,
     PSizeRel,
     PSucc,
@@ -91,6 +106,9 @@ _NOMATCH = object()
 _STUCK = object()
 # the binder of every arrow's VPi: displayed, never bound
 _ARROW = fresh_ident("_x")
+# compare reads these on every call; reading an enum member through its class
+# costs a descriptor call in CPython 3.11, about ten times a global's cost
+_LE, _EQ, _COVARIANT = Rel.LE, Rel.EQ, Polarity.STRICT_POS
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -454,7 +472,7 @@ class Evaluator:
             head = App(head, arg, annot)
         return head
 
-    # -- conversion -----------------------------------------------------------
+    # -- comparison -----------------------------------------------------------
 
     def convertible(
         self,
@@ -463,7 +481,7 @@ class Evaluator:
         sctx: SizeCtx | None = None,
         collector: list[SizeConstraint] | None = None,
     ) -> bool:
-        return self._conv(a, b, sctx or SizeCtx(), collector)
+        return self.compare(a, b, _EQ, sctx or SizeCtx(), collector)
 
     def size_entails(
         self,
@@ -487,15 +505,57 @@ class Evaluator:
                 return ns_var(h)
         return None
 
-    def _conv(self, a: Value, b: Value, sctx: SizeCtx, col) -> bool:
-        if a is b:
+    def compare(self, a: Value, b: Value, rel: Rel, sctx: SizeCtx, col) -> bool:
+        """a <= b for rel LE (subtyping), a = b for rel EQ (conversion), under
+        the size hypotheses sctx; size constraints on holes go to col.  See
+        the module docstring."""
+        if rel is _LE:
+            a, b = self.whnf(a), self.whnf(b)
+        elif a is b:
             return True
+        # data and Pi pairs are decided first: the size and unfolding cases
+        # below never apply to them
+        if isinstance(a, VData) and isinstance(b, VData):
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+            entry = self.sig.data(a.name)
+            n_params = len(entry.params)
+            for k, (t1, t2) in enumerate(zip(a.args, b.args)):
+                v1, v2 = self.force(t1), self.force(t2)
+                if k < n_params and entry.params[k][1] is _COVARIANT:
+                    ok = self.compare(v1, v2, rel, sctx, col)
+                elif rel is _LE and entry.sized and k == n_params:
+                    lo, hi = self.size_view(v1), self.size_view(v2)
+                    if entry.coinductive:
+                        lo, hi = hi, lo
+                    ok = (lo is not None and hi is not None
+                          and self.size_entails(sctx, lo, _LE, hi, col))
+                else:
+                    ok = self.compare(v1, v2, _EQ, sctx, col)
+                if not ok:
+                    return False
+            return True
+        if isinstance(a, VPi) and isinstance(b, VPi):
+            if a.annot is not b.annot:
+                return False
+            d1, d2 = (b.domain, a.domain) if rel is _LE else (a.domain, b.domain)
+            if not self.compare(d1, d2, rel, sctx, col):
+                return False
+            c1, c2 = a.closure, b.closure
+            if c1.binder is None and c2.binder is None:
+                return self.compare(self.close(c1, None), self.close(c2, None), rel, sctx, col)
+            x = self.fresh_neutral(a.binder.text, a.domain)
+            if isinstance(x, VSize):
+                sctx = sctx.declare(x.size.atom()[0])
+            return self.compare(self.close(c1, x), self.close(c2, x), rel, sctx, col)
+        if rel is _LE:
+            return self.compare(a, b, _EQ, sctx, col)
         if isinstance(a, VSize) or isinstance(b, VSize):
             nsa, nsb = self.size_view(a), self.size_view(b)
             if nsa is None or nsb is None:
                 return False
-            return self.size_entails(sctx, nsa, Rel.LE, nsb, col) and self.size_entails(
-                sctx, nsb, Rel.LE, nsa, col
+            return self.size_entails(sctx, nsa, _LE, nsb, col) and self.size_entails(
+                sctx, nsb, _LE, nsa, col
             )
         if (
             isinstance(a, VDef)
@@ -503,40 +563,25 @@ class Evaluator:
             and a.name == b.name
             and len(a.spine) == len(b.spine)
         ):
-            if self._conv_spine(a.spine, b.spine, sctx, col):
+            if self._compare_spines(a.spine, b.spine, sctx, col):
                 return True
         ua = self._unfold(a, (0, 0), strict=False) if isinstance(a, VDef) else None
         ub = self._unfold(b, (0, 0), strict=False) if isinstance(b, VDef) else None
         if ua is not None or ub is not None:
-            return self._conv(ua if ua is not None else a, ub if ub is not None else b, sctx, col)
+            a, b = ua if ua is not None else a, ub if ub is not None else b
+            return self.compare(a, b, _EQ, sctx, col)
         match (a, b):
             case (VSet(), VSet()) | (VSizeU(), VSizeU()):
                 return True
-            case (VPi(an1, b1, d1, c1), VPi(an2, _, d2, c2)):
-                if an1 is not an2:
-                    return False
-                if not self._conv(d1, d2, sctx, col):
-                    return False
-                if c1.binder is None and c2.binder is None:
-                    return self._conv(self.close(c1, None), self.close(c2, None), sctx, col)
-                x = self.fresh_neutral(b1.text, d1)
-                if isinstance(x, VSize):
-                    sctx = sctx.declare(x.size.atom()[0])
-                return self._conv(self.close(c1, x), self.close(c2, x), sctx, col)
-            case (VLam(b1, _), _):
-                # the domain is unknown, so the variable is declared as a
-                # size in case the body uses it as one
-                x = self.fresh_neutral(b1.text)
+            case (VLam(binder, _), _) | (_, VLam(binder, _)):
+                # both sides are applied to one fresh variable; its domain is
+                # unknown, so it is declared as a size in case a body uses it
+                # as one
+                x = self.fresh_neutral(binder.text)
                 sctx = sctx.declare(x.head)
-                return self._conv(
-                    self.close(a.closure, x), self.apply(b, Thunk.of(x), Annot.RELEVANT), sctx, col
-                )
-            case (_, VLam(b2, _)):
-                x = self.fresh_neutral(b2.text)
-                sctx = sctx.declare(x.head)
-                return self._conv(
-                    self.apply(a, Thunk.of(x), Annot.RELEVANT), self.close(b.closure, x), sctx, col
-                )
+                a = self.apply(a, Thunk.of(x), Annot.RELEVANT)
+                b = self.apply(b, Thunk.of(x), Annot.RELEVANT)
+                return self.compare(a, b, _EQ, sctx, col)
             case (VCon(c1, args1), VCon(c2, args2)):
                 if c1 != c2 or len(args1) != len(args2):
                     return False
@@ -550,27 +595,20 @@ class Evaluator:
                     annot = annots[k] if k < len(annots) else Annot.RELEVANT
                     if annot is Annot.PARAMETRIC:
                         continue
-                    if not self._conv(self.force(t1), self.force(t2), sctx, col):
+                    if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):
                         return False
                 return True
-            case (VData(d1, args1), VData(d2, args2)):
-                if d1 != d2 or len(args1) != len(args2):
-                    return False
-                return all(
-                    self._conv(self.force(t1), self.force(t2), sctx, col)
-                    for t1, t2 in zip(args1, args2)
-                )
             case (VNe(h1, sp1), VNe(h2, sp2)):
                 if h1 != h2 or len(sp1) != len(sp2):
                     return False
-                return self._conv_spine(sp1, sp2, sctx, col)
+                return self._compare_spines(sp1, sp2, sctx, col)
         return False
 
-    def _conv_spine(self, sp1: Spine, sp2: Spine, sctx: SizeCtx, col) -> bool:
+    def _compare_spines(self, sp1: Spine, sp2: Spine, sctx: SizeCtx, col) -> bool:
         for (t1, an1), (t2, _) in zip(sp1, sp2):
             if an1 is Annot.PARAMETRIC:
                 continue
             self._tick()
-            if not self._conv(self.force(t1), self.force(t2), sctx, col):
+            if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):
                 return False
         return True

@@ -168,13 +168,7 @@ def _pattern_bind(sc: _Scope, env: _Locals, p: Pattern) -> Pattern:
             g = sc.resolve_global(x.text)
             if g is not None and g[1] == "con":
                 return PCon(g[0], [], pos)
-            if env.lookup(x.text) is not None:
-                raise ScopeError(
-                    "DUPLICATE",
-                    f"pattern variable '{x.text}' bound twice in one clause",
-                    pos,
-                )
-            return PVar(env.bind(x), pos)
+            return PVar(_bind_once(env, x, pos), pos)
         case PCon(con, args, pos):
             g = sc.resolve_global(con.text)
             if g is None:
@@ -188,23 +182,20 @@ def _pattern_bind(sc: _Scope, env: _Locals, p: Pattern) -> Pattern:
             par = env.lookup(parent.text)
             if par is None:
                 raise _unbound(parent.text, pos)
-            if env.lookup(child.text) is not None:
-                raise ScopeError(
-                    "DUPLICATE",
-                    f"pattern variable '{child.text}' bound twice in one clause",
-                    pos,
-                )
-            return PSizeRel(par, env.bind(child), pos)
+            return PSizeRel(par, _bind_once(env, child, pos), pos)
         case PSucc(child, pos):
-            if env.lookup(child.text) is not None:
-                raise ScopeError(
-                    "DUPLICATE",
-                    f"pattern variable '{child.text}' bound twice in one clause",
-                    pos,
-                )
-            return PSucc(env.bind(child), pos)
+            return PSucc(_bind_once(env, child, pos), pos)
         case _:
             return p
+
+
+def _bind_once(env: _Locals, x: Ident, pos: Pos) -> Ident:
+    """Bind pattern variable x; a name that env already binds is DUPLICATE."""
+    if env.lookup(x.text) is not None:
+        raise ScopeError(
+            "DUPLICATE", f"pattern variable '{x.text}' bound twice in one clause", pos
+        )
+    return env.bind(x)
 
 
 def _pattern_dots(sc: _Scope, env: _Locals, p: Pattern) -> Pattern:

@@ -10,12 +10,12 @@ from conftest import CORPUS
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sizedcheck", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -86,3 +86,22 @@ def test_explain_totality_shows_the_calls_of_a_rejected_function():
     assert r.stdout.splitlines() == ["spin: rejected", "  call spin at 9:21: size <= args [? eq]"]
     assert r.stderr == run_cli("check", str(spin)).stderr
     assert r.stderr.startswith("TERMINATION ")
+
+
+def test_golden_rejects_the_options_only_check_reads():
+    for flag in ("--print-constraints", "--explain-totality=spin"):
+        r = run_cli("golden", flag, str(CORPUS))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "unrecognized arguments: " + flag in r.stderr
+
+
+def test_closed_stdout_exits_2_quietly():
+    # the reading end of the pipe is closed before the checker writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = run_cli("golden", str(CORPUS), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (2, "")
