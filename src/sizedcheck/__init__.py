@@ -4,8 +4,8 @@ dependently typed core language with sized inductive and coinductive types."""
 from .checker import Checker, Ctx
 from .cli import CheckResult, RunConfig, check_source, run_check, run_golden
 from .diagnostics import CODES, Diagnostic
-from .parser import ParseError, parse_source, tokenize
-from .scope import ScopeError, scope_check
+from .parser import parse_source, tokenize
+from .scope import scope_check
 from .signature import Signature
 
 __version__ = "0.1.0"
@@ -16,9 +16,7 @@ __all__ = [
     "Ctx",
     "CODES",
     "Diagnostic",
-    "ParseError",
     "RunConfig",
-    "ScopeError",
     "Signature",
     "check_source",
     "parse_source",

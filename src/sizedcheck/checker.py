@@ -24,7 +24,6 @@ from .signature import (
     FunEntry,
     LetEntry,
     Signature,
-    Totality,
 )
 from .sizes import (
     Ambiguous,
@@ -321,7 +320,7 @@ class Checker:
 
         def go(e: Expr):
             match e:
-                case App(_, _):
+                case App():
                     head, args = spine(e)
                     if isinstance(head, Def) and head.name == dname:
                         if len(args) <= n_params or not isinstance(
@@ -346,12 +345,12 @@ class Checker:
                         go(a)
                     if not isinstance(head, (Def, Con, Var)):
                         go(head)
-                case Pi(_, _, dom, cod):
+                case Pi(domain=dom, codomain=cod):
                     go(dom)
                     go(cod)
-                case Lam(_, body):
+                case Lam(body=body):
                     go(body)
-                case Def(x) if x == dname:
+                case Def(name=x) if x == dname:
                     raise Diagnostic(
                         "SIZE-INDEX-SHAPE",
                         f"unapplied recursive occurrence of '{dname.text}' in "
@@ -389,7 +388,6 @@ class Checker:
         for idx, clause in enumerate(f.clauses):
             entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
         entry.report = termination_check(entry, self.sig)
-        entry.totality = Totality.CHECKED
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
         ctx, residual, obligations, pats, _ = self._elab_patterns(
@@ -475,7 +473,7 @@ class Checker:
             case PWild():
                 x = fresh_ident("_i")
                 return ctx.bind(x, VSizeU(), pi.annot), VSize(ns_var(x))
-            case PVar(x):
+            case PVar(name=x):
                 ctx = ctx.bind(x, VSizeU(), pi.annot)
                 size = ns_var(x)
             case _ if fun is None:
@@ -484,7 +482,7 @@ class Checker:
                     "only variable patterns may match an inner size argument",
                     p.pos,
                 )
-            case PSucc(j):
+            case PSucc(child=j):
                 if not fun.coinductive:
                     raise Diagnostic(
                         "ADMISSIBILITY",
@@ -499,14 +497,14 @@ class Checker:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
                 ctx = ctx.bind(j, VSizeU(), pi.annot)
                 size = bump(ns_var(j), 1)
-            case PDot(_):
+            case PDot():
                 raise Diagnostic(
                     "ILLEGAL-SIZE-REFINEMENT",
                     "a dot pattern may not refine a size parameter of the "
                     "function itself",
                     p.pos,
                 )
-            case PSizeRel(_, _):
+            case PSizeRel():
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     "size patterns (i > j) belong inside constructor patterns",
@@ -525,14 +523,14 @@ class Checker:
         extended context, the value matched, dot obligations and the
         elaborated pattern."""
         match p:
-            case PVar(x):
+            case PVar(name=x):
                 ctx = ctx.bind(x, dom, annot)
                 return ctx, self.ev.force(ctx.env[x.uid]), [], p
             case PWild():
                 x = fresh_ident("_x")
                 ctx = ctx.bind(x, dom, annot)
                 return ctx, self.ev.force(ctx.env[x.uid]), [], p
-            case PCon(_, _):
+            case PCon():
                 if not isinstance(dom, VData):
                     raise Diagnostic(
                         "TYPE-MISMATCH",
@@ -541,19 +539,19 @@ class Checker:
                         p.pos,
                     )
                 return self._elab_con_pattern(ctx, dom, annot, p)
-            case PDot(_):
+            case PDot():
                 raise Diagnostic(
                     "DOT-MISMATCH",
                     "dot pattern in a position not determined by the type",
                     p.pos,
                 )
-            case PSucc(_):
+            case PSucc():
                 raise Diagnostic(
                     "ADMISSIBILITY",
                     "successor patterns only match size arguments",
                     p.pos,
                 )
-            case PSizeRel(_, _):
+            case PSizeRel():
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     "size patterns (i > j) belong inside constructor patterns",
@@ -596,9 +594,9 @@ class Checker:
             forced = self.ev.force(dty.args[k])
             sub = p.args[k]
             match sub:
-                case PDot(e):
+                case PDot(expr=e):
                     obligations.append((e, self.ev.whnf(ct.domain), forced, sub.pos))
-                case PVar(x):
+                case PVar(name=x):
                     ctx = ctx.bind_value(x, self.ev.whnf(ct.domain), Annot.PARAMETRIC, forced)
                 case PWild():
                     pass
@@ -636,7 +634,7 @@ class Checker:
                         p.pos,
                     )
                 match sub:
-                    case PSizeRel(parent, child):
+                    case PSizeRel(parent=parent, child=child):
                         if parent != base:
                             raise Diagnostic(
                                 "SIZE-PATTERN-REQUIRED",
@@ -648,7 +646,7 @@ class Checker:
                             child, VSizeU(), ct.annot, hypothesis=(ns_var(parent), True)
                         )
                         size_val: Value = VSize(ns_var(child))
-                    case PDot(_):
+                    case PDot():
                         raise Diagnostic(
                             "SIZE-PATTERN-REQUIRED",
                             "matching at a variable size requires a size "
@@ -675,7 +673,7 @@ class Checker:
                     else NormalSize(frozenset({(s_ns.atom()[0], s_ns.atom()[1] - 1)}))
                 )
                 match sub:
-                    case PDot(e):
+                    case PDot(expr=e):
                         obligations.append((e, VSizeU(), VSize(pred), sub.pos))
                     case _:
                         raise Diagnostic(
@@ -737,7 +735,7 @@ class Checker:
         match e:
             case SetU() | SizeU():
                 return e
-            case Pi(annot, binder, dom, cod, pos):
+            case Pi(annot=annot, binder=binder, domain=dom, codomain=cod, pos=pos):
                 dom2 = self.check_type(ctx, dom)
                 if binder is not None:
                     dv = self.ev.evaluate(ctx.env, dom2)
@@ -758,9 +756,9 @@ class Checker:
 
     def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> SizeExpr:
         match e:
-            case Var(x):
+            case Var(name=x):
                 s: SizeExpr = SVar(x)
-            case Size(s):
+            case Size(size=s):
                 pass
             case _:
                 raise Diagnostic(
@@ -796,14 +794,14 @@ class Checker:
 
     def _infer_atom(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
         match e:
-            case Var(x):
+            case Var(name=x):
                 b = ctx.lookup(x)
                 assert b is not None, f"unbound variable {x!r} after scope checking"
                 self._use_check(ctx, x, erased, e.pos)
                 if isinstance(self.ev.whnf(b.type), VSizeU):
                     return Size(SVar(x), e.pos), b.type
                 return e, b.type
-            case Def(x):
+            case Def(name=x):
                 entry = self.sig[x]
                 match entry:
                     case DataEntry():
@@ -811,25 +809,25 @@ class Checker:
                     case FunEntry() | LetEntry():
                         return e, getattr(entry, "type_value")
                 raise AssertionError(entry)
-            case Con(x):
+            case Con(name=x):
                 return e, self.sig.con(x).type_value
         raise AssertionError(e)
 
     def infer(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
         match e:
-            case Var(_) | Con(_):
+            case Var() | Con():
                 return self._infer_atom(ctx, e, erased)
-            case Def(x):
+            case Def(name=x):
                 elab, ty = self._infer_atom(ctx, e, erased)
                 st = ctx.state
                 if st is not None and st.fun == x.uid:
                     st.calls.append(CallSite([], None, ctx.sctx, st.lhs_size, st.index, e.pos))
                 return elab, ty
-            case Pi(_, _, _, _):
+            case Pi():
                 return self.check_type(ctx, e), VSet()
-            case Size(_):
+            case Size():
                 return Size(self.as_size(ctx, e, erased), e.pos), VSizeU()
-            case App(_, _):
+            case App():
                 return self._infer_app(ctx, e, erased)
             case SetU():
                 raise Diagnostic(
@@ -844,11 +842,11 @@ class Checker:
                     "Size may only appear where a type is expected",
                     e.pos,
                 )
-            case Lam(_, _):
+            case Lam():
                 raise Diagnostic(
                     "TYPE-MISMATCH", "cannot infer the type of a lambda", e.pos
                 )
-            case CaseSize(_, _, _) | CaseData(_, _):
+            case CaseSize() | CaseData():
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     "a case expression is only accepted where its type is known",
@@ -903,7 +901,7 @@ class Checker:
     def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
         expected = self.ev.whnf(expected)
         match e:
-            case Lam(x, body, pos):
+            case Lam(binder=x, body=body, pos=pos):
                 if not isinstance(expected, VPi):
                     raise Diagnostic(
                         "TYPE-MISMATCH",
@@ -914,9 +912,9 @@ class Checker:
                 ctx2 = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
                 body_ty = self.ev.instantiate(expected, self.ev.force(ctx2.env[x.uid]))
                 return Lam(x, self.check(ctx2, body, body_ty, erased), pos)
-            case CaseSize(_, _, _):
+            case CaseSize():
                 return self._check_case_size(ctx, e, expected, erased)
-            case CaseData(_, _):
+            case CaseData():
                 return self._check_case_data(ctx, e, expected, erased)
             case SetU():
                 if isinstance(expected, VSet):
@@ -926,7 +924,7 @@ class Checker:
                     f"Set checked against '{pretty(self.ev.quote(expected))}'",
                     e.pos,
                 )
-            case Pi(_, _, _, _):
+            case Pi():
                 if isinstance(expected, VSet):
                     return self.check_type(ctx, e)
                 raise Diagnostic(
@@ -935,9 +933,9 @@ class Checker:
                     f"'{pretty(self.ev.quote(expected))}'",
                     e.pos,
                 )
-            case Size(s) if isinstance(expected, VSizeU):
+            case Size(size=s) if isinstance(expected, VSizeU):
                 return Size(self.as_size(ctx, e, erased), e.pos)
-            case Size(SMeta(_)):
+            case Size(size=SMeta()):
                 raise Diagnostic(
                     "UNSOLVED-META",
                     f"a hole '_' stands for a size, but "

@@ -17,8 +17,8 @@ from pathlib import Path
 from .checker import Checker
 from .diagnostics import Diagnostic
 from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL
-from .parser import ParseError, parse_source
-from .scope import ScopeError, scope_check
+from .parser import parse_source
+from .scope import scope_check
 from .signature import FunEntry, Signature
 
 
@@ -48,25 +48,19 @@ class CheckResult:
 
 def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> CheckResult:
     cfg = cfg or RunConfig([])
+    checker = None  # built after parsing, so a parse or scope fault dumps nothing
     try:
         decls = scope_check(parse_source(source))
-    except ParseError as e:
-        d = Diagnostic("PARSE", e.message, (e.line, e.col), filename)
-        return CheckResult(None, [], [], d)
-    except ScopeError as e:
-        d = Diagnostic(e.code, e.message, e.pos, filename)
-        return CheckResult(None, [], [], d)
-    checker = Checker(
-        unfold_fuel=cfg.unfold_fuel,
-        print_depth=cfg.print_depth,
-        print_sizes=cfg.print_sizes,
-        collect_constraints=cfg.print_constraints,
-    )
-    try:
+        checker = Checker(
+            unfold_fuel=cfg.unfold_fuel,
+            print_depth=cfg.print_depth,
+            print_sizes=cfg.print_sizes,
+            collect_constraints=cfg.print_constraints,
+        )
         sig, outputs = checker.check_program(decls)
     except Diagnostic as d:
         d.file = filename
-        return CheckResult(None, [], checker.constraint_dump, d)
+        return CheckResult(None, [], [] if checker is None else checker.constraint_dump, d)
     return CheckResult(sig, outputs, checker.constraint_dump, None)
 
 

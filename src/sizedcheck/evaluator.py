@@ -47,7 +47,7 @@ a <= b before b <= a, which fixes the order of the constraint dump."""
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .signature import DataEntry, FunEntry, LetEntry, Signature, Totality
+from .signature import DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
     NormalSize,
     Rel,
@@ -106,9 +106,11 @@ _NOMATCH = object()
 _STUCK = object()
 # the binder of every arrow's VPi: displayed, never bound
 _ARROW = fresh_ident("_x")
-# compare reads these on every call; reading an enum member through its class
-# costs a descriptor call in CPython 3.11, about ten times a global's cost
+# the hot paths read these on every call or argument; reading an enum member
+# through its class costs a descriptor call in CPython 3.11, about ten times a
+# global's cost
 _LE, _EQ, _COVARIANT = Rel.LE, Rel.EQ, Polarity.STRICT_POS
+_RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -162,12 +164,12 @@ class Evaluator:
 
     def evaluate(self, env: dict, e: Expr) -> Value:
         match e:
-            case Var(x):
+            case Var(name=x):
                 th = env.get(x.uid)
                 if th is None:
                     return VNe(x)
                 return self.force(th)
-            case Def(x):
+            case Def(name=x):
                 entry = self.sig[x]
                 match entry:
                     case DataEntry():
@@ -179,29 +181,29 @@ class Evaluator:
                             entry.thunk = Thunk({}, entry.body)
                         return self.force(entry.thunk)
                 raise AssertionError(f"evaluate: bad Def target {x!r}")
-            case Con(x):
+            case Con(name=x):
                 return VCon(x, [])
-            case App(f, a, annot):
+            case App(fun=f, arg=a, annot=annot):
                 fv = self.evaluate(env, f)
-                return self.apply(fv, Thunk(env, a), annot or Annot.RELEVANT, e.pos)
-            case Lam(x, body):
+                return self.apply(fv, Thunk(env, a), annot or _RELEVANT, e.pos)
+            case Lam(binder=x, body=body):
                 return VLam(x, Closure(env, x, body))
-            case Pi(annot, binder, dom, cod):
+            case Pi(annot=annot, binder=binder, domain=dom, codomain=cod):
                 clo = Closure(env, binder, cod)
                 return VPi(annot, binder or _ARROW, self.evaluate(env, dom), clo)
             case SetU():
                 return VSet()
             case SizeU():
                 return VSizeU()
-            case Size(s):
+            case Size(size=s):
                 return VSize(self.eval_size(env, s))
-            case CaseSize(s, binder, branch):
+            case CaseSize(scrut=s, binder=binder, branch=branch):
                 # the match is computationally irrelevant; bind the scrutinee
                 ns = self.eval_size(env, s)
                 env2 = dict(env)
                 env2[binder.uid] = Thunk.of(VSize(ns))
                 return self.evaluate(env2, branch)
-            case CaseData(scrut, branches, pos):
+            case CaseData(scrut=scrut, branches=branches, pos=pos):
                 v = self.whnf(self.evaluate(env, scrut), pos)
                 for pat, body in branches:
                     env2 = dict(env)
@@ -222,9 +224,9 @@ class Evaluator:
                 return None
             v = self.force(th)
             match v:
-                case VSize(ns):
+                case VSize(size=ns):
                     return ns
-                case VNe(h, []):
+                case VNe(head=h, spine=[]):
                     return ns_var(h)
             raise AssertionError(f"size variable bound to non-size value {v!r}")
 
@@ -232,17 +234,17 @@ class Evaluator:
 
     def apply(self, fv: Value, th: Thunk, annot: Annot, pos: Pos = (0, 0)) -> Value:
         match fv:
-            case VLam(_, clo):
+            case VLam(closure=clo):
                 env2 = dict(clo.env)
                 env2[clo.binder.uid] = th
                 return self.evaluate(env2, clo.body)
-            case VCon(c, args):
+            case VCon(con=c, args=args):
                 return VCon(c, args + [th])
-            case VData(d, args):
+            case VData(name=d, args=args):
                 return VData(d, args + [th])
-            case VNe(h, spine):
+            case VNe(head=h, spine=spine):
                 return VNe(h, spine + [(th, annot)])
-            case VDef(f, spine):
+            case VDef(name=f, spine=spine):
                 v = VDef(f, spine + [(th, annot)])
                 entry = self.sig.fun(f)
                 if not entry.coinductive:
@@ -294,7 +296,7 @@ class Evaluator:
         is underapplied or stuck; raises on an unmatched closed value only in
         strict (runtime) mode."""
         entry = self.sig.fun(v.name)
-        if entry.totality is not Totality.CHECKED:
+        if entry.report is None:
             return None  # rigid while its own clauses are still being checked
         if v.stuck or len(v.spine) < entry.arity:
             return None
@@ -362,24 +364,24 @@ class Evaluator:
 
     def _match(self, p: Pattern, th: Thunk, env: dict, pos: Pos):
         match p:
-            case PVar(x):
+            case PVar(name=x):
                 env[x.uid] = th
                 return True
-            case PWild() | PDot(_):
+            case PWild() | PDot():
                 return True
-            case PSucc(j):
+            case PSucc(child=j):
                 ns = self.size_view(self.force(th))
                 if ns is None:
                     return _STUCK
                 env[j.uid] = Thunk.of(VSize(_size_pred(ns)))
                 return True
-            case PSizeRel(_, j):
+            case PSizeRel(child=j):
                 env[j.uid] = th
                 return True
-            case PCon(c, subs):
+            case PCon(con=c, args=subs):
                 v = self.whnf(self.force(th), pos)
                 match v:
-                    case VCon(c2, args):
+                    case VCon(con=c2, args=args):
                         if c2 != c:
                             return _NOMATCH
                         if len(subs) != len(args):
@@ -420,19 +422,19 @@ class Evaluator:
                 return SetU()
             case VSizeU():
                 return SizeU()
-            case VSize(ns):
+            case VSize(size=ns):
                 return Size(to_size_expr(ns))
-            case VPi(annot, binder, dom, clo):
+            case VPi(annot=annot, binder=binder, domain=dom, closure=clo):
                 if clo.binder is None:
                     x, body = None, self.close(clo, None)
                 else:
                     x = fresh_ident(binder.text)
                     body = self.close(clo, VNe(x))
                 return Pi(annot, x, self._read(dom, None), self._read(body, None))
-            case VLam(binder, clo):
+            case VLam(binder=binder, closure=clo):
                 x = fresh_ident(binder.text)
                 return Lam(x, self._read(self.close(clo, VNe(x)), depth))
-            case VCon(c, args):
+            case VCon(con=c, args=args):
                 centry = self.sig.con(c)
                 if depth is not None and self.sig.data(centry.data).coinductive:
                     if depth <= 0:
@@ -440,13 +442,13 @@ class Evaluator:
                     depth -= 1
                 e: Expr = Con(c)
                 for k, th in enumerate(args):
-                    annot = centry.annots[k] if k < len(centry.annots) else Annot.RELEVANT
+                    annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
                     if depth is None:
                         arg = self._read(self.force(th), None)
                     elif k < centry.n_params:
                         continue  # parameters are determined by the type
                     elif centry.has_size and k == centry.n_params:
-                        if annot is Annot.PARAMETRIC and not self.print_sizes:
+                        if annot is _PARAMETRIC and not self.print_sizes:
                             arg = Size(SMeta(-1))
                         else:
                             arg = self._read(self.force(th), None)
@@ -455,17 +457,17 @@ class Evaluator:
                         arg = self._read(self.force(th), depth)
                     e = App(e, arg, annot)
                 return e
-            case VData(d, args):
-                return self._read_spine(Def(d), [(th, Annot.RELEVANT) for th in args], None)
-            case VNe(h, spine):
+            case VData(name=d, args=args):
+                return self._read_spine(Def(d), [(th, _RELEVANT) for th in args], None)
+            case VNe(head=h, spine=spine):
                 return self._read_spine(Var(h), spine, depth)
-            case VDef(f, spine):
+            case VDef(name=f, spine=spine):
                 return self._read_spine(Def(f), spine, depth)
         raise AssertionError(f"readback: unhandled value {v!r}")
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
-            if depth is not None and annot is Annot.PARAMETRIC and not self.print_sizes:
+            if depth is not None and annot is _PARAMETRIC and not self.print_sizes:
                 arg: Expr = Size(SMeta(-1))
             else:
                 arg = self._read(self.force(th), depth)
@@ -487,21 +489,21 @@ class Evaluator:
         self,
         sctx: SizeCtx,
         a: NormalSize,
-        rel: Rel,
         b: NormalSize,
         collector: list[SizeConstraint] | None,
     ) -> bool:
+        """a <= b under sctx, or a constraint on collector if a hole occurs."""
         if (a.metas() or b.metas()) and collector is not None:
-            collector.append(SizeConstraint(a, rel, b, sctx))
+            collector.append(SizeConstraint(a, _LE, b, sctx))
             return True
-        return entails(sctx, a, rel, b)
+        return entails(sctx, a, _LE, b)
 
     def size_view(self, v: Value) -> NormalSize | None:
         """The normal form of a size value or of a bare size variable."""
         match v:
-            case VSize(ns):
+            case VSize(size=ns):
                 return ns
-            case VNe(h, []):
+            case VNe(head=h, spine=[]):
                 return ns_var(h)
         return None
 
@@ -529,7 +531,7 @@ class Evaluator:
                     if entry.coinductive:
                         lo, hi = hi, lo
                     ok = (lo is not None and hi is not None
-                          and self.size_entails(sctx, lo, _LE, hi, col))
+                          and self.size_entails(sctx, lo, hi, col))
                 else:
                     ok = self.compare(v1, v2, _EQ, sctx, col)
                 if not ok:
@@ -554,9 +556,8 @@ class Evaluator:
             nsa, nsb = self.size_view(a), self.size_view(b)
             if nsa is None or nsb is None:
                 return False
-            return self.size_entails(sctx, nsa, _LE, nsb, col) and self.size_entails(
-                sctx, nsb, _LE, nsa, col
-            )
+            return (self.size_entails(sctx, nsa, nsb, col)
+                    and self.size_entails(sctx, nsb, nsa, col))
         if (
             isinstance(a, VDef)
             and isinstance(b, VDef)
@@ -573,16 +574,16 @@ class Evaluator:
         match (a, b):
             case (VSet(), VSet()) | (VSizeU(), VSizeU()):
                 return True
-            case (VLam(binder, _), _) | (_, VLam(binder, _)):
+            case (VLam(binder=binder), _) | (_, VLam(binder=binder)):
                 # both sides are applied to one fresh variable; its domain is
                 # unknown, so it is declared as a size in case a body uses it
                 # as one
                 x = self.fresh_neutral(binder.text)
                 sctx = sctx.declare(x.head)
-                a = self.apply(a, Thunk.of(x), Annot.RELEVANT)
-                b = self.apply(b, Thunk.of(x), Annot.RELEVANT)
+                a = self.apply(a, Thunk.of(x), _RELEVANT)
+                b = self.apply(b, Thunk.of(x), _RELEVANT)
                 return self.compare(a, b, _EQ, sctx, col)
-            case (VCon(c1, args1), VCon(c2, args2)):
+            case (VCon(con=c1, args=args1), VCon(con=c2, args=args2)):
                 if c1 != c2 or len(args1) != len(args2):
                     return False
                 centry = self.sig.con(c1)
@@ -592,13 +593,13 @@ class Evaluator:
                     self._tick()
                 annots = centry.annots
                 for k, (t1, t2) in enumerate(zip(args1, args2)):
-                    annot = annots[k] if k < len(annots) else Annot.RELEVANT
-                    if annot is Annot.PARAMETRIC:
+                    annot = annots[k] if k < len(annots) else _RELEVANT
+                    if annot is _PARAMETRIC:
                         continue
                     if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):
                         return False
                 return True
-            case (VNe(h1, sp1), VNe(h2, sp2)):
+            case (VNe(head=h1, spine=sp1), VNe(head=h2, spine=sp2)):
                 if h1 != h2 or len(sp1) != len(sp2):
                     return False
                 return self._compare_spines(sp1, sp2, sctx, col)
@@ -606,7 +607,7 @@ class Evaluator:
 
     def _compare_spines(self, sp1: Spine, sp2: Spine, sctx: SizeCtx, col) -> bool:
         for (t1, an1), (t2, _) in zip(sp1, sp2):
-            if an1 is Annot.PARAMETRIC:
+            if an1 is _PARAMETRIC:
                 continue
             self._tick()
             if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):

@@ -1,5 +1,12 @@
 """Tokenizer and recursive-descent parser for the surface syntax (.ma files).
 
+A fault is raised where it is found, as a PARSE `Diagnostic` at the token
+that shows it.  The parser branches on token text alone: an identifier's text
+is never a keyword's or a symbol's, and eof's text is empty, so the token kind
+is read only to tell identifiers and eof apart.  A chain of binders and arrows
+(`(x : A) ->`, `[x : A] ->`, `\\ x ->`, `A ->`) is collected in a loop and
+folded to the right, so a long chain costs no stack.
+
 Identifiers produced here carry throwaway uids; scope checking rebuilds the
 tree with resolved names."""
 
@@ -7,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagnostics import Diagnostic
 from .syntax import (
     App,
     CaseData,
@@ -16,6 +24,7 @@ from .syntax import (
     Declaration,
     Expr,
     FunDecl,
+    Ident,
     LetDecl,
     Lam,
     Annot,
@@ -59,16 +68,6 @@ class Token:
     col: int
 
 
-@dataclass
-class ParseError(Exception):
-    message: str
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"{self.line}:{self.col}: {self.message}"
-
-
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
     line, col = 1, 1
@@ -109,9 +108,21 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        raise ParseError(f"illegal character {c!r}", line, col)
+        raise Diagnostic("PARSE", f"illegal character {c!r}", (line, col))
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# the texts that can begin an argument of an application, besides identifiers
+_ATOM_START = frozenset(("Set", "Size", "max", "case", "(", "$", "#", "_"))
+
+
+def _error(message: str, t: Token) -> Diagnostic:
+    return Diagnostic("PARSE", message, (t.line, t.col))
+
+
+def _found(t: Token) -> str:
+    return repr(t.text or t.kind)
 
 
 class _Parser:
@@ -120,7 +131,7 @@ class _Parser:
         self.toks = tokens + [tokens[-1]] * 2
         self.i = 0
         # one Ident per name text; binding structure is scope checking's job
-        self.interned: dict[str, object] = {}
+        self.interned: dict[str, Ident] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -133,297 +144,259 @@ class _Parser:
             self.i += 1
         return t
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, text: str, ahead: int = 0) -> bool:
+        return self.toks[self.i + ahead].text == text
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
+    def expect(self, text: str) -> Token:
+        t = self.toks[self.i]
+        if t.text != text:
+            raise _error(f"expected {text!r}, found {_found(t)}", t)
+        self.i += 1
+        return t
 
     def pos(self) -> tuple[int, int]:
-        t = self.peek()
+        t = self.toks[self.i]
         return (t.line, t.col)
 
-    def ident(self) -> tuple:
-        t = self.expect("ident")
-        if t.text not in self.interned:
-            self.interned[t.text] = fresh_ident(t.text)
-        return self.interned[t.text], (t.line, t.col)
+    def name_token(self) -> Token:
+        t = self.toks[self.i]
+        if t.kind != "ident":
+            raise _error(f"expected 'ident', found {_found(t)}", t)
+        self.i += 1
+        return t
+
+    def ident(self) -> Ident:
+        text = self.name_token().text
+        x = self.interned.get(text)
+        if x is None:
+            x = self.interned[text] = fresh_ident(text)
+        return x
+
+    def block(self, item) -> list:
+        """`{ item ; ... ; item }`, possibly empty."""
+        self.expect("{")
+        items = []
+        if not self.at("}"):
+            items.append(item())
+            while self.at(";"):
+                self.i += 1
+                items.append(item())
+        self.expect("}")
+        return items
 
     # -- declarations -------------------------------------------------------
 
     def program(self) -> list[Declaration]:
         decls = []
-        while not self.at("eof"):
+        while self.peek().kind != "eof":
             decls.append(self.declaration())
         return decls
 
     def declaration(self) -> Declaration:
-        p = self.pos()
-        if self.at("keyword", "sized") or self.at("keyword", "data") or self.at("keyword", "codata"):
-            return self.data_decl(p)
-        if self.at("keyword", "fun") or self.at("keyword", "cofun"):
-            return self.fun_decl(p)
-        if self.at("keyword", "eval") or self.at("keyword", "let"):
-            return self.let_decl(p)
         t = self.peek()
-        raise ParseError(f"expected a declaration, found {t.text or t.kind!r}", t.line, t.col)
+        p = (t.line, t.col)
+        match t.text:
+            case "sized" | "data" | "codata":
+                return self.data_decl(p)
+            case "fun" | "cofun":
+                return self.fun_decl(p)
+            case "eval" | "let":
+                return self.let_decl(p)
+        raise _error(f"expected a declaration, found {_found(t)}", t)
 
     def data_decl(self, p) -> DataDecl:
-        sized = False
-        if self.at("keyword", "sized"):
-            self.next()
-            sized = True
+        sized = self.at("sized")
+        if sized:
+            self.i += 1
         kw = self.next()
         if kw.text not in ("data", "codata"):
-            raise ParseError("expected 'data' or 'codata'", kw.line, kw.col)
-        name, _ = self.ident()
+            raise _error("expected 'data' or 'codata'", kw)
+        name = self.ident()
         params = []
-        while self.at("symbol", "++") or self.at("symbol", "("):
+        while self.at("++") or self.at("("):
             pol = Polarity.INVARIANT
-            if self.at("symbol", "++"):
-                self.next()
+            if self.at("++"):
+                self.i += 1
                 pol = Polarity.STRICT_POS
-            self.expect("symbol", "(")
-            pn, _ = self.ident()
-            self.expect("symbol", ":")
+            self.expect("(")
+            pn = self.ident()
+            self.expect(":")
             pt = self.expr()
-            self.expect("symbol", ")")
+            self.expect(")")
             params.append(ParamSpec(pn, pt, pol))
-        self.expect("symbol", ":")
+        self.expect(":")
         index_sig = self.expr()
-        cons = []
-        self.expect("symbol", "{")
-        if not self.at("symbol", "}"):
-            while True:
-                cp = self.pos()
-                cn, _ = self.ident()
-                self.expect("symbol", ":")
-                ct = self.expr()
-                cons.append(ConSpec(cn, ct, cp))
-                if self.at("symbol", ";"):
-                    self.next()
-                    continue
-                break
-        self.expect("symbol", "}")
+        cons = self.block(self.con_spec)
         return DataDecl(sized, kw.text == "codata", name, params, index_sig, cons, p)
+
+    def con_spec(self) -> ConSpec:
+        p = self.pos()
+        name = self.ident()
+        self.expect(":")
+        return ConSpec(name, self.expr(), p)
 
     def fun_decl(self, p) -> FunDecl:
         kw = self.next()
-        name, _ = self.ident()
-        self.expect("symbol", ":")
+        name = self.ident()
+        self.expect(":")
         ty = self.expr()
-        clauses = []
-        self.expect("symbol", "{")
-        if not self.at("symbol", "}"):
-            while True:
-                clauses.append(self.clause(name.text))
-                if self.at("symbol", ";"):
-                    self.next()
-                    continue
-                break
-        self.expect("symbol", "}")
+        clauses = self.block(lambda: self.clause(name.text))
         return FunDecl(kw.text == "cofun", name, ty, clauses, p)
 
     def clause(self, fname: str) -> Clause:
-        p = self.pos()
-        head = self.expect("ident")
+        head = self.name_token()
         if head.text != fname:
-            raise ParseError(
-                f"clause head {head.text!r} does not match function name {fname!r}",
-                head.line, head.col,
+            raise _error(
+                f"clause head {head.text!r} does not match function name {fname!r}", head
             )
         lhs = []
-        while not self.at("symbol", "="):
+        while not self.at("="):
             lhs.append(self.pattern_atom())
-        self.expect("symbol", "=")
-        rhs = self.expr()
-        return Clause(lhs, rhs, p)
+        self.expect("=")
+        return Clause(lhs, self.expr(), (head.line, head.col))
 
     def let_decl(self, p) -> LetDecl:
-        ev = False
-        if self.at("keyword", "eval"):
-            self.next()
-            ev = True
-        self.expect("keyword", "let")
-        name, _ = self.ident()
-        self.expect("symbol", ":")
+        ev = self.at("eval")
+        if ev:
+            self.i += 1
+        self.expect("let")
+        name = self.ident()
+        self.expect(":")
         ty = self.expr()
-        self.expect("symbol", "=")
-        body = self.expr()
-        return LetDecl(name, ty, body, ev, p)
+        self.expect("=")
+        return LetDecl(name, ty, self.expr(), ev, p)
 
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
-        p = self.pos()
-        if self.at("symbol", "(") and self.at("ident", ahead=1) and self.at("symbol", ":", ahead=2):
-            self.next()
-            x, _ = self.ident()
-            self.expect("symbol", ":")
-            dom = self.expr()
-            self.expect("symbol", ")")
-            self.expect("symbol", "->")
-            cod = self.expr()
-            return Pi(Annot.RELEVANT, x, dom, cod, p)
-        if self.at("symbol", "["):
-            self.next()
-            x, _ = self.ident()
-            self.expect("symbol", ":")
-            dom = self.expr()
-            self.expect("symbol", "]")
-            self.expect("symbol", "->")
-            cod = self.expr()
-            return Pi(Annot.PARAMETRIC, x, dom, cod, p)
-        if self.at("symbol", "\\"):
-            self.next()
-            x, _ = self.ident()
-            self.expect("symbol", "->")
-            body = self.expr()
-            return Lam(x, body, p)
-        head = self.app_expr()
-        if self.at("symbol", "->"):
-            self.next()
-            cod = self.expr()
-            return Pi(Annot.RELEVANT, None, head, cod, p)
-        return head
-
-    def at_atom(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident":
-            return True
-        if t.kind == "keyword":
-            return t.text in ("Set", "Size", "max", "case")
-        if t.kind == "symbol":
-            return t.text in ("(", "$", "#", "_")
-        return False
+        # the links of the chain, outermost first: (pos, annot, binder,
+        # domain), with annot None for a lambda
+        links = []
+        while True:
+            t = self.toks[self.i]
+            p = (t.line, t.col)
+            text = t.text
+            if text == "\\":
+                self.i += 1
+                x = self.ident()
+                self.expect("->")
+                links.append((p, None, x, None))
+            elif text == "[" or (
+                text == "(" and self.peek(1).kind == "ident" and self.at(":", 2)
+            ):
+                self.i += 1
+                x = self.ident()
+                self.expect(":")
+                dom = self.expr()
+                self.expect("]" if text == "[" else ")")
+                self.expect("->")
+                annot = Annot.PARAMETRIC if text == "[" else Annot.RELEVANT
+                links.append((p, annot, x, dom))
+            else:
+                e = self.app_expr()
+                if not self.at("->"):
+                    break
+                self.i += 1
+                links.append((p, Annot.RELEVANT, None, e))
+        for p, annot, x, dom in reversed(links):
+            e = Lam(x, e, p) if annot is None else Pi(annot, x, dom, e, p)
+        return e
 
     def app_expr(self) -> Expr:
         e = self.atom()
-        while self.at_atom():
-            p = self.pos()
-            arg = self.atom()
-            e = App(e, arg, None, p)
-        return e
+        while True:
+            t = self.toks[self.i]
+            if t.kind != "ident" and t.text not in _ATOM_START:
+                return e
+            e = App(e, self.atom(), None, (t.line, t.col))
 
     def atom(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.i]
         p = (t.line, t.col)
         if t.kind == "ident":
-            x, _ = self.ident()
-            return Var(x, p)
-        if self.at("keyword", "Set"):
-            self.next()
-            return SetU(p)
-        if self.at("keyword", "Size"):
-            self.next()
-            return SizeU(p)
-        if self.at("keyword", "max"):
-            self.next()
-            a = self.size_atom()
-            b = self.size_atom()
-            return Size(SMax(a, b), p)
-        if self.at("keyword", "case"):
-            self.next()
-            scrut = self.app_expr()
-            branches = []
-            self.expect("symbol", "{")
-            if not self.at("symbol", "}"):
-                while True:
-                    pat = self.pattern_atom()
-                    self.expect("symbol", "->")
-                    body = self.expr()
-                    branches.append((pat, body))
-                    if self.at("symbol", ";"):
-                        self.next()
-                        continue
-                    break
-            self.expect("symbol", "}")
-            return CaseData(scrut, branches, p)
-        if self.at("symbol", "$"):
-            self.next()
-            arg = self.size_atom()
-            return Size(SSucc(arg), p)
-        if self.at("symbol", "#"):
-            self.next()
-            return Size(SInfty(), p)
-        if self.at("symbol", "_"):
-            self.next()
-            return Size(SMeta(-1), p)
-        if self.at("symbol", "("):
-            self.next()
-            e = self.expr()
-            self.expect("symbol", ")")
-            return e
-        raise ParseError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
+            return Var(self.ident(), p)
+        self.i += 1  # a fault is reported at t, so consuming it first is safe
+        match t.text:
+            case "Set":
+                return SetU(p)
+            case "Size":
+                return SizeU(p)
+            case "max":
+                a = self.size_atom()
+                return Size(SMax(a, self.size_atom()), p)
+            case "case":
+                scrut = self.app_expr()
+                return CaseData(scrut, self.block(self.branch), p)
+            case "$":
+                return Size(SSucc(self.size_atom()), p)
+            case "#":
+                return Size(SInfty(), p)
+            case "_":
+                return Size(SMeta(-1), p)
+            case "(":
+                e = self.expr()
+                self.expect(")")
+                return e
+        raise _error(f"expected an expression, found {_found(t)}", t)
+
+    def branch(self) -> tuple[Pattern, Expr]:
+        pat = self.pattern_atom()
+        self.expect("->")
+        return pat, self.expr()
 
     def size_atom(self) -> SizeExpr:
-        t = self.peek()
+        t = self.toks[self.i]
         e = self.atom()
-        return self.to_size(e, t)
-
-    def to_size(self, e: Expr, t: Token) -> SizeExpr:
-        match e:
-            case Var(x):
-                return SVar(x)
-            case Size(s):
-                return s
-        raise ParseError("expected a size expression", t.line, t.col)
+        if isinstance(e, Var):
+            return SVar(e.name)
+        if isinstance(e, Size):
+            return e.size
+        raise _error("expected a size expression", t)
 
     # -- patterns -----------------------------------------------------------
 
     def pattern_atom(self) -> Pattern:
-        t = self.peek()
+        t = self.toks[self.i]
         p = (t.line, t.col)
         if t.kind == "ident":
-            x, _ = self.ident()
-            return PVar(x, p)
-        if self.at("symbol", "_"):
-            self.next()
-            return PWild(p)
-        if self.at("symbol", "."):
-            self.next()
-            e = self.atom()
-            return PDot(e, p)
-        if self.at("symbol", "("):
-            self.next()
-            if self.at("symbol", "$"):
-                self.next()
-                tv = self.peek()
-                if tv.kind != "ident":
-                    raise ParseError(
-                        "successor patterns admit exactly one successor: "
-                        f"expected a size variable after '$', found {tv.text or tv.kind!r}",
-                        tv.line, tv.col,
-                    )
-                x, _ = self.ident()
-                self.expect("symbol", ")")
-                return PSucc(x, p)
-            if self.at("ident") and self.at("symbol", ">", ahead=1):
-                parent, _ = self.ident()
-                self.expect("symbol", ">")
-                child, _ = self.ident()
-                self.expect("symbol", ")")
-                return PSizeRel(parent, child, p)
-            if self.at("ident"):
-                con, _ = self.ident()
-                args = []
-                while not self.at("symbol", ")"):
-                    args.append(self.pattern_atom())
-                self.expect("symbol", ")")
-                if not args:
-                    return PVar(con, p)
-                return PCon(con, args, p)
+            return PVar(self.ident(), p)
+        self.i += 1  # as in atom
+        match t.text:
+            case "_":
+                return PWild(p)
+            case ".":
+                return PDot(self.atom(), p)
+            case "(":
+                return self.paren_pattern(p)
+        raise _error(f"expected a pattern, found {_found(t)}", t)
+
+    def paren_pattern(self, p) -> Pattern:
+        t = self.toks[self.i]
+        if t.text == "$":
+            self.i += 1
             tv = self.peek()
-            raise ParseError(
-                f"expected a pattern, found {tv.text or tv.kind!r}",
-                tv.line, tv.col,
-            )
-        raise ParseError(f"expected a pattern, found {t.text or t.kind!r}", t.line, t.col)
+            if tv.kind != "ident":
+                raise _error(
+                    "successor patterns admit exactly one successor: "
+                    f"expected a size variable after '$', found {_found(tv)}", tv
+                )
+            x = self.ident()
+            self.expect(")")
+            return PSucc(x, p)
+        if t.kind != "ident":
+            raise _error(f"expected a pattern, found {_found(t)}", t)
+        if self.at(">", 1):
+            parent = self.ident()
+            self.expect(">")
+            child = self.ident()
+            self.expect(")")
+            return PSizeRel(parent, child, p)
+        con = self.ident()
+        args = []
+        while not self.at(")"):
+            args.append(self.pattern_atom())
+        self.expect(")")
+        return PCon(con, args, p) if args else PVar(con, p)
 
 
 def parse_source(source: str) -> list[Declaration]:

@@ -71,15 +71,15 @@ def pretty(e: Expr, namer: _Namer | None = None) -> str:
 
 def _size(s: SizeExpr, nm: _Namer) -> str:
     match s:
-        case SVar(x):
+        case SVar(name=x):
             return nm.name(x)
         case SInfty():
             return "#"
-        case SMeta(_):
+        case SMeta():
             return "_"
-        case SSucc(a):
+        case SSucc(arg=a):
             return f"$ {_size_atom(a, nm)}"
-        case SMax(a, b):
+        case SMax(left=a, right=b):
             return f"max {_size_atom(a, nm)} {_size_atom(b, nm)}"
     raise AssertionError(s)
 
@@ -93,9 +93,9 @@ def _size_atom(s: SizeExpr, nm: _Namer) -> str:
 
 def _is_atomic(e: Expr) -> bool:
     match e:
-        case Var(_) | Def(_) | Con(_) | SetU() | SizeU() | Elided():
+        case Var() | Def() | Con() | SetU() | SizeU() | Elided():
             return True
-        case Size(s):
+        case Size(size=s):
             return isinstance(s, (SVar, SInfty, SMeta))
         case _:
             return False
@@ -103,7 +103,7 @@ def _is_atomic(e: Expr) -> bool:
 
 def _expr(e: Expr, nm: _Namer) -> str:
     match e:
-        case Var(x) | Def(x) | Con(x):
+        case Var(name=x) | Def(name=x) | Con(name=x):
             return nm.name(x)
         case SetU():
             return "Set"
@@ -111,9 +111,9 @@ def _expr(e: Expr, nm: _Namer) -> str:
             return "Size"
         case Elided():
             return "…"
-        case Size(s):
+        case Size(size=s):
             return _size(s, nm)
-        case Pi(annot, binder, dom, cod):
+        case Pi(annot=annot, binder=binder, domain=dom, codomain=cod):
             if binder is not None and (binder in free_vars(cod) or annot is Annot.PARAMETRIC):
                 op, cl = ("[", "]") if annot is Annot.PARAMETRIC else ("(", ")")
                 return f"{op}{nm.name(binder)} : {_expr(dom, nm)}{cl} -> {_expr(cod, nm)}"
@@ -121,18 +121,18 @@ def _expr(e: Expr, nm: _Namer) -> str:
             if isinstance(dom, (Pi, Lam)):
                 doms = f"({doms})"
             return f"{doms} -> {_expr(cod, nm)}"
-        case Lam(binder, body):
+        case Lam(binder=binder, body=body):
             return f"\\ {nm.name(binder)} -> {_expr(body, nm)}"
-        case App(_, _):
+        case App():
             head, args = spine(e)
             parts = [_arg(head, nm)] + [_arg(a, nm) for a, _ in args]
             return " ".join(parts)
-        case CaseSize(s, binder, branch):
+        case CaseSize(scrut=s, binder=binder, branch=branch):
             return (
                 f"case {_size_atom(s, nm)} {{ ($ {nm.name(binder)}) -> "
                 f"{_expr(branch, nm)} }}"
             )
-        case CaseData(scrut, branches):
+        case CaseData(scrut=scrut, branches=branches):
             scruts = _arg(scrut, nm)
             bs = " ; ".join(
                 f"{_pattern(p, nm)} -> {_expr(b, nm)}" for p, b in branches
@@ -148,17 +148,17 @@ def _arg(e: Expr, nm: _Namer) -> str:
 
 def _pattern(p: Pattern, nm: _Namer) -> str:
     match p:
-        case PVar(x):
+        case PVar(name=x):
             return nm.name(x)
         case PWild():
             return "_"
-        case PDot(e):
+        case PDot(expr=e):
             return f".{_arg(e, nm)}"
-        case PSizeRel(parent, child):
+        case PSizeRel(parent=parent, child=child):
             return f"({nm.name(parent)} > {nm.name(child)})"
-        case PSucc(child):
+        case PSucc(child=child):
             return f"($ {nm.name(child)})"
-        case PCon(c, args):
+        case PCon(con=c, args=args):
             if not args:
                 return nm.name(c)
             inner = " ".join(_pattern(a, nm) for a in args)
@@ -169,7 +169,8 @@ def _pattern(p: Pattern, nm: _Namer) -> str:
 def pretty_declaration(d: Declaration, nm: _Namer | None = None) -> str:
     nm = nm or _Namer()
     match d:
-        case DataDecl(sized, coinductive, name, params, index_sig, cons):
+        case DataDecl(sized=sized, coinductive=coinductive, name=name, params=params,
+                      index_sig=index_sig, constructors=cons):
             kw = ("sized " if sized else "") + ("codata" if coinductive else "data")
             ps = ""
             for p in params:
@@ -182,7 +183,7 @@ def pretty_declaration(d: Declaration, nm: _Namer | None = None) -> str:
                 sep = ";"
             lines.append("}")
             return "\n".join(lines)
-        case FunDecl(coinductive, name, ty, clauses):
+        case FunDecl(coinductive=coinductive, name=name, type=ty, clauses=clauses):
             kw = "cofun" if coinductive else "fun"
             lines = [f"{kw} {nm.name(name)} : {_expr(ty, nm)}"]
             sep = "{"
@@ -193,7 +194,7 @@ def pretty_declaration(d: Declaration, nm: _Namer | None = None) -> str:
                 sep = ";"
             lines.append("}")
             return "\n".join(lines)
-        case LetDecl(name, ty, body, ev):
+        case LetDecl(name=name, type=ty, body=body, eval=ev):
             kw = "eval let" if ev else "let"
             return f"{kw} {nm.name(name)} : {_expr(ty, nm)} = {_expr(body, nm)}"
     raise AssertionError(d)

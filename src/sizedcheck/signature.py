@@ -5,16 +5,10 @@ solutions of the program's size holes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .sizes import NormalSize, SizeCtx
 from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, SizeExpr
 from .values import Thunk, Value
-
-
-class Totality(Enum):
-    ASSUMED = "assumed-under-check"
-    CHECKED = "checked"
 
 
 @dataclass
@@ -67,8 +61,7 @@ class FunEntry:
     size_param: int | None = None
     clauses: list[ElabClause] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    totality: Totality = Totality.ASSUMED
-    report: object = None  # TotalityReport once checked
+    report: object = None  # TotalityReport once checked; None while checking
 
 
 @dataclass

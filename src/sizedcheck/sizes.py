@@ -121,19 +121,19 @@ def normalize(
     solved size holes to their solutions, which normalize, under the same
     lookup, as if written in place of the hole."""
     match s:
-        case SVar(x):
+        case SVar(name=x):
             if lookup is not None:
                 ns = lookup(x)
                 if ns is not None:
                     return ns
             return ns_var(x)
-        case SSucc(a):
+        case SSucc(arg=a):
             return bump(normalize(a, lookup, holes), 1)
         case SInfty():
             return ns_infty()
-        case SMax(a, b):
+        case SMax(left=a, right=b):
             return ns_max(normalize(a, lookup, holes), normalize(b, lookup, holes))
-        case SMeta(m):
+        case SMeta(mid=m):
             if holes and m in holes:
                 return normalize(holes[m], lookup, holes)
             return ns_meta(m)
@@ -229,7 +229,7 @@ class SizeCtx:
 class Rel(Enum):
     LE = "<="
     LT = "<"
-    EQ = "="
+    EQ = "="  # conversion in Evaluator.compare; entails and constraints take LE or LT
 
 
 def _check_scope(ctx: SizeCtx, ns: NormalSize):
@@ -274,8 +274,6 @@ def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
     on the right into a disjunction."""
     _check_scope(ctx, a)
     _check_scope(ctx, b)
-    if rel is Rel.EQ:
-        return entails(ctx, a, Rel.LE, b) and entails(ctx, b, Rel.LE, a)
     if len(a.pairs) > 1:
         return all(
             entails(ctx, NormalSize(frozenset({p})), rel, b) for p in a.pairs
@@ -364,28 +362,24 @@ def solve_metas(
     # lower bounds per meta: list of NormalSize possibly mentioning other metas
     lower: dict[int, list[NormalSize]] = {m: [] for m in mids}
     for c in constraints:
+        if not c.rhs.is_atom():
+            continue  # meta under a max on the right: disjunctive, defer
+        rb, rn = c.rhs.atom()
+        if not isinstance(rb, Meta):
+            continue
         strict = c.rel is Rel.LT
-        rels = [(c.lhs, c.rhs)]
-        if c.rel is Rel.EQ:
-            rels = [(c.lhs, c.rhs), (c.rhs, c.lhs)]
-        for lhs, rhs in rels:
-            if not rhs.is_atom():
-                continue  # meta under a max on the right: disjunctive, defer
-            rb, rn = rhs.atom()
-            if not isinstance(rb, Meta):
+        for lb, ln in c.lhs.pairs:
+            k = ln + (1 if strict else 0)
+            if lb is INFTY:
+                lower[rb.mid].append(ns_infty())
                 continue
-            for lb, ln in lhs.pairs:
-                k = ln + (1 if strict else 0)
-                if lb is INFTY:
-                    lower[rb.mid].append(ns_infty())
-                    continue
-                if k < rn:
-                    raise Unsolvable(
-                        f"size hole would need an expression {rn - k} below "
-                        f"{format_size(NormalSize(frozenset({(lb, ln)})))}"
-                    )
-                pair = NormalSize(frozenset({(lb, k - rn)}))
-                lower[rb.mid].append(pair)
+            if k < rn:
+                raise Unsolvable(
+                    f"size hole would need an expression {rn - k} below "
+                    f"{format_size(NormalSize(frozenset({(lb, ln)})))}"
+                )
+            pair = NormalSize(frozenset({(lb, k - rn)}))
+            lower[rb.mid].append(pair)
 
     def deps(m: int):
         return (d for b in lower[m] for d in b.metas())

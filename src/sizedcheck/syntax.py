@@ -147,11 +147,11 @@ class SMeta(SizeExpr):
 
 def size_vars(s: SizeExpr) -> set[Ident]:
     match s:
-        case SVar(x):
+        case SVar(name=x):
             return {x}
-        case SSucc(a):
+        case SSucc(arg=a):
             return size_vars(a)
-        case SMax(a, b):
+        case SMax(left=a, right=b):
             return size_vars(a) | size_vars(b)
         case _:
             return set()
@@ -159,11 +159,11 @@ def size_vars(s: SizeExpr) -> set[Ident]:
 
 def size_metas(s: SizeExpr) -> set[int]:
     match s:
-        case SSucc(a):
+        case SSucc(arg=a):
             return size_metas(a)
-        case SMax(a, b):
+        case SMax(left=a, right=b):
             return size_metas(a) | size_metas(b)
-        case SMeta(m):
+        case SMeta(mid=m):
             return {m}
         case _:
             return set()
@@ -401,14 +401,14 @@ class LetDecl(Declaration):
 
 def pattern_binders(p: Pattern) -> list[Ident]:
     match p:
-        case PVar(x):
+        case PVar(name=x):
             return [x]
-        case PCon(_, args):
+        case PCon(args=args):
             out: list[Ident] = []
             for a in args:
                 out.extend(pattern_binders(a))
             return out
-        case PSizeRel(_, child) | PSucc(child):
+        case PSizeRel(child=child) | PSucc(child=child):
             return [child]
         case _:
             return []
@@ -417,22 +417,22 @@ def pattern_binders(p: Pattern) -> list[Ident]:
 def free_vars(e: Expr) -> set[Ident]:
     """All free identifiers of e, including global Def/Con references."""
     match e:
-        case Var(x) | Def(x) | Con(x):
+        case Var(name=x) | Def(name=x) | Con(name=x):
             return {x}
-        case Pi(_, binder, dom, cod):
+        case Pi(binder=binder, domain=dom, codomain=cod):
             fv = free_vars(cod)
             if binder is not None:
                 fv = fv - {binder}
             return free_vars(dom) | fv
-        case Lam(binder, body):
+        case Lam(binder=binder, body=body):
             return free_vars(body) - {binder}
-        case App(f, a):
+        case App(fun=f, arg=a):
             return free_vars(f) | free_vars(a)
-        case Size(s):
+        case Size(size=s):
             return set(size_vars(s))
-        case CaseSize(s, binder, branch):
+        case CaseSize(scrut=s, binder=binder, branch=branch):
             return set(size_vars(s)) | (free_vars(branch) - {binder})
-        case CaseData(scrut, branches):
+        case CaseData(scrut=scrut, branches=branches):
             fv = free_vars(scrut)
             for pat, body in branches:
                 bound = set(pattern_binders(pat))
@@ -446,9 +446,9 @@ def free_vars(e: Expr) -> set[Ident]:
 
 def _pattern_dots(p: Pattern) -> list[Expr]:
     match p:
-        case PDot(e):
+        case PDot(expr=e):
             return [e]
-        case PCon(_, args):
+        case PCon(args=args):
             out: list[Expr] = []
             for a in args:
                 out.extend(_pattern_dots(a))

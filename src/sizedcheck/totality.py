@@ -47,25 +47,25 @@ def polarity_of(v: Ident, t: Expr, sig: Signature) -> Polarity:
     parametric (erased) arguments do not count; applications of non-data
     heads are INVARIANT for every occurring variable."""
     match t:
-        case Var(x) | Def(x) | Con(x):
+        case Var(name=x) | Def(name=x) | Con(name=x):
             return Polarity.STRICT_POS if x == v else Polarity.UNUSED
-        case Size(s):
+        case Size(size=s):
             return Polarity.STRICT_POS if v in size_vars(s) else Polarity.UNUSED
-        case Pi(_, _, dom, cod):
+        case Pi(domain=dom, codomain=cod):
             p = compose(Polarity.NEG, polarity_of(v, dom, sig))
             return join(p, polarity_of(v, cod, sig))
-        case Lam(_, body):
+        case Lam(body=body):
             occ = polarity_of(v, body, sig)
             return Polarity.UNUSED if occ is Polarity.UNUSED else Polarity.INVARIANT
-        case CaseSize(s, _, branch):
+        case CaseSize(scrut=s, branch=branch):
             occ = v in size_vars(s) or polarity_of(v, branch, sig) is not Polarity.UNUSED
             return Polarity.INVARIANT if occ else Polarity.UNUSED
-        case CaseData(scrut, branches):
+        case CaseData(scrut=scrut, branches=branches):
             occ = polarity_of(v, scrut, sig) is not Polarity.UNUSED or any(
                 polarity_of(v, b, sig) is not Polarity.UNUSED for _, b in branches
             )
             return Polarity.INVARIANT if occ else Polarity.UNUSED
-        case App(_, _):
+        case App():
             head, args = spine(t)
             if isinstance(head, Def):
                 entry = sig.get(head.name)
@@ -228,9 +228,9 @@ class TotalityReport:
 def _strict_vars(p: Pattern, inside: bool = False) -> set[int]:
     """Variables bound strictly inside a constructor pattern."""
     match p:
-        case PVar(x):
+        case PVar(name=x):
             return {x.uid} if inside else set()
-        case PCon(_, args):
+        case PCon(args=args):
             out: set[int] = set()
             for a in args:
                 out |= _strict_vars(a, True)

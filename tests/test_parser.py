@@ -3,7 +3,8 @@ the corpus round-trip property."""
 
 import pytest
 
-from sizedcheck.parser import ParseError, parse_source, tokenize
+from sizedcheck.diagnostics import Diagnostic
+from sizedcheck.parser import parse_source, tokenize
 from sizedcheck.pretty import pretty, pretty_program
 from sizedcheck.scope import scope_check
 from sizedcheck.syntax import (
@@ -17,6 +18,7 @@ from sizedcheck.syntax import (
     PDot,
     Pi,
     PVar,
+    SetU,
     Size,
     SInfty,
     SizeU,
@@ -59,9 +61,10 @@ class TestTokenize:
         assert [t.text for t in toks[:-1]] == ["++", "->", ">", "."]
 
     def test_lex_error_position(self):
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(Diagnostic) as e:
             tokenize("abc @")
-        assert (e.value.line, e.value.col) == (1, 5)
+        assert e.value.code == "PARSE"
+        assert e.value.pos == (1, 5)
 
     def test_token_count_bounded(self):
         for src in ["", "a b c", "($$ i)", "-- only a comment", "x" * 100]:
@@ -130,8 +133,9 @@ let pre : [i : Size] -> (Nat -> O ($$ i)) -> Nat -> O ($ i)
 
     def test_multi_successor_pattern_rejected(self):
         src = "cofun bad : [i : Size] -> Stream Nat i { bad ($$ i) = bad i }"
-        with pytest.raises(ParseError) as e:
+        with pytest.raises(Diagnostic) as e:
             parse_source(src)
+        assert e.value.code == "PARSE"
         assert "successor" in e.value.message
 
     def test_arrow_right_associative(self):
@@ -145,8 +149,9 @@ let pre : [i : Size] -> (Nat -> O ($$ i)) -> Nat -> O ($ i)
         assert isinstance(b, App) and isinstance(b.fun, App)
 
     def test_clause_head_must_match(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(Diagnostic) as e:
             parse_source("fun f : Set -> Set { g x = x }")
+        assert e.value.code == "PARSE"
 
     def test_parse_error_positions_in_bounds(self):
         bad_sources = [
@@ -156,11 +161,47 @@ let pre : [i : Size] -> (Nat -> O ($$ i)) -> Nat -> O ($ i)
             "let x : Set = (",
         ]
         for src in bad_sources:
-            with pytest.raises(ParseError) as e:
+            with pytest.raises(Diagnostic) as e:
                 parse_source(src)
+            assert e.value.code == "PARSE"
+            line, col = e.value.pos
             lines = src.splitlines() or [""]
-            assert 1 <= e.value.line <= len(lines) + 1
-            assert e.value.col >= 1
+            assert 1 <= line <= len(lines) + 1
+            assert col >= 1
+
+
+class TestChainDepth:
+    """A chain of binders and arrows is collected in a loop, so its length
+    costs the parser no stack."""
+
+    N = 1000
+
+    def links(self, e, node):
+        out = []
+        while isinstance(e, node):
+            out.append(e)
+            e = e.codomain if node is Pi else e.body
+        return out, e
+
+    def test_chained_arrows(self):
+        (d,) = parse_source("let T : Set = " + "Set -> " * self.N + "Set")
+        pis, last = self.links(d.body, Pi)
+        assert len(pis) == self.N and isinstance(last, SetU)
+        assert all(p.binder is None and p.annot is Annot.RELEVANT for p in pis)
+        assert [p.pos for p in pis[:2]] == [(1, 15), (1, 22)]
+
+    def test_parametric_binders(self):
+        (d,) = parse_source("let T : Set = " + "[i : Size] -> " * self.N + "Set")
+        pis, last = self.links(d.body, Pi)
+        assert len(pis) == self.N and isinstance(last, SetU)
+        assert all(p.annot is Annot.PARAMETRIC and isinstance(p.domain, SizeU) for p in pis)
+        assert [p.pos for p in pis[:2]] == [(1, 15), (1, 29)]
+
+    def test_nested_lambdas(self):
+        (d,) = parse_source("let f : Set = " + "\\ x -> " * self.N + "x")
+        lams, last = self.links(d.body, Lam)
+        assert len(lams) == self.N and last.name is lams[0].binder
+        assert [lam.pos for lam in lams[:2]] == [(1, 15), (1, 22)]
 
 
 class TestPretty:
@@ -197,8 +238,9 @@ class TestPretty:
         # reject-corpus entries that fail at parse have no tree to round-trip
         from conftest import reject_sources
 
-        with pytest.raises(ParseError):
+        with pytest.raises(Diagnostic) as e:
             parse_source(reject_sources()[name])
+        assert e.value.code == "PARSE"
 
     def test_roundtrip_reject_corpus(self):
         from conftest import reject_sources

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
 from sizedcheck.syntax import (
@@ -156,16 +157,12 @@ fun leq : Nat -> Nat -> [C : Set] -> C -> C -> C
         assert _decls("") == []
 
     def test_forward_reference_rejected(self):
-        from sizedcheck.scope import ScopeError
-
-        with pytest.raises(ScopeError) as e:
+        with pytest.raises(Diagnostic) as e:
             _decls("fun f : SNat # -> SNat # { f x = x }\n" + SNAT_PARAMETRIC)
         assert e.value.code == "UNBOUND"
 
     def test_duplicate_definition(self):
-        from sizedcheck.scope import ScopeError
-
-        with pytest.raises(ScopeError) as e:
+        with pytest.raises(Diagnostic) as e:
             _decls("let x : Set = Set\nlet x : Set = Set")
         assert e.value.code == "DUPLICATE"
 
