@@ -35,7 +35,6 @@ from .sizes import (
     apply_solution,
     bump,
     format_size,
-    normalize,
     ns_var,
     solve_metas,
     to_size_expr,
@@ -85,7 +84,12 @@ from .totality import (
     strict_positivity_check,
     termination_check,
 )
-from .values import Thunk, Value, VCon, VData, VNe, VPi, VSet, VSize, VSizeU
+from .values import Thunk, Value, VCon, VData, VDef, VLam, VNe, VPi, VSet, VSize, VSizeU
+
+
+def _bound_var(v: Value) -> Ident:
+    """The variable that `Evaluator.telescope` bound: a neutral or a size."""
+    return v.head if isinstance(v, VNe) else v.size.atom()[0]
 
 
 @dataclass
@@ -227,18 +231,18 @@ class Checker:
             d.sized,
             d.coinductive,
             [(n, pol) for n, pol, _, _ in params],
+            len(indices),
             self.ev.evaluate({}, kind),
         )
         self.sig.add(d.name, entry)
 
-        strict_params = [n for n, pol, _, _ in params if pol is Polarity.STRICT_POS]
         for c in d.constructors:
             internal = c.type
             for name, _, pt, _ in reversed(params):
                 internal = Pi(Annot.PARAMETRIC, name, pt, internal, c.pos)
             ct = self.check_type(Ctx(), internal)
             cv = self.ev.evaluate({}, ct)
-            centry = self._check_constructor(d, params, strict_params, c.name, cv, c.pos)
+            centry = self._check_constructor(d, params, c.name, cv, c.pos)
             self.sig.add(c.name, centry)
             entry.constructors.append(c.name)
 
@@ -246,7 +250,6 @@ class Checker:
         self,
         d: DataDecl,
         params,
-        strict_params: list[Ident],
         cname: Ident,
         cv: Value,
         pos: Pos,
@@ -274,8 +277,13 @@ class Checker:
                 f"constructor '{cname.text}' must target '{d.name.text}'",
                 pos,
             )
+        # the target's parameters may mention the telescope's size variables
+        sctx = SizeCtx()
+        for _, dom, x in binders:
+            if isinstance(dom, VSizeU):
+                sctx = sctx.declare(_bound_var(x))
         for k in range(n_params):
-            if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2]):
+            if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2], sctx):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     f"constructor '{cname.text}' must target '{d.name.text}' "
@@ -283,9 +291,8 @@ class Checker:
                     pos,
                 )
 
-        arg_exprs = [self.ev.quote(b) for b in arg_domains]
         if d.sized:
-            size_var = binders[n_params][2].size.atom()[0]
+            size_var = _bound_var(binders[n_params][2])
             ts = self.ev.size_view(self.ev.force(t.args[n_params]))
             if ts is None or not ts.is_atom() or ts.atom() != (size_var, 1):
                 raise Diagnostic(
@@ -294,11 +301,11 @@ class Checker:
                     f"$ {size_var.text}",
                     pos,
                 )
-            for k, b in enumerate(arg_exprs):
-                self._check_rec_sizes(d.name, size_var, b, cname, n_params, pos)
-                p = polarity_of(size_var, b, self.sig)
-                want = Polarity.NEG if d.coinductive else Polarity.POS
-                tone = "antitone" if d.coinductive else "monotone"
+            want = self.sig.data(d.name).variances[n_params]
+            tone = "antitone" if want is Polarity.NEG else "monotone"
+            for k, b in enumerate(arg_domains):
+                self._check_rec_sizes(b, d.name, size_var, n_params, cname, pos)
+                p = polarity_of(size_var, b, self.ev)
                 if not leq_pol(p, want):
                     raise Diagnostic(
                         "SIZE-MONOTONICITY",
@@ -308,59 +315,50 @@ class Checker:
                         pos,
                     )
 
-        strict_positivity_check(d.name, strict_params, cname, arg_exprs, self.sig, pos)
+        # each ++ parameter as the telescope binds it; the declared ident does
+        # not occur in the constructor's type value
+        strict_params = [_bound_var(binders[k][2])
+                         for k, (_, pol, _, _) in enumerate(params) if pol is Polarity.STRICT_POS]
+        strict_positivity_check(d.name, strict_params, cname, arg_domains, self.ev, pos)
 
         return ConEntry(cname, d.name, cv, n_params, d.sized, annots, len(binders))
 
     def _check_rec_sizes(
-        self, dname: Ident, i: Ident, e: Expr, cname: Ident, n_params: int, pos: Pos
+        self, t: Value, dname: Ident, i: Ident, n_params: int, cname: Ident, pos: Pos
     ):
-        """Every recursive occurrence of the defined type carries size
-        exactly i."""
-
-        def go(e: Expr):
-            match e:
-                case App():
-                    head, args = spine(e)
-                    if isinstance(head, Def) and head.name == dname:
-                        if len(args) <= n_params or not isinstance(
-                            args[n_params][0], Size
-                        ):
-                            raise Diagnostic(
-                                "SIZE-INDEX-SHAPE",
-                                f"recursive occurrence of '{dname.text}' in "
-                                f"'{cname.text}' lacks its size index",
-                                pos,
-                            )
-                        ns = normalize(args[n_params][0].size)
-                        if not (ns.is_atom() and ns.atom() == (i, 0)):
-                            raise Diagnostic(
-                                "SIZE-INDEX-SHAPE",
-                                f"recursive occurrence of '{dname.text}' in "
-                                f"'{cname.text}' must carry size exactly "
-                                f"{i.text}",
-                                pos,
-                            )
-                    for a, _ in args:
-                        go(a)
-                    if not isinstance(head, (Def, Con, Var)):
-                        go(head)
-                case Pi(domain=dom, codomain=cod):
-                    go(dom)
-                    go(cod)
-                case Lam(body=body):
-                    go(body)
-                case Def(name=x) if x == dname:
-                    raise Diagnostic(
-                        "SIZE-INDEX-SHAPE",
-                        f"unapplied recursive occurrence of '{dname.text}' in "
-                        f"'{cname.text}'",
-                        pos,
-                    )
-                case _:
-                    pass
-
-        go(e)
+        """Every recursive occurrence of the defined type in t carries size
+        exactly i.  A method, not a nested function: a recursive closure
+        would hold the checker in a reference cycle until the next collection."""
+        ev = self.ev
+        match t:
+            case VData(name=d, args=args) | VCon(con=d, args=args):
+                if d == dname:
+                    occurrence = f"recursive occurrence of '{dname.text}' in '{cname.text}'"
+                    size = ev.force(args[n_params]) if len(args) > n_params else None
+                    if not args:
+                        raise Diagnostic("SIZE-INDEX-SHAPE", f"unapplied {occurrence}", pos)
+                    if not isinstance(size, VSize):
+                        raise Diagnostic(
+                            "SIZE-INDEX-SHAPE", f"{occurrence} lacks its size index", pos
+                        )
+                    if not (size.size.is_atom() and size.size.atom() == (i, 0)):
+                        raise Diagnostic(
+                            "SIZE-INDEX-SHAPE",
+                            f"{occurrence} must carry size exactly {i.text}",
+                            pos,
+                        )
+                inner = (ev.force(th) for th in args)
+            case VNe(spine=spine) | VDef(spine=spine):
+                inner = (ev.force(th) for th, _ in spine)
+            case VPi(binder=b, domain=dom, closure=clo):
+                _, body = ev.open(clo, b)
+                inner = (dom, body)
+            case VLam(binder=b, closure=clo):
+                inner = (ev.open(clo, b)[1],)
+            case _:
+                return
+        for v in inner:
+            self._check_rec_sizes(v, dname, i, n_params, cname, pos)
 
     def check_fun_decl(self, f: FunDecl):
         ty = self.check_type(Ctx(), f.type)
@@ -492,7 +490,7 @@ class Checker:
                     )
                 i_star = fresh_ident(pi.binder.text)
                 residual = self.ev.instantiate(pi, VSize(ns_var(i_star)))
-                reason = admissibility_check(self.ev, self.sig, residual, i_star, cofun=True)
+                reason = admissibility_check(self.ev, residual, i_star, cofun=True)
                 if reason is not None:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
                 ctx = ctx.bind(j, VSizeU(), pi.annot)
@@ -963,7 +961,7 @@ class Checker:
                 e.pos,
             )
         i: Ident = ns.atom()[0]
-        reason = admissibility_check(self.ev, self.sig, expected, i, cofun=True)
+        reason = admissibility_check(self.ev, expected, i, cofun=True)
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
         # in the branch i stands for $ j; it is parametric there, as j is

@@ -2,7 +2,7 @@
 readback, and one comparison for both subtyping and conversion.
 
 Readback is one walk from values to syntax with two modes: `quote` reads
-back structurally, for types, diagnostics and the static analyses, and
+back structurally, for diagnostics and the size-case rule, and
 `readback` displays eval output (unfolding, eliding coinductive layers past
 the print depth, erasing parametric sizes, costing fuel).  A size hole is
 read through the signature's table of solved holes: `eval_size` normalizes a
@@ -32,10 +32,11 @@ only on its first instantiation, whichever declaration makes it.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
-polarity.  Two cases read the relation.  A pair of data types compares each
-`++` parameter at the relation, each unmarked parameter and each index past
-the size for equality, and, under LE, its size index by entailment: upwards
-for data, downwards for codata (`Stream A ($ i) <= Stream A i`).  A pair of
+polarity.  Two cases read the relation.  A pair of data types compares
+each argument by the variance of its slot, read from `DataEntry.variances`:
+a `++` parameter at the relation, an invariant parameter or index for
+equality, and, under LE, the size index by entailment, upwards at POS (data)
+and downwards at NEG (codata, `Stream A ($ i) <= Stream A i`).  A pair of
 Pi types compares its domains the other way round and its codomains at the
 relation.  Every other pair is compared for equality: sizes, universes,
 constructors, lambdas, and neutral or defined heads with their spines.
@@ -109,7 +110,8 @@ _ARROW = fresh_ident("_x")
 # the hot paths read these on every call or argument; reading an enum member
 # through its class costs a descriptor call in CPython 3.11, about ten times a
 # global's cost
-_LE, _EQ, _COVARIANT = Rel.LE, Rel.EQ, Polarity.STRICT_POS
+_LE, _EQ = Rel.LE, Rel.EQ
+_COVARIANT, _NEG, _INVARIANT = Polarity.STRICT_POS, Polarity.NEG, Polarity.INVARIANT
 _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
 
 DEFAULT_UNFOLD_FUEL = 100_000
@@ -265,6 +267,14 @@ class Evaluator:
         env2[clo.binder.uid] = Thunk.of(v)
         return self.evaluate(env2, clo.body)
 
+    def open(self, clo: Closure, binder: Ident) -> tuple[Ident | None, Value]:
+        """The body of clo under a fresh variable named after binder, and that
+        variable; None for a body that cannot mention its binder."""
+        if clo.binder is None:
+            return None, self.close(clo, None)
+        x = fresh_ident(binder.text)
+        return x, self.close(clo, VNe(x))
+
     def instantiate(self, pi: VPi, v: Value | None) -> Value:
         return self.close(pi.closure, v)
 
@@ -399,7 +409,7 @@ class Evaluator:
 
     def quote(self, v: Value) -> Expr:
         """Full structural readback, without unfolding defined heads; used for
-        diagnostics and the static analyses."""
+        diagnostics and the size-case rule."""
         return self._read(v, None)
 
     def readback(self, v: Value, depth: int | None = None) -> Expr:
@@ -425,15 +435,11 @@ class Evaluator:
             case VSize(size=ns):
                 return Size(to_size_expr(ns))
             case VPi(annot=annot, binder=binder, domain=dom, closure=clo):
-                if clo.binder is None:
-                    x, body = None, self.close(clo, None)
-                else:
-                    x = fresh_ident(binder.text)
-                    body = self.close(clo, VNe(x))
+                x, body = self.open(clo, binder)
                 return Pi(annot, x, self._read(dom, None), self._read(body, None))
             case VLam(binder=binder, closure=clo):
-                x = fresh_ident(binder.text)
-                return Lam(x, self._read(self.close(clo, VNe(x)), depth))
+                x, body = self.open(clo, binder)
+                return Lam(x, self._read(body, depth))
             case VCon(con=c, args=args):
                 centry = self.sig.con(c)
                 if depth is not None and self.sig.data(centry.data).coinductive:
@@ -520,15 +526,16 @@ class Evaluator:
         if isinstance(a, VData) and isinstance(b, VData):
             if a.name != b.name or len(a.args) != len(b.args):
                 return False
-            entry = self.sig.data(a.name)
-            n_params = len(entry.params)
+            variances = self.sig.data(a.name).variances
             for k, (t1, t2) in enumerate(zip(a.args, b.args)):
                 v1, v2 = self.force(t1), self.force(t2)
-                if k < n_params and entry.params[k][1] is _COVARIANT:
+                var = variances[k]
+                if var is _COVARIANT:
                     ok = self.compare(v1, v2, rel, sctx, col)
-                elif rel is _LE and entry.sized and k == n_params:
+                elif rel is _LE and var is not _INVARIANT:
+                    # the size index, compared upwards at POS, downwards at NEG
                     lo, hi = self.size_view(v1), self.size_view(v2)
-                    if entry.coinductive:
+                    if var is _NEG:
                         lo, hi = hi, lo
                     ok = (lo is not None and hi is not None
                           and self.size_entails(sctx, lo, hi, col))

@@ -13,12 +13,24 @@ from .values import Thunk, Value
 
 @dataclass
 class DataEntry:
+    """A data or codata type.  `variances` holds the variance of each
+    argument slot, the one place it is decided: each parameter as declared,
+    then the size index, POS for sized data and NEG for sized codata
+    (`Stream A ($ i) <= Stream A i`), and every other index INVARIANT."""
+
     name: Ident
     sized: bool
     coinductive: bool
     params: list[tuple[Ident, Polarity]]
+    n_indices: int
     kind_value: Value
     constructors: list[Ident] = field(default_factory=list)
+    variances: tuple[Polarity, ...] = field(init=False)
+
+    def __post_init__(self):
+        size = [Polarity.NEG if self.coinductive else Polarity.POS] if self.sized else []
+        self.variances = (*(pol for _, pol in self.params), *size,
+                          *[Polarity.INVARIANT] * (self.n_indices - len(size)))
 
 
 @dataclass

@@ -1,7 +1,14 @@
 """Static analyses behind the totality verdicts: polarity of a variable in a
 type, strict positivity of data declarations, upper semi-continuity of result
 types at successor matches, and size-descent termination with a structural
-fallback."""
+fallback.
+
+The type analyses read values, as the evaluator leaves them, and never
+quote them back into syntax: a body under a binder is opened with a fresh
+variable by `Evaluator.open`, and nothing is unfolded.  The variance of each
+argument slot of a data type, the size index's included, is decided once,
+in `DataEntry.variances`; `polarity_of`, the admissibility check, the
+checker's size-monotonicity test and `Evaluator.compare` all read it."""
 
 from __future__ import annotations
 
@@ -9,112 +16,78 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .diagnostics import Diagnostic
-from .signature import DataEntry, FunEntry, Signature
+from .pretty import pretty
+from .signature import FunEntry, Signature
 from .sizes import Rel, entails
 from .syntax import (
     Annot,
-    App,
-    CaseData,
-    CaseSize,
-    Con,
-    Def,
-    Expr,
     Ident,
-    Lam,
     Pattern,
     PCon,
-    Pi,
     Polarity,
     Pos,
     PVar,
-    Size,
     Var,
     compose,
     join,
     leq_pol,
-    size_vars,
-    spine,
 )
-from .values import Value, VData
+from .values import Value, VCon, VData, VDef, VLam, VNe, VPi, VSize
 
 
-def polarity_of(v: Ident, t: Expr, sig: Signature) -> Polarity:
-    """Variance of v in the type expression t.
+def polarity_of(x: Ident, t: Value, ev) -> Polarity:
+    """Variance of the variable x in the type value t, read off t as it
+    stands: no defined head is unfolded.
 
-    Pi domains flip through NEG; data parameters compose with their declared
-    polarity; a sized data's size index is POS for inductive and NEG for
-    coinductive types; any other index position is INVARIANT; occurrences in
-    parametric (erased) arguments do not count; applications of non-data
-    heads are INVARIANT for every occurring variable."""
+    Pi domains flip through NEG; each argument of a data type composes with
+    the variance of its slot (`DataEntry.variances`); a neutral, defined or
+    constructor head is STRICT_POS in itself, and an application of it, like
+    a lambda, is INVARIANT for every variable that occurs in it; occurrences
+    in parametric (erased) arguments do not count."""
     match t:
-        case Var(name=x) | Def(name=x) | Con(name=x):
-            return Polarity.STRICT_POS if x == v else Polarity.UNUSED
-        case Size(size=s):
-            return Polarity.STRICT_POS if v in size_vars(s) else Polarity.UNUSED
-        case Pi(domain=dom, codomain=cod):
-            p = compose(Polarity.NEG, polarity_of(v, dom, sig))
-            return join(p, polarity_of(v, cod, sig))
-        case Lam(body=body):
-            occ = polarity_of(v, body, sig)
-            return Polarity.UNUSED if occ is Polarity.UNUSED else Polarity.INVARIANT
-        case CaseSize(scrut=s, branch=branch):
-            occ = v in size_vars(s) or polarity_of(v, branch, sig) is not Polarity.UNUSED
-            return Polarity.INVARIANT if occ else Polarity.UNUSED
-        case CaseData(scrut=scrut, branches=branches):
-            occ = polarity_of(v, scrut, sig) is not Polarity.UNUSED or any(
-                polarity_of(v, b, sig) is not Polarity.UNUSED for _, b in branches
-            )
-            return Polarity.INVARIANT if occ else Polarity.UNUSED
-        case App():
-            head, args = spine(t)
-            if isinstance(head, Def):
-                entry = sig.get(head.name)
-                if isinstance(entry, DataEntry):
-                    return _data_app_polarity(v, entry, args, sig)
-            out = polarity_of(v, head, sig)
-            if out is not Polarity.UNUSED:
-                out = Polarity.INVARIANT
-            for arg, annot in args:
-                if annot is Annot.PARAMETRIC:
-                    continue
-                q = polarity_of(v, arg, sig)
-                if q is not Polarity.UNUSED:
-                    out = join(out, Polarity.INVARIANT)
+        case VSize(size=ns):
+            return Polarity.STRICT_POS if x in ns.vars() else Polarity.UNUSED
+        case VPi(binder=b, domain=dom, closure=clo):
+            _, body = ev.open(clo, b)
+            p = compose(Polarity.NEG, polarity_of(x, dom, ev))
+            return join(p, polarity_of(x, body, ev))
+        case VLam(binder=b, closure=clo):
+            _, body = ev.open(clo, b)
+            used = polarity_of(x, body, ev) is not Polarity.UNUSED
+            return Polarity.INVARIANT if used else Polarity.UNUSED
+        case VData(name=d, args=args):
+            out = Polarity.STRICT_POS if d == x else Polarity.UNUSED
+            for var, th in zip(ev.sig.data(d).variances, args):
+                out = join(out, compose(var, polarity_of(x, ev.force(th), ev)))
             return out
+        case VNe(head=h, spine=spine) | VDef(name=h, spine=spine):
+            args = [th for th, annot in spine if annot is not Annot.PARAMETRIC]
+        case VCon(con=h, args=spine):
+            annots = ev.sig.con(h).annots
+            args = [th for th, annot in zip(spine, annots) if annot is not Annot.PARAMETRIC]
         case _:
             return Polarity.UNUSED
-
-
-def _data_app_polarity(v: Ident, entry: DataEntry, args, sig: Signature) -> Polarity:
-    out = Polarity.STRICT_POS if entry.name == v else Polarity.UNUSED
-    n_params = len(entry.params)
-    for k, (arg, annot) in enumerate(args):
-        if annot is Annot.PARAMETRIC:
-            continue
-        q = polarity_of(v, arg, sig)
-        if k < n_params:
-            out = join(out, compose(entry.params[k][1], q))
-        elif entry.sized and k == n_params:
-            index_pol = Polarity.NEG if entry.coinductive else Polarity.POS
-            out = join(out, compose(index_pol, q))
-        else:
-            out = join(out, compose(Polarity.INVARIANT, q))
-    return out
+    if not spine:
+        return Polarity.STRICT_POS if h == x else Polarity.UNUSED
+    # no short cut at a first occurrence: every relevant argument is forced,
+    # so one that cannot be evaluated fails here whatever comes before it
+    used = [h == x] + [polarity_of(x, ev.force(th), ev) is not Polarity.UNUSED for th in args]
+    return Polarity.INVARIANT if any(used) else Polarity.UNUSED
 
 
 def strict_positivity_check(
     defined: Ident,
     strict_params: list[Ident],
     con_name: Ident,
-    arg_types: list[Expr],
-    sig: Signature,
+    arg_types: list[Value],
+    ev,
     pos: Pos = (0, 0),
 ):
     """The defined type and every ++ parameter must occur only strictly
     positively in the constructor argument types."""
     for subject in [defined, *strict_params]:
         for k, b in enumerate(arg_types):
-            p = polarity_of(subject, b, sig)
+            p = polarity_of(subject, b, ev)
             if not leq_pol(p, Polarity.STRICT_POS):
                 raise Diagnostic(
                     "POSITIVITY",
@@ -129,43 +102,37 @@ def strict_positivity_check(
 # Admissibility (upper semi-continuity)
 
 
-def _sized_data_at(ev, sig: Signature, t: Value, i: Ident, coinductive: bool) -> bool:
+def _sized_data_at(ev, t: Value, i: Ident, coinductive: bool) -> bool:
     """t is a sized (co)inductive data value whose size index is exactly i,
     with no other relevant occurrence of i."""
     if not isinstance(t, VData):
         return False
-    entry = sig.data(t.name)
+    entry = ev.sig.data(t.name)
     if not entry.sized or entry.coinductive is not coinductive:
         return False
     n_params = len(entry.params)
     if len(t.args) <= n_params:
         return False
     ns = ev.size_view(ev.force(t.args[n_params]))
-    if ns is None or not ns.is_atom():
+    if ns is None or not ns.is_atom() or ns.atom() != (i, 0):
         return False
-    base, off = ns.atom()
-    if base != i or off != 0:
-        return False
-    want = Polarity.NEG if coinductive else Polarity.POS
-    return polarity_of(i, ev.quote(t), sig) is want
+    return polarity_of(i, t, ev) is entry.variances[n_params]
 
 
-def admissibility_check(ev, sig: Signature, residual: Value, i: Ident, cofun: bool) -> str | None:
+def admissibility_check(ev, residual: Value, i: Ident, cofun: bool) -> str | None:
     """Check that matching size variable i against a successor pattern is
     sound for the remaining type `residual`.  Returns a reason on failure.
 
     For corecursion every domain must be antitone in i or a sized inductive
     type at exactly i, and the result must be a sized coinductive type at
     exactly i; for recursion the dual reading applies."""
-    from .pretty import pretty
-
     binders, t = ev.telescope(residual)
     good_dom = Polarity.NEG if cofun else Polarity.POS
     for _, d, _ in binders:
-        p = polarity_of(i, ev.quote(d), sig)
+        p = polarity_of(i, d, ev)
         if leq_pol(p, good_dom):
             continue
-        if _sized_data_at(ev, sig, d, i, coinductive=not cofun):
+        if _sized_data_at(ev, d, i, coinductive=not cofun):
             continue
         kind = "antitone" if cofun else "monotone"
         other = "inductive" if cofun else "coinductive"
@@ -173,7 +140,7 @@ def admissibility_check(ev, sig: Signature, residual: Value, i: Ident, cofun: bo
             f"argument type '{pretty(ev.quote(d))}' is neither {kind} "
             f"nor sized {other} at '{i.text}'"
         )
-    if not _sized_data_at(ev, sig, t, i, coinductive=cofun):
+    if not _sized_data_at(ev, t, i, coinductive=cofun):
         want = "coinductive" if cofun else "inductive"
         return (
             f"result type '{pretty(ev.quote(t))}' is not a sized {want} "

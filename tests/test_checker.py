@@ -293,6 +293,36 @@ sized codata StreamEq (A : Set) : (i : Size) -> List A i -> List A i -> Set
             "SIZE-INDEX-SHAPE",
         )
 
+    def test_size_parameter_accepted(self):
+        ok("data P (i : Size) : Set { p : P i }")
+
+    def test_size_parameter_must_be_the_target(self):
+        d = rejected("data P (i : Size) : Set { p : P ($ i) }", "TYPE-MISMATCH")
+        assert "must target 'P' applied to the declared parameters" in d.message
+
+    def test_size_parameter_is_not_a_later_size(self):
+        rejected("data P (i : Size) : Set { p : (j : Size) -> P j }", "TYPE-MISMATCH")
+
+    def test_size_parameter_through_an_argument_and_a_pattern(self):
+        r = ok(SNAT_PARAMETRIC + """
+data P (i : Size) : Set { p : SNat i -> P i }
+fun unP : [i : Size] -> P i -> SNat i
+{ unP i (p .i n) = n
+}
+eval let z : SNat # = unP # (p # (zero #))
+""")
+        assert r.outputs == ["z = zero _"]
+
+    def test_strict_parameter_in_a_domain_rejected(self):
+        d = rejected("data T ++(A : Set) : Set { c : (A -> T A) -> T A }", "POSITIVITY")
+        assert d.message.startswith("'A' occurs non-strictly-positively")
+
+    def test_strict_parameter_nests_a_positive_type(self):
+        ok(NAT + """
+data T ++(A : Set) : Set { c : A -> (Nat -> T A) -> T A }
+data Tree : Set { node : T Tree -> Tree }
+""")
+
 
 class TestElaboratePatterns:
     def test_map_successor_match_refines_argument(self):
