@@ -730,27 +730,28 @@ class Checker:
     # -- expressions ------------------------------------------------------------
 
     def check_type(self, ctx: Ctx, e: Expr) -> Expr:
-        match e:
-            case SetU() | SizeU():
-                return e
-            case Pi(annot=annot, binder=binder, domain=dom, codomain=cod, pos=pos):
-                dom2 = self.check_type(ctx, dom)
-                if binder is not None:
-                    dv = self.ev.evaluate(ctx.env, dom2)
-                    ctx2 = ctx.bind(binder, dv, annot)
-                else:
-                    ctx2 = ctx
-                return Pi(annot, binder, dom2, self.check_type(ctx2, cod), pos)
-            case _:
-                elab, ty = self.infer(ctx, e, erased=True)
-                if not isinstance(self.ev.whnf(ty), VSet):
-                    raise Diagnostic(
-                        "TYPE-MISMATCH",
-                        f"expected a type, got something of type "
-                        f"'{pretty(self.ev.quote(ty))}'",
-                        e.pos,
-                    )
-                return elab
+        # a Pi chain is walked in a loop, binding each named domain, and
+        # rebuilt from its innermost end, so its length costs no stack
+        links = []
+        while isinstance(e, Pi):
+            dom = self.check_type(ctx, e.domain)
+            if e.binder is not None:
+                ctx = ctx.bind(e.binder, self.ev.evaluate(ctx.env, dom), e.annot)
+            links.append((e, dom))
+            e = e.codomain
+        if not isinstance(e, (SetU, SizeU)):
+            elab, ty = self.infer(ctx, e, erased=True)
+            if not isinstance(self.ev.whnf(ty), VSet):
+                raise Diagnostic(
+                    "TYPE-MISMATCH",
+                    f"expected a type, got something of type "
+                    f"'{pretty(self.ev.quote(ty))}'",
+                    e.pos,
+                )
+            e = elab
+        for pi, dom in reversed(links):
+            e = Pi(pi.annot, pi.binder, dom, e, pi.pos)
+        return e
 
     def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> SizeExpr:
         match e:

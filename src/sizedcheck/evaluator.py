@@ -20,9 +20,9 @@ serves evaluation and conversion alike and lives as long as the unfold
 budget: `reset_budget`, called for every declaration and every eval let,
 drops both.
 
-The codomain of an arrow `A -> B` is shared too.  Scope checking leaves such
-a Pi without a binder, so its codomain cannot mention the argument, and its
-value depends only on the closure's environment, which nothing mutates.
+The codomain of an arrow `A -> B` is shared too.  The parser gives such a Pi
+no binder, so its codomain cannot mention the argument, and its value
+depends only on the closure's environment, which nothing mutates.
 `close` evaluates it on the first instantiation and keeps it on the
 `Closure`; every later walk of the type (`telescope`, pattern elaboration,
 application, subtyping, conversion) gets the same value, with no copied

@@ -7,17 +7,26 @@ is read only to tell identifiers and eof apart.  A chain of binders and arrows
 (`(x : A) ->`, `[x : A] ->`, `\\ x ->`, `A ->`) is collected in a loop and
 folded to the right, so a long chain costs no stack.
 
-Identifiers produced here carry throwaway uids; scope checking rebuilds the
-tree with resolved names."""
+Names are resolved as they are read, by the rules of `scope.py`, so the
+parser builds the one tree the checker reads: a binder is a fresh Ident, a
+use is the Ident it names, and a size hole gets its number.  A dot pattern
+may name a variable bound later in its left-hand side, so it is read twice:
+where it stands, to find its end and its PARSE faults, and again once the
+whole left-hand side is bound.  An UNBOUND or DUPLICATE fault does not stop
+the parser, since a later PARSE fault outranks it; `scope.scope_check`
+raises it after parsing."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
+from .scope import Scope
 from .syntax import (
     App,
     CaseData,
+    CaseSize,
     Clause,
     ConSpec,
     DataDecl,
@@ -34,9 +43,9 @@ from .syntax import (
     PDot,
     Pi,
     Polarity,
+    Pos,
     PSizeRel,
     PSucc,
-    PVar,
     PWild,
     SetU,
     Size,
@@ -48,7 +57,6 @@ from .syntax import (
     SSucc,
     SVar,
     Var,
-    fresh_ident,
 )
 
 KEYWORDS = {
@@ -60,7 +68,7 @@ MULTI_SYMBOLS = ("->", "++")
 SINGLE_SYMBOLS = set(":;{}()[]=\\.$#_>|")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # keyword | ident | symbol | eof
     text: str
@@ -91,7 +99,7 @@ def tokenize(source: str) -> list[Token]:
             j = i
             while j < n and (source[j].isalnum() or source[j] in "_'"):
                 j += 1
-            text = source[i:j]
+            text = sys.intern(source[i:j])  # one string per name
             kind = "keyword" if text in KEYWORDS else "ident"
             toks.append(Token(kind, text, line, col))
             col += j - i
@@ -130,19 +138,11 @@ class _Parser:
         # two more copies of eof cover the deepest lookahead (ahead=2)
         self.toks = tokens + [tokens[-1]] * 2
         self.i = 0
-        # one Ident per name text; binding structure is scope checking's job
-        self.interned: dict[str, Ident] = {}
+        self.sc = Scope()
+        # the first token of the size expression being read, if any
+        self.size_pos: Pos | None = None
 
     # -- token helpers ------------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
 
     def at(self, text: str, ahead: int = 0) -> bool:
         return self.toks[self.i + ahead].text == text
@@ -154,23 +154,12 @@ class _Parser:
         self.i += 1
         return t
 
-    def pos(self) -> tuple[int, int]:
-        t = self.toks[self.i]
-        return (t.line, t.col)
-
-    def name_token(self) -> Token:
+    def name(self) -> str:
         t = self.toks[self.i]
         if t.kind != "ident":
             raise _error(f"expected 'ident', found {_found(t)}", t)
         self.i += 1
-        return t
-
-    def ident(self) -> Ident:
-        text = self.name_token().text
-        x = self.interned.get(text)
-        if x is None:
-            x = self.interned[text] = fresh_ident(text)
-        return x
+        return t.text
 
     def block(self, item) -> list:
         """`{ item ; ... ; item }`, possibly empty."""
@@ -188,12 +177,14 @@ class _Parser:
 
     def program(self) -> list[Declaration]:
         decls = []
-        while self.peek().kind != "eof":
+        while self.toks[self.i].kind != "eof":
+            self.sc.fault = None
             decls.append(self.declaration())
+            decls[-1].fault = self.sc.fault
         return decls
 
     def declaration(self) -> Declaration:
-        t = self.peek()
+        t = self.toks[self.i]
         p = (t.line, t.col)
         match t.text:
             case "sized" | "data" | "codata":
@@ -205,13 +196,15 @@ class _Parser:
         raise _error(f"expected a declaration, found {_found(t)}", t)
 
     def data_decl(self, p) -> DataDecl:
+        sc = self.sc
         sized = self.at("sized")
         if sized:
             self.i += 1
-        kw = self.next()
+        kw = self.toks[self.i]
+        self.i += 1
         if kw.text not in ("data", "codata"):
             raise _error("expected 'data' or 'codata'", kw)
-        name = self.ident()
+        name = self.name()
         params = []
         while self.at("++") or self.at("("):
             pol = Polarity.INVARIANT
@@ -219,58 +212,72 @@ class _Parser:
                 self.i += 1
                 pol = Polarity.STRICT_POS
             self.expect("(")
-            pn = self.ident()
+            pn = self.name()
             self.expect(":")
             pt = self.expr()
             self.expect(")")
-            params.append(ParamSpec(pn, pt, pol))
+            params.append(ParamSpec(sc.bind(pn), pt, pol))
         self.expect(":")
         index_sig = self.expr()
-        cons = self.block(self.con_spec)
-        return DataDecl(sized, kw.text == "codata", name, params, index_sig, cons, p)
+        owner = sc.define(name, "data", p)
+        cons = self.block(lambda: self.con_spec(owner))
+        sc.restore(0)
+        return DataDecl(sized, kw.text == "codata", owner, params, index_sig, cons, p)
 
-    def con_spec(self) -> ConSpec:
-        p = self.pos()
-        name = self.ident()
-        self.expect(":")
-        return ConSpec(name, self.expr(), p)
-
-    def fun_decl(self, p) -> FunDecl:
-        kw = self.next()
-        name = self.ident()
+    def con_spec(self, owner: Ident) -> ConSpec:
+        t = self.toks[self.i]
+        p = (t.line, t.col)
+        name = self.name()
         self.expect(":")
         ty = self.expr()
-        clauses = self.block(lambda: self.clause(name.text))
-        return FunDecl(kw.text == "cofun", name, ty, clauses, p)
+        return ConSpec(self.sc.define(name, "con", p, owner), ty, p)
+
+    def fun_decl(self, p) -> FunDecl:
+        cofun = self.at("cofun")
+        self.i += 1
+        name = self.name()
+        self.expect(":")
+        ty = self.expr()
+        fname = self.sc.define(name, "fun", p)
+        clauses = self.block(lambda: self.clause(name))
+        return FunDecl(cofun, fname, ty, clauses, p)
 
     def clause(self, fname: str) -> Clause:
-        head = self.name_token()
-        if head.text != fname:
+        head = self.toks[self.i]
+        if self.name() != fname:
             raise _error(
                 f"clause head {head.text!r} does not match function name {fname!r}", head
             )
+        dots: list = []
         lhs = []
         while not self.at("="):
-            lhs.append(self.pattern_atom())
+            lhs.append(self.pattern_atom(dots))
+        self.resolve_dots(dots)
         self.expect("=")
-        return Clause(lhs, self.expr(), (head.line, head.col))
+        rhs = self.expr()
+        self.sc.restore(0)
+        return Clause(lhs, rhs, (head.line, head.col))
 
     def let_decl(self, p) -> LetDecl:
         ev = self.at("eval")
         if ev:
             self.i += 1
         self.expect("let")
-        name = self.ident()
+        name = self.name()
         self.expect(":")
         ty = self.expr()
         self.expect("=")
-        return LetDecl(name, ty, self.expr(), ev, p)
+        body = self.expr()
+        return LetDecl(self.sc.define(name, "let", p), ty, body, ev, p)
 
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
+        sc = self.sc
+        mark = len(sc.trail)
         # the links of the chain, outermost first: (pos, annot, binder,
-        # domain), with annot None for a lambda
+        # domain), with annot None for a lambda; each binder is in scope
+        # from the next link on
         links = []
         while True:
             t = self.toks[self.i]
@@ -278,26 +285,27 @@ class _Parser:
             text = t.text
             if text == "\\":
                 self.i += 1
-                x = self.ident()
+                x = sc.bind(self.name())
                 self.expect("->")
                 links.append((p, None, x, None))
             elif text == "[" or (
-                text == "(" and self.peek(1).kind == "ident" and self.at(":", 2)
+                text == "(" and self.toks[self.i + 1].kind == "ident" and self.at(":", 2)
             ):
                 self.i += 1
-                x = self.ident()
+                name = self.name()
                 self.expect(":")
                 dom = self.expr()
                 self.expect("]" if text == "[" else ")")
                 self.expect("->")
                 annot = Annot.PARAMETRIC if text == "[" else Annot.RELEVANT
-                links.append((p, annot, x, dom))
+                links.append((p, annot, sc.bind(name), dom))
             else:
                 e = self.app_expr()
                 if not self.at("->"):
                     break
                 self.i += 1
                 links.append((p, Annot.RELEVANT, None, e))
+        sc.restore(mark)
         for p, annot, x, dom in reversed(links):
             e = Lam(x, e, p) if annot is None else Pi(annot, x, dom, e, p)
         return e
@@ -313,36 +321,73 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.toks[self.i]
         p = (t.line, t.col)
-        if t.kind == "ident":
-            return Var(self.ident(), p)
         self.i += 1  # a fault is reported at t, so consuming it first is safe
+        if t.kind == "ident":
+            if self.size_pos is not None:
+                return Var(self.sc.size_var(t.text, self.size_pos), p)
+            return self.sc.var(t.text, p)
         match t.text:
             case "Set":
                 return SetU(p)
             case "Size":
                 return SizeU(p)
-            case "max":
+            case "max" | "$":
+                outer = self.size_pos is None
+                if outer:
+                    self.size_pos = p
                 a = self.size_atom()
-                return Size(SMax(a, self.size_atom()), p)
+                s = SMax(a, self.size_atom()) if t.text == "max" else SSucc(a)
+                if outer:
+                    self.size_pos = None
+                return Size(s, p)
             case "case":
-                scrut = self.app_expr()
-                return CaseData(scrut, self.block(self.branch), p)
-            case "$":
-                return Size(SSucc(self.size_atom()), p)
+                return self.case(p)
             case "#":
                 return Size(SInfty(), p)
             case "_":
-                return Size(SMeta(-1), p)
+                self.sc.metas += 1
+                return Size(SMeta(self.sc.metas), p)
             case "(":
                 e = self.expr()
                 self.expect(")")
                 return e
         raise _error(f"expected an expression, found {_found(t)}", t)
 
+    def case(self, p) -> Expr:
+        """A case, or a size case if its one branch is `($ j)`; the case's own
+        faults outrank those found inside it."""
+        sc = self.sc
+        before = sc.fault
+        scrut = self.app_expr()
+        scrut_fault = sc.fault
+        branches = self.block(self.branch)
+        if not any(isinstance(b[0], PSucc) for b in branches):
+            return CaseData(scrut, branches, p)
+        if len(branches) > 1:
+            if before is None:
+                sc.fault = Diagnostic(
+                    "UNBOUND", "a successor-pattern case must have exactly one branch", p
+                )
+        elif isinstance(scrut, (Var, Size)):
+            ((pat, body),) = branches
+            s = SVar(scrut.name) if isinstance(scrut, Var) else scrut.size
+            return CaseSize(s, pat.child, body, p)
+        elif scrut_fault is None:
+            sc.fault = Diagnostic(
+                "UNBOUND", "case on a size requires a size variable scrutinee", p
+            )
+        return CaseData(scrut, branches, p)
+
     def branch(self) -> tuple[Pattern, Expr]:
-        pat = self.pattern_atom()
+        sc = self.sc
+        mark = len(sc.trail)
+        dots: list = []
+        pat = self.pattern_atom(dots, shadow=True)  # a size case's ($ j)
+        self.resolve_dots(dots)
         self.expect("->")
-        return pat, self.expr()
+        body = self.expr()
+        sc.restore(mark)
+        return pat, body
 
     def size_atom(self) -> SizeExpr:
         t = self.toks[self.i]
@@ -355,48 +400,69 @@ class _Parser:
 
     # -- patterns -----------------------------------------------------------
 
-    def pattern_atom(self) -> Pattern:
+    def pattern_atom(self, dots: list, shadow: bool = False) -> Pattern:
+        """One pattern, whose dots go to `dots`; with `shadow`, a successor
+        pattern may rebind a name in scope."""
         t = self.toks[self.i]
         p = (t.line, t.col)
-        if t.kind == "ident":
-            return PVar(self.ident(), p)
         self.i += 1  # as in atom
+        if t.kind == "ident":
+            return self.sc.pattern_var(t.text, p)
         match t.text:
             case "_":
                 return PWild(p)
             case ".":
-                return PDot(self.atom(), p)
+                # read to find its end and its PARSE faults, and forgotten
+                sc = self.sc
+                dots.append((self.i, PDot(None, p)))
+                fault, metas = sc.fault, sc.metas
+                self.atom()
+                sc.fault, sc.metas = fault, metas
+                return dots[-1][1]
             case "(":
-                return self.paren_pattern(p)
+                return self.paren_pattern(p, dots, shadow)
         raise _error(f"expected a pattern, found {_found(t)}", t)
 
-    def paren_pattern(self, p) -> Pattern:
+    def resolve_dots(self, dots: list):
+        """Read the dots again once their left-hand side is bound."""
+        if dots:
+            end = self.i
+            for start, d in dots:
+                self.i = start
+                d.expr = self.atom()
+            self.i = end
+
+    def paren_pattern(self, p, dots: list, shadow: bool) -> Pattern:
+        sc = self.sc
         t = self.toks[self.i]
         if t.text == "$":
-            self.i += 1
-            tv = self.peek()
+            tv = self.toks[self.i + 1]
             if tv.kind != "ident":
                 raise _error(
                     "successor patterns admit exactly one successor: "
                     f"expected a size variable after '$', found {_found(tv)}", tv
                 )
-            x = self.ident()
+            self.i += 2
             self.expect(")")
-            return PSucc(x, p)
+            return PSucc(sc.bind(tv.text, None if shadow else p), p)
         if t.kind != "ident":
             raise _error(f"expected a pattern, found {_found(t)}", t)
-        if self.at(">", 1):
-            parent = self.ident()
-            self.expect(">")
-            child = self.ident()
+        self.i += 1
+        if self.at(">"):
+            parent = sc.size_var(t.text, p)
+            self.i += 1
+            child = self.name()
             self.expect(")")
-            return PSizeRel(parent, child, p)
-        con = self.ident()
+            return PSizeRel(parent, sc.bind(child, p), p)
+        if self.at(")"):  # (x) is the pattern x
+            self.i += 1
+            return sc.pattern_var(t.text, p)
+        con = sc.constructor(t.text, p)
         args = []
         while not self.at(")"):
-            args.append(self.pattern_atom())
+            args.append(self.pattern_atom(dots))
         self.expect(")")
-        return PCon(con, args, p) if args else PVar(con, p)
+        return PCon(con, args, p)
 
 
 def parse_source(source: str) -> list[Declaration]:

@@ -368,7 +368,7 @@ def solve_metas(
         if not isinstance(rb, Meta):
             continue
         strict = c.rel is Rel.LT
-        for lb, ln in c.lhs.pairs:
+        for lb, ln in sorted(c.lhs.pairs, key=_pair_key):
             k = ln + (1 if strict else 0)
             if lb is INFTY:
                 lower[rb.mid].append(ns_infty())

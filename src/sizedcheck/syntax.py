@@ -145,16 +145,18 @@ class SMeta(SizeExpr):
     mid: int
 
 
-def size_vars(s: SizeExpr) -> set[Ident]:
+def size_vars(s: SizeExpr) -> list[Ident]:
+    """The variables of s in source order, so a check that reports the first
+    bad one reports the same one in every run."""
     match s:
         case SVar(name=x):
-            return {x}
+            return [x]
         case SSucc(arg=a):
             return size_vars(a)
         case SMax(left=a, right=b):
-            return size_vars(a) | size_vars(b)
+            return size_vars(a) + size_vars(b)
         case _:
-            return set()
+            return []
 
 
 def size_metas(s: SizeExpr) -> set[int]:
@@ -362,6 +364,9 @@ class ConSpec:
 
 class Declaration:
     pos: Pos
+    # the first UNBOUND or DUPLICATE fault the parser found in the
+    # declaration (a Diagnostic), which `scope_check` raises
+    fault = None
 
 
 @dataclass

@@ -37,7 +37,7 @@ class Closure:
     """A body under one binder, with the environment it was built in.
 
     The binder is None when the body cannot mention it: the codomain of an
-    arrow `A -> B`, whose binder scope checking drops.  Such a body has one
+    arrow `A -> B`, to which the parser gives no binder.  Such a body has one
     value whatever it is instantiated at, so `Evaluator.close` evaluates it
     on the first instantiation and keeps the result in `value`."""
 

@@ -518,3 +518,28 @@ cofun g : (i : Size) -> Stream Nat i
         d = rejected(src, "PARAMETRIC-VIOLATION")
         assert "'i'" in d.message
         assert d.pos == (src.splitlines().index(line) + 1, line.index("(g i)") + 4)
+
+
+class TestDeterministicMessages:
+    def test_first_bad_size_variable_is_the_first_in_the_source(self):
+        # `max j k` has two parametric variables; the message names the
+        # first, however many Idents the process has made before
+        src = SNAT_PARAMETRIC + """
+fun max2 : [i : Size] -> SNat i -> SNat i -> SNat i
+{ max2 i (succ (i > j) m) (succ (i > k) n) = (max j k) (max2 (max j k) m n)
+}
+"""
+        for _ in range(16):
+            d = rejected(src, "PARAMETRIC-VIOLATION")
+            assert d.message == "parametric variable 'j' used in a relevant position"
+            fresh_ident("x")
+
+
+class TestLongTypes:
+    """A Pi chain is checked in a loop, so a long one needs no deep stack."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("link", ["Set -> ", "(x : Set) -> ", "[i : Size] -> "])
+    def test_long_pi_chain_is_accepted(self, link):
+        ok("let a : Set = " + link * self.N + "Set\n")

@@ -200,7 +200,8 @@ class TestChainDepth:
     def test_nested_lambdas(self):
         (d,) = parse_source("let f : Set = " + "\\ x -> " * self.N + "x")
         lams, last = self.links(d.body, Lam)
-        assert len(lams) == self.N and last.name is lams[0].binder
+        # the body's x is bound by the innermost lambda
+        assert len(lams) == self.N and last.name is lams[-1].binder
         assert [lam.pos for lam in lams[:2]] == [(1, 15), (1, 22)]
 
 
