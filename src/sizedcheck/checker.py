@@ -36,8 +36,8 @@ from .sizes import (
     bump,
     format_size,
     ns_var,
+    pred,
     solve_metas,
-    to_size_expr,
     Meta,
 )
 from .syntax import (
@@ -419,8 +419,7 @@ class Checker:
             sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
         except (Unsolvable, Ambiguous) as exc:
             raise Diagnostic("UNSOLVED-META", str(exc), pos)
-        for m, ns in sol.items():
-            self.sig.holes[m] = to_size_expr(ns)
+        self.sig.holes.update(sol)
         return sol
 
     def check_let_decl(self, d: LetDecl):
@@ -665,14 +664,10 @@ class Checker:
                         "cannot match at a max-shaped size index",
                         sub.pos,
                     )
-                pred = (
-                    s_ns
-                    if s_ns.is_infty()
-                    else NormalSize(frozenset({(s_ns.atom()[0], s_ns.atom()[1] - 1)}))
-                )
+                size_val = VSize(pred(s_ns))
                 match sub:
                     case PDot(expr=e):
-                        obligations.append((e, VSizeU(), VSize(pred), sub.pos))
+                        obligations.append((e, VSizeU(), size_val, sub.pos))
                     case _:
                         raise Diagnostic(
                             "SIZE-PATTERN-REQUIRED",
@@ -680,7 +675,6 @@ class Checker:
                             "here; use a dot pattern",
                             sub.pos,
                         )
-                size_val = VSize(pred)
             args_out.append(sub)
             thunks.append(Thunk.of(size_val))
             ct = self.ev.instantiate(ct, size_val)

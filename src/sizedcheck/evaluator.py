@@ -5,8 +5,9 @@ Readback is one walk from values to syntax with two modes: `quote` reads
 back structurally, for diagnostics and the size-case rule, and
 `readback` displays eval output (unfolding, eliding coinductive layers past
 the print depth, erasing parametric sizes, costing fuel).  A size hole is
-read through the signature's table of solved holes: `eval_size` normalizes a
-solved hole as its solution, so elaborated syntax is never rewritten.
+read through the signature's table of solved holes, which holds each solution
+as a normal form: `eval_size` normalizes a solved hole as its solution, read
+under the environment, so elaborated syntax is never rewritten.
 
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
@@ -57,6 +58,7 @@ from .sizes import (
     entails,
     normalize,
     ns_var,
+    pred,
     to_size_expr,
 )
 from .syntax import (
@@ -116,14 +118,6 @@ _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
-
-
-def _size_pred(ns: NormalSize) -> NormalSize:
-    # the successor-pattern binding at erased sizes: $ # matches with j = #
-    if ns.is_infty():
-        return ns
-    pairs = frozenset((b, max(n - 1, 0)) for b, n in ns.pairs)
-    return NormalSize(pairs)
 
 
 class Evaluator:
@@ -383,7 +377,7 @@ class Evaluator:
                 ns = self.size_view(self.force(th))
                 if ns is None:
                     return _STUCK
-                env[j.uid] = Thunk.of(VSize(_size_pred(ns)))
+                env[j.uid] = Thunk.of(VSize(pred(ns)))
                 return True
             case PSizeRel(child=j):
                 env[j.uid] = th

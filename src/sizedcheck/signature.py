@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .sizes import NormalSize, SizeCtx
-from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, SizeExpr
+from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos
 from .values import Thunk, Value
 
 
@@ -90,12 +90,13 @@ Entry = DataEntry | ConEntry | FunEntry | LetEntry
 class Signature:
     """Append-only map from resolved idents to checked entries, and the
     table of solved size holes.  Hole ids are unique in a program, so each
-    solution is stored once, as a size expression, when its clause or let
-    is checked; the evaluator reads it wherever the hole is normalized."""
+    solution is stored once, as a normal form that names no hole, when its
+    clause or let is checked; the evaluator reads it wherever the hole is
+    normalized."""
 
     def __init__(self):
         self.entries: dict[int, Entry] = {}
-        self.holes: dict[int, SizeExpr] = {}
+        self.holes: dict[int, NormalSize] = {}
         self.order: list[Ident] = []
         # the first ident declared under each text: for a constructor name
         # reused across data types this is the earliest declaration

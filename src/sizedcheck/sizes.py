@@ -49,16 +49,26 @@ class Meta:
 Base = object
 
 
-@dataclass(frozen=True)
 class NormalSize:
     """Canonical size: a non-empty set of (base, offset) pairs, read as the
     maximum of base+offset.  INFTY absorbs everything and successor chains are
-    folded into offsets, so # keeps offset 0."""
+    folded into offsets, so # is always the one pair (INFTY, 0)."""
 
-    pairs: frozenset
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset):
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalSize):
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
 
     def is_infty(self) -> bool:
-        return any(b is INFTY for b, _ in self.pairs)
+        return (INFTY, 0) in self.pairs
 
     def is_atom(self) -> bool:
         return len(self.pairs) == 1
@@ -102,9 +112,26 @@ def ns_infty() -> NormalSize:
 
 
 def bump(ns: NormalSize, n: int) -> NormalSize:
+    """ns + n.  A uniform shift keeps the bases distinct, so nothing is
+    pruned; only the offset bound is checked."""
+    pairs = ns.pairs
+    if n == 0 or (INFTY, 0) in pairs:
+        return ns
+    shifted = []
+    for b, k in pairs:
+        k += n
+        if k > MAX_OFFSET:
+            raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
+        shifted.append((b, k))
+    return NormalSize(frozenset(shifted))
+
+
+def pred(ns: NormalSize) -> NormalSize:
+    """The size a successor pattern binds at erased sizes: every offset one
+    lower, but not below 0, and $ # matches with j = #."""
     if ns.is_infty():
         return ns
-    return NormalSize(_prune((b, k + n) for b, k in ns.pairs))
+    return NormalSize(frozenset([(b, max(n - 1, 0)) for b, n in ns.pairs]))
 
 
 def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
@@ -112,14 +139,15 @@ def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
 
 
 def normalize(
-    s: SizeExpr, lookup=None, holes: dict[int, SizeExpr] | None = None
+    s: SizeExpr, lookup=None, holes: dict[int, NormalSize] | None = None
 ) -> NormalSize:
     """Fold successors into offsets, collapse $ # to #, flatten max.
 
     `lookup` optionally maps a size variable to an already-normalized size
     (used when evaluating under an environment).  `holes` optionally maps
-    solved size holes to their solutions, which normalize, under the same
-    lookup, as if written in place of the hole."""
+    solved size holes to their solutions, normal forms that name no hole;
+    a solved hole normalizes as its solution read under the same lookup,
+    as if the solution were written in place of the hole."""
     match s:
         case SVar(name=x):
             if lookup is not None:
@@ -127,17 +155,37 @@ def normalize(
                 if ns is not None:
                     return ns
             return ns_var(x)
-        case SSucc(arg=a):
-            return bump(normalize(a, lookup, holes), 1)
+        case SSucc():
+            n = 0
+            while isinstance(s, SSucc):
+                s = s.arg
+                n += 1
+            return bump(normalize(s, lookup, holes), n)
         case SInfty():
             return ns_infty()
         case SMax(left=a, right=b):
             return ns_max(normalize(a, lookup, holes), normalize(b, lookup, holes))
         case SMeta(mid=m):
-            if holes and m in holes:
-                return normalize(holes[m], lookup, holes)
-            return ns_meta(m)
+            sol = holes.get(m) if holes else None
+            if sol is None:
+                return ns_meta(m)
+            if lookup is None or sol.is_infty():
+                return sol
+            return _read_solution(sol, lookup)
     raise AssertionError(f"normalize: unhandled {s!r}")
+
+
+def _read_solution(sol: NormalSize, lookup) -> NormalSize:
+    # each variable pair reads as its value under lookup, shifted by the
+    # pair's offset; the variables are looked up in printing order
+    pairs = sol.pairs if len(sol.pairs) == 1 else sorted(sol.pairs, key=_pair_key)
+    out = None
+    for b, n in pairs:
+        assert isinstance(b, Ident), f"a hole solution names a hole: {sol!r}"
+        val = lookup(b)
+        val = bump(ns_var(b) if val is None else val, n)
+        out = val if out is None else ns_max(out, val)
+    return out
 
 
 def to_size_expr(ns: NormalSize) -> SizeExpr:
@@ -233,9 +281,10 @@ class Rel(Enum):
 
 
 def _check_scope(ctx: SizeCtx, ns: NormalSize):
-    missing = ns.vars() - ctx.scope
-    if missing:
-        raise UnknownVariable(next(iter(missing)).text)
+    scope = ctx.scope
+    for b, _ in ns.pairs:
+        if isinstance(b, Ident) and b not in scope:
+            raise UnknownVariable(b.text)
 
 
 def _best_gain(ctx: SizeCtx, x: Ident, y: Base) -> int | None:
@@ -322,6 +371,10 @@ def apply_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:
     """Replace every solved hole in ns by its solution, in one pass; ns
     itself when it mentions no solved hole.  A hole solved as # makes the
     whole of ns #, whatever offsets the other pairs would reach."""
+    if len(ns.pairs) == 1:
+        ((b, n),) = ns.pairs
+        val = sol.get(b.mid) if isinstance(b, Meta) else None
+        return ns if val is None else bump(val, n)
     out, hits = [], []
     for b, n in ns.pairs:
         val = sol.get(b.mid) if isinstance(b, Meta) else None

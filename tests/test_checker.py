@@ -461,6 +461,61 @@ fun f : [i : Size] -> SNat i -> SNat #
     def test_hole_of_non_size_type(self):
         rejected(NAT + "let x : Nat = _", "UNSOLVED-META")
 
+    SOLVED_UNDER_ENV = SNAT_PARAMETRIC + """
+fun max2 : [i : Size] -> SNat i -> SNat i -> SNat i
+{ max2 i (zero (i > j))    n               = n
+; max2 i  m               (zero (i > j))   = m
+; max2 i (succ (i > j) m) (succ (i > k) n) = succ (max j k) (max2 (max j k) m n)
+}
+let inc2 : [i : Size] -> SNat i -> SNat ($$ i)
+         = \\ i -> \\ n -> succ _ (succ _ n)
+let mx : [i : Size] -> [j : Size] -> SNat i -> SNat j -> SNat (max i j)
+       = \\ i -> \\ j -> \\ m -> \\ n -> max2 _ m n
+eval let two : SNat # = inc2 # (zero #)
+eval let inc2k : [k : Size] -> SNat k -> SNat ($$ k) = \\ k -> \\ n -> inc2 k n
+eval let big : SNat # = mx # # (zero #) two
+eval let mxk : [k : Size] -> SNat k -> SNat ($ k) -> SNat ($ k)
+             = \\ k -> \\ m -> \\ n -> mx k ($ k) m n
+eval let mxinf : [k : Size] -> SNat k -> SNat # -> SNat # = \\ k -> \\ m -> \\ n -> mx k # m n
+eval let mxkl : [k : Size] -> [l : Size] -> SNat k -> SNat l -> SNat (max k l)
+              = \\ k -> \\ l -> \\ m -> \\ n -> mx k l m n
+fun inc : [i : Size] -> SNat i -> SNat ($ i)
+{ inc i n = succ _ n
+}
+eval let one : SNat # = inc # (zero #)
+eval let inck : [k : Size] -> SNat k -> SNat ($ k) = \\ k -> \\ n -> inc k n
+"""
+
+    def test_solutions_read_under_an_environment(self):
+        # inc2's holes are solved as i and $ i, mx's as max(i, j) and inc's
+        # as i; each eval let reads them with i bound to # or to a variable
+        from sizedcheck.cli import RunConfig, check_source
+        from sizedcheck.sizes import NormalSize
+
+        r = check_source(self.SOLVED_UNDER_ENV, "<test>",
+                         RunConfig([], print_sizes=True, print_constraints=True))
+        assert r.diagnostic is None
+        assert r.outputs == [
+            "two = succ # (succ # (zero #))",
+            "inc2k = \\ k -> \\ n -> succ ($ k) (succ k n)",
+            "big = succ # (succ # (zero #))",
+            "mxk = \\ k -> \\ m -> \\ n -> max2 ($ k) m n",
+            "mxinf = \\ k -> \\ m -> \\ n -> max2 # m n",
+            "mxkl = \\ k -> \\ l -> \\ m -> \\ n -> max2 (max k l) m n",
+            "one = succ # (zero #)",
+            "inck = \\ k -> \\ n -> succ k n",
+        ]
+        assert r.constraint_dump == [
+            "-- inc2", "i <= m1", "m1+1 <= m2", "m2+1 <= i+2",
+            "-- mx", "i <= m1", "j <= m1", "m1 <= max(i, j)",
+            "-- inc clause 1", "i <= m1", "m1+1 <= i+1",
+        ]
+        ch, _, _ = build(self.SOLVED_UNDER_ENV)
+        assert len(ch.sig.holes) == 4
+        for ns in ch.sig.holes.values():
+            assert isinstance(ns, NormalSize) and not ns.metas()
+        assert sorted(map(repr, ch.sig.holes.values())) == ["i", "i", "i+1", "max(i, j)"]
+
 
 class TestProgram:
     def test_section2_signature_has_enough_entries(self):

@@ -249,15 +249,17 @@ class TestSolveMetas:
         assert sol == {m: ns_var(i, n - m) for m in mids}
 
     def test_work_grows_linearly_with_the_chain(self, monkeypatch):
+        # every hole of the chain reads its dependency's solution through one
+        # bump, when it is solved and when its constraint is re-verified
         calls = 0
-        prune = sizes._prune
+        bump_ = sizes.bump
 
-        def counting(pairs):
+        def counting(ns, n):
             nonlocal calls
             calls += 1
-            return prune(pairs)
+            return bump_(ns, n)
 
-        monkeypatch.setattr(sizes, "_prune", counting)
+        monkeypatch.setattr(sizes, "bump", counting)
         counts = []
         for n in (100, 200):
             cs, mids = self._chain(n)
