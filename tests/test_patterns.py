@@ -1,4 +1,6 @@
-"""No class pattern in the package takes positional sub-patterns.
+"""Patterns, in two senses.  No class pattern in the package takes positional
+sub-patterns, and every arm of the checker's pattern elaboration that rejects
+a pattern gives its code, message and position.
 
 CPython 3.11 looks `__match_args__` up with a new string each time it runs a
 positional class pattern such as `Var(x)`, and its type attribute cache may
@@ -10,6 +12,10 @@ in about half the time."""
 import ast
 from pathlib import Path
 
+import pytest
+
+from sizedcheck import check_source
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "sizedcheck"
 
 
@@ -20,3 +26,92 @@ def test_no_positional_class_patterns():
             if isinstance(node, ast.MatchClass) and node.patterns:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# -- pattern rejections -------------------------------------------------------
+
+NAT = """data Nat : Set
+{ zero : Nat
+; succ : Nat -> Nat
+}
+"""
+BOX = NAT + "data Box : Set { box : (i : Size) -> Box }\n"
+CODATA = NAT + "sized codata S : Size -> Set { c : [i : Size] -> S i -> S ($ i) }\n"
+
+ONLY_VARIABLES = "only variable patterns may match an inner size argument"
+SIZE_REL_OUTSIDE = "size patterns (i > j) belong inside constructor patterns"
+
+# one row per arm of pattern elaboration: a clause argument at a Size binder,
+# at a data binder, an inner size argument of a constructor pattern, and a
+# case branch; (program, code, message, position)
+REJECTIONS = {
+    "size binder, dot": (
+        NAT + "fun f : [i : Size] -> Nat\n{ f .# = zero\n}\n",
+        "ILLEGAL-SIZE-REFINEMENT",
+        "a dot pattern may not refine a size parameter of the function itself", (6, 5)),
+    "size binder, size pattern": (
+        NAT + "fun f : [i : Size] -> [k : Size] -> Nat\n{ f i (i > j) = zero\n}\n",
+        "TYPE-MISMATCH", SIZE_REL_OUTSIDE, (6, 7)),
+    "size binder, constructor": (
+        NAT + "fun f : [i : Size] -> Nat\n{ f zero = zero\n}\n",
+        "TYPE-MISMATCH", "cannot match a constructor against a size", (6, 5)),
+    "size binder, successor in a fun": (
+        NAT + "fun f : [i : Size] -> Nat\n{ f ($ j) = zero\n}\n",
+        "ADMISSIBILITY",
+        "successor patterns are only permitted in corecursive definitions", (6, 5)),
+    "size binder, successor in a cofun, inadmissible result": (
+        NAT + "cofun f : Nat -> [i : Size] -> Nat\n{ f x ($ j) = zero\n}\n",
+        "ADMISSIBILITY",
+        "result type 'Nat' is not a sized coinductive type at exactly 'i'", (6, 7)),
+    "size binder, successor in a cofun, inadmissible argument": (
+        CODATA + "cofun f : [i : Size] -> (S i -> Nat) -> S i\n{ f ($ j) g = f ($ j) g\n}\n",
+        "ADMISSIBILITY",
+        "argument type 'S i -> Nat' is neither antitone nor sized inductive at 'i'", (7, 5)),
+    "data binder, dot": (
+        NAT + "fun f : Nat -> Nat\n{ f .zero = zero\n}\n",
+        "DOT-MISMATCH", "dot pattern in a position not determined by the type", (6, 5)),
+    "data binder, successor": (
+        NAT + "fun f : Nat -> Nat\n{ f ($ j) = zero\n}\n",
+        "ADMISSIBILITY", "successor patterns only match size arguments", (6, 5)),
+    "data binder, size pattern": (
+        NAT + "fun f : [i : Size] -> Nat -> Nat\n{ f i (i > j) = zero\n}\n",
+        "TYPE-MISMATCH", SIZE_REL_OUTSIDE, (6, 7)),
+    "constructor against Set": (
+        NAT + "fun f : Set -> Nat\n{ f zero = zero\n}\n",
+        "TYPE-MISMATCH", "constructor pattern against non-data type 'Set'", (6, 5)),
+    "inner size, successor": (
+        BOX + "fun f : Box -> Nat\n{ f (box ($ j)) = zero\n}\n",
+        "TYPE-MISMATCH", ONLY_VARIABLES, (7, 10)),
+    "inner size, dot": (
+        BOX + "fun f : Box -> Nat\n{ f (box .#) = zero\n}\n",
+        "TYPE-MISMATCH", ONLY_VARIABLES, (7, 10)),
+    "inner size, size pattern": (
+        BOX + "fun f : [i : Size] -> Box -> Nat\n{ f i (box (i > j)) = zero\n}\n",
+        "TYPE-MISMATCH", ONLY_VARIABLES, (7, 12)),
+    "inner size, constructor": (
+        BOX + "fun f : Box -> Nat\n{ f (box zero) = zero\n}\n",
+        "TYPE-MISMATCH", ONLY_VARIABLES, (7, 10)),
+    "case branch, inner size successor": (
+        BOX + "let f : Box -> Nat = \\ b -> case b { (box ($ j)) -> zero }\n",
+        "TYPE-MISMATCH", ONLY_VARIABLES, (6, 43)),
+    "case branch, dot at a data binder": (
+        NAT + "let f : Nat -> Nat = \\ n -> case n { (succ .zero) -> zero ; zero -> zero }\n",
+        "DOT-MISMATCH", "dot pattern in a position not determined by the type", (5, 44)),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_pattern_rejection(name):
+    src, code, message, pos = REJECTIONS[name]
+    d = check_source(src, "<test>").diagnostic
+    assert d is not None
+    assert (d.code, d.message, d.pos) == (code, message, pos)
+
+
+@pytest.mark.parametrize("src", [
+    NAT + "fun f : [i : Size] -> Nat\n{ f _ = zero\n}\n",
+    BOX + "fun f : Box -> Nat\n{ f (box i) = zero\n}\n",
+    BOX + "fun f : Box -> Nat\n{ f (box _) = zero\n}\n",
+], ids=["size wildcard", "inner size variable", "inner size wildcard"])
+def test_variable_patterns_at_sizes_are_accepted(src):
+    assert check_source(src, "<test>").diagnostic is None
