@@ -202,12 +202,11 @@ class Checker:
 
     def check_data_decl(self, d: DataDecl):
         ctx = Ctx()
-        params: list[tuple[Ident, Polarity, Expr, Value]] = []
+        params: list[tuple[Ident, Polarity, Expr]] = []
         for p in d.params:
             pt = self.check_type(ctx, p.type)
-            pv = self.ev.evaluate(ctx.env, pt)
-            ctx = ctx.bind(p.name, pv, Annot.RELEVANT)
-            params.append((p.name, p.polarity, pt, pv))
+            ctx = ctx.bind(p.name, self.ev.evaluate(ctx.env, pt), Annot.RELEVANT)
+            params.append((p.name, p.polarity, pt))
 
         index_elab = self.check_type(ctx, d.index_sig)
         indices, t = self.ev.telescope(self.ev.evaluate(ctx.env, index_elab))
@@ -224,23 +223,24 @@ class Checker:
                 )
 
         kind = index_elab
-        for name, _, pt, _ in reversed(params):
+        for name, _, pt in reversed(params):
             kind = Pi(Annot.RELEVANT, name, pt, kind, d.pos)
         entry = DataEntry(
             d.name,
             d.sized,
             d.coinductive,
-            [(n, pol) for n, pol, _, _ in params],
+            [(n, pol) for n, pol, _ in params],
             len(indices),
             self.ev.evaluate({}, kind),
         )
         self.sig.add(d.name, entry)
 
+        # each constructor type is checked under the parameters, then bound
+        # by them parametrically
         for c in d.constructors:
-            internal = c.type
-            for name, _, pt, _ in reversed(params):
-                internal = Pi(Annot.PARAMETRIC, name, pt, internal, c.pos)
-            ct = self.check_type(Ctx(), internal)
+            ct = self.check_type(ctx, c.type)
+            for name, _, pt in reversed(params):
+                ct = Pi(Annot.PARAMETRIC, name, pt, ct, c.pos)
             cv = self.ev.evaluate({}, ct)
             centry = self._check_constructor(d, params, c.name, cv, c.pos)
             self.sig.add(c.name, centry)
@@ -318,7 +318,7 @@ class Checker:
         # each ++ parameter as the telescope binds it; the declared ident does
         # not occur in the constructor's type value
         strict_params = [_bound_var(binders[k][2])
-                         for k, (_, pol, _, _) in enumerate(params) if pol is Polarity.STRICT_POS]
+                         for k, (_, pol, _) in enumerate(params) if pol is Polarity.STRICT_POS]
         strict_positivity_check(d.name, strict_params, cname, arg_domains, self.ev, pos)
 
         return ConEntry(cname, d.name, cv, n_params, d.sized, annots, len(binders))
@@ -385,7 +385,7 @@ class Checker:
         self.sig.add(f.name, entry)
         for idx, clause in enumerate(f.clauses):
             entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
-        entry.report = termination_check(entry, self.sig)
+        entry.report = termination_check(entry)
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
         ctx, residual, obligations, pats, _ = self._elab_patterns(
@@ -447,39 +447,44 @@ class Checker:
                 raise Diagnostic(
                     "TYPE-MISMATCH", "more patterns than the type has arguments", p.pos
                 )
-            dom = self.ev.whnf(t.domain)
-            if isinstance(dom, VSizeU):
-                designated = fun is not None and k == fun.size_param
-                ctx, val = self._elab_size_binder(ctx, t, p, fun, designated)
-            else:
-                ctx, val, obls, p = self._elab_pattern(ctx, dom, t.annot, p)
-                obligations.extend(obls)
+            designated = fun is not None and k == fun.size_param
+            ctx, val, obls, p = self._elab_pattern(ctx, t, p, fun, designated)
+            obligations.extend(obls)
             pats.append(p)
             vals.append(val)
-            t = self.ev.instantiate(t, val)
+            t = self.ev.close(t.closure, val)
         return ctx, t, obligations, pats, vals
 
-    def _elab_size_binder(
-        self, ctx: Ctx, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool
-    ) -> tuple[Ctx, Value]:
-        """A pattern against a Size binder: a variable or a wildcard, or, among
-        a clause's own arguments (fun not None), a successor pattern of a
-        cofun.  The size matched at the designated binder is the clause's
-        size for termination."""
+    def _elab_pattern(self, ctx: Ctx, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool):
+        """Elaborate one pattern against the binder pi; its domain decides
+        which arms apply.  A Size binder takes a variable or a wildcard, or,
+        among a clause's own arguments (fun not None), a successor pattern of
+        a cofun; the size matched at the designated binder is the clause's
+        size for termination.  Returns the extended context, the value
+        matched, dot obligations and the elaborated pattern."""
+        dom = self.ev.whnf(pi.domain)
+        at_size = isinstance(dom, VSizeU)
         match p:
-            case PWild():
-                x = fresh_ident("_i")
-                return ctx.bind(x, VSizeU(), pi.annot), VSize(ns_var(x))
-            case PVar(name=x):
-                ctx = ctx.bind(x, VSizeU(), pi.annot)
-                size = ns_var(x)
-            case _ if fun is None:
+            case PVar() | PWild():
+                x = p.name if isinstance(p, PVar) else fresh_ident("_i" if at_size else "_x")
+                ctx = ctx.bind(x, dom, pi.annot)
+                val = self.ev.force(ctx.env[x.uid])
+                if designated and isinstance(p, PVar):
+                    ctx.state.lhs_size = val.size
+                return ctx, val, [], p
+            case _ if at_size and fun is None:
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     "only variable patterns may match an inner size argument",
                     p.pos,
                 )
-            case PSucc(child=j):
+            case PSizeRel():
+                raise Diagnostic(
+                    "TYPE-MISMATCH",
+                    "size patterns (i > j) belong inside constructor patterns",
+                    p.pos,
+                )
+            case PSucc(child=j) if at_size:
                 if not fun.coinductive:
                     raise Diagnostic(
                         "ADMISSIBILITY",
@@ -488,45 +493,38 @@ class Checker:
                         p.pos,
                     )
                 i_star = fresh_ident(pi.binder.text)
-                residual = self.ev.instantiate(pi, VSize(ns_var(i_star)))
+                residual = self.ev.close(pi.closure, VSize(ns_var(i_star)))
                 reason = admissibility_check(self.ev, residual, i_star, cofun=True)
                 if reason is not None:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
-                ctx = ctx.bind(j, VSizeU(), pi.annot)
+                ctx = ctx.bind(j, dom, pi.annot)
                 size = bump(ns_var(j), 1)
-            case PDot():
+                if designated:
+                    ctx.state.lhs_size = size
+                return ctx, VSize(size), [], p
+            case PSucc():
+                raise Diagnostic(
+                    "ADMISSIBILITY",
+                    "successor patterns only match size arguments",
+                    p.pos,
+                )
+            case PDot() if at_size:
                 raise Diagnostic(
                     "ILLEGAL-SIZE-REFINEMENT",
                     "a dot pattern may not refine a size parameter of the "
                     "function itself",
                     p.pos,
                 )
-            case PSizeRel():
+            case PDot():
                 raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "size patterns (i > j) belong inside constructor patterns",
+                    "DOT-MISMATCH",
+                    "dot pattern in a position not determined by the type",
                     p.pos,
                 )
-            case _:
+            case PCon() if at_size:
                 raise Diagnostic(
                     "TYPE-MISMATCH", "cannot match a constructor against a size", p.pos
                 )
-        if designated:
-            ctx.state.lhs_size = size
-        return ctx, VSize(size)
-
-    def _elab_pattern(self, ctx: Ctx, dom: Value, annot: Annot, p: Pattern):
-        """Elaborate one pattern against its (whnf) domain type; returns the
-        extended context, the value matched, dot obligations and the
-        elaborated pattern."""
-        match p:
-            case PVar(name=x):
-                ctx = ctx.bind(x, dom, annot)
-                return ctx, self.ev.force(ctx.env[x.uid]), [], p
-            case PWild():
-                x = fresh_ident("_x")
-                ctx = ctx.bind(x, dom, annot)
-                return ctx, self.ev.force(ctx.env[x.uid]), [], p
             case PCon():
                 if not isinstance(dom, VData):
                     raise Diagnostic(
@@ -535,28 +533,10 @@ class Checker:
                         f"'{pretty(self.ev.quote(dom))}'",
                         p.pos,
                     )
-                return self._elab_con_pattern(ctx, dom, annot, p)
-            case PDot():
-                raise Diagnostic(
-                    "DOT-MISMATCH",
-                    "dot pattern in a position not determined by the type",
-                    p.pos,
-                )
-            case PSucc():
-                raise Diagnostic(
-                    "ADMISSIBILITY",
-                    "successor patterns only match size arguments",
-                    p.pos,
-                )
-            case PSizeRel():
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "size patterns (i > j) belong inside constructor patterns",
-                    p.pos,
-                )
+                return self._elab_con_pattern(ctx, dom, p)
         raise AssertionError(p)
 
-    def _elab_con_pattern(self, ctx: Ctx, dty: VData, annot: Annot, p: PCon):
+    def _elab_con_pattern(self, ctx: Ctx, dty: VData, p: PCon):
         dentry = self.sig.data(dty.name)
         # constructor names may be reused across data types: resolve by name
         # against the scrutinee's type, not the latest declaration scope chose
@@ -606,7 +586,7 @@ class Checker:
                     )
             args_out.append(sub)
             thunks.append(Thunk.of(forced))
-            ct = self.ev.instantiate(ct, forced)
+            ct = self.ev.close(ct.closure, forced)
 
         # the size argument
         if centry.has_size:
@@ -677,7 +657,7 @@ class Checker:
                         )
             args_out.append(sub)
             thunks.append(Thunk.of(size_val))
-            ct = self.ev.instantiate(ct, size_val)
+            ct = self.ev.close(ct.closure, size_val)
 
         # the proper arguments
         ctx, ct, obls, subs, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
@@ -810,18 +790,12 @@ class Checker:
         match e:
             case Var() | Con():
                 return self._infer_atom(ctx, e, erased)
-            case Def(name=x):
-                elab, ty = self._infer_atom(ctx, e, erased)
-                st = ctx.state
-                if st is not None and st.fun == x.uid:
-                    st.calls.append(CallSite([], None, ctx.sctx, st.lhs_size, st.index, e.pos))
-                return elab, ty
+            case App() | Def():
+                return self._infer_app(ctx, e, erased)
             case Pi():
                 return self.check_type(ctx, e), VSet()
             case Size():
                 return Size(self.as_size(ctx, e, erased), e.pos), VSizeU()
-            case App():
-                return self._infer_app(ctx, e, erased)
             case SetU():
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -847,7 +821,7 @@ class Checker:
                 )
         raise AssertionError(f"infer: unhandled node {e!r}")
 
-    def _infer_app(self, ctx: Ctx, e: App, erased: bool) -> tuple[Expr, Value]:
+    def _infer_app(self, ctx: Ctx, e: App | Def, erased: bool) -> tuple[Expr, Value]:
         head, args = spine(e)
         st = ctx.state
         is_self = isinstance(head, Def) and st is not None and st.fun == head.name.uid
@@ -885,7 +859,7 @@ class Checker:
                 val = self.ev.evaluate(ctx.env, arg_elab)
             elab = App(elab, arg_elab, fty.annot, arg.pos)
             arg_elabs.append(arg_elab)
-            fty = self.ev.instantiate(fty, val)
+            fty = self.ev.close(fty.closure, val)
 
         if is_self:
             st.calls.append(CallSite(arg_elabs, size_arg, ctx.sctx, st.lhs_size, st.index, e.pos))
@@ -903,7 +877,7 @@ class Checker:
                         pos,
                     )
                 ctx2 = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
-                body_ty = self.ev.instantiate(expected, self.ev.force(ctx2.env[x.uid]))
+                body_ty = self.ev.close(expected.closure, self.ev.force(ctx2.env[x.uid]))
                 return Lam(x, self.check(ctx2, body, body_ty, erased), pos)
             case CaseSize():
                 return self._check_case_size(ctx, e, expected, erased)
@@ -985,9 +959,7 @@ class Checker:
                     "case branches must match a constructor",
                     pat.pos,
                 )
-            ctx2, _, obligations, pat2 = self._elab_con_pattern(
-                ctx, sty, Annot.RELEVANT, pat
-            )
+            ctx2, _, obligations, pat2 = self._elab_con_pattern(ctx, sty, pat)
             self._check_obligations(ctx2, obligations)
             out.append((pat2, self.check(ctx2, body, expected, erased)))
         return CaseData(scrut, out, e.pos)

@@ -132,7 +132,6 @@ class Evaluator:
         self.unfold_fuel = unfold_fuel
         self.print_depth = print_depth
         self.print_sizes = print_sizes
-        self.forces = 0
         self.reset_budget()
 
     # -- budgets ------------------------------------------------------------
@@ -153,7 +152,6 @@ class Evaluator:
 
     def force(self, th: Thunk) -> Value:
         if th.value is None:
-            self.forces += 1
             th.value = self.evaluate(th.env, th.expr)
             th.env = th.expr = None
         return th.value
@@ -219,12 +217,10 @@ class Evaluator:
             if th is None:
                 return None
             v = self.force(th)
-            match v:
-                case VSize(size=ns):
-                    return ns
-                case VNe(head=h, spine=[]):
-                    return ns_var(h)
-            raise AssertionError(f"size variable bound to non-size value {v!r}")
+            ns = self.size_view(v)
+            if ns is None:
+                raise AssertionError(f"size variable bound to non-size value {v!r}")
+            return ns
 
         return normalize(s, lookup, self.sig.holes)
 
@@ -269,9 +265,6 @@ class Evaluator:
         x = fresh_ident(binder.text)
         return x, self.close(clo, VNe(x))
 
-    def instantiate(self, pi: VPi, v: Value | None) -> Value:
-        return self.close(pi.closure, v)
-
     def fresh_neutral(self, text: str, domain: Value | None = None) -> Value:
         x = fresh_ident(text)
         if isinstance(domain, VSizeU):
@@ -290,7 +283,7 @@ class Evaluator:
             dom = self.whnf(t.domain)
             x = self.fresh_neutral(t.binder.text, dom)
             binders.append((t.annot, dom, x))
-            t = self.whnf(self.instantiate(t, x))
+            t = self.whnf(self.close(t.closure, x))
         return binders, t
 
     # -- definition unfolding -------------------------------------------------
@@ -298,11 +291,14 @@ class Evaluator:
     def _unfold(self, v: VDef, pos: Pos, strict: bool) -> Value | None:
         """Try one unfolding of a defined head.  Returns None when the value
         is underapplied or stuck; raises on an unmatched closed value only in
-        strict (runtime) mode."""
+        strict (runtime) mode.  Only a successful unfolding is kept, in the
+        memo.  A failed match is not cached: the head is matched again the
+        next time it is unfolded, which costs no fuel and evaluates no thunk
+        twice, since thunks are memoized."""
         entry = self.sig.fun(v.name)
         if entry.report is None:
             return None  # rigid while its own clauses are still being checked
-        if v.stuck or len(v.spine) < entry.arity:
+        if len(v.spine) < entry.arity:
             return None
         head, rest = v.spine[: entry.arity], v.spine[entry.arity :]
         args = [t for t, _ in head]
@@ -310,15 +306,11 @@ class Evaluator:
         out = self.unfolded.get(key)
         if out is None:
             r = self.match_clauses(entry.clauses, args, pos)
-            if r is _STUCK:
-                v.stuck = True
-                return None
-            if r is _NOMATCH:
-                if strict:
-                    raise Diagnostic(
-                        "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
-                    )
-                v.stuck = True
+            if r is _NOMATCH and strict:
+                raise Diagnostic(
+                    "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
+                )
+            if r is _STUCK or r is _NOMATCH:
                 return None
             env, clause = r
             self._tick()
@@ -406,11 +398,11 @@ class Evaluator:
         diagnostics and the size-case rule."""
         return self._read(v, None)
 
-    def readback(self, v: Value, depth: int | None = None) -> Expr:
+    def readback(self, v: Value) -> Expr:
         """Display readback: inductive values print fully, coinductive values
-        are unrolled `depth` layers and then elided; erased size arguments
-        print as _ unless print_sizes is set."""
-        return self._read(v, self.print_depth if depth is None else depth)
+        are unrolled `print_depth` layers and then elided; erased size
+        arguments print as _ unless print_sizes is set."""
+        return self._read(v, self.print_depth)
 
     def _read(self, v: Value, depth: int | None) -> Expr:
         """The one readback walk.  With depth None it is structural: nothing

@@ -111,9 +111,6 @@ class Signature:
     def __getitem__(self, name: Ident) -> Entry:
         return self.entries[name.uid]
 
-    def get(self, name: Ident) -> Entry | None:
-        return self.entries.get(name.uid)
-
     def lookup_text(self, text: str) -> Entry | None:
         ident = self.by_text.get(text)
         return self.entries.get(ident.uid) if ident else None

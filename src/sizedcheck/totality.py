@@ -17,7 +17,7 @@ from enum import Enum
 
 from .diagnostics import Diagnostic
 from .pretty import pretty
-from .signature import FunEntry, Signature
+from .signature import FunEntry
 from .sizes import Rel, entails
 from .syntax import (
     Annot,
@@ -242,7 +242,7 @@ def _call_entries(entry: FunEntry) -> list[CallGraphEntry]:
     return out
 
 
-def termination_check(entry: FunEntry, sig: Signature) -> TotalityReport:
+def termination_check(entry: FunEntry) -> TotalityReport:
     """Accept when every recursive call descends in the designated size
     parameter, or, failing that, when one argument position descends
     structurally in every clause.  Raises TERMINATION/PRODUCTIVITY."""

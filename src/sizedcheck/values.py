@@ -111,4 +111,3 @@ class VDef(Value):
 
     name: Ident
     spine: Spine = field(default_factory=list)
-    stuck: bool = False

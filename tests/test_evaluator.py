@@ -148,9 +148,11 @@ let r : Stream Nat # = repeat Nat zero #
 """
         ch, _, _ = build(src)
         v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
-        e = ch.ev.readback(v, depth=2)
+        ch.ev.print_depth = 2
+        e = ch.ev.readback(v)
         assert pretty(e) == "cons _ zero (cons _ zero …)"
-        assert isinstance(ch.ev.readback(v, depth=0), Elided)
+        ch.ev.print_depth = 0
+        assert isinstance(ch.ev.readback(v), Elided)
 
     def test_set_value(self):
         src = "eval let T : Set = Set"
@@ -231,13 +233,11 @@ class TestThunks:
         ch, _, _ = build(src)
         ev = ch.ev
         th = Thunk({}, Def(ch.sig.by_text["three"]))
-        before = ev.forces
+        assert th.value is None
         v1 = ev.force(th)
-        mid = ev.forces
-        v2 = ev.force(th)
-        assert v1 is v2
-        assert mid > before  # the first force computed
-        assert ev.forces == mid  # the second was free
+        # the first force computed and dropped the suspension
+        assert th.value is v1 and th.env is None and th.expr is None
+        assert ev.force(th) is v1  # the second returned the stored value
 
     def test_fuel_exhaustion_is_reported(self):
         from sizedcheck.checker import Checker
@@ -255,8 +255,9 @@ let r : Stream Nat # = repeat Nat zero #
         ch.check_program(scope_check(parse_source(src)))
         v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
         ch.ev.reset_budget()
+        ch.ev.print_depth = 50
         with pytest.raises(Diagnostic) as e:
-            ch.ev.readback(v, depth=50)
+            ch.ev.readback(v)
         assert e.value.code == "FUEL"
 
 
@@ -404,10 +405,10 @@ class TestSharedCodomains:
         ev = ch.ev
         ty = ch.sig[ch.sig.by_text["f"]].type_value
         i = fresh_ident("i")
-        at_i = ev.instantiate(ty, VSize(ns_var(i)))
-        at_infty = ev.instantiate(ty, VSize(ns_infty()))
+        at_i = ev.close(ty.closure, VSize(ns_var(i)))
+        at_infty = ev.close(ty.closure, VSize(ns_infty()))
         assert pretty(ev.quote(at_i)) == "SNat i -> SNat i"
         assert pretty(ev.quote(at_infty)) == "SNat # -> SNat #"
         # each arrow keeps its own codomain, evaluated once
-        assert ev.instantiate(at_i, VNe(fresh_ident("x"))) is ev.instantiate(at_i, None)
-        assert ev.instantiate(at_i, None) is not ev.instantiate(at_infty, None)
+        assert ev.close(at_i.closure, VNe(fresh_ident("x"))) is ev.close(at_i.closure, None)
+        assert ev.close(at_i.closure, None) is not ev.close(at_infty.closure, None)
