@@ -11,8 +11,6 @@ the hole, so no clause or let body is rewritten."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic
 from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
@@ -65,6 +63,7 @@ from .syntax import (
     PSucc,
     PVar,
     PWild,
+    Record,
     SetU,
     Size,
     SizeExpr,
@@ -92,31 +91,37 @@ def _bound_var(v: Value) -> Ident:
     return v.head if isinstance(v, VNe) else v.size.atom()[0]
 
 
-@dataclass
-class _Binding:
-    type: Value
-    annot: Annot
+class _Binding(Record):
+    __slots__ = ("type", "annot")
+
+    def __init__(self, type: Value, annot: Annot):
+        self.type = type
+        self.annot = annot
 
 
-@dataclass
-class ClauseState:
+class ClauseState(Record):
     """What checking one clause or let body gathers: its size constraints and
     holes, solved once the body is checked, and the recursive calls of the
     function `fun` (None for a let, which records none), each with the size
     matched by clause `index`."""
 
-    fun: int | None = None
-    index: int = 0
-    lhs_size: NormalSize | None = None
-    collector: list[SizeConstraint] = field(default_factory=list)
-    metas: set[int] = field(default_factory=set)
-    calls: list[CallSite] = field(default_factory=list)
+    __slots__ = ("fun", "index", "lhs_size", "collector", "metas", "calls")
+
+    def __init__(self, fun: int | None = None, index: int = 0):
+        self.fun = fun
+        self.index = index
+        self.lhs_size: NormalSize | None = None
+        self.collector: list[SizeConstraint] = []
+        self.metas: set[int] = set()
+        self.calls: list[CallSite] = []
 
 
 class Ctx:
     """Typing context: binding types and annotations, a semantic environment
     mapping each bound variable to its (usually neutral) value, the size
     hypothesis set, and the state of the clause being checked, if any."""
+
+    __slots__ = ("bindings", "env", "sctx", "state")
 
     def __init__(self, bindings=None, env=None, sctx=None, state=None):
         self.bindings: dict[int, _Binding] = bindings or {}
@@ -163,6 +168,8 @@ class Ctx:
 
 
 class Checker:
+    __slots__ = ("sig", "ev", "collect_constraints", "constraint_dump")
+
     def __init__(
         self,
         unfold_fuel: int = DEFAULT_UNFOLD_FUEL,

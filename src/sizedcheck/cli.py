@@ -7,11 +7,8 @@ reported on one line)."""
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .checker import Checker
@@ -20,30 +17,41 @@ from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL
 from .parser import parse_source
 from .scope import scope_check
 from .signature import FunEntry, Signature
+from .syntax import Record
 
 
-@dataclass
-class RunConfig:
-    paths: list[str]
-    print_constraints: bool = False
-    print_sizes: bool = False
-    explain_totality: str | None = None
-    unfold_fuel: int = DEFAULT_UNFOLD_FUEL
-    print_depth: int = DEFAULT_PRINT_DEPTH
+class RunConfig(Record):
+    __slots__ = ("paths", "print_constraints", "print_sizes", "explain_totality",
+                 "unfold_fuel", "print_depth")
+
+    def __init__(self, paths: list[str], print_constraints: bool = False,
+                 print_sizes: bool = False, explain_totality: str | None = None,
+                 unfold_fuel: int = DEFAULT_UNFOLD_FUEL, print_depth: int = DEFAULT_PRINT_DEPTH):
+        self.paths = paths
+        self.print_constraints = print_constraints
+        self.print_sizes = print_sizes
+        self.explain_totality = explain_totality
+        self.unfold_fuel = unfold_fuel
+        self.print_depth = print_depth
 
 
-@dataclass
-class GoldenCase:
-    source: Path
-    expectation: Path
+class GoldenCase(Record):
+    __slots__ = ("source", "expectation")
+
+    def __init__(self, source: Path, expectation: Path):
+        self.source = source
+        self.expectation = expectation
 
 
-@dataclass
-class CheckResult:
-    signature: Signature | None
-    outputs: list[str]
-    constraint_dump: list[str]
-    diagnostic: Diagnostic | None
+class CheckResult(Record):
+    __slots__ = ("signature", "outputs", "constraint_dump", "diagnostic")
+
+    def __init__(self, signature: Signature | None, outputs: list[str],
+                 constraint_dump: list[str], diagnostic: Diagnostic | None):
+        self.signature = signature
+        self.outputs = outputs
+        self.constraint_dump = constraint_dump
+        self.diagnostic = diagnostic
 
 
 def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> CheckResult:
@@ -147,6 +155,8 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
                 if got == want:
                     ok = True
                 else:
+                    import difflib  # only a drifted golden output needs it
+
                     diff = difflib.unified_diff(
                         want.splitlines(), got.splitlines(),
                         "expected", "actual", lineterm="",
@@ -174,6 +184,8 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # the CLI's alone: `import sizedcheck` does not load it
+
     ap = argparse.ArgumentParser(
         prog="sizedcheck",
         description="Type checker, totality checker and evaluator for a "

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .syntax import NOPOS, Pos
+from .syntax import NOPOS, Pos, Record
 
 if TYPE_CHECKING:
     from .totality import TotalityReport
@@ -39,14 +38,16 @@ CODES = (
 )
 
 
-@dataclass
-class Diagnostic(Exception):
-    code: str
-    message: str
-    pos: Pos = NOPOS
-    file: str | None = None
-    # the call table of a TERMINATION or PRODUCTIVITY rejection
-    report: TotalityReport | None = field(default=None, compare=False, repr=False)
+class Diagnostic(Record, Exception):
+    __slots__ = ("code", "message", "pos", "file", "report")
+
+    def __init__(self, code: str, message: str, pos: Pos = NOPOS, file: str | None = None,
+                 report: TotalityReport | None = None):
+        self.code = code
+        self.message = message
+        self.pos = pos
+        self.file = file
+        self.report = report  # the call table of a TERMINATION or PRODUCTIVITY rejection
 
     def render(self) -> str:
         where = f"{self.file or '<input>'}:{self.pos[0]}:{self.pos[1]}"

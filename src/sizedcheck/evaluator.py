@@ -121,6 +121,9 @@ DEFAULT_PRINT_DEPTH = 3
 
 
 class Evaluator:
+    __slots__ = ("sig", "unfold_fuel", "print_depth", "print_sizes", "steps", "budget_pos",
+                 "unfolded")
+
     def __init__(
         self,
         sig: Signature,

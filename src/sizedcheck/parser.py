@@ -19,7 +19,6 @@ raises it after parsing."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
 from .scope import Scope
@@ -47,6 +46,7 @@ from .syntax import (
     PSizeRel,
     PSucc,
     PWild,
+    Record,
     SetU,
     Size,
     SizeExpr,
@@ -68,12 +68,14 @@ MULTI_SYMBOLS = ("->", "++")
 SINGLE_SYMBOLS = set(":;{}()[]=\\.$#_>|")
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # keyword | ident | symbol | eof
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # keyword | ident | symbol | eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str) -> list[Token]:
@@ -134,6 +136,8 @@ def _found(t: Token) -> str:
 
 
 class _Parser:
+    __slots__ = ("toks", "i", "sc", "size_pos")
+
     def __init__(self, tokens: list[Token]):
         # two more copies of eof cover the deepest lookahead (ahead=2)
         self.toks = tokens + [tokens[-1]] * 2

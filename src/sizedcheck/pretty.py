@@ -48,6 +48,8 @@ class _Namer:
     """Stable display names: the first uid seen for a text keeps it, later
     uids get a numeric suffix; no display name is handed out twice."""
 
+    __slots__ = ("by_uid", "used", "counts")
+
     def __init__(self):
         self.by_uid: dict[int, str] = {}
         self.used: set[str] = set()

@@ -47,6 +47,8 @@ class Scope:
     """The names in scope at one point of one program, its size-hole count
     and the first fault of the declaration being read."""
 
+    __slots__ = ("globals", "locals", "trail", "unbound", "metas", "fault")
+
     def __init__(self):
         # text -> (ident, kind, the data type of a constructor)
         self.globals: dict[str, tuple[Ident, str, Ident | None]] = {}

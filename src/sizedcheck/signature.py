@@ -4,84 +4,97 @@ solutions of the program's size holes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .sizes import NormalSize, SizeCtx
-from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos
+from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, Record
 from .values import Thunk, Value
 
 
-@dataclass
-class DataEntry:
+class DataEntry(Record):
     """A data or codata type.  `variances` holds the variance of each
     argument slot, the one place it is decided: each parameter as declared,
     then the size index, POS for sized data and NEG for sized codata
     (`Stream A ($ i) <= Stream A i`), and every other index INVARIANT."""
 
-    name: Ident
-    sized: bool
-    coinductive: bool
-    params: list[tuple[Ident, Polarity]]
-    n_indices: int
-    kind_value: Value
-    constructors: list[Ident] = field(default_factory=list)
-    variances: tuple[Polarity, ...] = field(init=False)
+    __slots__ = ("name", "sized", "coinductive", "params", "n_indices", "kind_value",
+                 "constructors", "variances")
 
-    def __post_init__(self):
-        size = [Polarity.NEG if self.coinductive else Polarity.POS] if self.sized else []
-        self.variances = (*(pol for _, pol in self.params), *size,
-                          *[Polarity.INVARIANT] * (self.n_indices - len(size)))
-
-
-@dataclass
-class ConEntry:
-    name: Ident
-    data: Ident
-    type_value: Value  # data parameters prepended parametrically
-    n_params: int
-    has_size: bool
-    annots: list[Annot]  # per telescope position
-    arity: int
+    def __init__(self, name: Ident, sized: bool, coinductive: bool,
+                 params: list[tuple[Ident, Polarity]], n_indices: int, kind_value: Value):
+        self.name = name
+        self.sized = sized
+        self.coinductive = coinductive
+        self.params = params
+        self.n_indices = n_indices
+        self.kind_value = kind_value
+        self.constructors: list[Ident] = []
+        size = [Polarity.NEG if coinductive else Polarity.POS] if sized else []
+        self.variances = (*(pol for _, pol in params), *size,
+                          *[Polarity.INVARIANT] * (n_indices - len(size)))
 
 
-@dataclass
-class ElabClause:
-    patterns: list[Pattern]
-    rhs: Expr  # elaborated; its size holes are read through Signature.holes
-    sctx: SizeCtx
-    pos: Pos
+class ConEntry(Record):
+    __slots__ = ("name", "data", "type_value", "n_params", "has_size", "annots", "arity")
+
+    def __init__(self, name: Ident, data: Ident, type_value: Value, n_params: int,
+                 has_size: bool, annots: list[Annot], arity: int):
+        self.name = name
+        self.data = data
+        self.type_value = type_value  # data parameters prepended parametrically
+        self.n_params = n_params
+        self.has_size = has_size
+        self.annots = annots  # per telescope position
+        self.arity = arity
 
 
-@dataclass
-class CallSite:
+class ElabClause(Record):
+    __slots__ = ("patterns", "rhs", "sctx", "pos")
+
+    def __init__(self, patterns: list[Pattern], rhs: Expr, sctx: SizeCtx, pos: Pos):
+        self.patterns = patterns
+        self.rhs = rhs  # elaborated; its size holes are read through Signature.holes
+        self.sctx = sctx
+        self.pos = pos
+
+
+class CallSite(Record):
     """One recursive occurrence, recorded while checking a clause body."""
 
-    args: list[Expr]
-    size_arg: NormalSize | None
-    sctx: SizeCtx
-    lhs_size: NormalSize | None
-    clause_index: int
-    pos: Pos
+    __slots__ = ("args", "size_arg", "sctx", "lhs_size", "clause_index", "pos")
+
+    def __init__(self, args: list[Expr], size_arg: NormalSize | None, sctx: SizeCtx,
+                 lhs_size: NormalSize | None, clause_index: int, pos: Pos):
+        self.args = args
+        self.size_arg = size_arg
+        self.sctx = sctx
+        self.lhs_size = lhs_size
+        self.clause_index = clause_index
+        self.pos = pos
 
 
-@dataclass
-class FunEntry:
-    name: Ident
-    coinductive: bool
-    type_value: Value
-    arity: int = 0
-    size_param: int | None = None
-    clauses: list[ElabClause] = field(default_factory=list)
-    calls: list[CallSite] = field(default_factory=list)
-    report: object = None  # TotalityReport once checked; None while checking
+class FunEntry(Record):
+    __slots__ = ("name", "coinductive", "type_value", "arity", "size_param", "clauses",
+                 "calls", "report")
+
+    def __init__(self, name: Ident, coinductive: bool, type_value: Value, arity: int,
+                 size_param: int | None):
+        self.name = name
+        self.coinductive = coinductive
+        self.type_value = type_value
+        self.arity = arity
+        self.size_param = size_param
+        self.clauses: list[ElabClause] = []
+        self.calls: list[CallSite] = []
+        self.report = None  # TotalityReport once checked; None while checking
 
 
-@dataclass
-class LetEntry:
-    name: Ident
-    type_value: Value
-    body: Expr
-    thunk: Thunk | None = None
+class LetEntry(Record):
+    __slots__ = ("name", "type_value", "body", "thunk")
+
+    def __init__(self, name: Ident, type_value: Value, body: Expr):
+        self.name = name
+        self.type_value = type_value
+        self.body = body
+        self.thunk: Thunk | None = None
 
 
 Entry = DataEntry | ConEntry | FunEntry | LetEntry
@@ -93,6 +106,8 @@ class Signature:
     solution is stored once, as a normal form that names no hole, when its
     clause or let is checked; the evaluator reads it wherever the hole is
     normalized."""
+
+    __slots__ = ("entries", "holes", "order", "by_text")
 
     def __init__(self):
         self.entries: dict[int, Entry] = {}

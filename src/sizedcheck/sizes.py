@@ -3,12 +3,12 @@ inequalities under a hypothesis context, and solving of size holes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
 from .syntax import (
     Ident,
+    Record,
     SInfty,
     SizeExpr,
     SMax,
@@ -21,6 +21,7 @@ MAX_OFFSET = 1 << 16
 
 
 class _Infty:
+    __slots__ = ()
     _instance = None
 
     def __new__(cls):
@@ -35,11 +36,35 @@ class _Infty:
 INFTY = _Infty()
 
 
-@dataclass(frozen=True)
-class Meta:
-    """Canonical base for an unsolved size hole."""
+_set = object.__setattr__
 
-    mid: int
+
+class _Frozen(Record):
+    """A record whose fields are set once, by its `__init__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {type(self).__name__}.{name}")
+
+
+class Meta(_Frozen):
+    """Canonical base for an unsolved size hole.  Two Metas of one hole are
+    equal; the hash is that of the tuple (mid,), which fixes the iteration
+    order of the pair sets that hold Metas."""
+
+    __slots__ = ("mid",)
+
+    def __init__(self, mid: int):
+        _set(self, "mid", mid)
+
+    def __eq__(self, other):
+        if type(other) is not Meta:
+            return NotImplemented
+        return self.mid == other.mid
+
+    def __hash__(self):
+        return hash((self.mid,))
 
     def __repr__(self):
         return f"?{self.mid}"
@@ -237,25 +262,27 @@ def format_size(ns: NormalSize, meta_names: dict[int, str] | None = None) -> str
 
 
 class UnknownVariable(Exception):
-    pass
+    __slots__ = ()
 
 
 class ShadowedVariable(Exception):
-    pass
+    __slots__ = ()
 
 
 class OffsetOverflow(Exception):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SizeCtx:
+class SizeCtx(_Frozen):
     """Hypotheses child < parent (or child <= parent) gathered from size and
     successor patterns.  Children are always freshly bound, so the strict
     edges are acyclic.  All operations return new contexts."""
 
-    scope: frozenset = frozenset()
-    edges: tuple = ()  # (child, parent NormalSize, strict)
+    __slots__ = ("scope", "edges")
+
+    def __init__(self, scope: frozenset = frozenset(), edges: tuple = ()):
+        _set(self, "scope", scope)
+        _set(self, "edges", edges)  # (child, parent NormalSize, strict)
 
     def declare(self, x: Ident) -> "SizeCtx":
         if x in self.scope:
@@ -346,25 +373,28 @@ def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
 # Metavariable solving
 
 
-@dataclass(frozen=True)
-class SizeConstraint:
-    lhs: NormalSize
-    rel: Rel
-    rhs: NormalSize
-    # hypothesis context at the collection site; constraints may be gathered
-    # under binders deeper than the clause context they are solved in
-    sctx: SizeCtx | None = None
+class SizeConstraint(_Frozen):
+    __slots__ = ("lhs", "rel", "rhs", "sctx")
+
+    def __init__(self, lhs: NormalSize, rel: Rel, rhs: NormalSize, sctx: SizeCtx | None = None):
+        _set(self, "lhs", lhs)
+        _set(self, "rel", rel)
+        _set(self, "rhs", rhs)
+        # hypothesis context at the collection site; constraints may be
+        # gathered under binders deeper than the clause context they are
+        # solved in
+        _set(self, "sctx", sctx)
 
     def metas(self) -> set[int]:
         return self.lhs.metas() | self.rhs.metas()
 
 
 class Unsolvable(Exception):
-    pass
+    __slots__ = ()
 
 
 class Ambiguous(Exception):
-    pass
+    __slots__ = ()
 
 
 def apply_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:

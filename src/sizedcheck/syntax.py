@@ -1,10 +1,10 @@
 """Abstract syntax: identifiers, polarities, size expressions, terms,
-patterns and declarations, plus free variables and spines."""
+patterns and declarations, plus free variables and spines, and `Record`, the
+base of the package's slotted classes."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 Pos = tuple[int, int]  # 1-based (line, column)
@@ -17,12 +17,26 @@ def fresh_uid() -> int:
     return next(_uids)
 
 
-@dataclass(eq=False)
+class Record:
+    """Base of the classes whose instances are just their slots.  Their one
+    repr lists the slots, `Var(name=x#3, pos=(1, 5))`; equality and hashing
+    stay by identity."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Ident:
     """A resolved name; equality and hashing go by uid, text is display-only."""
 
-    text: str
-    uid: int
+    __slots__ = __match_args__ = ("text", "uid")
+
+    def __init__(self, text: str, uid: int):
+        self.text = text
+        self.uid = uid
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ident) and self.uid == other.uid
@@ -107,42 +121,51 @@ def join(p: Polarity, q: Polarity) -> Polarity:
 # Size expressions
 
 
-class SizeExpr:
-    pass
+class SizeExpr(Record):
+    __slots__ = ()
 
 
-@dataclass
 class SVar(SizeExpr):
     """Size variable: i"""
 
-    name: Ident
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: Ident):
+        self.name = name
 
 
-@dataclass
 class SSucc(SizeExpr):
     """Successor: $ s"""
 
-    arg: SizeExpr
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: SizeExpr):
+        self.arg = arg
 
 
-@dataclass
 class SInfty(SizeExpr):
     """Infinity: #"""
 
+    __slots__ = __match_args__ = ()
 
-@dataclass
+
 class SMax(SizeExpr):
     """Binary maximum: max s t"""
 
-    left: SizeExpr
-    right: SizeExpr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: SizeExpr, right: SizeExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class SMeta(SizeExpr):
     """Size hole on a right-hand side: _"""
 
-    mid: int
+    __slots__ = __match_args__ = ("mid",)
+
+    def __init__(self, mid: int):
+        self.mid = mid
 
 
 def size_vars(s: SizeExpr) -> list[Ident]:
@@ -175,229 +198,293 @@ def size_metas(s: SizeExpr) -> set[int]:
 # Terms
 
 
-class Expr:
-    pos: Pos
+class Expr(Record):
+    """A term; every kind of term has a source position, `pos`."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Var(Expr):
     """Local variable: x"""
 
-    name: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("name", "pos")
+
+    def __init__(self, name: Ident, pos: Pos = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class Def(Expr):
     """Reference to a global data type, fun/cofun or let."""
 
-    name: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("name", "pos")
+
+    def __init__(self, name: Ident, pos: Pos = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class Con(Expr):
     """Reference to a data constructor."""
 
-    name: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("name", "pos")
+
+    def __init__(self, name: Ident, pos: Pos = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class SetU(Expr):
     """The universe of small types: Set"""
 
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass
 class SizeU(Expr):
     """The type of sizes: Size"""
 
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass
 class Pi(Expr):
     """Function type: (x : A) -> B, [x : A] -> B or A -> B"""
 
-    annot: Annot
-    binder: Ident | None
-    domain: Expr
-    codomain: Expr
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("annot", "binder", "domain", "codomain", "pos")
+
+    def __init__(self, annot: Annot, binder: Ident | None, domain: Expr, codomain: Expr,
+                 pos: Pos = NOPOS):
+        self.annot = annot
+        self.binder = binder
+        self.domain = domain
+        self.codomain = codomain
+        self.pos = pos
 
 
-@dataclass
 class Lam(Expr):
     """Lambda: \\ x -> e"""
 
-    binder: Ident
-    body: Expr
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("binder", "body", "pos")
+
+    def __init__(self, binder: Ident, body: Expr, pos: Pos = NOPOS):
+        self.binder = binder
+        self.body = body
+        self.pos = pos
 
 
-@dataclass
 class App(Expr):
     """Application: f a.  The annot is filled in during elaboration from
     the function's Pi annotation."""
 
-    fun: Expr
-    arg: Expr
-    annot: Annot | None = None
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("fun", "arg", "annot", "pos")
+
+    def __init__(self, fun: Expr, arg: Expr, annot: Annot | None = None, pos: Pos = NOPOS):
+        self.fun = fun
+        self.arg = arg
+        self.annot = annot
+        self.pos = pos
 
 
-@dataclass
 class Size(Expr):
     """A size expression used as a term: #, ($ i), (max i j), _"""
 
-    size: SizeExpr
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("size", "pos")
+
+    def __init__(self, size: SizeExpr, pos: Pos = NOPOS):
+        self.size = size
+        self.pos = pos
 
 
-@dataclass
 class CaseSize(Expr):
     """Right-hand-side match on a size variable: case i { ($ j) -> e }"""
 
-    scrut: SizeExpr
-    binder: Ident
-    branch: Expr
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("scrut", "binder", "branch", "pos")
+
+    def __init__(self, scrut: SizeExpr, binder: Ident, branch: Expr, pos: Pos = NOPOS):
+        self.scrut = scrut
+        self.binder = binder
+        self.branch = branch
+        self.pos = pos
 
 
-@dataclass
 class CaseData(Expr):
     """Right-hand-side match on data: case e { p -> e ; ... }"""
 
-    scrut: Expr
-    branches: list[tuple["Pattern", Expr]]
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("scrut", "branches", "pos")
+
+    def __init__(self, scrut: Expr, branches: list[tuple[Pattern, Expr]], pos: Pos = NOPOS):
+        self.scrut = scrut
+        self.branches = branches
+        self.pos = pos
 
 
-@dataclass
 class Elided(Expr):
     """Printing placeholder for a truncated coinductive value."""
 
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
 # Patterns and declarations
 
 
-class Pattern:
-    pos: Pos
+class Pattern(Record):
+    """A pattern; every kind of pattern has a source position, `pos`."""
+
+    __slots__ = ()
 
 
-@dataclass
 class PVar(Pattern):
     """Variable pattern: x"""
 
-    name: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("name", "pos")
+
+    def __init__(self, name: Ident, pos: Pos = NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class PCon(Pattern):
     """Constructor pattern: (c p1 ... pn)"""
 
-    con: Ident
-    args: list[Pattern]
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("con", "args", "pos")
+
+    def __init__(self, con: Ident, args: list[Pattern], pos: Pos = NOPOS):
+        self.con = con
+        self.args = args
+        self.pos = pos
 
 
-@dataclass
 class PDot(Pattern):
     """Dot (inaccessible) pattern: .e"""
 
-    expr: Expr
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: Pos = NOPOS):
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
 class PSizeRel(Pattern):
     """Size pattern inside a constructor: (i > j)"""
 
-    parent: Ident
-    child: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("parent", "child", "pos")
+
+    def __init__(self, parent: Ident, child: Ident, pos: Pos = NOPOS):
+        self.parent = parent
+        self.child = child
+        self.pos = pos
 
 
-@dataclass
 class PSucc(Pattern):
     """Successor pattern on a size argument: ($ j)"""
 
-    child: Ident
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("child", "pos")
+
+    def __init__(self, child: Ident, pos: Pos = NOPOS):
+        self.child = child
+        self.pos = pos
 
 
-@dataclass
 class PWild(Pattern):
     """Wildcard: _"""
 
-    pos: Pos = NOPOS
+    __slots__ = __match_args__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass
-class Clause:
-    lhs: list[Pattern]
-    rhs: Expr
-    pos: Pos = NOPOS
+class Clause(Record):
+    __slots__ = __match_args__ = ("lhs", "rhs", "pos")
+
+    def __init__(self, lhs: list[Pattern], rhs: Expr, pos: Pos = NOPOS):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pos = pos
 
 
-@dataclass
-class ParamSpec:
+class ParamSpec(Record):
     """Data type parameter ++(A : Set) or (A : Set)."""
 
-    name: Ident
-    type: Expr
-    polarity: Polarity
+    __slots__ = __match_args__ = ("name", "type", "polarity")
+
+    def __init__(self, name: Ident, type: Expr, polarity: Polarity):
+        self.name = name
+        self.type = type
+        self.polarity = polarity
 
 
-@dataclass
-class ConSpec:
-    name: Ident
-    type: Expr
-    pos: Pos = NOPOS
+class ConSpec(Record):
+    __slots__ = __match_args__ = ("name", "type", "pos")
+
+    def __init__(self, name: Ident, type: Expr, pos: Pos = NOPOS):
+        self.name = name
+        self.type = type
+        self.pos = pos
 
 
-class Declaration:
-    pos: Pos
-    # the first UNBOUND or DUPLICATE fault the parser found in the
-    # declaration (a Diagnostic), which `scope_check` raises
-    fault = None
+class Declaration(Record):
+    """A declaration.  Besides its fields and its `pos`, each kind keeps
+    `fault`: the first UNBOUND or DUPLICATE fault the parser found in it (a
+    Diagnostic), which `scope_check` raises, or None."""
+
+    __slots__ = ()
 
 
-@dataclass
 class DataDecl(Declaration):
     """data/codata, optionally sized: the size index is the first index."""
 
-    sized: bool
-    coinductive: bool
-    name: Ident
-    params: list[ParamSpec]
-    index_sig: Expr
-    constructors: list[ConSpec]
-    pos: Pos = NOPOS
+    __match_args__ = ("sized", "coinductive", "name", "params", "index_sig", "constructors",
+                      "pos")
+    __slots__ = (*__match_args__, "fault")
+
+    def __init__(self, sized: bool, coinductive: bool, name: Ident, params: list[ParamSpec],
+                 index_sig: Expr, constructors: list[ConSpec], pos: Pos = NOPOS):
+        self.sized = sized
+        self.coinductive = coinductive
+        self.name = name
+        self.params = params
+        self.index_sig = index_sig
+        self.constructors = constructors
+        self.pos = pos
+        self.fault = None
 
 
-@dataclass
 class FunDecl(Declaration):
-    coinductive: bool
-    name: Ident
-    type: Expr
-    clauses: list[Clause]
-    pos: Pos = NOPOS
+    __match_args__ = ("coinductive", "name", "type", "clauses", "pos")
+    __slots__ = (*__match_args__, "fault")
+
+    def __init__(self, coinductive: bool, name: Ident, type: Expr, clauses: list[Clause],
+                 pos: Pos = NOPOS):
+        self.coinductive = coinductive
+        self.name = name
+        self.type = type
+        self.clauses = clauses
+        self.pos = pos
+        self.fault = None
 
 
-@dataclass
 class LetDecl(Declaration):
-    name: Ident
-    type: Expr
-    body: Expr
-    eval: bool = False
-    pos: Pos = NOPOS
+    __match_args__ = ("name", "type", "body", "eval", "pos")
+    __slots__ = (*__match_args__, "fault")
+
+    def __init__(self, name: Ident, type: Expr, body: Expr, eval: bool = False,
+                 pos: Pos = NOPOS):
+        self.name = name
+        self.type = type
+        self.body = body
+        self.eval = eval
+        self.pos = pos
+        self.fault = None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ checker's size-monotonicity test and `Evaluator.compare` all read it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .diagnostics import Diagnostic
@@ -27,6 +26,7 @@ from .syntax import (
     Polarity,
     Pos,
     PVar,
+    Record,
     Var,
     compose,
     join,
@@ -165,20 +165,25 @@ class StructRel(Enum):
     UNKNOWN = "?"
 
 
-@dataclass
-class CallGraphEntry:
-    callee: str
-    size_rel: SizeRel
-    struct_rels: list[StructRel]
-    pos: tuple
+class CallGraphEntry(Record):
+    __slots__ = ("callee", "size_rel", "struct_rels", "pos")
+
+    def __init__(self, callee: str, size_rel: SizeRel, struct_rels: list[StructRel], pos: Pos):
+        self.callee = callee
+        self.size_rel = size_rel
+        self.struct_rels = struct_rels
+        self.pos = pos
 
 
-@dataclass
-class TotalityReport:
-    name: str
-    rule: str  # "size-descent" | "structural" | "non-recursive" | "rejected"
-    position: int | None = None
-    entries: list[CallGraphEntry] = field(default_factory=list)
+class TotalityReport(Record):
+    __slots__ = ("name", "rule", "position", "entries")
+
+    def __init__(self, name: str, rule: str, position: int | None,
+                 entries: list[CallGraphEntry]):
+        self.name = name
+        self.rule = rule  # "size-descent" | "structural" | "non-recursive" | "rejected"
+        self.position = position
+        self.entries = entries
 
     def render(self) -> str:
         lines = [f"{self.name}: {self.rule}"

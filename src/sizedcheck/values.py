@@ -3,10 +3,8 @@ closures, and memoizing thunks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .sizes import NormalSize
-from .syntax import Annot, Expr, Ident
+from .syntax import Annot, Expr, Ident, Record
 
 
 class Thunk:
@@ -32,8 +30,7 @@ class Thunk:
 Spine = list[tuple[Thunk, Annot]]
 
 
-@dataclass(slots=True)
-class Closure:
+class Closure(Record):
     """A body under one binder, with the environment it was built in.
 
     The binder is None when the body cannot mention it: the codomain of an
@@ -41,73 +38,88 @@ class Closure:
     value whatever it is instantiated at, so `Evaluator.close` evaluates it
     on the first instantiation and keeps the result in `value`."""
 
-    env: dict
-    binder: Ident | None
-    body: Expr
-    value: Value | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("env", "binder", "body", "value")
+
+    def __init__(self, env: dict, binder: Ident | None, body: Expr):
+        self.env = env
+        self.binder = binder
+        self.body = body
+        self.value: Value | None = None
 
 
-class Value:
+class Value(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class VSet(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class VSizeU(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class VSize(Value):
-    size: NormalSize
+    __slots__ = ("size",)
+
+    def __init__(self, size: NormalSize):
+        self.size = size
 
 
-@dataclass(slots=True)
 class VPi(Value):
-    annot: Annot
-    binder: Ident
-    domain: Value
-    closure: Closure
+    __slots__ = ("annot", "binder", "domain", "closure")
+
+    def __init__(self, annot: Annot, binder: Ident, domain: Value, closure: Closure):
+        self.annot = annot
+        self.binder = binder
+        self.domain = domain
+        self.closure = closure
 
 
-@dataclass(slots=True)
 class VLam(Value):
-    binder: Ident
-    closure: Closure
+    __slots__ = ("binder", "closure")
+
+    def __init__(self, binder: Ident, closure: Closure):
+        self.binder = binder
+        self.closure = closure
 
 
-@dataclass(slots=True)
 class VCon(Value):
     """Constructor value; args cover parameters, the size index and the
     proper arguments, all suspended."""
 
-    con: Ident
-    args: list[Thunk]
+    __slots__ = ("con", "args")
+
+    def __init__(self, con: Ident, args: list[Thunk]):
+        self.con = con
+        self.args = args
 
 
-@dataclass(slots=True)
 class VData(Value):
     """A (possibly partially applied) data type former."""
 
-    name: Ident
-    args: list[Thunk]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: Ident, args: list[Thunk]):
+        self.name = name
+        self.args = args
 
 
-@dataclass(slots=True)
 class VNe(Value):
     """Neutral: a variable applied to a spine."""
 
-    head: Ident
-    spine: Spine = field(default_factory=list)
+    __slots__ = ("head", "spine")
+
+    def __init__(self, head: Ident, spine: Spine | None = None):
+        self.head = head
+        self.spine = [] if spine is None else spine
 
 
-@dataclass(slots=True)
 class VDef(Value):
     """A defined function (fun/cofun) applied to a spine; unfolds on demand."""
 
-    name: Ident
-    spine: Spine = field(default_factory=list)
+    __slots__ = ("name", "spine")
+
+    def __init__(self, name: Ident, spine: Spine):
+        self.name = name
+        self.spine = spine

@@ -1,0 +1,112 @@
+"""Every class of the package is written out with `__slots__`, and importing
+the package loads nothing that only the CLI or a generator of classes needs.
+
+An AST scan, like `test_imports.py`: no module imports `dataclasses`, and
+every class but an `Enum` declares `__slots__` in its own body, so no
+instance carries a dict and no class is generated at import.  A fresh
+interpreter then shows that `import sizedcheck` adds none of `dataclasses`,
+`argparse` or `difflib` to `sys.modules`."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sizedcheck import parse_source
+from sizedcheck.sizes import Meta, Rel, SizeConstraint, SizeCtx, ns_meta
+from sizedcheck.syntax import Ident
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "sizedcheck").glob("*.py"))
+
+
+def _faults(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [f"imports {a.name} (line {node.lineno})" for a in node.names
+                    if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.append(f"imports from dataclasses (line {node.lineno})")
+        elif isinstance(node, ast.ClassDef):
+            if any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases):
+                continue
+            declared = {t.id for stmt in node.body if isinstance(stmt, ast.Assign)
+                        for t in stmt.targets if isinstance(t, ast.Name)}
+            if "__slots__" not in declared:
+                out.append(f"class {node.name} has no __slots__ (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_classes_are_slotted_and_not_generated(path):
+    assert _faults(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_import_loads_no_cli_or_class_generator_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys; before = set(sys.modules); import sizedcheck; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    added = set(out.split())
+    assert "sizedcheck.checker" in added  # the probe imported the package
+    assert added & {"dataclasses", "argparse", "difflib"} == set()
+
+
+# -- what the slotted classes keep ---------------------------------------------
+
+
+def _meta_equality():
+    assert Meta(3) == Meta(3) and Meta(3) != Meta(4)
+    # the hash of the tuple (mid,), as before: it fixes the iteration order of
+    # the pair sets that hold Metas, and so the order of printed maxima
+    assert hash(Meta(3)) == hash(Meta(3)) == hash((3,))
+
+
+def _assign(obj, field, value):
+    def row():
+        with pytest.raises(AttributeError):
+            setattr(obj(), field, value)
+    return row
+
+
+def _ident_by_uid():
+    assert Ident("x", 5) == Ident("y", 5) and Ident("x", 5) != Ident("x", 6)
+    assert hash(Ident("x", 5)) == 5 and len({Ident("x", 5), Ident("y", 5)}) == 1
+
+
+def _no_fault():
+    decls = parse_source("data Nat : Set { zero : Nat }\nlet z : Nat = zero\n")
+    assert [d.fault for d in decls] == [None, None]
+
+
+def _recorded_fault():
+    decls = parse_source("data Nat : Set { zero : Nat }\nlet z : Nat = one\n"
+                         "let y : Nat = zero\n")
+    assert decls[0].fault is None and decls[2].fault is None
+    assert (decls[1].fault.code, decls[1].fault.pos) == ("UNBOUND", (2, 15))
+
+
+KEPT = {
+    "meta-equality-and-hash": _meta_equality,
+    "meta-immutable": _assign(lambda: Meta(3), "mid", 4),
+    "sizectx-immutable": _assign(SizeCtx, "scope", frozenset()),
+    "constraint-immutable": _assign(
+        lambda: SizeConstraint(ns_meta(1), Rel.LE, ns_meta(2)), "rel", Rel.LT),
+    "ident-equality-by-uid": _ident_by_uid,
+    "fault-none-when-clean": _no_fault,
+    "fault-as-recorded": _recorded_fault,
+}
+
+
+@pytest.mark.parametrize("row", KEPT.values(), ids=KEPT.keys())
+def test_kept_semantics(row):
+    row()
