@@ -53,6 +53,7 @@ from .syntax import (
     Ident,
     Lam,
     LetDecl,
+    LineTable,
     Pattern,
     PCon,
     PDot,
@@ -168,7 +169,7 @@ class Ctx:
 
 
 class Checker:
-    __slots__ = ("sig", "ev", "collect_constraints", "constraint_dump")
+    __slots__ = ("sig", "ev", "collect_constraints", "constraint_dump", "lines")
 
     def __init__(
         self,
@@ -176,11 +177,15 @@ class Checker:
         print_depth: int = DEFAULT_PRINT_DEPTH,
         print_sizes: bool = False,
         collect_constraints: bool = False,
+        lines: LineTable | None = None,
     ):
         self.sig = Signature()
         self.ev = Evaluator(self.sig, unfold_fuel, print_depth, print_sizes)
         self.collect_constraints = collect_constraints
         self.constraint_dump: list[str] = []
+        # shows the call positions of totality reports and messages; without
+        # the program's source, an offset shows as a column of line 1
+        self.lines = lines or LineTable("")
 
     # -- program ------------------------------------------------------------
 
@@ -392,7 +397,7 @@ class Checker:
         self.sig.add(f.name, entry)
         for idx, clause in enumerate(f.clauses):
             entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
-        entry.report = termination_check(entry)
+        entry.report = termination_check(entry, self.lines)
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
         ctx, residual, obligations, pats, _ = self._elab_patterns(

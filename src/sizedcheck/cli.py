@@ -17,7 +17,7 @@ from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL
 from .parser import parse_source
 from .scope import scope_check
 from .signature import FunEntry, Signature
-from .syntax import Record
+from .syntax import LineTable, Record
 
 
 class RunConfig(Record):
@@ -56,6 +56,7 @@ class CheckResult(Record):
 
 def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> CheckResult:
     cfg = cfg or RunConfig([])
+    lines = LineTable(source)
     checker = None  # built after parsing, so a parse or scope fault dumps nothing
     try:
         decls = scope_check(parse_source(source))
@@ -64,10 +65,12 @@ def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> Ch
             print_depth=cfg.print_depth,
             print_sizes=cfg.print_sizes,
             collect_constraints=cfg.print_constraints,
+            lines=lines,
         )
         sig, outputs = checker.check_program(decls)
     except Diagnostic as d:
         d.file = filename
+        d.pos = lines.line_col(d.pos)
         return CheckResult(None, [], [] if checker is None else checker.constraint_dump, d)
     return CheckResult(sig, outputs, checker.constraint_dump, None)
 

@@ -45,7 +45,7 @@ class Diagnostic(Record, Exception):
                  report: TotalityReport | None = None):
         self.code = code
         self.message = message
-        self.pos = pos
+        self.pos = pos  # a source offset; `check_source` shows it as (line, column)
         self.file = file
         self.report = report  # the call table of a TERMINATION or PRODUCTIVITY rejection
 

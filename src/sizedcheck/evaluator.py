@@ -72,6 +72,7 @@ from .syntax import (
     Expr,
     Ident,
     Lam,
+    NOPOS,
     Pattern,
     PCon,
     PDot,
@@ -139,7 +140,7 @@ class Evaluator:
 
     # -- budgets ------------------------------------------------------------
 
-    def reset_budget(self, pos: Pos = (0, 0)):
+    def reset_budget(self, pos: Pos = NOPOS):
         """Start a fresh unfold budget, and a fresh unfold memo, for the
         declaration or eval let at pos; FUEL is reported there."""
         self.steps = 0
@@ -227,7 +228,7 @@ class Evaluator:
 
         return normalize(s, lookup, self.sig.holes)
 
-    def apply(self, fv: Value, th: Thunk, annot: Annot, pos: Pos = (0, 0)) -> Value:
+    def apply(self, fv: Value, th: Thunk, annot: Annot, pos: Pos = NOPOS) -> Value:
         match fv:
             case VLam(closure=clo):
                 env2 = dict(clo.env)
@@ -331,7 +332,7 @@ class Evaluator:
             return th.value.size
         return th
 
-    def whnf(self, v: Value, pos: Pos = (0, 0)) -> Value:
+    def whnf(self, v: Value, pos: Pos = NOPOS) -> Value:
         while isinstance(v, VDef):
             entry = self.sig.fun(v.name)
             u = self._unfold(v, pos, strict=not entry.coinductive)
@@ -342,7 +343,7 @@ class Evaluator:
 
     # -- pattern matching -----------------------------------------------------
 
-    def match_clauses(self, clauses, args: list[Thunk], pos: Pos = (0, 0)):
+    def match_clauses(self, clauses, args: list[Thunk], pos: Pos = NOPOS):
         """First-match semantics in clause order; dot and wildcard patterns
         never force their argument."""
         for clause in clauses:
@@ -562,8 +563,8 @@ class Evaluator:
         ):
             if self._compare_spines(a.spine, b.spine, sctx, col):
                 return True
-        ua = self._unfold(a, (0, 0), strict=False) if isinstance(a, VDef) else None
-        ub = self._unfold(b, (0, 0), strict=False) if isinstance(b, VDef) else None
+        ua = self._unfold(a, NOPOS, strict=False) if isinstance(a, VDef) else None
+        ub = self._unfold(b, NOPOS, strict=False) if isinstance(b, VDef) else None
         if ua is not None or ub is not None:
             a, b = ua if ua is not None else a, ub if ub is not None else b
             return self.compare(a, b, _EQ, sctx, col)

@@ -1,11 +1,17 @@
 """Tokenizer and recursive-descent parser for the surface syntax (.ma files).
 
+`tokenize` reads a source with one compiled regex and returns its tokens as
+two parallel lists, the texts and their source offsets; eof's text is empty.
+Each distinct text is one string object within a source.  A position is a
+source offset everywhere in the front end and the checker; it is shown as
+(line, column) only where a user sees it, by `syntax.LineTable`.
+
 A fault is raised where it is found, as a PARSE `Diagnostic` at the token
 that shows it.  The parser branches on token text alone: an identifier's text
-is never a keyword's or a symbol's, and eof's text is empty, so the token kind
-is read only to tell identifiers and eof apart.  A chain of binders and arrows
+is never a keyword's or a symbol's, and eof's text is empty, so one set
+lookup tells identifiers from the rest.  A chain of binders and arrows
 (`(x : A) ->`, `[x : A] ->`, `\\ x ->`, `A ->`) is collected in a loop and
-folded to the right, so a long chain costs no stack.
+folded to the right, and so is a run of `$`, so neither costs stack.
 
 Names are resolved as they are read, by the rules of `scope.py`, so the
 parser builds the one tree the checker reads: a binder is a fresh Ident, a
@@ -18,7 +24,7 @@ raises it after parsing."""
 
 from __future__ import annotations
 
-import sys
+import re
 
 from .diagnostics import Diagnostic
 from .scope import Scope
@@ -64,83 +70,74 @@ KEYWORDS = {
     "case", "Size", "Set", "max",
 }
 
-MULTI_SYMBOLS = ("->", "++")
-SINGLE_SYMBOLS = set(":;{}()[]=\\.$#_>|")
+SYMBOLS = ("->", "++", *":;{}()[]=\\.$#_>|")
+
+# whitespace and comments; a comment runs to the end of its line
+_SKIP = r"(?:[ \t\r\n]+|--[^\n]*)*+"
+# one token and the whitespace and comments after it; a character that can
+# begin no token is a token of its own, which `tokenize` rejects
+_TOKEN = re.compile(r"([^\W\d_][\w']*|" + "|".join(map(re.escape, SYMBOLS)) + r"|(?s:.))" + _SKIP)
+_LEADING = re.compile(_SKIP)
+
+# every text that is not a name, mapped to itself
+_FIXED = {t: t for t in (*KEYWORDS, *SYMBOLS)}
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
+class Tokens(Record):
+    """The tokens of one source: token k is `texts[k]`, at source offset
+    `offsets[k]`.  The last token is eof, whose text is empty."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # keyword | ident | symbol | eof
-        self.text = text
-        self.line = line
-        self.col = col
+    __slots__ = ("texts", "offsets")
 
+    def __init__(self, texts: list[str], offsets: list[Pos]):
+        self.texts = texts
+        self.offsets = offsets
 
-def tokenize(source: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = sys.intern(source[i:j])  # one string per name
-            kind = "keyword" if text in KEYWORDS else "ident"
-            toks.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in MULTI_SYMBOLS:
-            toks.append(Token("symbol", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in SINGLE_SYMBOLS:
-            toks.append(Token("symbol", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise Diagnostic("PARSE", f"illegal character {c!r}", (line, col))
-    toks.append(Token("eof", "", line, col))
-    return toks
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
-# the texts that can begin an argument of an application, besides identifiers
-_ATOM_START = frozenset(("Set", "Size", "max", "case", "(", "$", "#", "_"))
+def tokenize(source: str) -> Tokens:
+    names = dict(_FIXED)  # one string per distinct text
+    texts: list[str] = []
+    offsets: list[Pos] = []
+    for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
+        t = m[1]
+        texts.append(names.setdefault(t, t))
+        offsets.append(m.start())
+    # a name begins with a letter, which the regex class above does not
+    # check: it also takes a digit that is not decimal, like '²'
+    bad = {t for t in names if t not in _FIXED and not t[0].isalpha()}
+    if bad:
+        k = next(k for k, t in enumerate(texts) if t in bad)
+        raise Diagnostic("PARSE", f"illegal character {texts[k][0]!r}", offsets[k])
+    # eof stands after the last token and the whitespace after it, but
+    # before a comment on the last line
+    last = source.rfind("\n") + 1
+    comment = source.find("--", last)
+    texts.append("")
+    offsets.append(len(source) if comment < 0 else comment)
+    return Tokens(texts, offsets)
 
 
-def _error(message: str, t: Token) -> Diagnostic:
-    return Diagnostic("PARSE", message, (t.line, t.col))
+# the texts that are not names, and those of them that can begin no argument
+# of an application
+_NOT_NAME = frozenset((*_FIXED, ""))
+_NOT_ARG = _NOT_NAME - {"Set", "Size", "max", "case", "(", "$", "#", "_"}
 
 
-def _found(t: Token) -> str:
-    return repr(t.text or t.kind)
+def _found(text: str) -> str:
+    return repr(text or "eof")
 
 
 class _Parser:
-    __slots__ = ("toks", "i", "sc", "size_pos")
+    __slots__ = ("texts", "offsets", "i", "sc", "size_pos")
 
-    def __init__(self, tokens: list[Token]):
-        # two more copies of eof cover the deepest lookahead (ahead=2)
-        self.toks = tokens + [tokens[-1]] * 2
+    def __init__(self, tokens: Tokens):
+        # no lookahead passes eof: the parser looks past a token only when
+        # that token is not eof
+        self.texts = tokens.texts
+        self.offsets = tokens.offsets
         self.i = 0
         self.sc = Scope()
         # the first token of the size expression being read, if any
@@ -148,22 +145,25 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def at(self, text: str, ahead: int = 0) -> bool:
-        return self.toks[self.i + ahead].text == text
+    def error(self, message: str, k: int | None = None) -> Diagnostic:
+        """A PARSE fault at token k, by default the current one."""
+        return Diagnostic("PARSE", message, self.offsets[self.i if k is None else k])
 
-    def expect(self, text: str) -> Token:
-        t = self.toks[self.i]
-        if t.text != text:
-            raise _error(f"expected {text!r}, found {_found(t)}", t)
+    def at(self, text: str) -> bool:
+        return self.texts[self.i] == text
+
+    def expect(self, text: str):
+        t = self.texts[self.i]
+        if t != text:
+            raise self.error(f"expected {text!r}, found {_found(t)}")
         self.i += 1
-        return t
 
     def name(self) -> str:
-        t = self.toks[self.i]
-        if t.kind != "ident":
-            raise _error(f"expected 'ident', found {_found(t)}", t)
+        t = self.texts[self.i]
+        if t in _NOT_NAME:
+            raise self.error(f"expected 'ident', found {_found(t)}")
         self.i += 1
-        return t.text
+        return t
 
     def block(self, item) -> list:
         """`{ item ; ... ; item }`, possibly empty."""
@@ -181,33 +181,33 @@ class _Parser:
 
     def program(self) -> list[Declaration]:
         decls = []
-        while self.toks[self.i].kind != "eof":
+        while self.texts[self.i]:
             self.sc.fault = None
             decls.append(self.declaration())
             decls[-1].fault = self.sc.fault
         return decls
 
     def declaration(self) -> Declaration:
-        t = self.toks[self.i]
-        p = (t.line, t.col)
-        match t.text:
+        t = self.texts[self.i]
+        p = self.offsets[self.i]
+        match t:
             case "sized" | "data" | "codata":
                 return self.data_decl(p)
             case "fun" | "cofun":
                 return self.fun_decl(p)
             case "eval" | "let":
                 return self.let_decl(p)
-        raise _error(f"expected a declaration, found {_found(t)}", t)
+        raise self.error(f"expected a declaration, found {_found(t)}")
 
     def data_decl(self, p) -> DataDecl:
         sc = self.sc
         sized = self.at("sized")
         if sized:
             self.i += 1
-        kw = self.toks[self.i]
+        kw = self.texts[self.i]
+        if kw not in ("data", "codata"):
+            raise self.error("expected 'data' or 'codata'")
         self.i += 1
-        if kw.text not in ("data", "codata"):
-            raise _error("expected 'data' or 'codata'", kw)
         name = self.name()
         params = []
         while self.at("++") or self.at("("):
@@ -226,11 +226,10 @@ class _Parser:
         owner = sc.define(name, "data", p)
         cons = self.block(lambda: self.con_spec(owner))
         sc.restore(0)
-        return DataDecl(sized, kw.text == "codata", owner, params, index_sig, cons, p)
+        return DataDecl(sized, kw == "codata", owner, params, index_sig, cons, p)
 
     def con_spec(self, owner: Ident) -> ConSpec:
-        t = self.toks[self.i]
-        p = (t.line, t.col)
+        p = self.offsets[self.i]
         name = self.name()
         self.expect(":")
         ty = self.expr()
@@ -247,11 +246,10 @@ class _Parser:
         return FunDecl(cofun, fname, ty, clauses, p)
 
     def clause(self, fname: str) -> Clause:
-        head = self.toks[self.i]
+        head = self.i
         if self.name() != fname:
-            raise _error(
-                f"clause head {head.text!r} does not match function name {fname!r}", head
-            )
+            raise self.error(f"clause head {self.texts[head]!r} does not match function name "
+                             f"{fname!r}", head)
         dots: list = []
         lhs = []
         while not self.at("="):
@@ -260,7 +258,7 @@ class _Parser:
         self.expect("=")
         rhs = self.expr()
         self.sc.restore(0)
-        return Clause(lhs, rhs, (head.line, head.col))
+        return Clause(lhs, rhs, self.offsets[head])
 
     def let_decl(self, p) -> LetDecl:
         ev = self.at("eval")
@@ -278,22 +276,22 @@ class _Parser:
 
     def expr(self) -> Expr:
         sc = self.sc
+        texts = self.texts
         mark = len(sc.trail)
         # the links of the chain, outermost first: (pos, annot, binder,
         # domain), with annot None for a lambda; each binder is in scope
         # from the next link on
         links = []
         while True:
-            t = self.toks[self.i]
-            p = (t.line, t.col)
-            text = t.text
+            p = self.offsets[self.i]
+            text = texts[self.i]
             if text == "\\":
                 self.i += 1
                 x = sc.bind(self.name())
                 self.expect("->")
                 links.append((p, None, x, None))
             elif text == "[" or (
-                text == "(" and self.toks[self.i + 1].kind == "ident" and self.at(":", 2)
+                text == "(" and texts[self.i + 1] not in _NOT_NAME and texts[self.i + 2] == ":"
             ):
                 self.i += 1
                 name = self.name()
@@ -316,21 +314,21 @@ class _Parser:
 
     def app_expr(self) -> Expr:
         e = self.atom()
-        while True:
-            t = self.toks[self.i]
-            if t.kind != "ident" and t.text not in _ATOM_START:
-                return e
-            e = App(e, self.atom(), None, (t.line, t.col))
+        while self.texts[self.i] not in _NOT_ARG:
+            p = self.offsets[self.i]
+            e = App(e, self.atom(), None, p)
+        return e
 
     def atom(self) -> Expr:
-        t = self.toks[self.i]
-        p = (t.line, t.col)
-        self.i += 1  # a fault is reported at t, so consuming it first is safe
-        if t.kind == "ident":
+        k = self.i
+        t = self.texts[k]
+        p = self.offsets[k]
+        self.i += 1  # a fault is reported at token k, so consuming it first is safe
+        if t not in _NOT_NAME:
             if self.size_pos is not None:
-                return Var(self.sc.size_var(t.text, self.size_pos), p)
-            return self.sc.var(t.text, p)
-        match t.text:
+                return Var(self.sc.size_var(t, self.size_pos), p)
+            return self.sc.var(t, p)
+        match t:
             case "Set":
                 return SetU(p)
             case "Size":
@@ -339,8 +337,17 @@ class _Parser:
                 outer = self.size_pos is None
                 if outer:
                     self.size_pos = p
-                a = self.size_atom()
-                s = SMax(a, self.size_atom()) if t.text == "max" else SSucc(a)
+                if t == "max":
+                    a = self.size_atom()
+                    s = SMax(a, self.size_atom())
+                else:
+                    n = 1  # a run of $ is read in a loop
+                    while self.texts[self.i] == "$":
+                        self.i += 1
+                        n += 1
+                    s = self.size_atom()
+                    for _ in range(n):
+                        s = SSucc(s)
                 if outer:
                     self.size_pos = None
                 return Size(s, p)
@@ -355,7 +362,7 @@ class _Parser:
                 e = self.expr()
                 self.expect(")")
                 return e
-        raise _error(f"expected an expression, found {_found(t)}", t)
+        raise self.error(f"expected an expression, found {_found(t)}", k)
 
     def case(self, p) -> Expr:
         """A case, or a size case if its one branch is `($ j)`; the case's own
@@ -394,25 +401,26 @@ class _Parser:
         return pat, body
 
     def size_atom(self) -> SizeExpr:
-        t = self.toks[self.i]
+        k = self.i
         e = self.atom()
         if isinstance(e, Var):
             return SVar(e.name)
         if isinstance(e, Size):
             return e.size
-        raise _error("expected a size expression", t)
+        raise self.error("expected a size expression", k)
 
     # -- patterns -----------------------------------------------------------
 
     def pattern_atom(self, dots: list, shadow: bool = False) -> Pattern:
         """One pattern, whose dots go to `dots`; with `shadow`, a successor
         pattern may rebind a name in scope."""
-        t = self.toks[self.i]
-        p = (t.line, t.col)
+        k = self.i
+        t = self.texts[k]
+        p = self.offsets[k]
         self.i += 1  # as in atom
-        if t.kind == "ident":
-            return self.sc.pattern_var(t.text, p)
-        match t.text:
+        if t not in _NOT_NAME:
+            return self.sc.pattern_var(t, p)
+        match t:
             case "_":
                 return PWild(p)
             case ".":
@@ -425,7 +433,7 @@ class _Parser:
                 return dots[-1][1]
             case "(":
                 return self.paren_pattern(p, dots, shadow)
-        raise _error(f"expected a pattern, found {_found(t)}", t)
+        raise self.error(f"expected a pattern, found {_found(t)}", k)
 
     def resolve_dots(self, dots: list):
         """Read the dots again once their left-hand side is bound."""
@@ -438,30 +446,30 @@ class _Parser:
 
     def paren_pattern(self, p, dots: list, shadow: bool) -> Pattern:
         sc = self.sc
-        t = self.toks[self.i]
-        if t.text == "$":
-            tv = self.toks[self.i + 1]
-            if tv.kind != "ident":
-                raise _error(
+        t = self.texts[self.i]
+        if t == "$":
+            v = self.texts[self.i + 1]
+            if v in _NOT_NAME:
+                raise self.error(
                     "successor patterns admit exactly one successor: "
-                    f"expected a size variable after '$', found {_found(tv)}", tv
+                    f"expected a size variable after '$', found {_found(v)}", self.i + 1
                 )
             self.i += 2
             self.expect(")")
-            return PSucc(sc.bind(tv.text, None if shadow else p), p)
-        if t.kind != "ident":
-            raise _error(f"expected a pattern, found {_found(t)}", t)
+            return PSucc(sc.bind(v, None if shadow else p), p)
+        if t in _NOT_NAME:
+            raise self.error(f"expected a pattern, found {_found(t)}")
         self.i += 1
         if self.at(">"):
-            parent = sc.size_var(t.text, p)
+            parent = sc.size_var(t, p)
             self.i += 1
             child = self.name()
             self.expect(")")
             return PSizeRel(parent, sc.bind(child, p), p)
         if self.at(")"):  # (x) is the pattern x
             self.i += 1
-            return sc.pattern_var(t.text, p)
-        con = sc.constructor(t.text, p)
+            return sc.pattern_var(t, p)
+        con = sc.constructor(t, p)
         args = []
         while not self.at(")"):
             args.append(self.pattern_atom(dots))

@@ -79,8 +79,12 @@ def _size(s: SizeExpr, nm: _Namer) -> str:
             return "#"
         case SMeta():
             return "_"
-        case SSucc(arg=a):
-            return f"$ {_size_atom(a, nm)}"
+        case SSucc():
+            n = 0  # a chain of successors is printed in a loop
+            while isinstance(s, SSucc):
+                s = s.arg
+                n += 1
+            return "$ (" * (n - 1) + "$ " + _size_atom(s, nm) + ")" * (n - 1)
         case SMax(left=a, right=b):
             return f"max {_size_atom(a, nm)} {_size_atom(b, nm)}"
     raise AssertionError(s)

@@ -112,16 +112,20 @@ class NormalSize:
         return format_size(self)
 
 
-def _prune(pairs) -> frozenset:
+# the one #: a NormalSize is never changed, so every # can be this one
+_NS_INFTY = NormalSize(frozenset({(INFTY, 0)}))
+
+
+def _prune(pairs) -> NormalSize:
     best: dict = {}
     for b, n in pairs:
         if b is INFTY:
-            return frozenset({(INFTY, 0)})
+            return _NS_INFTY
         if n > MAX_OFFSET:
             raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
         if b not in best or best[b] < n:
             best[b] = n
-    return frozenset(best.items())
+    return NormalSize(frozenset(best.items()))
 
 
 def ns_var(x: Ident, offset: int = 0) -> NormalSize:
@@ -133,7 +137,7 @@ def ns_meta(mid: int, offset: int = 0) -> NormalSize:
 
 
 def ns_infty() -> NormalSize:
-    return NormalSize(frozenset({(INFTY, 0)}))
+    return _NS_INFTY
 
 
 def bump(ns: NormalSize, n: int) -> NormalSize:
@@ -160,7 +164,7 @@ def pred(ns: NormalSize) -> NormalSize:
 
 
 def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
-    return NormalSize(_prune(list(a.pairs) + list(b.pairs)))
+    return _prune(list(a.pairs) + list(b.pairs))
 
 
 def normalize(
@@ -418,7 +422,7 @@ def apply_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:
         return ns
     for val, n in hits:
         out.extend(bump(val, n).pairs)
-    return NormalSize(_prune(out))
+    return _prune(out)
 
 
 def solve_metas(

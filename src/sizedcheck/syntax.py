@@ -5,10 +5,12 @@ base of the package's slotted classes."""
 from __future__ import annotations
 
 import itertools
+import re
+from bisect import bisect_right
 from enum import Enum
 
-Pos = tuple[int, int]  # 1-based (line, column)
-NOPOS: Pos = (0, 0)
+Pos = int  # a 0-based source offset; shown as (line, column) by LineTable
+NOPOS: Pos = -1  # no position, shown as (0, 0)
 
 _uids = itertools.count(1)
 
@@ -19,7 +21,7 @@ def fresh_uid() -> int:
 
 class Record:
     """Base of the classes whose instances are just their slots.  Their one
-    repr lists the slots, `Var(name=x#3, pos=(1, 5))`; equality and hashing
+    repr lists the slots, `Var(name=x#3, pos=4)`; equality and hashing
     stay by identity."""
 
     __slots__ = ()
@@ -27,6 +29,22 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class LineTable:
+    """The start offset of each line of one source, to show a position as
+    the 1-based (line, column) a user reads; only a newline ends a line."""
+
+    __slots__ = ("starts",)
+
+    def __init__(self, source: str):
+        self.starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def line_col(self, pos: Pos) -> tuple[int, int]:
+        if pos < 0:
+            return (0, 0)
+        line = bisect_right(self.starts, pos)
+        return line, pos - self.starts[line - 1] + 1
 
 
 class Ident:
@@ -171,11 +189,11 @@ class SMeta(SizeExpr):
 def size_vars(s: SizeExpr) -> list[Ident]:
     """The variables of s in source order, so a check that reports the first
     bad one reports the same one in every run."""
+    while isinstance(s, SSucc):
+        s = s.arg
     match s:
         case SVar(name=x):
             return [x]
-        case SSucc(arg=a):
-            return size_vars(a)
         case SMax(left=a, right=b):
             return size_vars(a) + size_vars(b)
         case _:
@@ -183,9 +201,9 @@ def size_vars(s: SizeExpr) -> list[Ident]:
 
 
 def size_metas(s: SizeExpr) -> set[int]:
+    while isinstance(s, SSucc):
+        s = s.arg
     match s:
-        case SSucc(arg=a):
-            return size_metas(a)
         case SMax(left=a, right=b):
             return size_metas(a) | size_metas(b)
         case SMeta(mid=m):

@@ -21,6 +21,8 @@ from .sizes import Rel, entails
 from .syntax import (
     Annot,
     Ident,
+    LineTable,
+    NOPOS,
     Pattern,
     PCon,
     Polarity,
@@ -81,7 +83,7 @@ def strict_positivity_check(
     con_name: Ident,
     arg_types: list[Value],
     ev,
-    pos: Pos = (0, 0),
+    pos: Pos = NOPOS,
 ):
     """The defined type and every ++ parameter must occur only strictly
     positively in the constructor argument types."""
@@ -168,11 +170,12 @@ class StructRel(Enum):
 class CallGraphEntry(Record):
     __slots__ = ("callee", "size_rel", "struct_rels", "pos")
 
-    def __init__(self, callee: str, size_rel: SizeRel, struct_rels: list[StructRel], pos: Pos):
+    def __init__(self, callee: str, size_rel: SizeRel, struct_rels: list[StructRel],
+                 pos: tuple[int, int]):
         self.callee = callee
         self.size_rel = size_rel
         self.struct_rels = struct_rels
-        self.pos = pos
+        self.pos = pos  # the call's (line, column), as reports and messages show it
 
 
 class TotalityReport(Record):
@@ -215,7 +218,7 @@ def _top_var(p: Pattern) -> int | None:
     return p.name.uid if isinstance(p, PVar) else None
 
 
-def _call_entries(entry: FunEntry) -> list[CallGraphEntry]:
+def _call_entries(entry: FunEntry, lines: LineTable) -> list[CallGraphEntry]:
     out = []
     for c in entry.calls:
         if c.size_arg is not None and c.lhs_size is not None:
@@ -243,15 +246,16 @@ def _call_entries(entry: FunEntry) -> list[CallGraphEntry]:
                     rels.append(StructRel.EQ)
                     continue
             rels.append(StructRel.UNKNOWN)
-        out.append(CallGraphEntry(entry.name.text, srel, rels, c.pos))
+        out.append(CallGraphEntry(entry.name.text, srel, rels, lines.line_col(c.pos)))
     return out
 
 
-def termination_check(entry: FunEntry) -> TotalityReport:
+def termination_check(entry: FunEntry, lines: LineTable) -> TotalityReport:
     """Accept when every recursive call descends in the designated size
     parameter, or, failing that, when one argument position descends
-    structurally in every clause.  Raises TERMINATION/PRODUCTIVITY."""
-    entries = _call_entries(entry)
+    structurally in every clause.  Raises TERMINATION/PRODUCTIVITY, whose
+    message shows each call's position by `lines`."""
+    entries = _call_entries(entry, lines)
     name = entry.name.text
     if not entry.calls:
         return TotalityReport(name, "non-recursive", None, entries)
@@ -274,6 +278,6 @@ def termination_check(entry: FunEntry) -> TotalityReport:
     raise Diagnostic(
         code,
         f"cannot justify recursive calls of '{name}': " + ", ".join(bad),
-        entry.clauses[entry.calls[0].clause_index].pos if entry.clauses else (0, 0),
+        entry.clauses[entry.calls[0].clause_index].pos if entry.clauses else NOPOS,
         report=TotalityReport(name, "rejected", None, entries),
     )

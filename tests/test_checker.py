@@ -598,3 +598,24 @@ class TestLongTypes:
     @pytest.mark.parametrize("link", ["Set -> ", "(x : Set) -> ", "[i : Size] -> "])
     def test_long_pi_chain_is_accepted(self, link):
         ok("let a : Set = " + link * self.N + "Set\n")
+
+
+class TestSuccessorRuns:
+    """A run of `$` is read, walked and printed in loops, so a long one needs
+    no deep stack."""
+
+    def let(self, n: int, result: str) -> str:
+        return (f"let f : [i : Size] -> SNat ({'$ ' * n}i) -> SNat {result}"
+                " = \\ i -> \\ n -> n")
+
+    @pytest.mark.parametrize("n", [3, 400, 500, 1000, 3000, 10000])
+    def test_mismatch_is_positioned(self, n):
+        line = self.let(n, "i")
+        d = rejected(SNAT_PARAMETRIC + line + "\n", "TYPE-MISMATCH")
+        chain = "$ (" * (n - 1) + "$ i" + ")" * (n - 1)
+        assert d.message == f"expected 'SNat i', got 'SNat ({chain})'"
+        assert d.pos == (len(SNAT_PARAMETRIC.splitlines()) + 1, len(line))
+
+    @pytest.mark.parametrize("n", [500, 10000])
+    def test_same_run_on_both_sides_is_accepted(self, n):
+        ok(SNAT_PARAMETRIC + self.let(n, f"({'$ ' * n}i)") + "\n")

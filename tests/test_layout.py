@@ -5,7 +5,8 @@ An AST scan, like `test_imports.py`: no module imports `dataclasses`, and
 every class but an `Enum` declares `__slots__` in its own body, so no
 instance carries a dict and no class is generated at import.  A fresh
 interpreter then shows that `import sizedcheck` adds none of `dataclasses`,
-`argparse` or `difflib` to `sys.modules`."""
+`argparse` or `difflib` to `sys.modules`.  A last scan keeps the token
+stream free of `Token` objects and of `sys.intern`."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 
 from sizedcheck import parse_source
 from sizedcheck.sizes import Meta, Rel, SizeConstraint, SizeCtx, ns_meta
-from sizedcheck.syntax import Ident
+from sizedcheck.syntax import Ident, LineTable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "sizedcheck").glob("*.py"))
@@ -46,6 +47,25 @@ def _faults(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_classes_are_slotted_and_not_generated(path):
     assert _faults(ast.parse(path.read_text(), str(path))) == []
+
+
+def _front_end_faults(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "intern":
+            out.append(f"reads .intern (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "intern" for a in node.names):
+            out.append(f"imports intern (line {node.lineno})")
+        elif isinstance(node, ast.ClassDef) and node.name == "Token":
+            out.append(f"class Token (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_token_objects_or_global_interning(path):
+    """Tokens are two lists, not an object each, and names are shared by a
+    dict of one source, not by the interpreter's table of interned strings."""
+    assert _front_end_faults(ast.parse(path.read_text(), str(path))) == []
 
 
 def test_import_loads_no_cli_or_class_generator_modules():
@@ -89,10 +109,11 @@ def _no_fault():
 
 
 def _recorded_fault():
-    decls = parse_source("data Nat : Set { zero : Nat }\nlet z : Nat = one\n"
-                         "let y : Nat = zero\n")
+    src = "data Nat : Set { zero : Nat }\nlet z : Nat = one\nlet y : Nat = zero\n"
+    decls = parse_source(src)
     assert decls[0].fault is None and decls[2].fault is None
-    assert (decls[1].fault.code, decls[1].fault.pos) == ("UNBOUND", (2, 15))
+    fault = decls[1].fault
+    assert (fault.code, LineTable(src).line_col(fault.pos)) == ("UNBOUND", (2, 15))
 
 
 KEPT = {

@@ -24,6 +24,7 @@ from sizedcheck.syntax import (
     SizeU,
     SSucc,
     SVar,
+    LineTable,
     fresh_ident,
 )
 
@@ -33,38 +34,38 @@ from conftest import SNAT_PARAMETRIC, accept_sources, alpha_eq_programs
 class TestTokenize:
     def test_inc2_application(self):
         toks = tokenize("succ ($ i) n")
-        assert [(t.kind, t.text) for t in toks] == [
-            ("ident", "succ"),
-            ("symbol", "("),
-            ("symbol", "$"),
-            ("ident", "i"),
-            ("symbol", ")"),
-            ("ident", "n"),
-            ("eof", ""),
-        ]
+        assert toks.texts == ["succ", "(", "$", "i", ")", "n", ""]
+        assert toks.offsets == [0, 5, 6, 8, 9, 11, 12]
 
     def test_empty_source(self):
         toks = tokenize("")
-        assert [(t.kind, t.text) for t in toks] == [("eof", "")]
+        assert (toks.texts, toks.offsets) == ([""], [0])
 
     def test_double_successor_is_two_dollars(self):
         toks = tokenize("($$ i)")
-        assert [t.text for t in toks[:-1]] == ["(", "$", "$", "i", ")"]
+        assert toks.texts[:-1] == ["(", "$", "$", "i", ")"]
 
     def test_comments_and_crlf(self):
-        toks = tokenize("a -- comment $ # {\r\nb")
-        assert [t.text for t in toks[:-1]] == ["a", "b"]
-        assert toks[1].line == 2
+        src = "a -- comment $ # {\r\nb"
+        toks = tokenize(src)
+        assert toks.texts[:-1] == ["a", "b"]
+        assert LineTable(src).line_col(toks.offsets[1]) == (2, 1)
 
     def test_longest_match_symbols(self):
         toks = tokenize("++ -> > .")
-        assert [t.text for t in toks[:-1]] == ["++", "->", ">", "."]
+        assert toks.texts[:-1] == ["++", "->", ">", "."]
 
     def test_lex_error_position(self):
         with pytest.raises(Diagnostic) as e:
             tokenize("abc @")
         assert e.value.code == "PARSE"
-        assert e.value.pos == (1, 5)
+        assert LineTable("abc @").line_col(e.value.pos) == (1, 5)
+
+    def test_one_string_per_distinct_name(self):
+        # each match of a name is a new string until tokenize shares it
+        texts = tokenize("name xy name xy name").texts
+        assert texts[:-1] == ["name", "xy"] * 2 + ["name"]
+        assert len({id(t) for t in texts[:-1]}) == 2
 
     def test_token_count_bounded(self):
         for src in ["", "a b c", "($$ i)", "-- only a comment", "x" * 100]:
@@ -164,7 +165,7 @@ let pre : [i : Size] -> (Nat -> O ($$ i)) -> Nat -> O ($ i)
             with pytest.raises(Diagnostic) as e:
                 parse_source(src)
             assert e.value.code == "PARSE"
-            line, col = e.value.pos
+            line, col = LineTable(src).line_col(e.value.pos)
             lines = src.splitlines() or [""]
             assert 1 <= line <= len(lines) + 1
             assert col >= 1
@@ -183,26 +184,33 @@ class TestChainDepth:
             e = e.codomain if node is Pi else e.body
         return out, e
 
+    def shown(self, src, nodes):
+        lines = LineTable(src)
+        return [lines.line_col(n.pos) for n in nodes]
+
     def test_chained_arrows(self):
-        (d,) = parse_source("let T : Set = " + "Set -> " * self.N + "Set")
+        src = "let T : Set = " + "Set -> " * self.N + "Set"
+        (d,) = parse_source(src)
         pis, last = self.links(d.body, Pi)
         assert len(pis) == self.N and isinstance(last, SetU)
         assert all(p.binder is None and p.annot is Annot.RELEVANT for p in pis)
-        assert [p.pos for p in pis[:2]] == [(1, 15), (1, 22)]
+        assert self.shown(src, pis[:2]) == [(1, 15), (1, 22)]
 
     def test_parametric_binders(self):
-        (d,) = parse_source("let T : Set = " + "[i : Size] -> " * self.N + "Set")
+        src = "let T : Set = " + "[i : Size] -> " * self.N + "Set"
+        (d,) = parse_source(src)
         pis, last = self.links(d.body, Pi)
         assert len(pis) == self.N and isinstance(last, SetU)
         assert all(p.annot is Annot.PARAMETRIC and isinstance(p.domain, SizeU) for p in pis)
-        assert [p.pos for p in pis[:2]] == [(1, 15), (1, 29)]
+        assert self.shown(src, pis[:2]) == [(1, 15), (1, 29)]
 
     def test_nested_lambdas(self):
-        (d,) = parse_source("let f : Set = " + "\\ x -> " * self.N + "x")
+        src = "let f : Set = " + "\\ x -> " * self.N + "x"
+        (d,) = parse_source(src)
         lams, last = self.links(d.body, Lam)
         # the body's x is bound by the innermost lambda
         assert len(lams) == self.N and last.name is lams[-1].binder
-        assert [lam.pos for lam in lams[:2]] == [(1, 15), (1, 22)]
+        assert self.shown(src, lams[:2]) == [(1, 15), (1, 22)]
 
 
 class TestPretty:
