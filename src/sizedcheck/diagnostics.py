@@ -50,8 +50,9 @@ class Diagnostic(Record, Exception):
         self.report = report  # the call table of a TERMINATION or PRODUCTIVITY rejection
 
     def render(self) -> str:
-        where = f"{self.file or '<input>'}:{self.pos[0]}:{self.pos[1]}"
-        return f"{self.code} {where} {self.message}"
+        pos = self.pos
+        where = f"{pos[0]}:{pos[1]}" if isinstance(pos, tuple) else f"@{pos}"
+        return f"{self.code} {self.file or '<input>'}:{where} {self.message}"
 
     def __str__(self):
         return self.render()

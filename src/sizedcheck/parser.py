@@ -112,7 +112,8 @@ def tokenize(source: str) -> Tokens:
         k = next(k for k, t in enumerate(texts) if t in bad)
         raise Diagnostic("PARSE", f"illegal character {texts[k][0]!r}", offsets[k])
     # eof stands after the last token and the whitespace after it, but
-    # before a comment on the last line
+    # before a comment that ends the source; no token holds "--", so the
+    # first "--" of the last line begins that comment
     last = source.rfind("\n") + 1
     comment = source.find("--", last)
     texts.append("")

@@ -60,6 +60,7 @@ class TestTokenize:
             tokenize("abc @")
         assert e.value.code == "PARSE"
         assert LineTable("abc @").line_col(e.value.pos) == (1, 5)
+        assert str(e.value) == "PARSE <input>:@4 illegal character '@'"
 
     def test_one_string_per_distinct_name(self):
         # each match of a name is a new string until tokenize shares it
