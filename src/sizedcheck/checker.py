@@ -880,17 +880,29 @@ class Checker:
     def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
         expected = self.ev.whnf(expected)
         match e:
-            case Lam(binder=x, body=body, pos=pos):
-                if not isinstance(expected, VPi):
-                    raise Diagnostic(
-                        "TYPE-MISMATCH",
-                        f"lambda checked against non-function type "
-                        f"'{pretty(self.ev.quote(expected))}'",
-                        pos,
-                    )
-                ctx2 = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
-                body_ty = self.ev.close(expected.closure, self.ev.force(ctx2.env[x.uid]))
-                return Lam(x, self.check(ctx2, body, body_ty, erased), pos)
+            case Lam():
+                # a chain of lambdas in a loop, as check_type walks a Pi chain
+                lams: list[Lam] = []
+                while True:
+                    if not isinstance(expected, VPi):
+                        raise Diagnostic(
+                            "TYPE-MISMATCH",
+                            f"lambda checked against non-function type "
+                            f"'{pretty(self.ev.quote(expected))}'",
+                            e.pos,
+                        )
+                    x = e.binder
+                    ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
+                    expected = self.ev.close(expected.closure, self.ev.force(ctx.env[x.uid]))
+                    lams.append(e)
+                    e = e.body
+                    if not isinstance(e, Lam):
+                        break
+                    expected = self.ev.whnf(expected)
+                out = self.check(ctx, e, expected, erased)
+                for lam in reversed(lams):
+                    out = Lam(lam.binder, out, lam.pos)
+                return out
             case CaseSize():
                 return self._check_case_size(ctx, e, expected, erased)
             case CaseData():

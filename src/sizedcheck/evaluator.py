@@ -31,6 +31,19 @@ environment and no fresh variable, and two such codomains are compared with
 no variable bound.  A codomain that unfolds definitions therefore pays fuel
 only on its first instantiation, whichever declaration makes it.
 
+Application is one routine, `apply`, which takes a whole spine.  `evaluate`
+walks the left spine of `f a1 ... an` in one loop, suspends each argument as a
+thunk with its annotation and the position of its own application, evaluates
+the head once and hands the spine over.  A constructor, data type or neutral
+head takes every argument into one new value, and a lambda binds them one at
+a time.  A fun gathers arguments up to its arity and is unfolded once, at the
+application that saturates it (STUCK-MATCH is reported there); the arguments
+left over are applied to what it unfolds to.  A cofun, a stuck fun and a fun
+still rigid keep their whole spine unevaluated.  The leftover arguments of an
+unfolding and the eta case of `compare` go through `apply` too, so no spine
+grows one argument at a time, and an n-argument call costs one new value and
+one unfold attempt, not n of each.
+
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
 polarity.  Two cases read the relation.  A pair of data types compares
@@ -181,9 +194,18 @@ class Evaluator:
                 raise AssertionError(f"evaluate: bad Def target {x!r}")
             case Con(name=x):
                 return VCon(x, [])
-            case App(fun=f, arg=a, annot=annot):
-                fv = self.evaluate(env, f)
-                return self.apply(fv, Thunk(env, a), annot or _RELEVANT, e.pos)
+            case App(fun=f):
+                # the whole left spine at once; each argument keeps the
+                # position of its own application
+                args: Spine = [(Thunk(env, e.arg), e.annot or _RELEVANT)]
+                poss: list[Pos] = [e.pos]
+                while isinstance(f, App):
+                    args.append((Thunk(env, f.arg), f.annot or _RELEVANT))
+                    poss.append(f.pos)
+                    f = f.fun
+                args.reverse()
+                poss.reverse()
+                return self.apply(self.evaluate(env, f), args, poss)
             case Lam(binder=x, body=body):
                 return VLam(x, Closure(env, x, body))
             case Pi(annot=annot, binder=binder, domain=dom, codomain=cod):
@@ -202,12 +224,12 @@ class Evaluator:
                 env2[binder.uid] = Thunk.of(VSize(ns))
                 return self.evaluate(env2, branch)
             case CaseData(scrut=scrut, branches=branches, pos=pos):
-                v = self.whnf(self.evaluate(env, scrut), pos)
+                th = Thunk.of(self.whnf(self.evaluate(env, scrut), pos))
                 for pat, body in branches:
-                    env2 = dict(env)
-                    r = self._match(pat, Thunk.of(v), env2, pos)
+                    bound: dict = {}
+                    r = self._match(pat, th, bound, pos)
                     if r is True:
-                        return self.evaluate(env2, body)
+                        return self.evaluate({**env, **bound}, body)
                     if r is _STUCK:
                         raise Diagnostic("STUCK-MATCH", "case on a neutral value", pos)
                 raise Diagnostic("STUCK-MATCH", "no case branch matches", pos)
@@ -228,27 +250,47 @@ class Evaluator:
 
         return normalize(s, lookup, self.sig.holes)
 
-    def apply(self, fv: Value, th: Thunk, annot: Annot, pos: Pos = NOPOS) -> Value:
-        match fv:
-            case VLam(closure=clo):
+    def apply(self, fv: Value, args: Spine, poss: list[Pos]) -> Value:
+        """fv applied to a whole spine, where poss[k] is the position of the
+        application of args[k]: the one place a spine grows (see the module
+        docstring).  A fun is unfolded once, at the application that
+        saturates it, and its leftover arguments are applied to the result;
+        a stuck fun, a cofun and a rigid fun keep the whole spine."""
+        k, n = 0, len(args)
+        while k < n:
+            if isinstance(fv, VLam):
+                clo = fv.closure
                 env2 = dict(clo.env)
-                env2[clo.binder.uid] = th
-                return self.evaluate(env2, clo.body)
-            case VCon(con=c, args=args):
-                return VCon(c, args + [th])
-            case VData(name=d, args=args):
-                return VData(d, args + [th])
-            case VNe(head=h, spine=spine):
-                return VNe(h, spine + [(th, annot)])
-            case VDef(name=f, spine=spine):
-                v = VDef(f, spine + [(th, annot)])
+                env2[clo.binder.uid] = args[k][0]
+                fv = self.evaluate(env2, clo.body)
+                k += 1
+                continue
+            rest = args[k:] if k else args
+            if isinstance(fv, VCon):
+                return VCon(fv.con, fv.args + [th for th, _ in rest])
+            if isinstance(fv, VData):
+                return VData(fv.name, fv.args + [th for th, _ in rest])
+            if isinstance(fv, VDef):
+                f, have = fv.name, fv.spine
+                spine = have + rest
                 entry = self.sig.fun(f)
-                if not entry.coinductive:
-                    u = self._unfold(v, pos, strict=True)
-                    if u is not None:
-                        return u
-                return v
-        raise Diagnostic("STUCK-MATCH", "application of a non-function value", pos)
+                # the arguments up to the saturating application, or to the
+                # next one past a stuck head; a fun of arity 0 is unfolded at
+                # its first argument
+                m = max(entry.arity - len(have), 1)
+                if entry.coinductive or m > len(rest):
+                    return VDef(f, spine)
+                sat = spine if m == len(rest) else spine[: len(have) + m]
+                u = self._unfold(VDef(f, sat), poss[k + m - 1])
+                if u is None:
+                    return VDef(f, spine)
+                fv = u
+                k += m
+                continue
+            if isinstance(fv, VNe):
+                return VNe(fv.head, fv.spine + rest)
+            raise Diagnostic("STUCK-MATCH", "application of a non-function value", poss[k])
+        return fv
 
     def close(self, clo: Closure, v: Value | None) -> Value:
         """The body of clo with its binder bound to v.  A body that cannot
@@ -292,25 +334,26 @@ class Evaluator:
 
     # -- definition unfolding -------------------------------------------------
 
-    def _unfold(self, v: VDef, pos: Pos, strict: bool) -> Value | None:
+    def _unfold(self, v: VDef, pos: Pos, strict: bool = True) -> Value | None:
         """Try one unfolding of a defined head.  Returns None when the value
         is underapplied or stuck; raises on an unmatched closed value only in
-        strict (runtime) mode.  Only a successful unfolding is kept, in the
-        memo.  A failed match is not cached: the head is matched again the
-        next time it is unfolded, which costs no fuel and evaluates no thunk
-        twice, since thunks are memoized."""
+        strict (runtime) mode, and never for a cofun.  Only a successful
+        unfolding is kept, in the memo.  A failed match is not cached: the
+        head is matched again the next time it is unfolded, which costs no
+        fuel and evaluates no thunk twice, since thunks are memoized.
+        Arguments past the arity are applied to the result at pos."""
         entry = self.sig.fun(v.name)
         if entry.report is None:
             return None  # rigid while its own clauses are still being checked
-        if len(v.spine) < entry.arity:
+        arity = entry.arity
+        if len(v.spine) < arity:
             return None
-        head, rest = v.spine[: entry.arity], v.spine[entry.arity :]
-        args = [t for t, _ in head]
+        args = [t for t, _ in v.spine[:arity]]
         key = (v.name, *map(self._memo_key, args))
         out = self.unfolded.get(key)
         if out is None:
             r = self.match_clauses(entry.clauses, args, pos)
-            if r is _NOMATCH and strict:
+            if r is _NOMATCH and strict and not entry.coinductive:
                 raise Diagnostic(
                     "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
                 )
@@ -319,8 +362,9 @@ class Evaluator:
             env, clause = r
             self._tick()
             out = self.unfolded[key] = self.evaluate(env, clause.rhs)
-        for th, annot in rest:
-            out = self.apply(out, th, annot, pos)
+        if len(v.spine) > arity:
+            rest = v.spine[arity:]
+            out = self.apply(out, rest, [pos] * len(rest))
         return out
 
     def _memo_key(self, th: Thunk):
@@ -334,8 +378,7 @@ class Evaluator:
 
     def whnf(self, v: Value, pos: Pos = NOPOS) -> Value:
         while isinstance(v, VDef):
-            entry = self.sig.fun(v.name)
-            u = self._unfold(v, pos, strict=not entry.coinductive)
+            u = self._unfold(v, pos)
             if u is None:
                 return v
             v = u
@@ -577,8 +620,8 @@ class Evaluator:
                 # as one
                 x = self.fresh_neutral(binder.text)
                 sctx = sctx.declare(x.head)
-                a = self.apply(a, Thunk.of(x), _RELEVANT)
-                b = self.apply(b, Thunk.of(x), _RELEVANT)
+                a = self.apply(a, [(Thunk.of(x), _RELEVANT)], [NOPOS])
+                b = self.apply(b, [(Thunk.of(x), _RELEVANT)], [NOPOS])
                 return self.compare(a, b, _EQ, sctx, col)
             case (VCon(con=c1, args=args1), VCon(con=c2, args=args2)):
                 if c1 != c2 or len(args1) != len(args2):

@@ -619,3 +619,25 @@ class TestSuccessorRuns:
     @pytest.mark.parametrize("n", [500, 10000])
     def test_same_run_on_both_sides_is_accepted(self, n):
         ok(SNAT_PARAMETRIC + self.let(n, f"({'$ ' * n}i)") + "\n")
+
+
+class TestLongChains:
+    """A lambda chain is checked, and an application spine evaluated, in a
+    loop, so neither needs a deep stack at the default recursion limit."""
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_lambda_chain(self, n):
+        lams = "".join(f"\\ x{k} -> " for k in range(n))
+        ok(f"let f : {'Set -> ' * n}Set = {lams}Set\n")
+
+    @pytest.mark.parametrize("n", [500, 1500, 3000])
+    def test_constructor_spine(self, n):
+        ok(NAT + f"data T : Set\n{{ mk : {'Nat -> ' * n}T\n}}\n"
+           f"let t : T = mk{' zero' * n}\n"
+           "fun k : T -> Nat\n{ k x = zero\n}\n"
+           "let u : Nat = k t\n")
+
+    def test_lambda_against_non_function_keeps_its_position(self):
+        d = rejected(NAT + "let f : Nat -> Nat = \\ x -> \\ y -> x\n", "TYPE-MISMATCH")
+        assert d.message == "lambda checked against non-function type 'Nat'"
+        assert d.pos == (6, 29)

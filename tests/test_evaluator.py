@@ -9,7 +9,10 @@ from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.scope import scope_check
 from sizedcheck.sizes import SizeCtx, ns_infty, ns_var
-from sizedcheck.syntax import App, Annot, Def, Elided, Pi, SInfty, Size, SSucc, fresh_ident
+from sizedcheck.diagnostics import Diagnostic
+from sizedcheck.syntax import (
+    NOPOS, App, Annot, Con, Def, Elided, Pi, SetU, SInfty, Size, SSucc, fresh_ident,
+)
 from sizedcheck.values import Thunk, VCon, VDef, VNe, VSize
 
 from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build
@@ -186,9 +189,9 @@ class TestConvertible:
         sctx = SizeCtx().declare(i).declare(j)
 
         def app(size_var):
-            v = VDef(pred, [])
-            v = ev.apply(v, Thunk.of(VSize(ns_var(size_var))), Annot.PARAMETRIC)
-            return ev.apply(v, Thunk.of(VNe(n)), Annot.RELEVANT)
+            spine = [(Thunk.of(VSize(ns_var(size_var))), Annot.PARAMETRIC),
+                     (Thunk.of(VNe(n)), Annot.RELEVANT)]
+            return ev.apply(VDef(pred, []), spine, [NOPOS, NOPOS])
 
         assert ev.convertible(app(i), app(j), sctx)
 
@@ -212,9 +215,9 @@ let probe2 : (i : Size) -> Set = \\ i -> SNat i -> SNat i
         i = fresh_ident("i")
         sctx = SizeCtx().declare(i)
         v1 = ev.apply(ev.evaluate({}, Def(ch.sig.by_text["probe1"])),
-                      Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)
+                      [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
         v2 = ev.apply(ev.evaluate({}, Def(ch.sig.by_text["probe2"])),
-                      Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)
+                      [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
         assert ev.convertible(v1, v2, sctx)
 
     def test_different_constructors_differ(self):
@@ -412,3 +415,93 @@ class TestSharedCodomains:
         # each arrow keeps its own codomain, evaluated once
         assert ev.close(at_i.closure, VNe(fresh_ident("x"))) is ev.close(at_i.closure, None)
         assert ev.close(at_i.closure, None) is not ev.close(at_infty.closure, None)
+
+
+# a partial, an exact and an over-application of funs, one of which is stuck
+SPINES = NAT + STREAM + """
+fun add : Nat -> Nat -> Nat
+{ add  zero    y = y
+; add (succ x) y = succ (add x y)
+}
+fun konst : Nat -> Nat -> Nat
+{ konst x = \\ y -> x
+}
+fun pred : Nat -> Nat -> Nat
+{ pred (succ n) = \\ y -> n
+}
+fun F : Nat -> Set
+{ F x = Set
+}
+cofun repeat : [A : Set] -> (a : A) -> [i : Size] -> Stream A i
+{ repeat A a ($ i) = cons A i a (repeat A a i)
+}
+"""
+
+
+class TestApplySpine:
+    """Evaluation applies a whole application spine at once."""
+
+    def test_partial_application_is_a_def_holding_its_spine(self):
+        ch, _, _ = build(SPINES + "let p : Nat -> Nat = add (succ zero)\n")
+        v = ch.ev.evaluate({}, Def(ch.sig.by_text["p"]))
+        assert isinstance(v, VDef) and v.name.text == "add"
+        assert len(v.spine) == 1 and v.spine[0][0].value is None
+
+    def test_over_application_equals_one_at_a_time(self):
+        ch, _, outputs = build(SPINES + "eval let k : Nat = konst (succ zero) zero\n")
+        assert outputs == ["k = succ zero"]
+        ev = ch.ev
+        konst, succ, zero = (ch.sig.by_text[t] for t in ("konst", "succ", "zero"))
+        one = App(Con(succ), Con(zero), Annot.RELEVANT)
+        whole = ev.evaluate({}, App(App(Def(konst), one, Annot.RELEVANT), Con(zero), Annot.RELEVANT))
+        v = ev.evaluate({}, Def(konst))
+        for arg in (one, Con(zero)):
+            v = ev.apply(v, [(Thunk({}, arg), Annot.RELEVANT)], [NOPOS])
+        assert pretty(ev.readback(whole)) == pretty(ev.readback(v)) == "succ zero"
+
+    def test_cofun_head_keeps_its_whole_spine_unevaluated(self):
+        ch, _, _ = build(SPINES + "let r : Stream Nat # = repeat Nat zero #\n")
+        v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        assert isinstance(v, VDef) and v.name.text == "repeat"
+        assert [th.value for th, _ in v.spine] == [None, None, None]
+
+    @pytest.mark.parametrize("let, pos", [
+        ("eval let a : Nat -> Nat = pred zero", (27, 32)),
+        ("eval let a : Nat = pred zero (succ zero)", (27, 25)),
+        ("eval let a : Nat = add (pred zero zero) zero", (27, 30)),
+    ])
+    def test_unmatched_fun_is_reported_at_the_saturating_application(self, let, pos):
+        d = check_source(SPINES + let + "\n", "t.ma").diagnostic
+        assert (d.code, d.message, d.pos) == ("STUCK-MATCH", "no clause of 'pred' matches", pos)
+
+    @pytest.mark.parametrize("head", ["F", None])
+    def test_non_function_is_reported_at_its_application(self, head):
+        ch, _, _ = build(SPINES)
+        zero = Con(ch.sig.by_text["zero"])
+        f = SetU() if head is None else App(Def(ch.sig.by_text[head]), zero, Annot.RELEVANT, 5)
+        with pytest.raises(Diagnostic) as e:
+            ch.ev.evaluate({}, App(App(f, zero, Annot.RELEVANT, 9), zero, Annot.RELEVANT, 12))
+        assert (e.value.code, e.value.message, e.value.pos) == (
+            "STUCK-MATCH", "application of a non-function value", 9)
+
+    def test_nth_of_repeat_steps_and_memo(self):
+        src = SPINES + """
+fun head : [A : Set] -> [i : Size] -> Stream A ($ i) -> A
+{ head A i (cons .A .i a as) = a
+}
+fun tail : [A : Set] -> [i : Size] -> Stream A ($ i) -> Stream A i
+{ tail A i (cons .A .i a as) = as
+}
+fun nth : Nat -> Stream Nat # -> Nat
+{ nth  zero    xs = head Nat # xs
+; nth (succ n) xs = nth n (tail Nat # xs)
+}
+""" + f"eval let x : Nat = nth {numeral(10)} (repeat Nat zero #)\n"
+        ch, _, outputs = build(src)
+        ev = ch.ev
+        assert outputs == ["x = zero"]
+        assert ev.steps == 33
+        memo = sorted((key[0].text, pretty(ev.quote(v))) for key, v in ev.unfolded.items())
+        assert memo == ([("head", "zero")] + [("nth", "zero")] * 11
+                        + [("repeat", "cons Nat # zero (repeat Nat zero #)")] * 11
+                        + [("tail", "repeat Nat zero #")] * 10)
