@@ -778,59 +778,60 @@ class Checker:
             )
 
     def _infer_atom(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
-        match e:
-            case Var(name=x):
-                b = ctx.lookup(x)
-                assert b is not None, f"unbound variable {x!r} after scope checking"
-                self._use_check(ctx, x, erased, e.pos)
-                if isinstance(self.ev.whnf(b.type), VSizeU):
-                    return Size(SVar(x), e.pos), b.type
-                return e, b.type
-            case Def(name=x):
-                entry = self.sig[x]
-                match entry:
-                    case DataEntry():
-                        return e, entry.kind_value
-                    case FunEntry() | LetEntry():
-                        return e, getattr(entry, "type_value")
-                raise AssertionError(entry)
-            case Con(name=x):
-                return e, self.sig.con(x).type_value
+        t = type(e)
+        if t is Var:
+            x = e.name
+            b = ctx.lookup(x)
+            assert b is not None, f"unbound variable {x!r} after scope checking"
+            self._use_check(ctx, x, erased, e.pos)
+            if isinstance(self.ev.whnf(b.type), VSizeU):
+                return Size(SVar(x), e.pos), b.type
+            return e, b.type
+        if t is Def:
+            entry = self.sig[e.name]
+            te = type(entry)
+            if te is DataEntry:
+                return e, entry.kind_value
+            if te is FunEntry or te is LetEntry:
+                return e, entry.type_value
+            raise AssertionError(entry)
+        if t is Con:
+            return e, self.sig.con(e.name).type_value
         raise AssertionError(e)
 
     def infer(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
-        match e:
-            case Var() | Con():
-                return self._infer_atom(ctx, e, erased)
-            case App() | Def():
-                return self._infer_app(ctx, e, erased)
-            case Pi():
-                return self.check_type(ctx, e), VSet()
-            case Size():
-                return Size(self.as_size(ctx, e, erased), e.pos), VSizeU()
-            case SetU():
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "Set has no inferable type; it may only appear where a "
-                    "type is expected",
-                    e.pos,
-                )
-            case SizeU():
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "Size may only appear where a type is expected",
-                    e.pos,
-                )
-            case Lam():
-                raise Diagnostic(
-                    "TYPE-MISMATCH", "cannot infer the type of a lambda", e.pos
-                )
-            case CaseSize() | CaseData():
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "a case expression is only accepted where its type is known",
-                    e.pos,
-                )
+        t = type(e)
+        if t is App or t is Def:
+            return self._infer_app(ctx, e, erased)
+        if t is Var or t is Con:
+            return self._infer_atom(ctx, e, erased)
+        if t is Pi:
+            return self.check_type(ctx, e), VSet()
+        if t is Size:
+            return Size(self.as_size(ctx, e, erased), e.pos), VSizeU()
+        if t is SetU:
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                "Set has no inferable type; it may only appear where a "
+                "type is expected",
+                e.pos,
+            )
+        if t is SizeU:
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                "Size may only appear where a type is expected",
+                e.pos,
+            )
+        if t is Lam:
+            raise Diagnostic(
+                "TYPE-MISMATCH", "cannot infer the type of a lambda", e.pos
+            )
+        if t is CaseSize or t is CaseData:
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                "a case expression is only accepted where its type is known",
+                e.pos,
+            )
         raise AssertionError(f"infer: unhandled node {e!r}")
 
     def _infer_app(self, ctx: Ctx, e: App | Def, erased: bool) -> tuple[Expr, Value]:
@@ -879,70 +880,73 @@ class Checker:
 
     def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
         expected = self.ev.whnf(expected)
-        match e:
-            case Lam():
-                # a chain of lambdas in a loop, as check_type walks a Pi chain
-                lams: list[Lam] = []
-                while True:
-                    if not isinstance(expected, VPi):
-                        raise Diagnostic(
-                            "TYPE-MISMATCH",
-                            f"lambda checked against non-function type "
-                            f"'{pretty(self.ev.quote(expected))}'",
-                            e.pos,
-                        )
-                    x = e.binder
-                    ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
-                    expected = self.ev.close(expected.closure, self.ev.force(ctx.env[x.uid]))
-                    lams.append(e)
-                    e = e.body
-                    if not isinstance(e, Lam):
-                        break
-                    expected = self.ev.whnf(expected)
-                out = self.check(ctx, e, expected, erased)
-                for lam in reversed(lams):
-                    out = Lam(lam.binder, out, lam.pos)
-                return out
-            case CaseSize():
-                return self._check_case_size(ctx, e, expected, erased)
-            case CaseData():
-                return self._check_case_data(ctx, e, expected, erased)
-            case SetU():
-                if isinstance(expected, VSet):
-                    return e
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    f"Set checked against '{pretty(self.ev.quote(expected))}'",
-                    e.pos,
-                )
-            case Pi():
-                if isinstance(expected, VSet):
-                    return self.check_type(ctx, e)
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    f"function type checked against "
-                    f"'{pretty(self.ev.quote(expected))}'",
-                    e.pos,
-                )
-            case Size(size=s) if isinstance(expected, VSizeU):
+        t = type(e)
+        if t is App or t is Var or t is Con or t is Def:
+            pass  # inferred and compared below
+        elif t is Lam:
+            # a chain of lambdas in a loop, as check_type walks a Pi chain
+            lams: list[Lam] = []
+            while True:
+                if not isinstance(expected, VPi):
+                    raise Diagnostic(
+                        "TYPE-MISMATCH",
+                        f"lambda checked against non-function type "
+                        f"'{pretty(self.ev.quote(expected))}'",
+                        e.pos,
+                    )
+                x = e.binder
+                ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
+                expected = self.ev.close(expected.closure, self.ev.force(ctx.env[x.uid]))
+                lams.append(e)
+                e = e.body
+                if type(e) is not Lam:
+                    break
+                expected = self.ev.whnf(expected)
+            out = self.check(ctx, e, expected, erased)
+            for lam in reversed(lams):
+                out = Lam(lam.binder, out, lam.pos)
+            return out
+        elif t is CaseSize:
+            return self._check_case_size(ctx, e, expected, erased)
+        elif t is CaseData:
+            return self._check_case_data(ctx, e, expected, erased)
+        elif t is SetU:
+            if isinstance(expected, VSet):
+                return e
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                f"Set checked against '{pretty(self.ev.quote(expected))}'",
+                e.pos,
+            )
+        elif t is Pi:
+            if isinstance(expected, VSet):
+                return self.check_type(ctx, e)
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                f"function type checked against "
+                f"'{pretty(self.ev.quote(expected))}'",
+                e.pos,
+            )
+        elif t is Size:
+            if isinstance(expected, VSizeU):
                 return Size(self.as_size(ctx, e, erased), e.pos)
-            case Size(size=SMeta()):
+            if type(e.size) is SMeta:
                 raise Diagnostic(
                     "UNSOLVED-META",
                     f"a hole '_' stands for a size, but "
                     f"'{pretty(self.ev.quote(expected))}' is expected here",
                     e.pos,
                 )
-            case _:
-                elab, ty = self.infer(ctx, e, erased)
-                if not self.subtype(ctx, ty, expected):
-                    raise Diagnostic(
-                        "TYPE-MISMATCH",
-                        f"expected '{pretty(self.ev.quote(expected))}', got "
-                        f"'{pretty(self.ev.quote(ty))}'",
-                        e.pos,
-                    )
-                return elab
+        # every other node is inferred, and its type compared with expected
+        elab, ty = self.infer(ctx, e, erased)
+        if not self.subtype(ctx, ty, expected):
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                f"expected '{pretty(self.ev.quote(expected))}', got "
+                f"'{pretty(self.ev.quote(ty))}'",
+                e.pos,
+            )
+        return elab
 
     def _check_case_size(self, ctx: Ctx, e: CaseSize, expected: Value, erased: bool) -> Expr:
         ns = self.ev.eval_size(ctx.env, e.scrut)

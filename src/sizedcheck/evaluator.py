@@ -44,6 +44,15 @@ unfolding and the eta case of `compare` go through `apply` too, so no spine
 grows one argument at a time, and an n-argument call costs one new value and
 one unfold attempt, not n of each.
 
+The walks that run once per node (`evaluate`, `_match`, `size_view` and
+`_read` here, `sizes.normalize`, and the checker's `check`, `infer` and
+`_infer_atom`) read the node's exact class once and branch on it with `is`
+tests, the most frequent classes first.  A `match` over class patterns would
+make one `isinstance` test per arm that fails: a `Size` node passed eight of
+them before its own arm.  Every node class is a leaf class, so the exact
+class picks the arm a class pattern would (`tests/test_dispatch.py` holds
+both).  A chain of lambdas or of Pi types is read back in a loop.
+
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
 polarity.  Two cases read the relation.  A pair of data types compares
@@ -174,67 +183,71 @@ class Evaluator:
         return th.value
 
     def evaluate(self, env: dict, e: Expr) -> Value:
-        match e:
-            case Var(name=x):
-                th = env.get(x.uid)
-                if th is None:
-                    return VNe(x)
-                return self.force(th)
-            case Def(name=x):
-                entry = self.sig[x]
-                match entry:
-                    case DataEntry():
-                        return VData(x, [])
-                    case FunEntry():
-                        return VDef(x, [])
-                    case LetEntry():
-                        if entry.thunk is None:
-                            entry.thunk = Thunk({}, entry.body)
-                        return self.force(entry.thunk)
-                raise AssertionError(f"evaluate: bad Def target {x!r}")
-            case Con(name=x):
-                return VCon(x, [])
-            case App(fun=f):
-                # the whole left spine at once; each argument keeps the
-                # position of its own application
-                args: Spine = [(Thunk(env, e.arg), e.annot or _RELEVANT)]
-                poss: list[Pos] = [e.pos]
-                while isinstance(f, App):
-                    args.append((Thunk(env, f.arg), f.annot or _RELEVANT))
-                    poss.append(f.pos)
-                    f = f.fun
-                args.reverse()
-                poss.reverse()
-                return self.apply(self.evaluate(env, f), args, poss)
-            case Lam(binder=x, body=body):
-                return VLam(x, Closure(env, x, body))
-            case Pi(annot=annot, binder=binder, domain=dom, codomain=cod):
-                clo = Closure(env, binder, cod)
-                return VPi(annot, binder or _ARROW, self.evaluate(env, dom), clo)
-            case SetU():
-                return VSet()
-            case SizeU():
-                return VSizeU()
-            case Size(size=s):
-                return VSize(self.eval_size(env, s))
-            case CaseSize(scrut=s, binder=binder, branch=branch):
-                # the match is computationally irrelevant; bind the scrutinee
-                ns = self.eval_size(env, s)
-                env2 = dict(env)
-                env2[binder.uid] = Thunk.of(VSize(ns))
-                return self.evaluate(env2, branch)
-            case CaseData(scrut=scrut, branches=branches, pos=pos):
-                th = Thunk.of(self.whnf(self.evaluate(env, scrut), pos))
-                for pat, body in branches:
-                    bound: dict = {}
-                    r = self._match(pat, th, bound, pos)
-                    if r is True:
-                        return self.evaluate({**env, **bound}, body)
-                    if r is _STUCK:
-                        raise Diagnostic("STUCK-MATCH", "case on a neutral value", pos)
-                raise Diagnostic("STUCK-MATCH", "no case branch matches", pos)
-            case Elided():
-                raise Diagnostic("STUCK-MATCH", "cannot evaluate an elided value", e.pos)
+        t = type(e)
+        if t is App:
+            # the whole left spine at once; each argument keeps the position
+            # of its own application
+            args: Spine = [(Thunk(env, e.arg), e.annot or _RELEVANT)]
+            poss: list[Pos] = [e.pos]
+            f = e.fun
+            while type(f) is App:
+                args.append((Thunk(env, f.arg), f.annot or _RELEVANT))
+                poss.append(f.pos)
+                f = f.fun
+            args.reverse()
+            poss.reverse()
+            return self.apply(self.evaluate(env, f), args, poss)
+        if t is Var:
+            th = env.get(e.name.uid)
+            if th is None:
+                return VNe(e.name)
+            return self.force(th)
+        if t is Def:
+            x = e.name
+            entry = self.sig[x]
+            te = type(entry)
+            if te is DataEntry:
+                return VData(x, [])
+            if te is FunEntry:
+                return VDef(x, [])
+            if te is LetEntry:
+                if entry.thunk is None:
+                    entry.thunk = Thunk({}, entry.body)
+                return self.force(entry.thunk)
+            raise AssertionError(f"evaluate: bad Def target {x!r}")
+        if t is Size:
+            return VSize(self.eval_size(env, e.size))
+        if t is Con:
+            return VCon(e.name, [])
+        if t is Pi:
+            binder = e.binder
+            clo = Closure(env, binder, e.codomain)
+            return VPi(e.annot, binder or _ARROW, self.evaluate(env, e.domain), clo)
+        if t is Lam:
+            return VLam(e.binder, Closure(env, e.binder, e.body))
+        if t is SetU:
+            return VSet()
+        if t is SizeU:
+            return VSizeU()
+        if t is CaseSize:
+            # the match is computationally irrelevant; bind the scrutinee
+            ns = self.eval_size(env, e.scrut)
+            env2 = dict(env)
+            env2[e.binder.uid] = Thunk.of(VSize(ns))
+            return self.evaluate(env2, e.branch)
+        if t is CaseData:
+            pos = e.pos
+            th = Thunk.of(self.whnf(self.evaluate(env, e.scrut), pos))
+            for pat, body in e.branches:
+                bound: dict = {}
+                r = self._match(pat, th, bound, pos)
+                if r is True:
+                    return self.evaluate({**env, **bound}, body)
+                if r is _STUCK:
+                    raise Diagnostic("STUCK-MATCH", "case on a neutral value", pos)
+            raise Diagnostic("STUCK-MATCH", "no case branch matches", pos)
+        if t is Elided:
+            raise Diagnostic("STUCK-MATCH", "cannot evaluate an elided value", e.pos)
         raise AssertionError(f"evaluate: unhandled node {e!r}")
 
     def eval_size(self, env: dict, s) -> NormalSize:
@@ -406,36 +419,35 @@ class Evaluator:
         return _NOMATCH
 
     def _match(self, p: Pattern, th: Thunk, env: dict, pos: Pos):
-        match p:
-            case PVar(name=x):
-                env[x.uid] = th
-                return True
-            case PWild() | PDot():
-                return True
-            case PSucc(child=j):
-                ns = self.size_view(self.force(th))
-                if ns is None:
-                    return _STUCK
-                env[j.uid] = Thunk.of(VSize(pred(ns)))
-                return True
-            case PSizeRel(child=j):
-                env[j.uid] = th
-                return True
-            case PCon(con=c, args=subs):
-                v = self.whnf(self.force(th), pos)
-                match v:
-                    case VCon(con=c2, args=args):
-                        if c2 != c:
-                            return _NOMATCH
-                        if len(subs) != len(args):
-                            return _STUCK
-                        for sp, sa in zip(subs, args):
-                            r = self._match(sp, sa, env, pos)
-                            if r is not True:
-                                return r
-                        return True
-                    case _:
-                        return _STUCK
+        t = type(p)
+        if t is PVar:
+            env[p.name.uid] = th
+            return True
+        if t is PCon:
+            v = self.whnf(self.force(th), pos)
+            if type(v) is not VCon:
+                return _STUCK
+            if v.con != p.con:
+                return _NOMATCH
+            subs, args = p.args, v.args
+            if len(subs) != len(args):
+                return _STUCK
+            for sp, sa in zip(subs, args):
+                r = self._match(sp, sa, env, pos)
+                if r is not True:
+                    return r
+            return True
+        if t is PDot or t is PWild:
+            return True
+        if t is PSucc:
+            ns = self.size_view(self.force(th))
+            if ns is None:
+                return _STUCK
+            env[p.child.uid] = Thunk.of(VSize(pred(ns)))
+            return True
+        if t is PSizeRel:
+            env[p.child.uid] = th
+            return True
         raise AssertionError(f"match: unhandled pattern {p!r}")
 
     # -- readback -------------------------------------------------------------
@@ -457,30 +469,34 @@ class Evaluator:
         put in whnf first, coinductive layers past depth are elided,
         constructor parameters are skipped, parametric arguments print as _
         unless print_sizes is set, and each constructor argument costs fuel.
-        Types and sizes always read back structurally."""
-        if depth is not None:
-            v = self.whnf(v, self.budget_pos)
-        match v:
-            case VSet():
-                return SetU()
-            case VSizeU():
-                return SizeU()
-            case VSize(size=ns):
-                return Size(to_size_expr(ns))
-            case VPi(annot=annot, binder=binder, domain=dom, closure=clo):
-                x, body = self.open(clo, binder)
-                return Pi(annot, x, self._read(dom, None), self._read(body, None))
-            case VLam(binder=binder, closure=clo):
-                x, body = self.open(clo, binder)
-                return Lam(x, self._read(body, depth))
-            case VCon(con=c, args=args):
-                centry = self.sig.con(c)
-                if depth is not None and self.sig.data(centry.data).coinductive:
-                    if depth <= 0:
-                        return Elided()
-                    depth -= 1
-                e: Expr = Con(c)
-                for k, th in enumerate(args):
+        Types and sizes always read back structurally.  A chain of lambdas
+        or of Pi types is read in a loop and rebuilt from its innermost end,
+        so its length costs no stack."""
+        binders: list[tuple[Annot | None, Ident | None, Expr | None]] = []
+        while True:
+            if depth is not None:
+                v = self.whnf(v, self.budget_pos)
+            t = type(v)
+            if t is VLam:
+                x, v = self.open(v.closure, v.binder)
+                binders.append((None, x, None))
+            elif t is VPi:
+                x, body = self.open(v.closure, v.binder)
+                binders.append((v.annot, x, self._read(v.domain, None)))
+                v, depth = body, None
+            else:
+                break
+        if t is VCon:
+            centry = self.sig.con(v.con)
+            elide = False
+            if depth is not None and self.sig.data(centry.data).coinductive:
+                elide = depth <= 0
+                depth -= 1
+            if elide:
+                e: Expr = Elided()
+            else:
+                e = Con(v.con)
+                for k, th in enumerate(v.args):
                     annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
                     if depth is None:
                         arg = self._read(self.force(th), None)
@@ -495,14 +511,23 @@ class Evaluator:
                         self._tick()
                         arg = self._read(self.force(th), depth)
                     e = App(e, arg, annot)
-                return e
-            case VData(name=d, args=args):
-                return self._read_spine(Def(d), [(th, _RELEVANT) for th in args], None)
-            case VNe(head=h, spine=spine):
-                return self._read_spine(Var(h), spine, depth)
-            case VDef(name=f, spine=spine):
-                return self._read_spine(Def(f), spine, depth)
-        raise AssertionError(f"readback: unhandled value {v!r}")
+        elif t is VNe:
+            e = self._read_spine(Var(v.head), v.spine, depth)
+        elif t is VDef:
+            e = self._read_spine(Def(v.name), v.spine, depth)
+        elif t is VData:
+            e = self._read_spine(Def(v.name), [(th, _RELEVANT) for th in v.args], None)
+        elif t is VSize:
+            e = Size(to_size_expr(v.size))
+        elif t is VSet:
+            e = SetU()
+        elif t is VSizeU:
+            e = SizeU()
+        else:
+            raise AssertionError(f"readback: unhandled value {v!r}")
+        for annot, x, dom in reversed(binders):
+            e = Lam(x, e) if dom is None else Pi(annot, x, dom, e)
+        return e
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
@@ -539,11 +564,11 @@ class Evaluator:
 
     def size_view(self, v: Value) -> NormalSize | None:
         """The normal form of a size value or of a bare size variable."""
-        match v:
-            case VSize(size=ns):
-                return ns
-            case VNe(head=h, spine=[]):
-                return ns_var(h)
+        t = type(v)
+        if t is VSize:
+            return v.size
+        if t is VNe and not v.spine:
+            return ns_var(v.head)
         return None
 
     def compare(self, a: Value, b: Value, rel: Rel, sctx: SizeCtx, col) -> bool:

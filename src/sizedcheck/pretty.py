@@ -119,16 +119,30 @@ def _expr(e: Expr, nm: _Namer) -> str:
             return "…"
         case Size(size=s):
             return _size(s, nm)
-        case Pi(annot=annot, binder=binder, domain=dom, codomain=cod):
-            if binder is not None and (binder in free_vars(cod) or annot is Annot.PARAMETRIC):
-                op, cl = ("[", "]") if annot is Annot.PARAMETRIC else ("(", ")")
-                return f"{op}{nm.name(binder)} : {_expr(dom, nm)}{cl} -> {_expr(cod, nm)}"
-            doms = _expr(dom, nm)
-            if isinstance(dom, (Pi, Lam)):
-                doms = f"({doms})"
-            return f"{doms} -> {_expr(cod, nm)}"
-        case Lam(binder=binder, body=body):
-            return f"\\ {nm.name(binder)} -> {_expr(body, nm)}"
+        case Pi() | Lam():
+            # a chain of binders is printed in a loop, each link's prefix
+            # in order, so its length costs no stack
+            parts = []
+            while True:
+                if isinstance(e, Lam):
+                    parts.append(f"\\ {nm.name(e.binder)} -> ")
+                    e = e.body
+                elif isinstance(e, Pi):
+                    annot, binder, dom = e.annot, e.binder, e.domain
+                    if binder is not None and (binder in free_vars(e.codomain)
+                                               or annot is Annot.PARAMETRIC):
+                        op, cl = ("[", "]") if annot is Annot.PARAMETRIC else ("(", ")")
+                        parts.append(f"{op}{nm.name(binder)} : {_expr(dom, nm)}{cl} -> ")
+                    else:
+                        doms = _expr(dom, nm)
+                        if isinstance(dom, (Pi, Lam)):
+                            doms = f"({doms})"
+                        parts.append(f"{doms} -> ")
+                    e = e.codomain
+                else:
+                    break
+            parts.append(_expr(e, nm))
+            return "".join(parts)
         case App():
             head, args = spine(e)
             parts = [_arg(head, nm)] + [_arg(a, nm) for a, _ in args]

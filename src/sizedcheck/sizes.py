@@ -177,30 +177,31 @@ def normalize(
     solved size holes to their solutions, normal forms that name no hole;
     a solved hole normalizes as its solution read under the same lookup,
     as if the solution were written in place of the hole."""
-    match s:
-        case SVar(name=x):
-            if lookup is not None:
-                ns = lookup(x)
-                if ns is not None:
-                    return ns
-            return ns_var(x)
-        case SSucc():
-            n = 0
-            while isinstance(s, SSucc):
-                s = s.arg
-                n += 1
-            return bump(normalize(s, lookup, holes), n)
-        case SInfty():
-            return ns_infty()
-        case SMax(left=a, right=b):
-            return ns_max(normalize(a, lookup, holes), normalize(b, lookup, holes))
-        case SMeta(mid=m):
-            sol = holes.get(m) if holes else None
-            if sol is None:
-                return ns_meta(m)
-            if lookup is None or sol.is_infty():
-                return sol
-            return _read_solution(sol, lookup)
+    t = type(s)
+    if t is SVar:
+        if lookup is not None:
+            ns = lookup(s.name)
+            if ns is not None:
+                return ns
+        return ns_var(s.name)
+    if t is SMeta:
+        m = s.mid
+        sol = holes.get(m) if holes else None
+        if sol is None:
+            return ns_meta(m)
+        if lookup is None or sol.is_infty():
+            return sol
+        return _read_solution(sol, lookup)
+    if t is SSucc:
+        n = 0
+        while type(s) is SSucc:
+            s = s.arg
+            n += 1
+        return bump(normalize(s, lookup, holes), n)
+    if t is SInfty:
+        return ns_infty()
+    if t is SMax:
+        return ns_max(normalize(s.left, lookup, holes), normalize(s.right, lookup, holes))
     raise AssertionError(f"normalize: unhandled {s!r}")
 
 

@@ -622,8 +622,9 @@ class TestSuccessorRuns:
 
 
 class TestLongChains:
-    """A lambda chain is checked, and an application spine evaluated, in a
-    loop, so neither needs a deep stack at the default recursion limit."""
+    """A lambda chain is checked, an application spine evaluated, and a
+    lambda or arrow chain read back and printed, in a loop, so none needs a
+    deep stack at the default recursion limit."""
 
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_lambda_chain(self, n):
@@ -636,6 +637,17 @@ class TestLongChains:
            f"let t : T = mk{' zero' * n}\n"
            "fun k : T -> Nat\n{ k x = zero\n}\n"
            "let u : Nat = k t\n")
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_eval_lambda_chain_prints(self, n):
+        lams = "".join(f"\\ x{k} -> " for k in range(n))
+        r = ok(f"eval let f : {'Set -> ' * n}Set = {lams}Set\n")
+        assert r.outputs == [f"f = {lams}Set"]
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_eval_arrow_chain_prints(self, n):
+        r = ok(f"eval let T : Set = {'Set -> ' * n}Set\n")
+        assert r.outputs == [f"T = {'Set -> ' * n}Set"]
 
     def test_lambda_against_non_function_keeps_its_position(self):
         d = rejected(NAT + "let f : Nat -> Nat = \\ x -> \\ y -> x\n", "TYPE-MISMATCH")
