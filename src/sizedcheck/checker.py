@@ -4,6 +4,16 @@ patterns, the size-case rule, and clause-level solving of size holes.
 Subtyping, with size entailment and declared polarities, is the evaluator's
 `compare` at `Rel.LE` (see the `evaluator` module docstring).
 
+Elaboration annotates the parser's tree in place; it builds no second tree.
+Each application node gets the annotation of the Pi it applies, and a size
+variable passed as a size argument becomes `Size(SVar x)`, which the unfold
+memo keys by its normal form.  A Pi link gets its elaborated domain and
+codomain, a lambda chain its elaborated body, a case its elaborated
+scrutinee and branches, and a constructor pattern the constructor it names
+in the scrutinee's type.  A tree is checked once, and nothing reads it
+before, so annotating it loses nothing: the signature's clauses and lets
+hold the parser's own nodes.
+
 Elaborated syntax keeps its size holes.  Once a clause or let body is
 checked, its holes are solved and each solution is stored once in the
 signature's hole table; the evaluator reads it there whenever it normalizes
@@ -67,7 +77,6 @@ from .syntax import (
     Record,
     SetU,
     Size,
-    SizeExpr,
     SizeU,
     SMeta,
     SVar,
@@ -76,7 +85,6 @@ from .syntax import (
     leq_pol,
     size_metas,
     size_vars,
-    spine,
 )
 from .totality import (
     admissibility_check,
@@ -84,6 +92,7 @@ from .totality import (
     strict_positivity_check,
     termination_check,
 )
+from .values import VSET, VSIZEU
 from .values import Thunk, Value, VCon, VData, VDef, VLam, VNe, VPi, VSet, VSize, VSizeU
 
 
@@ -400,7 +409,7 @@ class Checker:
         entry.report = termination_check(entry, self.lines)
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
-        ctx, residual, obligations, pats, _ = self._elab_patterns(
+        ctx, residual, obligations, _ = self._elab_patterns(
             Ctx(state=state), entry.type_value, clause.lhs, entry
         )
         self._check_obligations(ctx, obligations)
@@ -410,7 +419,7 @@ class Checker:
             if call.size_arg is not None:
                 call.size_arg = apply_solution(call.size_arg, sol)
         entry.calls.extend(state.calls)
-        return ElabClause(pats, rhs, ctx.sctx, clause.pos)
+        return ElabClause(clause.lhs, rhs, ctx.sctx, clause.pos)
 
     def _solve_holes(self, ctx: Ctx, pos: Pos, where: str) -> dict[int, NormalSize]:
         """Dump the constraints of the checked body if asked (before solving,
@@ -448,10 +457,9 @@ class Checker:
         """Elaborate patterns against the Pi telescope t: a clause's own
         arguments against its function `fun`'s type, or (fun None) a
         constructor's arguments past its parameters and size.  Returns the
-        context they bind, the rest of t, the dot obligations, the elaborated
-        patterns and the values they match."""
+        context they bind, the rest of t, the dot obligations and the values
+        they match."""
         obligations: list = []
-        pats: list[Pattern] = []
         vals: list[Value] = []
         for k, p in enumerate(patterns):
             t = self.ev.whnf(t)
@@ -460,12 +468,11 @@ class Checker:
                     "TYPE-MISMATCH", "more patterns than the type has arguments", p.pos
                 )
             designated = fun is not None and k == fun.size_param
-            ctx, val, obls, p = self._elab_pattern(ctx, t, p, fun, designated)
+            ctx, val, obls = self._elab_pattern(ctx, t, p, fun, designated)
             obligations.extend(obls)
-            pats.append(p)
             vals.append(val)
             t = self.ev.close(t.closure, val)
-        return ctx, t, obligations, pats, vals
+        return ctx, t, obligations, vals
 
     def _elab_pattern(self, ctx: Ctx, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool):
         """Elaborate one pattern against the binder pi; its domain decides
@@ -473,7 +480,7 @@ class Checker:
         among a clause's own arguments (fun not None), a successor pattern of
         a cofun; the size matched at the designated binder is the clause's
         size for termination.  Returns the extended context, the value
-        matched, dot obligations and the elaborated pattern."""
+        matched and the dot obligations."""
         dom = self.ev.whnf(pi.domain)
         at_size = isinstance(dom, VSizeU)
         match p:
@@ -483,7 +490,7 @@ class Checker:
                 val = self.ev.force(ctx.env[x.uid])
                 if designated and isinstance(p, PVar):
                     ctx.state.lhs_size = val.size
-                return ctx, val, [], p
+                return ctx, val, []
             case _ if at_size and fun is None:
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -513,7 +520,7 @@ class Checker:
                 size = bump(ns_var(j), 1)
                 if designated:
                     ctx.state.lhs_size = size
-                return ctx, VSize(size), [], p
+                return ctx, VSize(size), []
             case PSucc():
                 raise Diagnostic(
                     "ADMISSIBILITY",
@@ -549,6 +556,8 @@ class Checker:
         raise AssertionError(p)
 
     def _elab_con_pattern(self, ctx: Ctx, dty: VData, p: PCon):
+        """Elaborate p against dty, naming in p the constructor it matches;
+        returns as `_elab_pattern` does."""
         dentry = self.sig.data(dty.name)
         # constructor names may be reused across data types: resolve by name
         # against the scrutinee's type, not the latest declaration scope chose
@@ -573,7 +582,6 @@ class Checker:
                 "TYPE-MISMATCH", "match against an underapplied data type", p.pos
             )
         obligations: list = []
-        args_out: list[Pattern] = []
         thunks: list[Thunk] = []
         ct: Value = centry.type_value
 
@@ -596,7 +604,6 @@ class Checker:
                         "use a dot pattern",
                         sub.pos,
                     )
-            args_out.append(sub)
             thunks.append(Thunk.of(forced))
             ct = self.ev.close(ct.closure, forced)
 
@@ -632,7 +639,7 @@ class Checker:
                                 sub.pos,
                             )
                         ctx = ctx.bind(
-                            child, VSizeU(), ct.annot, hypothesis=(ns_var(parent), True)
+                            child, VSIZEU, ct.annot, hypothesis=(ns_var(parent), True)
                         )
                         size_val: Value = VSize(ns_var(child))
                     case PDot():
@@ -659,7 +666,7 @@ class Checker:
                 size_val = VSize(pred(s_ns))
                 match sub:
                     case PDot(expr=e):
-                        obligations.append((e, VSizeU(), size_val, sub.pos))
+                        obligations.append((e, VSIZEU, size_val, sub.pos))
                     case _:
                         raise Diagnostic(
                             "SIZE-PATTERN-REQUIRED",
@@ -667,14 +674,12 @@ class Checker:
                             "here; use a dot pattern",
                             sub.pos,
                         )
-            args_out.append(sub)
             thunks.append(Thunk.of(size_val))
             ct = self.ev.close(ct.closure, size_val)
 
         # the proper arguments
-        ctx, ct, obls, subs, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
+        ctx, ct, obls, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
         obligations.extend(obls)
-        args_out.extend(subs)
         thunks.extend(map(Thunk.of, vals))
 
         target = self.ev.whnf(ct)
@@ -693,14 +698,14 @@ class Checker:
                     "match the scrutinee type",
                     p.pos,
                 )
-        value = VCon(con, thunks)
-        return ctx, value, obligations, PCon(con, args_out, p.pos)
+        p.con = con
+        return ctx, VCon(con, thunks), obligations
 
     def _check_obligations(self, ctx: Ctx, obligations):
         for e, ty, forced, pos in obligations:
             ty = self.ev.whnf(ty)
             if isinstance(ty, VSizeU):
-                se = self.as_size(ctx, e, erased=True)
+                se = self.as_size(ctx, e, erased=True).size
                 v: Value = VSize(self.ev.eval_size(ctx.env, se))
             else:
                 elab = self.check(ctx, e, ty, erased=True)
@@ -716,15 +721,14 @@ class Checker:
     # -- expressions ------------------------------------------------------------
 
     def check_type(self, ctx: Ctx, e: Expr) -> Expr:
-        # a Pi chain is walked in a loop, binding each named domain, and
-        # rebuilt from its innermost end, so its length costs no stack
-        links = []
-        while isinstance(e, Pi):
-            dom = self.check_type(ctx, e.domain)
+        # a Pi chain is walked in a loop, binding each named domain and
+        # setting each link's elaborated domain, so its length costs no stack
+        top, last = e, None
+        while type(e) is Pi:
+            dom = e.domain = self.check_type(ctx, e.domain)
             if e.binder is not None:
                 ctx = ctx.bind(e.binder, self.ev.evaluate(ctx.env, dom), e.annot)
-            links.append((e, dom))
-            e = e.codomain
+            last, e = e, e.codomain
         if not isinstance(e, (SetU, SizeU)):
             elab, ty = self.infer(ctx, e, erased=True)
             if not isinstance(self.ev.whnf(ty), VSet):
@@ -734,23 +738,23 @@ class Checker:
                     f"'{pretty(self.ev.quote(ty))}'",
                     e.pos,
                 )
-            e = elab
-        for pi, dom in reversed(links):
-            e = Pi(pi.annot, pi.binder, dom, e, pi.pos)
-        return e
+            if last is None:
+                return elab
+            last.codomain = elab
+        return top
 
-    def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> SizeExpr:
-        match e:
-            case Var(name=x):
-                s: SizeExpr = SVar(x)
-            case Size(size=s):
-                pass
-            case _:
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    "expected a size expression (a size variable, $, #, max or _)",
-                    e.pos,
-                )
+    def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> Size:
+        """e as a size term; a size variable becomes `Size(SVar x)`."""
+        t = type(e)
+        if t is Var:
+            e = Size(SVar(e.name), e.pos)
+        elif t is not Size:
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                "expected a size expression (a size variable, $, #, max or _)",
+                e.pos,
+            )
+        s = e.size
         for x in size_vars(s):
             b = ctx.lookup(x)
             if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
@@ -766,7 +770,7 @@ class Checker:
                     e.pos,
                 )
             ctx.state.metas.add(m)
-        return s
+        return e
 
     def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
         b = ctx.lookup(x)
@@ -806,9 +810,9 @@ class Checker:
         if t is Var or t is Con:
             return self._infer_atom(ctx, e, erased)
         if t is Pi:
-            return self.check_type(ctx, e), VSet()
+            return self.check_type(ctx, e), VSET
         if t is Size:
-            return Size(self.as_size(ctx, e, erased), e.pos), VSizeU()
+            return self.as_size(ctx, e, erased), VSIZEU
         if t is SetU:
             raise Diagnostic(
                 "TYPE-MISMATCH",
@@ -835,21 +839,26 @@ class Checker:
         raise AssertionError(f"infer: unhandled node {e!r}")
 
     def _infer_app(self, ctx: Ctx, e: App | Def, erased: bool) -> tuple[Expr, Value]:
-        head, args = spine(e)
+        # the App nodes of the spine, innermost first; a head that can be
+        # applied elaborates to itself
+        apps: list[App] = []
+        head = e
+        while type(head) is App:
+            apps.append(head)
+            head = head.fun
+        apps.reverse()
         st = ctx.state
-        is_self = isinstance(head, Def) and st is not None and st.fun == head.name.uid
+        is_self = type(head) is Def and st is not None and st.fun == head.name.uid
         if isinstance(head, (Var, Def, Con)):
-            elab, fty = self._infer_atom(ctx, head, erased)
+            _, fty = self._infer_atom(ctx, head, erased)
         else:
-            elab, fty = self.infer(ctx, head, erased)
+            _, fty = self.infer(ctx, head, erased)
 
-        arg_elabs: list[Expr] = []
         size_arg: NormalSize | None = None
-        size_param = None
-        if is_self:
-            size_param = self.sig.fun(head.name).size_param
+        size_param = self.sig.fun(head.name).size_param if is_self else None
 
-        for k, (arg, _) in enumerate(args):
+        for k, app in enumerate(apps):
+            arg = app.arg
             fty = self.ev.whnf(fty)
             if not isinstance(fty, VPi):
                 raise Diagnostic(
@@ -861,22 +870,23 @@ class Checker:
             arg_erased = erased or fty.annot is Annot.PARAMETRIC
             dom = self.ev.whnf(fty.domain)
             if isinstance(dom, VSizeU):
-                se = self.as_size(ctx, arg, arg_erased)
-                ns = self.ev.eval_size(ctx.env, se)
-                arg_elab: Expr = Size(se, arg.pos)
-                val: Value = VSize(ns)
-                if is_self and k == size_param:
-                    size_arg = ns
+                arg = self.as_size(ctx, arg, arg_erased)
+                val: Value = VSize(self.ev.eval_size(ctx.env, arg.size))
+                if k == size_param:
+                    size_arg = val.size
             else:
-                arg_elab = self.check(ctx, arg, dom, arg_erased)
-                val = self.ev.evaluate(ctx.env, arg_elab)
-            elab = App(elab, arg_elab, fty.annot, arg.pos)
-            arg_elabs.append(arg_elab)
+                arg = self.check(ctx, arg, dom, arg_erased)
+                # an arrow's codomain cannot read its argument: type checking
+                # runs no code that no type needs
+                val = None if fty.closure.binder is None else self.ev.evaluate(ctx.env, arg)
+            app.arg = arg
+            app.annot = fty.annot
             fty = self.ev.close(fty.closure, val)
 
         if is_self:
-            st.calls.append(CallSite(arg_elabs, size_arg, ctx.sctx, st.lhs_size, st.index, e.pos))
-        return elab, fty
+            args = [app.arg for app in apps]
+            st.calls.append(CallSite(args, size_arg, ctx.sctx, st.lhs_size, st.index, e.pos))
+        return e, fty
 
     def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
         expected = self.ev.whnf(expected)
@@ -885,7 +895,7 @@ class Checker:
             pass  # inferred and compared below
         elif t is Lam:
             # a chain of lambdas in a loop, as check_type walks a Pi chain
-            lams: list[Lam] = []
+            top = e
             while True:
                 if not isinstance(expected, VPi):
                     raise Diagnostic(
@@ -897,15 +907,12 @@ class Checker:
                 x = e.binder
                 ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
                 expected = self.ev.close(expected.closure, self.ev.force(ctx.env[x.uid]))
-                lams.append(e)
-                e = e.body
+                last, e = e, e.body
                 if type(e) is not Lam:
                     break
                 expected = self.ev.whnf(expected)
-            out = self.check(ctx, e, expected, erased)
-            for lam in reversed(lams):
-                out = Lam(lam.binder, out, lam.pos)
-            return out
+            last.body = self.check(ctx, e, expected, erased)
+            return top
         elif t is CaseSize:
             return self._check_case_size(ctx, e, expected, erased)
         elif t is CaseData:
@@ -929,7 +936,7 @@ class Checker:
             )
         elif t is Size:
             if isinstance(expected, VSizeU):
-                return Size(self.as_size(ctx, e, erased), e.pos)
+                return self.as_size(ctx, e, erased)
             if type(e.size) is SMeta:
                 raise Diagnostic(
                     "UNSOLVED-META",
@@ -963,14 +970,14 @@ class Checker:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
         # in the branch i stands for $ j; it is parametric there, as j is
         j = e.binder
-        ctx2 = ctx.bind(j, VSizeU(), Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
-        ctx2 = ctx2.bind_value(i, VSizeU(), Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
+        ctx2 = ctx.bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
+        ctx2 = ctx2.bind_value(i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
         expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))
-        branch_elab = self.check(ctx2, e.branch, expected2, erased)
-        return CaseSize(SVar(i), j, branch_elab, e.pos)
+        e.branch = self.check(ctx2, e.branch, expected2, erased)
+        return e
 
     def _check_case_data(self, ctx: Ctx, e: CaseData, expected: Value, erased: bool) -> Expr:
-        scrut, sty = self.infer(ctx, e.scrut, erased)
+        e.scrut, sty = self.infer(ctx, e.scrut, erased)
         sty = self.ev.whnf(sty)
         if not isinstance(sty, VData):
             raise Diagnostic(
@@ -979,18 +986,18 @@ class Checker:
                 f"'{pretty(self.ev.quote(sty))}'",
                 e.pos,
             )
-        out = []
-        for pat, body in e.branches:
+        branches = e.branches
+        for k, (pat, body) in enumerate(branches):
             if not isinstance(pat, PCon):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     "case branches must match a constructor",
                     pat.pos,
                 )
-            ctx2, _, obligations, pat2 = self._elab_con_pattern(ctx, sty, pat)
+            ctx2, _, obligations = self._elab_con_pattern(ctx, sty, pat)
             self._check_obligations(ctx2, obligations)
-            out.append((pat2, self.check(ctx2, body, expected, erased)))
-        return CaseData(scrut, out, e.pos)
+            branches[k] = (pat, self.check(ctx2, body, expected, erased))
+        return e
 
     # -- subtyping ----------------------------------------------------------------
 

@@ -34,15 +34,18 @@ only on its first instantiation, whichever declaration makes it.
 Application is one routine, `apply`, which takes a whole spine.  `evaluate`
 walks the left spine of `f a1 ... an` in one loop, suspends each argument as a
 thunk with its annotation and the position of its own application, evaluates
-the head once and hands the spine over.  A constructor, data type or neutral
-head takes every argument into one new value, and a lambda binds them one at
-a time.  A fun gathers arguments up to its arity and is unfolded once, at the
-application that saturates it (STUCK-MATCH is reported there); the arguments
-left over are applied to what it unfolds to.  A cofun, a stuck fun and a fun
-still rigid keep their whole spine unevaluated.  The leftover arguments of an
-unfolding and the eta case of `compare` go through `apply` too, so no spine
-grows one argument at a time, and an n-argument call costs one new value and
-one unfold attempt, not n of each.
+the head once and hands the spine over.  An application's position is its
+argument's `pos`: the parser's `App.pos` (the offset of the argument's first
+token, such as `(`) serves source diagnostics, and elaboration annotates that
+node in place.  A constructor, data type or neutral head takes every argument
+into one new value, and a lambda binds them one at a time.  A fun gathers
+arguments up to its arity and is unfolded once, at the application that
+saturates it (STUCK-MATCH is reported there); the arguments left over are
+applied to what it unfolds to.  A cofun, a stuck fun and a fun still rigid
+keep their whole spine unevaluated.  The leftover arguments of an unfolding
+and the eta case of `compare` go through `apply` too, so no spine grows one
+argument at a time, and an n-argument call costs one new value and one
+unfold attempt, not n of each.
 
 The walks that run once per node (`evaluate`, `_match`, `size_view` and
 `_read` here, `sizes.normalize`, and the checker's `check`, `infer` and
@@ -123,8 +126,10 @@ from .values import (
     VLam,
     VNe,
     VPi,
+    VSET,
     VSet,
     VSize,
+    VSIZEU,
     VSizeU,
 )
 
@@ -185,14 +190,14 @@ class Evaluator:
     def evaluate(self, env: dict, e: Expr) -> Value:
         t = type(e)
         if t is App:
-            # the whole left spine at once; each argument keeps the position
-            # of its own application
+            # the whole left spine at once; an application's position is its
+            # argument's
             args: Spine = [(Thunk(env, e.arg), e.annot or _RELEVANT)]
-            poss: list[Pos] = [e.pos]
+            poss: list[Pos] = [e.arg.pos]
             f = e.fun
             while type(f) is App:
                 args.append((Thunk(env, f.arg), f.annot or _RELEVANT))
-                poss.append(f.pos)
+                poss.append(f.arg.pos)
                 f = f.fun
             args.reverse()
             poss.reverse()
@@ -206,10 +211,8 @@ class Evaluator:
             x = e.name
             entry = self.sig[x]
             te = type(entry)
-            if te is DataEntry:
-                return VData(x, [])
-            if te is FunEntry:
-                return VDef(x, [])
+            if te is DataEntry or te is FunEntry:
+                return entry.value
             if te is LetEntry:
                 if entry.thunk is None:
                     entry.thunk = Thunk({}, entry.body)
@@ -226,9 +229,9 @@ class Evaluator:
         if t is Lam:
             return VLam(e.binder, Closure(env, e.binder, e.body))
         if t is SetU:
-            return VSet()
+            return VSET
         if t is SizeU:
-            return VSizeU()
+            return VSIZEU
         if t is CaseSize:
             # the match is computationally irrelevant; bind the scrutinee
             ns = self.eval_size(env, e.scrut)

@@ -11,7 +11,8 @@ that shows it.  The parser branches on token text alone: an identifier's text
 is never a keyword's or a symbol's, and eof's text is empty, so one set
 lookup tells identifiers from the rest.  A chain of binders and arrows
 (`(x : A) ->`, `[x : A] ->`, `\\ x ->`, `A ->`) is collected in a loop and
-folded to the right, and so is a run of `$`, so neither costs stack.
+folded to the right, and so is a run of `$` with the `( $` groups nested
+in it, so neither costs stack.
 
 Names are resolved as they are read, by the rules of `scope.py`, so the
 parser builds the one tree the checker reads: a binder is a fresh Ident, a
@@ -57,7 +58,7 @@ from .syntax import (
     Size,
     SizeExpr,
     SizeU,
-    SInfty,
+    SINFTY,
     SMax,
     SMeta,
     SSucc,
@@ -342,20 +343,14 @@ class _Parser:
                     a = self.size_atom()
                     s = SMax(a, self.size_atom())
                 else:
-                    n = 1  # a run of $ is read in a loop
-                    while self.texts[self.i] == "$":
-                        self.i += 1
-                        n += 1
-                    s = self.size_atom()
-                    for _ in range(n):
-                        s = SSucc(s)
+                    s = self.successors()
                 if outer:
                     self.size_pos = None
                 return Size(s, p)
             case "case":
                 return self.case(p)
             case "#":
-                return Size(SInfty(), p)
+                return Size(SINFTY, p)
             case "_":
                 self.sc.metas += 1
                 return Size(SMeta(self.sc.metas), p)
@@ -364,6 +359,32 @@ class _Parser:
                 self.expect(")")
                 return e
         raise self.error(f"expected an expression, found {_found(t)}", k)
+
+    def successors(self) -> SizeExpr:
+        """The rest of a `$` run, read in a loop with every `( $` group
+        nested in it, as `$ ($ ($ i))` prints.  A group that holds more than
+        its size is read again from its `(` as an expression, which reports
+        the fault."""
+        texts = self.texts
+        n, opens = 1, []
+        while True:
+            if texts[self.i] == "(" and texts[self.i + 1] == "$":
+                opens.append(self.i)
+                self.i += 1
+            elif texts[self.i] != "$":
+                break
+            self.i += 1
+            n += 1
+        s = self.size_atom()
+        for k in reversed(opens):
+            if texts[self.i] != ")":
+                self.i = k
+                self.size_atom()
+                raise AssertionError("a size group read again must be refused")
+            self.i += 1
+        for _ in range(n):
+            s = SSucc(s)
+        return s
 
     def case(self, p) -> Expr:
         """A case, or a size case if its one branch is `($ j)`; the case's own

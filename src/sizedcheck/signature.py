@@ -6,17 +6,19 @@ from __future__ import annotations
 
 from .sizes import NormalSize, SizeCtx
 from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, Record
-from .values import Thunk, Value
+from .values import Thunk, Value, VData, VDef
 
 
 class DataEntry(Record):
     """A data or codata type.  `variances` holds the variance of each
     argument slot, the one place it is decided: each parameter as declared,
     then the size index, POS for sized data and NEG for sized codata
-    (`Stream A ($ i) <= Stream A i`), and every other index INVARIANT."""
+    (`Stream A ($ i) <= Stream A i`), and every other index INVARIANT.
+    `value` is the type former applied to nothing, built once: no value's
+    argument list is ever mutated, so every use of the name shares it."""
 
     __slots__ = ("name", "sized", "coinductive", "params", "n_indices", "kind_value",
-                 "constructors", "variances")
+                 "constructors", "variances", "value")
 
     def __init__(self, name: Ident, sized: bool, coinductive: bool,
                  params: list[tuple[Ident, Polarity]], n_indices: int, kind_value: Value):
@@ -30,6 +32,7 @@ class DataEntry(Record):
         size = [Polarity.NEG if coinductive else Polarity.POS] if sized else []
         self.variances = (*(pol for _, pol in params), *size,
                           *[Polarity.INVARIANT] * (n_indices - len(size)))
+        self.value = VData(name, [])
 
 
 class ConEntry(Record):
@@ -72,8 +75,11 @@ class CallSite(Record):
 
 
 class FunEntry(Record):
+    """A fun or cofun; `value` is its head with an empty spine, built once,
+    as `DataEntry.value` is."""
+
     __slots__ = ("name", "coinductive", "type_value", "arity", "size_param", "clauses",
-                 "calls", "report")
+                 "calls", "report", "value")
 
     def __init__(self, name: Ident, coinductive: bool, type_value: Value, arity: int,
                  size_param: int | None):
@@ -85,6 +91,7 @@ class FunEntry(Record):
         self.clauses: list[ElabClause] = []
         self.calls: list[CallSite] = []
         self.report = None  # TotalityReport once checked; None while checking
+        self.value = VDef(name, [])
 
 
 class LetEntry(Record):

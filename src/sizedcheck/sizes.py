@@ -9,6 +9,7 @@ from functools import reduce
 from .syntax import (
     Ident,
     Record,
+    SINFTY,
     SInfty,
     SizeExpr,
     SMax,
@@ -221,7 +222,7 @@ def _read_solution(sol: NormalSize, lookup) -> NormalSize:
 def to_size_expr(ns: NormalSize) -> SizeExpr:
     def atom(b: Base, n: int) -> SizeExpr:
         if b is INFTY:
-            e: SizeExpr = SInfty()
+            e: SizeExpr = SINFTY
         elif isinstance(b, Meta):
             e = SMeta(b.mid)
         else:

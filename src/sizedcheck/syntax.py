@@ -167,6 +167,9 @@ class SInfty(SizeExpr):
     __slots__ = __match_args__ = ()
 
 
+SINFTY = SInfty()  # the one #: it holds nothing
+
+
 class SMax(SizeExpr):
     """Binary maximum: max s t"""
 

@@ -59,6 +59,11 @@ class VSizeU(Value):
     __slots__ = ()
 
 
+# the universes hold nothing, so one value of each serves everywhere
+VSET = VSet()
+VSIZEU = VSizeU()
+
+
 class VSize(Value):
     __slots__ = ("size",)
 

@@ -3,6 +3,7 @@ pattern elaboration, the size-case rule, and the diagnostic catalog."""
 
 import pytest
 
+from sizedcheck import check_source
 from sizedcheck.checker import Ctx
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
@@ -619,6 +620,58 @@ class TestSuccessorRuns:
     @pytest.mark.parametrize("n", [500, 10000])
     def test_same_run_on_both_sides_is_accepted(self, n):
         ok(SNAT_PARAMETRIC + self.let(n, f"({'$ ' * n}i)") + "\n")
+
+    @staticmethod
+    def nested(n: int) -> str:
+        """n successors nested as a message prints them."""
+        return "$ (" * (n - 1) + "$ i" + ")" * (n - 1)
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_nested_groups_are_read_as_a_run(self, n):
+        # the printed type of a message reads back at any depth
+        chain = self.nested(n)
+        line = f"let f : [i : Size] -> SNat ({chain}) -> SNat i = \\ i -> \\ n -> n"
+        d = rejected(SNAT_PARAMETRIC + line + "\n", "TYPE-MISMATCH")
+        assert d.message == f"expected 'SNat i', got 'SNat ({chain})'"
+        assert d.pos == (len(SNAT_PARAMETRIC.splitlines()) + 1, len(line))
+        ok(SNAT_PARAMETRIC + self.let(n, f"({chain})") + "\n")
+
+    @pytest.mark.parametrize("size, message, col", [
+        ("$ ($ i j)", "expected a size expression", 31),
+        ("$ ($ ($ i) -> Set)", "expected a size expression", 31),
+        ("$ ($ ($ i)", "expected ')', found '='", 51),
+        ("$ ($ )", "expected an expression, found ')'", 34),
+    ])
+    def test_a_group_holding_more_than_a_size_is_refused(self, size, message, col):
+        # as when each group was read as an expression
+        d = check_source(SNAT_PARAMETRIC + self.let(1, "i").replace("($ i)", f"({size})") + "\n",
+                         "<test>").diagnostic
+        assert (d.code, d.message, d.pos) == (
+            "PARSE", message, (len(SNAT_PARAMETRIC.splitlines()) + 1, col))
+
+
+class TestArrowArguments:
+    """An argument whose type's codomain is an arrow is checked, and not run
+    while checking."""
+
+    SRC = NAT + """
+fun pred : Nat -> Nat
+{ pred (succ n) = n
+}
+fun k : Nat -> Nat
+{ k x = zero
+}
+"""
+
+    def test_unused_stuck_argument_is_accepted(self):
+        ok(self.SRC + "let a : Nat = k (pred zero)\n")
+
+    def test_eval_let_never_forces_it(self):
+        assert ok(self.SRC + "eval let a : Nat = k (pred zero)\n").outputs == ["a = zero"]
+
+    def test_forced_argument_still_fails_when_run(self):
+        d = check_source(self.SRC + "eval let a : Nat = pred (pred zero)\n", "<test>").diagnostic
+        assert (d.code, d.message) == ("STUCK-MATCH", "no clause of 'pred' matches")
 
 
 class TestLongChains:

@@ -476,11 +476,14 @@ class TestApplySpine:
 
     @pytest.mark.parametrize("head", ["F", None])
     def test_non_function_is_reported_at_its_application(self, head):
+        # an application's position is its argument's
         ch, _, _ = build(SPINES)
-        zero = Con(ch.sig.by_text["zero"])
-        f = SetU() if head is None else App(Def(ch.sig.by_text[head]), zero, Annot.RELEVANT, 5)
+        zero = ch.sig.by_text["zero"]
+        f = (SetU() if head is None
+             else App(Def(ch.sig.by_text[head]), Con(zero, 5), Annot.RELEVANT, 5))
         with pytest.raises(Diagnostic) as e:
-            ch.ev.evaluate({}, App(App(f, zero, Annot.RELEVANT, 9), zero, Annot.RELEVANT, 12))
+            ch.ev.evaluate({}, App(App(f, Con(zero, 9), Annot.RELEVANT, 9),
+                                   Con(zero, 12), Annot.RELEVANT, 12))
         assert (e.value.code, e.value.message, e.value.pos) == (
             "STUCK-MATCH", "application of a non-function value", 9)
 

@@ -37,6 +37,10 @@ NAT = """data Nat : Set
 """
 BOX = NAT + "data Box : Set { box : (i : Size) -> Box }\n"
 CODATA = NAT + "sized codata S : Size -> Set { c : [i : Size] -> S i -> S ($ i) }\n"
+LIST = NAT + "data List (A : Set) : Set { nil : List A ; cons : A -> List A -> List A }\n"
+SNAT = NAT + ("sized data SNat : Size -> Set\n{ szero : [i : Size] -> SNat ($ i)\n"
+              "; ssucc : [i : Size] -> SNat i -> SNat ($ i)\n}\n")
+BOOL = NAT + "data Bool : Set { tt : Bool ; ff : Bool }\n"
 
 ONLY_VARIABLES = "only variable patterns may match an inner size argument"
 SIZE_REL_OUTSIDE = "size patterns (i > j) belong inside constructor patterns"
@@ -97,6 +101,35 @@ REJECTIONS = {
     "case branch, dot at a data binder": (
         NAT + "let f : Nat -> Nat = \\ n -> case n { (succ .zero) -> zero ; zero -> zero }\n",
         "DOT-MISMATCH", "dot pattern in a position not determined by the type", (5, 44)),
+    # the arms of a constructor pattern; "match against an underapplied data
+    # type" has no row, since every scrutinee type is a checked type
+    "constructor, forced parameter as a constructor": (
+        LIST + "fun f : List Nat -> Nat\n{ f (cons zero x xs) = x\n; f (nil .Nat) = zero\n}\n",
+        "DOT-MISMATCH", "parameter argument of 'cons' is forced; use a dot pattern", (7, 11)),
+    "constructor, forced parameter as a successor": (
+        LIST + "fun f : List Nat -> Nat\n{ f (cons ($ j) x xs) = x\n; f (nil .Nat) = zero\n}\n",
+        "DOT-MISMATCH", "parameter argument of 'cons' is forced; use a dot pattern", (7, 11)),
+    "constructor, unsolved size": (
+        SNAT + "fun id : [i : Size] -> SNat i -> SNat i\n{ id i n = n\n}\n"
+        "let z : SNat # = szero #\n"
+        "let x : Nat = case id _ z { (szero j) -> zero ; (ssucc j m) -> zero }\n",
+        "TYPE-MISMATCH", "cannot match at an unsolved size", (13, 29)),
+    "constructor, max-shaped size index": (
+        SNAT + "fun f : [i : Size] -> [j : Size] -> SNat (max i j) -> Nat\n"
+        "{ f i j (szero .i) = zero\n}\n",
+        "SIZE-PATTERN-REQUIRED", "cannot match at a max-shaped size index", (10, 16)),
+    "constructor of another type": (
+        BOOL + "fun f : Nat -> Nat\n{ f tt = zero\n}\n",
+        "TYPE-MISMATCH", "'tt' is not a constructor of 'Nat'", (7, 5)),
+    "case branch, constructor of another type": (
+        BOOL + "let f : Nat -> Nat = \\ n -> case n { tt -> zero }\n",
+        "TYPE-MISMATCH", "'tt' is not a constructor of 'Nat'", (6, 38)),
+    "constructor, too few patterns": (
+        NAT + "fun f : Nat -> Nat\n{ f (succ) = zero\n}\n",
+        "TYPE-MISMATCH", "constructor 'succ' takes 1 patterns, found 0", (6, 5)),
+    "constructor, too many patterns": (
+        NAT + "fun f : Nat -> Nat\n{ f (succ x y) = zero\n}\n",
+        "TYPE-MISMATCH", "constructor 'succ' takes 1 patterns, found 2", (6, 5)),
 }
 
 
