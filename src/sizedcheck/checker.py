@@ -576,11 +576,6 @@ class Checker:
                 f"found {len(p.args)}",
                 p.pos,
             )
-        first_index = centry.n_params + (1 if centry.has_size else 0)
-        if len(dty.args) < first_index:
-            raise Diagnostic(
-                "TYPE-MISMATCH", "match against an underapplied data type", p.pos
-            )
         obligations: list = []
         thunks: list[Thunk] = []
         ct: Value = centry.type_value
@@ -678,6 +673,7 @@ class Checker:
             ct = self.ev.close(ct.closure, size_val)
 
         # the proper arguments
+        first_index = centry.n_params + (1 if centry.has_size else 0)
         ctx, ct, obls, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
         obligations.extend(obls)
         thunks.extend(map(Thunk.of, vals))
@@ -871,14 +867,14 @@ class Checker:
             dom = self.ev.whnf(fty.domain)
             if isinstance(dom, VSizeU):
                 arg = self.as_size(ctx, arg, arg_erased)
-                val: Value = VSize(self.ev.eval_size(ctx.env, arg.size))
+                val: Value | Thunk | None = VSize(self.ev.eval_size(ctx.env, arg.size))
                 if k == size_param:
                     size_arg = val.size
             else:
                 arg = self.check(ctx, arg, dom, arg_erased)
-                # an arrow's codomain cannot read its argument: type checking
-                # runs no code that no type needs
-                val = None if fty.closure.binder is None else self.ev.evaluate(ctx.env, arg)
+                # type checking runs no code that no type needs: the argument
+                # is suspended, and an arrow's codomain cannot read it at all
+                val = None if fty.closure.binder is None else Thunk(ctx.env, arg)
             app.arg = arg
             app.annot = fty.annot
             fty = self.ev.close(fty.closure, val)

@@ -14,7 +14,10 @@ natural semantics shares thunks).  The unfold memo maps a function and the
 arguments of its head, `spine[:arity]`, to the value its matching clause
 returned.  A size argument is keyed by its normal form, so `fib #` and
 `fib ($ #)` share one unfolding, since sizes are erased at run time; every
-other argument is keyed by the identity of its thunk.  Only a clause that
+other argument is keyed by the identity of its thunk.  An argument that is a
+bound variable is passed as that variable's own thunk, not wrapped in a new
+one, so a call that passes its arguments on (`repeat A a i` in `repeat`'s
+clause) meets the memo entry of the same call made before.  Only a clause that
 matched and whose right-hand side was evaluated is stored, never a stuck or
 unmatched head.  A memo hit unfolds no clause and so costs no fuel.  The memo
 serves evaluation and conversion alike and lives as long as the unfold
@@ -33,8 +36,9 @@ only on its first instantiation, whichever declaration makes it.
 
 Application is one routine, `apply`, which takes a whole spine.  `evaluate`
 walks the left spine of `f a1 ... an` in one loop, suspends each argument as a
-thunk with its annotation and the position of its own application, evaluates
-the head once and hands the spine over.  An application's position is its
+thunk with its annotation and the position of its own application (a bound
+variable as its own thunk, so no chain of wrappers grows), evaluates the head
+once and hands the spine over.  An application's position is its
 argument's `pos`: the parser's `App.pos` (the offset of the argument's first
 token, such as `(`) serves source diagnostics, and elaboration annotates that
 node in place.  A constructor, data type or neutral head takes every argument
@@ -54,7 +58,10 @@ tests, the most frequent classes first.  A `match` over class patterns would
 make one `isinstance` test per arm that fails: a `Size` node passed eight of
 them before its own arm.  Every node class is a leaf class, so the exact
 class picks the arm a class pattern would (`tests/test_dispatch.py` holds
-both).  A chain of lambdas or of Pi types is read back in a loop.
+both).  A chain of lambdas, of Pi types or of constructors nested in their
+last argument (a numeral, a list) is read back in a loop, as `pretty` prints
+a chain of applications in their last argument, so such a value of any depth
+reads back and prints at the default recursion limit.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
@@ -191,13 +198,15 @@ class Evaluator:
         t = type(e)
         if t is App:
             # the whole left spine at once; an application's position is its
-            # argument's
-            args: Spine = [(Thunk(env, e.arg), e.annot or _RELEVANT)]
-            poss: list[Pos] = [e.arg.pos]
-            f = e.fun
+            # argument's, and a bound variable is passed as its own thunk
+            args: Spine = []
+            poss: list[Pos] = []
+            f = e
             while type(f) is App:
-                args.append((Thunk(env, f.arg), f.annot or _RELEVANT))
-                poss.append(f.arg.pos)
+                a = f.arg
+                th = env.get(a.name.uid) if type(a) is Var else None
+                args.append((Thunk(env, a) if th is None else th, f.annot or _RELEVANT))
+                poss.append(a.pos)
                 f = f.fun
             args.reverse()
             poss.reverse()
@@ -308,15 +317,16 @@ class Evaluator:
             raise Diagnostic("STUCK-MATCH", "application of a non-function value", poss[k])
         return fv
 
-    def close(self, clo: Closure, v: Value | None) -> Value:
-        """The body of clo with its binder bound to v.  A body that cannot
-        mention its binder ignores v and is evaluated only once."""
+    def close(self, clo: Closure, v: Value | Thunk | None) -> Value:
+        """The body of clo with its binder bound to v, a value or a thunk,
+        which is bound as it is and forced only if the body reads it.  A body
+        that cannot mention its binder ignores v and is evaluated only once."""
         if clo.binder is None:
             if clo.value is None:
                 clo.value = self.evaluate(clo.env, clo.body)
             return clo.value
         env2 = dict(clo.env)
-        env2[clo.binder.uid] = Thunk.of(v)
+        env2[clo.binder.uid] = v if type(v) is Thunk else Thunk.of(v)
         return self.evaluate(env2, clo.body)
 
     def open(self, clo: Closure, binder: Ident) -> tuple[Ident | None, Value]:
@@ -472,49 +482,58 @@ class Evaluator:
         put in whnf first, coinductive layers past depth are elided,
         constructor parameters are skipped, parametric arguments print as _
         unless print_sizes is set, and each constructor argument costs fuel.
-        Types and sizes always read back structurally.  A chain of lambdas
-        or of Pi types is read in a loop and rebuilt from its innermost end,
-        so its length costs no stack."""
-        binders: list[tuple[Annot | None, Ident | None, Expr | None]] = []
+        Types and sizes always read back structurally.  A chain of lambdas,
+        of Pi types or of constructors in their last argument is read in a
+        loop and rebuilt from its innermost end, so its length costs no
+        stack."""
+        # what wraps the value read last, outermost first: (Lam, x, None,
+        # None), (Pi, annot, x, domain) or (App, head, annot, None)
+        frames: list[tuple] = []
         while True:
             if depth is not None:
                 v = self.whnf(v, self.budget_pos)
             t = type(v)
             if t is VLam:
                 x, v = self.open(v.closure, v.binder)
-                binders.append((None, x, None))
-            elif t is VPi:
+                frames.append((Lam, x, None, None))
+                continue
+            if t is VPi:
                 x, body = self.open(v.closure, v.binder)
-                binders.append((v.annot, x, self._read(v.domain, None)))
+                frames.append((Pi, v.annot, x, self._read(v.domain, None)))
                 v, depth = body, None
-            else:
+                continue
+            if t is not VCon:
                 break
-        if t is VCon:
             centry = self.sig.con(v.con)
-            elide = False
             if depth is not None and self.sig.data(centry.data).coinductive:
-                elide = depth <= 0
+                if depth <= 0:
+                    e: Expr = Elided()
+                    break
                 depth -= 1
-            if elide:
-                e: Expr = Elided()
-            else:
-                e = Con(v.con)
-                for k, th in enumerate(v.args):
-                    annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
-                    if depth is None:
-                        arg = self._read(self.force(th), None)
-                    elif k < centry.n_params:
+            e = Con(v.con)
+            last = len(v.args) - 1
+            for k, th in enumerate(v.args):
+                annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
+                d = depth
+                if depth is not None:
+                    if k < centry.n_params:
                         continue  # parameters are determined by the type
-                    elif centry.has_size and k == centry.n_params:
+                    if centry.has_size and k == centry.n_params:
                         if annot is _PARAMETRIC and not self.print_sizes:
-                            arg = Size(SMeta(-1))
-                        else:
-                            arg = self._read(self.force(th), None)
+                            e = App(e, Size(SMeta(-1)), annot)
+                            continue
+                        d = None
                     else:
                         self._tick()
-                        arg = self._read(self.force(th), depth)
-                    e = App(e, arg, annot)
-        elif t is VNe:
+                if k == last:
+                    # the last argument is read next, in this loop
+                    frames.append((App, e, annot, None))
+                    v, depth = self.force(th), d
+                    break
+                e = App(e, self._read(self.force(th), d), annot)
+            else:
+                break  # no argument is left to read
+        if t is VNe:
             e = self._read_spine(Var(v.head), v.spine, depth)
         elif t is VDef:
             e = self._read_spine(Def(v.name), v.spine, depth)
@@ -526,10 +545,15 @@ class Evaluator:
             e = SetU()
         elif t is VSizeU:
             e = SizeU()
-        else:
+        elif t is not VCon:
             raise AssertionError(f"readback: unhandled value {v!r}")
-        for annot, x, dom in reversed(binders):
-            e = Lam(x, e) if dom is None else Pi(annot, x, dom, e)
+        for cls, a, b, c in reversed(frames):
+            if cls is App:
+                e = App(a, e, b)
+            elif cls is Pi:
+                e = Pi(a, b, c, e)
+            else:
+                e = Lam(a, e)
         return e
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:

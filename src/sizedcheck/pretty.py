@@ -1,7 +1,9 @@
 """Pretty-printing of expressions, patterns and declarations.
 
 Output re-parses to an alpha-equivalent tree with minimal parenthesization;
-names that clash textually get a numeric suffix in order of appearance."""
+names that clash textually get a numeric suffix in order of appearance.
+Chains of binders, of successors and of applications in their last argument
+are printed in a loop, so their length costs no stack."""
 
 from __future__ import annotations
 
@@ -144,9 +146,21 @@ def _expr(e: Expr, nm: _Namer) -> str:
             parts.append(_expr(e, nm))
             return "".join(parts)
         case App():
-            head, args = spine(e)
-            parts = [_arg(head, nm)] + [_arg(a, nm) for a, _ in args]
-            return " ".join(parts)
+            # an application whose last argument is again an application is
+            # printed in a loop, so the chain's length costs no stack
+            parts = []
+            depth = 0
+            while True:
+                head, args = spine(e)
+                parts.append(_arg(head, nm))
+                parts.extend(" " + _arg(a, nm) for a, _ in args[:-1])
+                e = args[-1][0]
+                if type(e) is not App:
+                    break
+                parts.append(" (")
+                depth += 1
+            parts.append(" " + _arg(e, nm) + ")" * depth)
+            return "".join(parts)
         case CaseSize(scrut=s, binder=binder, branch=branch):
             return (
                 f"case {_size_atom(s, nm)} {{ ($ {nm.name(binder)}) -> "

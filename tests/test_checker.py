@@ -1,6 +1,9 @@
 """Bidirectional checking: inference, subsumption, data declarations,
 pattern elaboration, the size-case rule, and the diagnostic catalog."""
 
+import sys
+import threading
+
 import pytest
 
 from sizedcheck import check_source
@@ -8,10 +11,11 @@ from sizedcheck.checker import Ctx
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
 from sizedcheck.sizes import Rel, SizeCtx, ns_infty, ns_var
-from sizedcheck.syntax import Annot, fresh_ident
+from sizedcheck.syntax import Annot, App, Def, Var, fresh_ident
 from sizedcheck.values import Thunk, VData, VSize, VSizeU
 
 from conftest import NAT, SNAT_PARAMETRIC, STREAM, build, ok, rejected
+from test_workload_snapshot import ROOT, _workloads
 
 MINUS = SNAT_PARAMETRIC + """
 fun minus : [i : Size] -> SNat i -> SNat # -> SNat i
@@ -674,6 +678,36 @@ fun k : Nat -> Nat
         assert (d.code, d.message) == ("STUCK-MATCH", "no clause of 'pred' matches")
 
 
+class TestNamedBinderArguments:
+    """An argument at a named binder is suspended while checking: it runs
+    only if the codomain's type needs its value."""
+
+    SRC = TestArrowArguments.SRC + """fun k2 : (x : Nat) -> Nat
+{ k2 x = zero
+}
+fun F : Nat -> Set
+{ F zero = Nat
+}
+fun g : (x : Nat) -> F x -> Nat
+{ g x y = zero
+}
+"""
+
+    def test_unread_stuck_argument_is_accepted(self):
+        ok(self.SRC + "let a : Nat = k2 (pred zero)\n")
+
+    def test_eval_let_never_forces_it(self):
+        assert ok(self.SRC + "eval let a : Nat = k2 (pred zero)\n").outputs == ["a = zero"]
+
+    def test_argument_a_type_reads_is_run(self):
+        d = check_source(self.SRC + "let a : Nat = g (pred zero) zero\n", "<test>").diagnostic
+        assert (d.code, d.message) == ("STUCK-MATCH", "no clause of 'pred' matches")
+
+    def test_argument_a_type_reads_computes_the_type(self):
+        ok(self.SRC + "let a : Nat = g zero zero\n")
+        rejected(self.SRC + "let a : Nat = g zero Set\n", "TYPE-MISMATCH")
+
+
 class TestLongChains:
     """A lambda chain is checked, an application spine evaluated, and a
     lambda or arrow chain read back and printed, in a loop, so none needs a
@@ -701,6 +735,37 @@ class TestLongChains:
     def test_eval_arrow_chain_prints(self, n):
         r = ok(f"eval let T : Set = {'Set -> ' * n}Set\n")
         assert r.outputs == [f"T = {'Set -> ' * n}Set"]
+
+    def test_eval_constructor_chain_prints(self):
+        # a numeral 2^13 = 8192 constructors deep, read back and printed in
+        # its last argument's loop
+        doublings = 13
+        n = 2 ** doublings
+        src = NAT + "fun double : Nat -> Nat\n{ double zero = zero\n" \
+            "; double (succ m) = succ (succ (double m))\n}\n" \
+            f"eval let x : Nat = {'double (' * doublings}succ zero{')' * doublings}\n"
+        ch, _, outputs = build(src)
+        assert outputs == [f"x = {'succ (' * (n - 1)}succ zero{')' * (n - 1)}"]
+        quoted = ch.ev.quote(ch.ev.evaluate({}, Def(ch.sig.by_text["x"])))
+        assert pretty(quoted) == outputs[0][4:]
+
+    def test_application_chain_prints(self):
+        f, x = fresh_ident("f"), fresh_ident("x")
+        e = Var(x)
+        for _ in range(5000):
+            e = App(Var(f), e)
+        assert pretty(e) == "f (" * 4999 + "f x" + ")" * 4999
+
+    def test_nth_16_of_fib_prints_on_the_main_thread(self):
+        # the bench's `streams` program: 987 nested `succ`, evaluated, read
+        # back and printed at the default recursion limit
+        assert threading.current_thread() is threading.main_thread()
+        assert sys.getrecursionlimit() == 1000
+        fib16 = next(p for p in _workloads().build("streams", 1, ROOT) if p.name == "fib16")
+        r = check_source(fib16.source, "fib16")
+        assert r.diagnostic is None
+        assert r.outputs == list(fib16.expect.outputs)
+        assert r.outputs[0].count("succ") == 987
 
     def test_lambda_against_non_function_keeps_its_position(self):
         d = rejected(NAT + "let f : Nat -> Nat = \\ x -> \\ y -> x\n", "TYPE-MISMATCH")

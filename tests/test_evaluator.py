@@ -503,8 +503,10 @@ fun nth : Nat -> Stream Nat # -> Nat
         ch, _, outputs = build(src)
         ev = ch.ev
         assert outputs == ["x = zero"]
-        assert ev.steps == 33
+        # `repeat A a i` passes its variables' own thunks on, so every layer
+        # of the stream is one memo entry
+        assert ev.steps == 23
         memo = sorted((key[0].text, pretty(ev.quote(v))) for key, v in ev.unfolded.items())
         assert memo == ([("head", "zero")] + [("nth", "zero")] * 11
-                        + [("repeat", "cons Nat # zero (repeat Nat zero #)")] * 11
+                        + [("repeat", "cons Nat # zero (repeat Nat zero #)")]
                         + [("tail", "repeat Nat zero #")] * 10)

@@ -101,8 +101,18 @@ REJECTIONS = {
     "case branch, dot at a data binder": (
         NAT + "let f : Nat -> Nat = \\ n -> case n { (succ .zero) -> zero ; zero -> zero }\n",
         "DOT-MISMATCH", "dot pattern in a position not determined by the type", (5, 44)),
-    # the arms of a constructor pattern; "match against an underapplied data
-    # type" has no row, since every scrutinee type is a checked type
+    # a scrutinee type is a checked type, so a data type short of its
+    # parameters or size is rejected by the type check before any pattern
+    "constructor, data type short of its parameter": (
+        LIST + "fun f : List -> Nat\n{ f nil = zero\n}\n",
+        "TYPE-MISMATCH", "expected a type, got something of type 'Set -> Set'", (6, 9)),
+    "constructor, data type short of its size": (
+        SNAT + "fun f : SNat -> Nat\n{ f (szero j) = zero\n}\n",
+        "TYPE-MISMATCH", "expected a type, got something of type 'Size -> Set'", (9, 9)),
+    "case branch, data type short of its parameter": (
+        LIST + "let f : List -> Nat = \\ l -> case l { nil -> zero }\n",
+        "TYPE-MISMATCH", "expected a type, got something of type 'Set -> Set'", (6, 9)),
+    # the arms of a constructor pattern
     "constructor, forced parameter as a constructor": (
         LIST + "fun f : List Nat -> Nat\n{ f (cons zero x xs) = x\n; f (nil .Nat) = zero\n}\n",
         "DOT-MISMATCH", "parameter argument of 'cons' is forced; use a dot pattern", (7, 11)),
