@@ -36,6 +36,7 @@ from .signature import (
 from .sizes import (
     Ambiguous,
     NormalSize,
+    OffsetOverflow,
     Rel,
     SizeConstraint,
     SizeCtx,
@@ -199,24 +200,29 @@ class Checker:
     # -- program ------------------------------------------------------------
 
     def check_program(self, decls: list[Declaration]) -> tuple[Signature, list[str]]:
-        for d in decls:
-            self.ev.reset_budget(d.pos)
-            match d:
-                case DataDecl():
-                    self.check_data_decl(d)
-                case FunDecl():
-                    self.check_fun_decl(d)
-                case LetDecl():
-                    self.check_let_decl(d)
-                case _:
-                    raise AssertionError(d)
-        outputs = []
-        for d in decls:
-            if isinstance(d, LetDecl) and d.eval:
+        # a size offset past MAX_OFFSET is reported at the declaration or
+        # eval let that reached it
+        try:
+            for d in decls:
                 self.ev.reset_budget(d.pos)
-                v = self.ev.evaluate({}, Def(d.name, d.pos))
-                rb = self.ev.readback(v)
-                outputs.append(f"{d.name.text} = {pretty(rb)}")
+                match d:
+                    case DataDecl():
+                        self.check_data_decl(d)
+                    case FunDecl():
+                        self.check_fun_decl(d)
+                    case LetDecl():
+                        self.check_let_decl(d)
+                    case _:
+                        raise AssertionError(d)
+            outputs = []
+            for d in decls:
+                if isinstance(d, LetDecl) and d.eval:
+                    self.ev.reset_budget(d.pos)
+                    v = self.ev.evaluate({}, Def(d.name, d.pos))
+                    rb = self.ev.readback(v)
+                    outputs.append(f"{d.name.text} = {pretty(rb)}")
+        except OffsetOverflow as e:
+            raise Diagnostic("LIMIT", str(e), d.pos) from None
         return self.sig, outputs
 
     # -- declarations ---------------------------------------------------------

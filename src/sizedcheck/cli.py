@@ -17,6 +17,7 @@ from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL
 from .parser import parse_source
 from .scope import scope_check
 from .signature import FunEntry, Signature
+from .sizes import MAX_OFFSET
 from .syntax import LineTable, Record
 
 
@@ -192,7 +193,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="sizedcheck",
         description="Type checker, totality checker and evaluator for a "
-        "dependently typed core language with sized types.",
+        "dependently typed core language with sized types. A size may lie at "
+        f"most {MAX_OFFSET} successors above its variable; a larger offset is "
+        "reported as LIMIT.",
     )
     sub = ap.add_subparsers(dest="mode", required=True)
 

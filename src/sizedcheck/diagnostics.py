@@ -35,6 +35,8 @@ CODES = (
     # runtime guards, outside the type-level catalog
     "FUEL",
     "STUCK-MATCH",
+    # an implementation limit: a size offset past sizes.MAX_OFFSET
+    "LIMIT",
 )
 
 

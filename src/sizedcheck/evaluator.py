@@ -483,9 +483,9 @@ class Evaluator:
         constructor parameters are skipped, parametric arguments print as _
         unless print_sizes is set, and each constructor argument costs fuel.
         Types and sizes always read back structurally.  A chain of lambdas,
-        of Pi types or of constructors in their last argument is read in a
-        loop and rebuilt from its innermost end, so its length costs no
-        stack."""
+        of Pi types, or of constructors or neutral heads in their last shown
+        argument is read in a loop and rebuilt from its innermost end, so its
+        length costs no stack."""
         # what wraps the value read last, outermost first: (Lam, x, None,
         # None), (Pi, annot, x, domain) or (App, head, annot, None)
         frames: list[tuple] = []
@@ -502,6 +502,14 @@ class Evaluator:
                 frames.append((Pi, v.annot, x, self._read(v.domain, None)))
                 v, depth = body, None
                 continue
+            if (t is VNe or t is VDef) and v.spine:
+                th, annot = v.spine[-1]
+                # an erased last argument is read with the rest of the spine
+                if depth is None or annot is not _PARAMETRIC or self.print_sizes:
+                    head = Var(v.head) if t is VNe else Def(v.name)
+                    frames.append((App, self._read_spine(head, v.spine[:-1], depth), annot, None))
+                    v = self.force(th)
+                    continue
             if t is not VCon:
                 break
             centry = self.sig.con(v.con)

@@ -1,5 +1,8 @@
 """Size algebra: canonical forms for size expressions, entailment of size
-inequalities under a hypothesis context, and solving of size holes."""
+inequalities under a hypothesis context, and solving of size holes.
+
+A canonical form is a tuple of (base, offset) pairs in one fixed order,
+chosen where the form is built, so no reader sorts it again."""
 
 from __future__ import annotations
 
@@ -51,8 +54,8 @@ class _Frozen(Record):
 
 class Meta(_Frozen):
     """Canonical base for an unsolved size hole.  Two Metas of one hole are
-    equal; the hash is that of the tuple (mid,), which fixes the iteration
-    order of the pair sets that hold Metas."""
+    equal, and the hash is that of the tuple (mid,).  The order of the pairs
+    that hold Metas is fixed where a NormalSize is built, not by the hash."""
 
     __slots__ = ("mid",)
 
@@ -76,14 +79,17 @@ Base = object
 
 
 class NormalSize:
-    """Canonical size: a non-empty set of (base, offset) pairs, read as the
-    maximum of base+offset.  INFTY absorbs everything and successor chains are
-    folded into offsets, so # is always the one pair (INFTY, 0)."""
+    """Canonical size: a non-empty tuple of (base, offset) pairs with distinct
+    bases, read as the maximum of base+offset.  The pairs are in `_pair_key`
+    order: variables by uid, then holes by id.  INFTY absorbs everything and
+    successor chains are folded into offsets, so # is always the one pair
+    (INFTY, 0).  `NormalSize(pairs)` orders any iterable of pairs; the
+    operations of this module build through `_ordered`, which does not sort."""
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: frozenset):
-        self.pairs = pairs
+    def __init__(self, pairs):
+        self.pairs = tuple(sorted(pairs, key=_pair_key))
 
     def __eq__(self, other):
         if not isinstance(other, NormalSize):
@@ -94,7 +100,7 @@ class NormalSize:
         return hash(self.pairs)
 
     def is_infty(self) -> bool:
-        return (INFTY, 0) in self.pairs
+        return self.pairs[0][0] is INFTY
 
     def is_atom(self) -> bool:
         return len(self.pairs) == 1
@@ -113,8 +119,15 @@ class NormalSize:
         return format_size(self)
 
 
+def _ordered(pairs: tuple) -> NormalSize:
+    """The NormalSize of a tuple of pairs already in `_pair_key` order."""
+    ns = object.__new__(NormalSize)
+    ns.pairs = pairs
+    return ns
+
+
 # the one #: a NormalSize is never changed, so every # can be this one
-_NS_INFTY = NormalSize(frozenset({(INFTY, 0)}))
+_NS_INFTY = _ordered(((INFTY, 0),))
 
 
 def _prune(pairs) -> NormalSize:
@@ -126,15 +139,17 @@ def _prune(pairs) -> NormalSize:
             raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
         if b not in best or best[b] < n:
             best[b] = n
-    return NormalSize(frozenset(best.items()))
+    if len(best) == 1:
+        return _ordered(tuple(best.items()))
+    return _ordered(tuple(sorted(best.items(), key=_pair_key)))
 
 
 def ns_var(x: Ident, offset: int = 0) -> NormalSize:
-    return NormalSize(frozenset({(x, offset)}))
+    return _ordered(((x, offset),))
 
 
 def ns_meta(mid: int, offset: int = 0) -> NormalSize:
-    return NormalSize(frozenset({(Meta(mid), offset)}))
+    return _ordered(((Meta(mid), offset),))
 
 
 def ns_infty() -> NormalSize:
@@ -142,10 +157,10 @@ def ns_infty() -> NormalSize:
 
 
 def bump(ns: NormalSize, n: int) -> NormalSize:
-    """ns + n.  A uniform shift keeps the bases distinct, so nothing is
-    pruned; only the offset bound is checked."""
+    """ns + n.  A uniform shift keeps the bases distinct and in order, so
+    nothing is pruned or sorted; only the offset bound is checked."""
     pairs = ns.pairs
-    if n == 0 or (INFTY, 0) in pairs:
+    if n == 0 or pairs[0][0] is INFTY:
         return ns
     shifted = []
     for b, k in pairs:
@@ -153,19 +168,20 @@ def bump(ns: NormalSize, n: int) -> NormalSize:
         if k > MAX_OFFSET:
             raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
         shifted.append((b, k))
-    return NormalSize(frozenset(shifted))
+    return _ordered(tuple(shifted))
 
 
 def pred(ns: NormalSize) -> NormalSize:
     """The size a successor pattern binds at erased sizes: every offset one
-    lower, but not below 0, and $ # matches with j = #."""
+    lower, but not below 0, and $ # matches with j = #.  The bases are
+    unchanged, so the order is kept."""
     if ns.is_infty():
         return ns
-    return NormalSize(frozenset([(b, max(n - 1, 0)) for b, n in ns.pairs]))
+    return _ordered(tuple([(b, max(n - 1, 0)) for b, n in ns.pairs]))
 
 
 def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
-    return _prune(list(a.pairs) + list(b.pairs))
+    return _prune(a.pairs + b.pairs)
 
 
 def normalize(
@@ -209,9 +225,8 @@ def normalize(
 def _read_solution(sol: NormalSize, lookup) -> NormalSize:
     # each variable pair reads as its value under lookup, shifted by the
     # pair's offset; the variables are looked up in printing order
-    pairs = sol.pairs if len(sol.pairs) == 1 else sorted(sol.pairs, key=_pair_key)
     out = None
-    for b, n in pairs:
+    for b, n in sol.pairs:
         assert isinstance(b, Ident), f"a hole solution names a hole: {sol!r}"
         val = lookup(b)
         val = bump(ns_var(b) if val is None else val, n)
@@ -231,7 +246,7 @@ def to_size_expr(ns: NormalSize) -> SizeExpr:
             e = SSucc(e)
         return e
 
-    parts = sorted(ns.pairs, key=_pair_key)
+    parts = ns.pairs
     e = atom(*parts[0])
     for b, n in parts[1:]:
         e = SMax(e, atom(b, n))
@@ -257,7 +272,7 @@ def format_size(ns: NormalSize, meta_names: dict[int, str] | None = None) -> str
             base = b.text
         return f"{base}+{n}" if n else base
 
-    parts = [one(b, n) for b, n in sorted(ns.pairs, key=_pair_key)]
+    parts = [one(b, n) for b, n in ns.pairs]
     if len(parts) == 1:
         return parts[0]
     return "max(" + ", ".join(parts) + ")"
@@ -358,7 +373,7 @@ def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
     _check_scope(ctx, b)
     if len(a.pairs) > 1:
         return all(
-            entails(ctx, NormalSize(frozenset({p})), rel, b) for p in a.pairs
+            entails(ctx, _ordered((p,)), rel, b) for p in a.pairs
         )
     if a.is_infty():
         return rel is Rel.LE and b.is_infty()
@@ -367,7 +382,7 @@ def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
         return True
     if len(b.pairs) > 1:
         return any(
-            entails(ctx, a, rel, NormalSize(frozenset({q}))) for q in b.pairs
+            entails(ctx, a, rel, _ordered((q,))) for q in b.pairs
         )
     xa, na = a.atom()
     if rel is Rel.LT:
@@ -457,7 +472,7 @@ def solve_metas(
         if not isinstance(rb, Meta):
             continue
         strict = c.rel is Rel.LT
-        for lb, ln in sorted(c.lhs.pairs, key=_pair_key):
+        for lb, ln in c.lhs.pairs:
             k = ln + (1 if strict else 0)
             if lb is INFTY:
                 lower[rb.mid].append(ns_infty())
@@ -465,9 +480,9 @@ def solve_metas(
             if k < rn:
                 raise Unsolvable(
                     f"size hole would need an expression {rn - k} below "
-                    f"{format_size(NormalSize(frozenset({(lb, ln)})))}"
+                    f"{format_size(_ordered(((lb, ln),)))}"
                 )
-            pair = NormalSize(frozenset({(lb, k - rn)}))
+            pair = _ordered(((lb, k - rn),))
             lower[rb.mid].append(pair)
 
     def deps(m: int):

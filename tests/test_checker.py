@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from sizedcheck import check_source
+from sizedcheck import RunConfig, check_source
 from sizedcheck.checker import Ctx
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
@@ -767,7 +767,47 @@ class TestLongChains:
         assert r.outputs == list(fib16.expect.outputs)
         assert r.outputs[0].count("succ") == 987
 
+    @pytest.mark.parametrize("doublings", [9, 13])
+    def test_eval_neutral_spine_chain_prints(self, doublings):
+        # `iter n f x` under two lambdas reads back as n applications of the
+        # neutral `f`, each in its last argument's loop
+        n = 2 ** doublings
+        src = NAT + "fun double : Nat -> Nat\n{ double zero = zero\n" \
+            "; double (succ m) = succ (succ (double m))\n}\n" \
+            "fun iter : Nat -> (Nat -> Nat) -> Nat -> Nat\n{ iter zero f x = x\n" \
+            "; iter (succ n) f x = f (iter n f x)\n}\n" \
+            "eval let g : (Nat -> Nat) -> Nat -> Nat = \\ f -> \\ x -> " \
+            f"iter ({'double (' * doublings}succ zero{')' * doublings}) f x\n"
+        r = ok(src)
+        assert r.outputs == [f"g = \\ f -> \\ x -> {'f (' * (n - 1)}f x{')' * (n - 1)}"]
+
     def test_lambda_against_non_function_keeps_its_position(self):
         d = rejected(NAT + "let f : Nat -> Nat = \\ x -> \\ y -> x\n", "TYPE-MISMATCH")
         assert d.message == "lambda checked against non-function type 'Nat'"
         assert d.pos == (6, 29)
+
+
+class TestOffsetLimit:
+    """A size offset past 65536 is the LIMIT diagnostic of the declaration or
+    eval let that reached it, not an internal error."""
+
+    DOLLARS = "$" * 70000
+
+    @pytest.mark.parametrize("decl", [
+        "let T : [i : Size] -> SNat i -> SNat ({d} i) = \\ i -> \\ n -> n\n",
+        "fun f : [i : Size] -> SNat ({d} i) -> SNat i {{ f i x = f i x }}\n",
+    ], ids=["let", "fun"])
+    def test_declaration(self, decl):
+        d = rejected(SNAT_PARAMETRIC + decl.format(d=self.DOLLARS), "LIMIT")
+        assert (d.pos, d.message) == ((6, 1), "size offset exceeds 65536")
+
+    def test_eval_let(self):
+        # accepted as checked; the eval let's sizes reach 80000 only when
+        # they are printed
+        d = "$" * 40000
+        src = SNAT_PARAMETRIC + f"let g : [i : Size] -> SNat # = \\ i -> zero ({d} i)\n" \
+            f"eval let e : [j : Size] -> SNat # = \\ j -> g ({d} j)\n"
+        assert ok(src).outputs == ["e = \\ j -> zero _"]
+        diag = check_source(src, "<test>", RunConfig([], print_sizes=True)).diagnostic
+        assert (diag.code, diag.pos, diag.message) == (
+            "LIMIT", (7, 1), "size offset exceeds 65536")

@@ -36,6 +36,16 @@ def test_internal_error_has_its_own_exit_code(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("internal error: RecursionError: ")
 
 
+def test_size_offset_past_the_bound_is_a_diagnostic(tmp_path):
+    src = tmp_path / "offset.ma"
+    src.write_text("sized data SNat : Size -> Set\n{ zero : [i : Size] -> SNat ($ i)\n}\n"
+                   f"let T : [i : Size] -> SNat i -> SNat ({'$' * 70000} i) = \\ i -> \\ n -> n\n")
+    r = run_cli("check", str(src))
+    assert r.returncode == 1
+    assert r.stderr == f"LIMIT {src}:4:1 size offset exceeds 65536\n"
+    assert "65536" in " ".join(run_cli("--help").stdout.split())
+
+
 def test_constraint_dump_is_printed_on_rejection():
     r = run_cli("check", "--print-constraints", str(CORPUS / "reject" / "deep_rewritten.ma"))
     assert r.returncode == 1

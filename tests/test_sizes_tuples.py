@@ -1,0 +1,101 @@
+"""The representation of a size normal form: a tuple of (base, offset) pairs
+with distinct bases in `_pair_key` order (variables by uid, then holes by
+id), `#` only as the lone pair (INFTY, 0), equal to and hashed like the same
+pairs given to the public constructor in any order.
+
+Hypothesis draws size expressions, lookups and solutions; the inputs of the
+operations are themselves results of `normalize`, so each result checked
+here was built by the module's own constructors."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from sizedcheck.sizes import (
+    INFTY,
+    Meta,
+    NormalSize,
+    OffsetOverflow,
+    _pair_key,
+    apply_solution,
+    bump,
+    normalize,
+    ns_max,
+    ns_meta,
+    ns_var,
+    pred,
+)
+
+from test_sizes_equivalence import MIDS, VARS, lookups, offsets, size_exprs, solutions
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def well_formed(ns: NormalSize) -> None:
+    pairs = ns.pairs
+    assert type(pairs) is tuple and pairs
+    assert list(pairs) == sorted(pairs, key=_pair_key)
+    assert len({b for b, _ in pairs}) == len(pairs)
+    if any(b is INFTY for b, _ in pairs):
+        assert pairs == ((INFTY, 0),)
+    for other in (NormalSize(frozenset(pairs)), NormalSize(reversed(pairs))):
+        assert ns == other and hash(ns) == hash(other)
+
+
+def check(f, *args) -> None:
+    """f(*args) is well formed, unless it overflows."""
+    try:
+        ns = f(*args)
+    except OffsetOverflow:
+        return
+    well_formed(ns)
+
+
+def read(s, env=None, sol=None) -> NormalSize | None:
+    try:
+        return normalize(s, None if env is None else env.get, sol)
+    except OffsetOverflow:
+        return None
+
+
+class TestEveryResultIsOrdered:
+    @SETTINGS
+    @given(size_exprs(), st.one_of(st.none(), lookups), solutions)
+    def test_normalize(self, s, env, sol):
+        check(normalize, s, None if env is None else env.get, sol)
+
+    @SETTINGS
+    @given(st.sampled_from(VARS), st.sampled_from(MIDS), offsets)
+    def test_leaves(self, x, m, n):
+        check(ns_var, x, n)
+        check(ns_meta, m, n)
+
+    @SETTINGS
+    @given(size_exprs(), st.one_of(st.none(), lookups), offsets)
+    def test_bump_and_pred(self, s, env, n):
+        ns = read(s, env)
+        if ns is not None:
+            check(bump, ns, n)
+            check(pred, ns)
+
+    @SETTINGS
+    @given(size_exprs(), size_exprs(), st.one_of(st.none(), lookups))
+    def test_ns_max(self, a, b, env):
+        na, nb = read(a, env), read(b, env)
+        if na is not None and nb is not None:
+            check(ns_max, na, nb)
+            check(ns_max, nb, na)
+
+    @SETTINGS
+    @given(size_exprs(), solutions)
+    def test_apply_solution(self, s, sol):
+        ns = read(s)
+        if ns is not None:
+            check(apply_solution, ns, sol)
+
+
+def test_public_constructor_orders_any_iterable():
+    i, j = VARS[0], VARS[1]
+    ns = NormalSize([(Meta(2), 0), (j, 1), (i, 3)])
+    assert ns.pairs == ((i, 3), (j, 1), (Meta(2), 0))
+    assert ns == ns_max(ns_max(ns_meta(2), ns_var(j, 1)), ns_var(i, 3))
