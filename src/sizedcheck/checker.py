@@ -250,8 +250,8 @@ class Checker:
                 )
 
         kind = index_elab
-        for name, _, pt in reversed(params):
-            kind = Pi(Annot.RELEVANT, name, pt, kind, d.pos)
+        for p, (_, _, pt) in zip(reversed(d.params), reversed(params)):
+            kind = Pi(Annot.RELEVANT, p.kind_binder, pt, kind, d.pos)
         entry = DataEntry(
             d.name,
             d.sized,
@@ -974,6 +974,7 @@ class Checker:
         j = e.binder
         ctx2 = ctx.bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
         ctx2 = ctx2.bind_value(i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
+        # re-evaluated from a readback: i = $ j in the size context changes hole solving
         expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))
         e.branch = self.check(ctx2, e.branch, expected2, erased)
         return e

@@ -84,6 +84,7 @@ from .diagnostics import Diagnostic
 from .signature import DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
     NormalSize,
+    OffsetOverflow,
     Rel,
     SizeConstraint,
     SizeCtx,
@@ -505,7 +506,7 @@ class Evaluator:
             if (t is VNe or t is VDef) and v.spine:
                 th, annot = v.spine[-1]
                 # an erased last argument is read with the rest of the spine
-                if depth is None or annot is not _PARAMETRIC or self.print_sizes:
+                if depth is None or annot is not _PARAMETRIC:
                     head = Var(v.head) if t is VNe else Def(v.name)
                     frames.append((App, self._read_spine(head, v.spine[:-1], depth), annot, None))
                     v = self.force(th)
@@ -527,8 +528,8 @@ class Evaluator:
                     if k < centry.n_params:
                         continue  # parameters are determined by the type
                     if centry.has_size and k == centry.n_params:
-                        if annot is _PARAMETRIC and not self.print_sizes:
-                            e = App(e, Size(SMeta(-1)), annot)
+                        if annot is _PARAMETRIC:
+                            e = App(e, self._erased(th, None), annot)
                             continue
                         d = None
                     else:
@@ -566,12 +567,22 @@ class Evaluator:
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
-            if depth is not None and annot is _PARAMETRIC and not self.print_sizes:
-                arg: Expr = Size(SMeta(-1))
+            if depth is not None and annot is _PARAMETRIC:
+                arg = self._erased(th, depth)
             else:
                 arg = self._read(self.force(th), depth)
             head = App(head, arg, annot)
         return head
+
+    def _erased(self, th: Thunk, depth: int | None) -> Expr:
+        """`_`, or under print_sizes the erased argument unless computing it
+        passes MAX_OFFSET: a display flag must not turn a verdict into LIMIT."""
+        if self.print_sizes:
+            try:
+                return self._read(self.force(th), depth)
+            except OffsetOverflow:
+                pass
+        return Size(SMeta(-1))
 
     # -- comparison -----------------------------------------------------------
 

@@ -16,12 +16,13 @@ in it, so neither costs stack.
 
 Names are resolved as they are read, by the rules of `scope.py`, so the
 parser builds the one tree the checker reads: a binder is a fresh Ident, a
-use is the Ident it names, and a size hole gets its number.  A dot pattern
-may name a variable bound later in its left-hand side, so it is read twice:
-where it stands, to find its end and its PARSE faults, and again once the
-whole left-hand side is bound.  An UNBOUND or DUPLICATE fault does not stop
-the parser, since a later PARSE fault outranks it; `scope.scope_check`
-raises it after parsing."""
+use is the Ident it names, and a size hole gets its number.  A relevant Pi
+binder that nothing reads is dropped, and so is a data kind's (`kind_binder`),
+so `pretty` prints such a Pi as an arrow.  A dot pattern may name a variable
+bound later in its left-hand side, so it is read twice: where it stands, to
+find its end and its PARSE faults, and again once the whole left-hand side is
+bound.  An UNBOUND or DUPLICATE fault does not stop the parser, since a
+later PARSE fault outranks it; `scope.scope_check` raises it after parsing."""
 
 from __future__ import annotations
 
@@ -187,6 +188,7 @@ class _Parser:
             self.sc.fault = None
             decls.append(self.declaration())
             decls[-1].fault = self.sc.fault
+            self.sc.read.clear()
         return decls
 
     def declaration(self) -> Declaration:
@@ -225,6 +227,9 @@ class _Parser:
             params.append(ParamSpec(sc.bind(pn), pt, pol))
         self.expect(":")
         index_sig = self.expr()
+        for ps in params:
+            if ps.name not in sc.read:
+                ps.kind_binder = None
         owner = sc.define(name, "data", p)
         cons = self.block(lambda: self.con_spec(owner))
         sc.restore(0)
@@ -311,6 +316,8 @@ class _Parser:
                 links.append((p, Annot.RELEVANT, None, e))
         sc.restore(mark)
         for p, annot, x, dom in reversed(links):
+            if annot is Annot.RELEVANT and x not in sc.read:
+                x = None  # nothing reads it: an arrow
             e = Lam(x, e, p) if annot is None else Pi(annot, x, dom, e, p)
         return e
 

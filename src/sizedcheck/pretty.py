@@ -41,7 +41,6 @@ from .syntax import (
     SSucc,
     SVar,
     Var,
-    free_vars,
     spine,
 )
 
@@ -131,8 +130,7 @@ def _expr(e: Expr, nm: _Namer) -> str:
                     e = e.body
                 elif isinstance(e, Pi):
                     annot, binder, dom = e.annot, e.binder, e.domain
-                    if binder is not None and (binder in free_vars(e.codomain)
-                                               or annot is Annot.PARAMETRIC):
+                    if binder is not None:
                         op, cl = ("[", "]") if annot is Annot.PARAMETRIC else ("(", ")")
                         parts.append(f"{op}{nm.name(binder)} : {_expr(dom, nm)}{cl} -> ")
                     else:

@@ -17,7 +17,9 @@ latest declaration too, but the checker re-resolves it by name against the
 scrutinee's data type, so patterns always see the right constructor.
 
 Local names live in one dict from text to Ident; binding a name logs what it
-shadowed, and leaving a scope undoes the log back to a mark.
+shadowed, and leaving a scope undoes the log back to a mark.  Every local
+Ident that a use resolves to joins `read`, which holds one declaration's
+reads, so the parser can tell a binder that nothing reads.
 
 A PARSE fault outranks every scope fault, even one found earlier, so the
 parser keeps the first UNBOUND or DUPLICATE fault of a declaration on it and
@@ -47,13 +49,14 @@ class Scope:
     """The names in scope at one point of one program, its size-hole count
     and the first fault of the declaration being read."""
 
-    __slots__ = ("globals", "locals", "trail", "unbound", "metas", "fault")
+    __slots__ = ("globals", "locals", "trail", "read", "unbound", "metas", "fault")
 
     def __init__(self):
         # text -> (ident, kind, the data type of a constructor)
         self.globals: dict[str, tuple[Ident, str, Ident | None]] = {}
         self.locals: dict[str, Ident] = {}
         self.trail: list[tuple[str, Ident | None]] = []  # (text, what it shadowed)
+        self.read: set[Ident] = set()  # the locals used so far in this declaration
         self.unbound: dict[str, Ident] = {}  # text -> the Ident of its every use
         self.metas = 0  # the number of the last size hole
         self.fault: Diagnostic | None = None
@@ -107,6 +110,7 @@ class Scope:
     def var(self, text: str, pos: Pos) -> Expr:
         x = self.locals.get(text)
         if x is not None:
+            self.read.add(x)
             return Var(x, pos)
         g = self.globals.get(text)
         if g is None:
@@ -115,8 +119,9 @@ class Scope:
 
     def size_var(self, text: str, pos: Pos) -> Ident:
         """A size variable, at the first token of its size expression."""
-        x = self.locals.get(text)
-        return self.missing(text, pos) if x is None else x
+        x = self.locals.get(text) or self.missing(text, pos)
+        self.read.add(x)
+        return x
 
     def pattern_var(self, text: str, pos: Pos) -> Pattern:
         """A bare name in a pattern: a constructor if one is in scope, else a

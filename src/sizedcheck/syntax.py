@@ -1,6 +1,6 @@
 """Abstract syntax: identifiers, polarities, size expressions, terms,
-patterns and declarations, plus free variables and spines, and `Record`, the
-base of the package's slotted classes."""
+patterns and declarations, plus spines, and `Record`, the base of the
+package's slotted classes."""
 
 from __future__ import annotations
 
@@ -434,14 +434,16 @@ class Clause(Record):
 
 
 class ParamSpec(Record):
-    """Data type parameter ++(A : Set) or (A : Set)."""
+    """Data type parameter ++(A : Set) or (A : Set); its binder in the kind is
+    None when no later parameter type and no index reads it."""
 
-    __slots__ = __match_args__ = ("name", "type", "polarity")
+    __slots__ = __match_args__ = ("name", "type", "polarity", "kind_binder")
 
     def __init__(self, name: Ident, type: Expr, polarity: Polarity):
         self.name = name
         self.type = type
         self.polarity = polarity
+        self.kind_binder: Ident | None = name
 
 
 class ConSpec(Record):
@@ -509,65 +511,7 @@ class LetDecl(Declaration):
 
 
 # ---------------------------------------------------------------------------
-# Binding structure, free variables and spines
-
-
-def pattern_binders(p: Pattern) -> list[Ident]:
-    match p:
-        case PVar(name=x):
-            return [x]
-        case PCon(args=args):
-            out: list[Ident] = []
-            for a in args:
-                out.extend(pattern_binders(a))
-            return out
-        case PSizeRel(child=child) | PSucc(child=child):
-            return [child]
-        case _:
-            return []
-
-
-def free_vars(e: Expr) -> set[Ident]:
-    """All free identifiers of e, including global Def/Con references."""
-    match e:
-        case Var(name=x) | Def(name=x) | Con(name=x):
-            return {x}
-        case Pi(binder=binder, domain=dom, codomain=cod):
-            fv = free_vars(cod)
-            if binder is not None:
-                fv = fv - {binder}
-            return free_vars(dom) | fv
-        case Lam(binder=binder, body=body):
-            return free_vars(body) - {binder}
-        case App(fun=f, arg=a):
-            return free_vars(f) | free_vars(a)
-        case Size(size=s):
-            return set(size_vars(s))
-        case CaseSize(scrut=s, binder=binder, branch=branch):
-            return set(size_vars(s)) | (free_vars(branch) - {binder})
-        case CaseData(scrut=scrut, branches=branches):
-            fv = free_vars(scrut)
-            for pat, body in branches:
-                bound = set(pattern_binders(pat))
-                for d in _pattern_dots(pat):
-                    fv |= free_vars(d) - bound
-                fv |= free_vars(body) - bound
-            return fv
-        case _:
-            return set()
-
-
-def _pattern_dots(p: Pattern) -> list[Expr]:
-    match p:
-        case PDot(expr=e):
-            return [e]
-        case PCon(args=args):
-            out: list[Expr] = []
-            for a in args:
-                out.extend(_pattern_dots(a))
-            return out
-        case _:
-            return []
+# Spines
 
 
 def spine(e: Expr) -> tuple[Expr, list[tuple[Expr, Annot | None]]]:

@@ -177,12 +177,7 @@ def alpha_eq_programs(ds1, ds2) -> bool:
                 if an1 is not an2 or not expr(d1, d2):
                     return False
                 if (b1 is None) != (b2 is None):
-                    from sizedcheck.syntax import free_vars
-
-                    named, cod = (b1, c1) if b1 is not None else (b2, c2)
-                    if named in free_vars(cod):
-                        return False
-                    return expr(c1, c2)
+                    return False
                 if b1 is not None:
                     bind(b1, b2)
                 return expr(c1, c2)

@@ -731,10 +731,20 @@ class TestLongChains:
         r = ok(f"eval let f : {'Set -> ' * n}Set = {lams}Set\n")
         assert r.outputs == [f"f = {lams}Set"]
 
-    @pytest.mark.parametrize("n", [300, 1000, 3000])
-    def test_eval_arrow_chain_prints(self, n):
-        r = ok(f"eval let T : Set = {'Set -> ' * n}Set\n")
+    # a named link that nothing reads is an arrow, so both kinds print as
+    # arrows; the arrow rows keep their bare ids
+    @pytest.mark.parametrize("link, n", [
+        *(pytest.param("Set -> ", n, id=str(n)) for n in (300, 1000, 3000)),
+        *(pytest.param("(x{k} : Set) -> ", n, id=f"named-{n}") for n in (300, 1000, 3000)),
+    ])
+    def test_eval_arrow_chain_prints(self, link, n):
+        chain = "".join(link.format(k=k) for k in range(n))
+        r = ok(f"eval let T : Set = {chain}Set\n")
         assert r.outputs == [f"T = {'Set -> ' * n}Set"]
+
+    def test_eval_named_pi_read_only_in_a_domain(self):
+        r = ok("eval let T : Set = (A : Set) -> (x : A) -> A\n")
+        assert r.outputs == ["T = (A : Set) -> A -> A"]
 
     def test_eval_constructor_chain_prints(self):
         # a numeral 2^13 = 8192 constructors deep, read back and printed in
@@ -802,12 +812,12 @@ class TestOffsetLimit:
         assert (d.pos, d.message) == ((6, 1), "size offset exceeds 65536")
 
     def test_eval_let(self):
-        # accepted as checked; the eval let's sizes reach 80000 only when
-        # they are printed
+        # accepted as checked; the eval let's erased size reaches 80000 only
+        # when it is computed for display, and then it prints as _ as it
+        # does without print_sizes
         d = "$" * 40000
         src = SNAT_PARAMETRIC + f"let g : [i : Size] -> SNat # = \\ i -> zero ({d} i)\n" \
             f"eval let e : [j : Size] -> SNat # = \\ j -> g ({d} j)\n"
-        assert ok(src).outputs == ["e = \\ j -> zero _"]
-        diag = check_source(src, "<test>", RunConfig([], print_sizes=True)).diagnostic
-        assert (diag.code, diag.pos, diag.message) == (
-            "LIMIT", (7, 1), "size offset exceeds 65536")
+        for print_sizes in (False, True):
+            r = check_source(src, "<test>", RunConfig([], print_sizes=print_sizes))
+            assert (r.diagnostic, r.outputs) == (None, ["e = \\ j -> zero _"])

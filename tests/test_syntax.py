@@ -1,4 +1,5 @@
-"""Core syntax: free variables, spines, the polarity lattice."""
+"""Core syntax: the Pi binders the parser keeps, spines, the polarity lattice
+and scope checking."""
 
 import itertools
 
@@ -11,19 +12,20 @@ from sizedcheck.syntax import (
     Annot,
     App,
     Con,
+    DataDecl,
     Def,
     FunDecl,
     LetDecl,
+    Pi,
     Polarity,
     Var,
     compose,
-    free_vars,
     join,
     leq_pol,
     spine,
 )
 
-from conftest import SNAT_PARAMETRIC, alpha_eq_programs
+from conftest import NAT, SNAT_PARAMETRIC, alpha_eq_programs
 
 
 def _decls(src):
@@ -44,34 +46,47 @@ def _fun(src, name):
     raise AssertionError(name)
 
 
-class TestFreeVars:
-    def test_lambda_body(self):
-        # \ n -> succ i n  has free {succ, i}
-        src = SNAT_PARAMETRIC + "let f : [i : Size] -> SNat i -> SNat ($ i) = \\ i -> \\ n -> succ i n"
-        lam_i = _let_body(src, "f").body
-        fv = {x.text for x in free_vars(lam_i.body)}
-        assert fv == {"succ", "i"}
+def _kept(e):
+    """The binder of each Pi of a chain, outermost first: its text, or None
+    for an arrow."""
+    out = []
+    while isinstance(e, Pi):
+        out.append(None if e.binder is None else e.binder.text)
+        e = e.codomain
+    return out
 
-    def test_set_is_closed(self):
-        d = _let_body("let x : Set = Set", "x")
-        assert free_vars(d.body) == set()
 
-    def test_div_second_clause(self):
-        src = SNAT_PARAMETRIC + """
-fun minus : [i : Size] -> SNat i -> SNat # -> SNat i
-{ minus i (zero (i > j))    y          = zero j
-; minus i  x               (zero .#)   = x
-; minus i (succ (i > j) x) (succ .# y) = minus j x y
-}
+class TestKeptBinders:
+    """The parser drops a relevant Pi binder that nothing reads, so such a
+    Pi is the arrow `A -> B`; a parametric binder is always kept."""
 
-fun div : [i : Size] -> SNat i -> SNat # -> SNat i
-{ div i (zero (i > j))   y = zero j
-; div i (succ (i > j) x) y = succ j (div j (minus j x y) y)
-}
-"""
-        clause = _fun(src, "div").clauses[1]
-        fv = {x.text for x in free_vars(clause.rhs)}
-        assert fv == {"succ", "div", "minus", "j", "x", "y"}
+    @pytest.mark.parametrize("pi, kept", [
+        ("(x : Nat) -> Nat", [None]),
+        ("(A : Set) -> A", ["A"]),
+        ("(i : Size) -> SNat ($ i)", ["i"]),  # read only in a size
+        ("(A : Set) -> (x : A) -> Nat", ["A", None]),  # read only in a later domain
+        ("[i : Size] -> Nat", ["i"]),
+        ("(x : Set) -> (x : Set) -> x", [None, "x"]),  # the inner x shadows
+        ("(n : Nat) -> case n { zero -> Nat ; (succ m) -> Nat }", ["n"]),
+        ("(A : Set) -> case zero { zero -> A ; (succ m) -> Nat }", ["A"]),
+        ("(x : Set) -> (\\ x -> x) Nat", [None]),  # the lambda's x shadows
+    ])
+    def test_pi(self, pi, kept):
+        d = _let_body(NAT + SNAT_PARAMETRIC + f"let T : Set = {pi}", "T")
+        assert _kept(d.body) == kept
+
+    LIST = "sized data List ++(A : Set) : Size -> Set { nil : [i : Size] -> List A ($ i) }\n"
+
+    @pytest.mark.parametrize("decl, params, index", [
+        ("", [None], [None]),  # List: only a constructor reads A
+        ("sized codata StreamEq (A : Set) : (i : Size) -> List A i -> List A i -> Set { }",
+         ["A"], ["i", None, None]),
+    ])
+    def test_data_kind(self, decl, params, index):
+        d = _decls(self.LIST + decl)[-1]
+        assert isinstance(d, DataDecl) and [p.name.text for p in d.params] == ["A"]
+        assert [p.kind_binder and p.kind_binder.text for p in d.params] == params
+        assert _kept(d.index_sig) == index
 
 
 class TestSpine:

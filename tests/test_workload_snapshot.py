@@ -1,14 +1,16 @@
 """Every program of the four bench workloads, checked with and without the
 constraint dump, against a snapshot; then each again with every `let` made
-an `eval let`.
+an `eval let`; then both variants again with the constraint dump and
+`print_sizes`.
 
 The programs are built by `bench/workloads.py` at seed 1.  The snapshot pins
 what `check_source` returns for each: the diagnostic's code, position and
 message, the eval output and the constraint dump, or, for an ending that is
 not a diagnostic, the exception's class.  The rows of the `eval let` variant
 come after the others and carry `"every_let_eval": true`; a known defect is
-pinned as it is (`accept/ord` is STUCK-MATCH there, ROADMAP item 1).  Nothing
-under `bench/` is changed.
+pinned as it is (`accept/ord` is STUCK-MATCH there, ROADMAP item 1).  The
+`print_sizes` rows come last and carry `"print_sizes": true`.  Nothing under
+`bench/` is changed.
 
 The programs run on one worker thread, so the Python stack they start from is
 the same under pytest as from the command line, and an ending that depends on
@@ -44,13 +46,15 @@ def _workloads():
 
 
 def outcome(workload: str, name: str, source: str, dump: bool,
-            every_let_eval: bool = False) -> dict:
+            every_let_eval: bool = False, sizes: bool = False) -> dict:
     row: dict = {"workload": workload, "program": name, "print_constraints": dump}
     if every_let_eval:
         row["every_let_eval"] = True
         source = LET.sub("eval let", source)
+    if sizes:
+        row["print_sizes"] = True
     try:
-        r = check_source(source, name, RunConfig([], print_constraints=dump))
+        r = check_source(source, name, RunConfig([], print_constraints=dump, print_sizes=sizes))
     except Exception as e:  # pinned as its class: a known crash stays known
         row["exception"] = type(e).__name__
         return row
@@ -72,6 +76,11 @@ def outcomes() -> list[dict]:
                     for dump in (False, True):
                         rows.append(
                             outcome(workload, prog.name, prog.source, dump, every_let_eval))
+        for every_let_eval in (False, True):
+            for workload in wl.WORKLOADS:
+                for prog in wl.build(workload, SEED, ROOT):
+                    rows.append(
+                        outcome(workload, prog.name, prog.source, True, every_let_eval, True))
 
     worker = threading.Thread(target=run)
     worker.start()
