@@ -701,7 +701,7 @@ class Checker:
                     p.pos,
                 )
         p.con = con
-        return ctx, VCon(con, thunks), obligations
+        return ctx, VCon(con, tuple(thunks)), obligations
 
     def _check_obligations(self, ctx: Ctx, obligations):
         for e, ty, forced, pos in obligations:

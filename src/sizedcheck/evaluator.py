@@ -61,7 +61,10 @@ class picks the arm a class pattern would (`tests/test_dispatch.py` holds
 both).  A chain of lambdas, of Pi types or of constructors nested in their
 last argument (a numeral, a list) is read back in a loop, as `pretty` prints
 a chain of applications in their last argument, so such a value of any depth
-reads back and prints at the default recursion limit.
+reads back and prints at the default recursion limit.  The chain is linked
+outermost first, each node into the one before it as soon as it is made, so
+the tree is built once in its final shape; a constructor reads back as the
+one `Con` leaf its entry holds and an erased argument as one shared `_`.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
@@ -151,6 +154,10 @@ _ARROW = fresh_ident("_x")
 _LE, _EQ = Rel.LE, Rel.EQ
 _COVARIANT, _NEG, _INVARIANT = Polarity.STRICT_POS, Polarity.NEG, Polarity.INVARIANT
 _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
+# the last field of each node that `_read` links into a chain
+_OPEN = {Lam: "body", Pi: "codomain", App: "arg"}
+# every erased argument of eval output reads back as this one leaf
+_ERASED = Size(SMeta(-1))
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -158,7 +165,7 @@ DEFAULT_PRINT_DEPTH = 3
 
 class Evaluator:
     __slots__ = ("sig", "unfold_fuel", "print_depth", "print_sizes", "steps", "budget_pos",
-                 "unfolded")
+                 "unfolded", "read")
 
     def __init__(
         self,
@@ -171,6 +178,7 @@ class Evaluator:
         self.unfold_fuel = unfold_fuel
         self.print_depth = print_depth
         self.print_sizes = print_sizes
+        self.read: set = set()  # the variables one readback has read (see `_read`)
         self.reset_budget()
 
     # -- budgets ------------------------------------------------------------
@@ -231,7 +239,7 @@ class Evaluator:
         if t is Size:
             return VSize(self.eval_size(env, e.size))
         if t is Con:
-            return VCon(e.name, [])
+            return self.sig[e.name].value
         if t is Pi:
             binder = e.binder
             clo = Closure(env, binder, e.codomain)
@@ -293,9 +301,9 @@ class Evaluator:
                 continue
             rest = args[k:] if k else args
             if isinstance(fv, VCon):
-                return VCon(fv.con, fv.args + [th for th, _ in rest])
+                return VCon(fv.con, (*fv.args, *[th for th, _ in rest]))
             if isinstance(fv, VData):
-                return VData(fv.name, fv.args + [th for th, _ in rest])
+                return VData(fv.name, (*fv.args, *[th for th, _ in rest]))
             if isinstance(fv, VDef):
                 f, have = fv.name, fv.spine
                 spine = have + rest
@@ -469,12 +477,14 @@ class Evaluator:
     def quote(self, v: Value) -> Expr:
         """Full structural readback, without unfolding defined heads; used for
         diagnostics and the size-case rule."""
+        self.read.clear()
         return self._read(v, None)
 
     def readback(self, v: Value) -> Expr:
         """Display readback: inductive values print fully, coinductive values
         are unrolled `print_depth` layers and then elided; erased size
         arguments print as _ unless print_sizes is set."""
+        self.read.clear()
         return self._read(v, self.print_depth)
 
     def _read(self, v: Value, depth: int | None) -> Expr:
@@ -483,72 +493,95 @@ class Evaluator:
         put in whnf first, coinductive layers past depth are elided,
         constructor parameters are skipped, parametric arguments print as _
         unless print_sizes is set, and each constructor argument costs fuel.
-        Types and sizes always read back structurally.  A chain of lambdas,
-        of Pi types, or of constructors or neutral heads in their last shown
-        argument is read in a loop and rebuilt from its innermost end, so its
-        length costs no stack."""
-        # what wraps the value read last, outermost first: (Lam, x, None,
-        # None), (Pi, annot, x, domain) or (App, head, annot, None)
-        frames: list[tuple] = []
+        Types and sizes always read back structurally.
+
+        A chain of lambdas, of Pi types, or of constructors or neutral heads
+        in their last shown argument is read in a loop and linked outermost
+        first: each wrapper (a `Lam`, a `Pi`, or an `App` whose argument is
+        read next) goes into the open last field of the wrapper before it as
+        soon as it is made, and its own last field is filled by what is read
+        next, so the chain's length costs no stack and no list.  A
+        constructor reads back as its entry's shared `Con` leaf.
+
+        Every neutral variable and size variable read goes into `read`, as
+        `Scope.read` holds the names a declaration uses.  A relevant Pi
+        binder that its codomain's readback never read is then dropped, as
+        the parser drops one that nothing reads, so the Pi prints as an
+        arrow."""
+        read = self.read
+        root = last = None  # the outermost wrapper, and the one whose field is open
+        pi = None  # the first Pi linked here with a relevant binder
         while True:
             if depth is not None:
                 v = self.whnf(v, self.budget_pos)
             t = type(v)
             if t is VLam:
                 x, v = self.open(v.closure, v.binder)
-                frames.append((Lam, x, None, None))
-                continue
-            if t is VPi:
+                node = Lam(x, None)
+            elif t is VPi:
                 x, body = self.open(v.closure, v.binder)
-                frames.append((Pi, v.annot, x, self._read(v.domain, None)))
+                node = Pi(v.annot, x, self._read(v.domain, None), None)
+                if pi is None and x is not None and v.annot is _RELEVANT:
+                    pi = node
                 v, depth = body, None
-                continue
-            if (t is VNe or t is VDef) and v.spine:
-                th, annot = v.spine[-1]
+            elif (t is VNe or t is VDef) and v.spine and (
+                    depth is None or v.spine[-1][1] is not _PARAMETRIC):
                 # an erased last argument is read with the rest of the spine
-                if depth is None or annot is not _PARAMETRIC:
-                    head = Var(v.head) if t is VNe else Def(v.name)
-                    frames.append((App, self._read_spine(head, v.spine[:-1], depth), annot, None))
-                    v = self.force(th)
-                    continue
-            if t is not VCon:
-                break
-            centry = self.sig.con(v.con)
-            if depth is not None and self.sig.data(centry.data).coinductive:
-                if depth <= 0:
-                    e: Expr = Elided()
-                    break
-                depth -= 1
-            e = Con(v.con)
-            last = len(v.args) - 1
-            for k, th in enumerate(v.args):
-                annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
-                d = depth
-                if depth is not None:
-                    if k < centry.n_params:
-                        continue  # parameters are determined by the type
-                    if centry.has_size and k == centry.n_params:
-                        if annot is _PARAMETRIC:
-                            e = App(e, self._erased(th, None), annot)
-                            continue
-                        d = None
-                    else:
-                        self._tick()
-                if k == last:
-                    # the last argument is read next, in this loop
-                    frames.append((App, e, annot, None))
-                    v, depth = self.force(th), d
-                    break
-                e = App(e, self._read(self.force(th), d), annot)
+                th, annot = v.spine[-1]
+                if t is VNe:
+                    read.add(v.head)
+                    head = Var(v.head)
+                else:
+                    head = Def(v.name)
+                node = App(self._read_spine(head, v.spine[:-1], depth), None, annot)
+                v = self.force(th)
+            elif t is VCon:
+                centry = self.sig.con(v.con)
+                if depth is not None and self.sig.data(centry.data).coinductive:
+                    if depth <= 0:
+                        e: Expr = Elided()
+                        break
+                    depth -= 1
+                e = centry.leaf
+                n = len(v.args) - 1
+                for k, th in enumerate(v.args):
+                    annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
+                    d = depth
+                    if depth is not None:
+                        if k < centry.n_params:
+                            continue  # parameters are determined by the type
+                        if centry.has_size and k == centry.n_params:
+                            if annot is _PARAMETRIC:
+                                e = App(e, self._erased(th, None), annot)
+                                continue
+                            d = None
+                        else:
+                            self._tick()
+                    if k == n:
+                        # the last argument is read next, in this loop
+                        node = App(e, None, annot)
+                        v, depth = self.force(th), d
+                        break
+                    e = App(e, self._read(self.force(th), d), annot)
+                else:
+                    break  # no argument is left to read
             else:
-                break  # no argument is left to read
+                break
+            if last is None:
+                root = node
+            else:
+                setattr(last, _OPEN[type(last)], node)
+            last = node
         if t is VNe:
+            read.add(v.head)
             e = self._read_spine(Var(v.head), v.spine, depth)
         elif t is VDef:
             e = self._read_spine(Def(v.name), v.spine, depth)
         elif t is VData:
             e = self._read_spine(Def(v.name), [(th, _RELEVANT) for th in v.args], None)
         elif t is VSize:
+            for b, _ in v.size.pairs:
+                read.add(b)
             e = Size(to_size_expr(v.size))
         elif t is VSet:
             e = SetU()
@@ -556,14 +589,15 @@ class Evaluator:
             e = SizeU()
         elif t is not VCon:
             raise AssertionError(f"readback: unhandled value {v!r}")
-        for cls, a, b, c in reversed(frames):
-            if cls is App:
-                e = App(a, e, b)
-            elif cls is Pi:
-                e = Pi(a, b, c, e)
-            else:
-                e = Lam(a, e)
-        return e
+        if last is None:
+            return e
+        setattr(last, _OPEN[type(last)], e)
+        # every codomain is read now: drop each relevant binder its codomain never read
+        while pi is not None:
+            if type(pi) is Pi and pi.annot is _RELEVANT and pi.binder not in read:
+                pi.binder = None
+            pi = None if pi is last else getattr(pi, _OPEN[type(pi)])
+        return root
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
@@ -582,7 +616,7 @@ class Evaluator:
                 return self._read(self.force(th), depth)
             except OffsetOverflow:
                 pass
-        return Size(SMeta(-1))
+        return _ERASED
 
     # -- comparison -----------------------------------------------------------
 

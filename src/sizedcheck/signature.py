@@ -5,8 +5,8 @@ solutions of the program's size holes."""
 from __future__ import annotations
 
 from .sizes import NormalSize, SizeCtx
-from .syntax import Annot, Expr, Ident, Pattern, Polarity, Pos, Record
-from .values import Thunk, Value, VData, VDef
+from .syntax import Annot, Con, Expr, Ident, Pattern, Polarity, Pos, Record
+from .values import Thunk, Value, VCon, VData, VDef
 
 
 class DataEntry(Record):
@@ -14,8 +14,8 @@ class DataEntry(Record):
     argument slot, the one place it is decided: each parameter as declared,
     then the size index, POS for sized data and NEG for sized codata
     (`Stream A ($ i) <= Stream A i`), and every other index INVARIANT.
-    `value` is the type former applied to nothing, built once: no value's
-    argument list is ever mutated, so every use of the name shares it."""
+    `value` is the type former applied to nothing, built once: a value's
+    arguments are a tuple, never mutated, so every use of the name shares it."""
 
     __slots__ = ("name", "sized", "coinductive", "params", "n_indices", "kind_value",
                  "constructors", "variances", "value")
@@ -32,11 +32,17 @@ class DataEntry(Record):
         size = [Polarity.NEG if coinductive else Polarity.POS] if sized else []
         self.variances = (*(pol for _, pol in params), *size,
                           *[Polarity.INVARIANT] * (n_indices - len(size)))
-        self.value = VData(name, [])
+        self.value = VData(name, ())
 
 
 class ConEntry(Record):
-    __slots__ = ("name", "data", "type_value", "n_params", "has_size", "annots", "arity")
+    """A constructor.  `value` is the constructor applied to nothing and
+    `leaf` its syntax, each built once, as `DataEntry.value` is: a bare
+    constructor evaluates to `value`, and every readback of the constructor
+    shares `leaf`."""
+
+    __slots__ = ("name", "data", "type_value", "n_params", "has_size", "annots", "arity",
+                 "value", "leaf")
 
     def __init__(self, name: Ident, data: Ident, type_value: Value, n_params: int,
                  has_size: bool, annots: list[Annot], arity: int):
@@ -47,6 +53,8 @@ class ConEntry(Record):
         self.has_size = has_size
         self.annots = annots  # per telescope position
         self.arity = arity
+        self.value = VCon(name, ())
+        self.leaf = Con(name)
 
 
 class ElabClause(Record):

@@ -90,22 +90,24 @@ class VLam(Value):
 
 
 class VCon(Value):
-    """Constructor value; args cover parameters, the size index and the
-    proper arguments, all suspended."""
+    """Constructor value; args, a tuple fixed where the value is built,
+    cover parameters, the size index and the proper arguments, all
+    suspended."""
 
     __slots__ = ("con", "args")
 
-    def __init__(self, con: Ident, args: list[Thunk]):
+    def __init__(self, con: Ident, args: tuple[Thunk, ...]):
         self.con = con
         self.args = args
 
 
 class VData(Value):
-    """A (possibly partially applied) data type former."""
+    """A (possibly partially applied) data type former; args is a tuple
+    fixed where the value is built."""
 
     __slots__ = ("name", "args")
 
-    def __init__(self, name: Ident, args: list[Thunk]):
+    def __init__(self, name: Ident, args: tuple[Thunk, ...]):
         self.name = name
         self.args = args
 

@@ -510,3 +510,96 @@ fun nth : Nat -> Stream Nat # -> Nat
         assert memo == ([("head", "zero")] + [("nth", "zero")] * 11
                         + [("repeat", "cons Nat # zero (repeat Nat zero #)")]
                         + [("tail", "repeat Nat zero #")] * 10)
+
+
+# the two returns of `Evaluator._unfold` that only these inputs reach; (program,
+# outputs, diagnostic as (code, position, message) or None)
+HEAD = """fun head : [A : Set] -> [i : Size] -> Stream A ($ i) -> A
+{ head A i (cons .A .i a as) = a
+}
+"""
+EQ = "data Eq (A : Set) : A -> A -> Set { refl : (a : A) -> Eq A a a }\n"
+UNFOLD_PATHS = {
+    # `from` has arity 1: its lambda takes the second argument, applied to
+    # what the unfolding returns
+    "leftover arguments": (
+        NAT + STREAM + HEAD + """cofun from : [i : Size] -> Nat -> Stream Nat i
+{ from ($ i) = \\ n -> cons Nat i n (from i (succ n))
+}
+eval let h : Nat = head Nat # (from # (succ zero))
+""",
+        ["h = succ zero"], None),
+    # `f zero` in f's own clause stays rigid, so it does not convert to zero
+    "rigid while its clauses are checked": (
+        NAT + EQ + """fun k : [A : Set] -> A -> Nat -> Nat { k A a m = m }
+fun f : Nat -> Nat
+{ f zero = zero
+; f (succ n) = k (Eq Nat (f zero) zero) (refl Nat zero) n
+}
+""",
+        [], ("TYPE-MISMATCH", (10, 51), "expected 'Eq Nat (f zero) zero', got 'Eq Nat zero zero'")),
+}
+
+
+@pytest.mark.parametrize("name", UNFOLD_PATHS)
+def test_unfold_path(name):
+    src, outputs, diagnostic = UNFOLD_PATHS[name]
+    r = check_source(src, "<t>")
+    d = r.diagnostic
+    assert (r.outputs, d and (d.code, d.pos, d.message)) == (outputs, diagnostic)
+
+
+class TestReadbackShape:
+    """Eval output is built once, in its final shape: a 5000-deep numeral
+    reads back as 5000 `App` nodes around one shared `succ` leaf, with no
+    other memory per level, and a bare constructor evaluates to the one
+    value its entry holds."""
+
+    SRC = NAT + """fun add : Nat -> Nat -> Nat
+{ add  zero    y = y
+; add (succ x) y = succ (add x y)
+}
+fun rep : Nat -> Nat -> Nat
+{ rep  zero    n = zero
+; rep (succ k) n = add n (rep k n)
+}
+""" + f"let r : Nat = rep {numeral(50)} {numeral(100)}\n"
+    LEVELS = 5000
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        ch, _, _ = build(self.SRC)
+        ev = ch.ev
+        v = ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        ev.reset_budget()
+        ev.readback(v)  # forces every level
+        return ev, v
+
+    def test_one_succ_leaf(self, deep):
+        ev, v = deep
+        ev.reset_budget()
+        e, leaves, levels = ev.readback(v), set(), 0
+        while isinstance(e, App):
+            leaves.add(id(e.fun))
+            levels += 1
+            e = e.arg
+        assert (levels, len(leaves), type(e)) == (self.LEVELS, 1, Con)
+
+    def test_peak_per_level(self, deep):
+        import tracemalloc
+
+        ev, v = deep
+        ev.reset_budget()
+        tracemalloc.start()
+        try:
+            e = ev.readback(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(e, App)
+        assert peak / self.LEVELS <= 100
+
+    def test_bare_constructor_is_one_value(self, deep):
+        ev, _ = deep
+        zero = Con(ev.sig.by_text["zero"])
+        assert ev.evaluate({}, zero) is ev.evaluate({}, zero)

@@ -1,10 +1,11 @@
-"""Core syntax: the Pi binders the parser keeps, spines, the polarity lattice
-and scope checking."""
+"""Core syntax: the Pi binders the parser and readback keep, spines, the
+polarity lattice and scope checking."""
 
 import itertools
 
 import pytest
 
+from sizedcheck import check_source
 from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
@@ -87,6 +88,30 @@ class TestKeptBinders:
         assert isinstance(d, DataDecl) and [p.name.text for p in d.params] == ["A"]
         assert [p.kind_binder and p.kind_binder.text for p in d.params] == params
         assert _kept(d.index_sig) == index
+
+
+class TestReadBinders:
+    """Readback drops a relevant Pi binder that its codomain's readback never
+    reads, as the parser drops one that nothing reads in the source, so a
+    codomain that reads the binder only before evaluation prints as an
+    arrow.  A parametric binder keeps its name, and so does one read only in
+    a size."""
+
+    PRELUDE = (NAT + SNAT_PARAMETRIC + "let K : Nat -> Set = \\ n -> Nat\n"
+               "let KS : Size -> Set = \\ j -> SNat ($ j)\n")
+
+    @pytest.mark.parametrize("decl, shown", [
+        ("eval let T : Set = (x : Nat) -> K x", "T = Nat -> Nat"),
+        ("let f : (x : Nat) -> K x = Set", "Set checked against 'Nat -> Nat'"),
+        ("eval let T : Set = (y : Nat) -> (x : Nat) -> K x", "T = Nat -> Nat -> Nat"),
+        ("eval let T : Set = [x : Nat] -> K x", "T = [x : Nat] -> Nat"),
+        ("eval let T : Set = (i : Size) -> SNat i", "T = (i : Size) -> SNat i"),
+        ("eval let T : Set = (i : Size) -> KS i", "T = (i : Size) -> SNat ($ i)"),
+        ("eval let T : Set = (A : Set) -> (x : A) -> A", "T = (A : Set) -> A -> A"),
+    ])
+    def test_readback(self, decl, shown):
+        r = check_source(self.PRELUDE + decl + "\n", "<t>")
+        assert (r.outputs[-1] if r.diagnostic is None else r.diagnostic.message) == shown
 
 
 class TestSpine:
