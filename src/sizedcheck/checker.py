@@ -6,11 +6,11 @@ Subtyping, with size entailment and declared polarities, is the evaluator's
 
 Elaboration annotates the parser's tree in place; it builds no second tree.
 Each application node gets the annotation of the Pi it applies, and a size
-variable passed as a size argument becomes `Size(SVar x)`, which the unfold
-memo keys by its normal form.  A Pi link gets its elaborated domain and
-codomain, a lambda chain its elaborated body, a case its elaborated
-scrutinee and branches, and a constructor pattern the constructor it names
-in the scrutinee's type.  A tree is checked once, and nothing reads it
+variable passed as a size argument becomes `Size(((x, 0),))`, a size of one
+pair, which the unfold memo keys by its normal form.  A Pi link gets its
+elaborated domain and codomain, a lambda chain its elaborated body, a case
+its elaborated scrutinee and branches, and a constructor pattern the
+constructor it names in the scrutinee's type.  A tree is checked once, and nothing reads it
 before, so annotating it loses nothing: the signature's clauses and lets
 hold the parser's own nodes.
 
@@ -79,13 +79,9 @@ from .syntax import (
     SetU,
     Size,
     SizeU,
-    SMeta,
-    SVar,
     Var,
     fresh_ident,
     leq_pol,
-    size_metas,
-    size_vars,
 )
 from .totality import (
     admissibility_check,
@@ -281,12 +277,10 @@ class Checker:
         cv: Value,
         pos: Pos,
     ) -> ConEntry:
+        # cv has one Pi per parameter around the checked type, so the
+        # telescope holds at least the parameters
         n_params = len(params)
         binders, t = self.ev.telescope(cv)
-        if len(binders) < n_params:
-            raise Diagnostic(
-                "TYPE-MISMATCH", "constructor type ends before its parameters", pos
-            )
         n_fixed = n_params + (1 if d.sized else 0)
         if d.sized and (len(binders) == n_params or not isinstance(binders[n_params][1], VSizeU)):
             raise Diagnostic(
@@ -469,10 +463,10 @@ class Checker:
         vals: list[Value] = []
         for k, p in enumerate(patterns):
             t = self.ev.whnf(t)
-            if not isinstance(t, VPi):
-                raise Diagnostic(
-                    "TYPE-MISMATCH", "more patterns than the type has arguments", p.pos
-                )
+            # the telescope of fresh variables was as long (`check_fun_decl`,
+            # `ConEntry.arity`), and a pattern's value unfolds a type as a
+            # fresh variable does, or further
+            assert isinstance(t, VPi), "more patterns than the type has arguments"
             designated = fun is not None and k == fun.size_param
             ctx, val, obls = self._elab_pattern(ctx, t, p, fun, designated)
             obligations.extend(obls)
@@ -611,11 +605,8 @@ class Checker:
         # the size argument
         if centry.has_size:
             ct = self.ev.whnf(ct)
+            # a checked type's size argument is a size: `as_size` admits no other
             s_ns = self.ev.size_view(self.ev.force(dty.args[centry.n_params]))
-            if s_ns is None:
-                raise Diagnostic(
-                    "TYPE-MISMATCH", "scrutinee size index is not a size", p.pos
-                )
             sub = p.args[centry.n_params]
             if s_ns.is_atom() and s_ns.atom()[1] == 0 and not s_ns.is_infty():
                 base, _ = s_ns.atom()
@@ -746,10 +737,12 @@ class Checker:
         return top
 
     def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> Size:
-        """e as a size term; a size variable becomes `Size(SVar x)`."""
+        """e as a size term; a size variable becomes `Size(((x, 0),))`.  Its
+        variables are checked in source order, so the first bad one is the
+        one reported, and then its holes are recorded."""
         t = type(e)
         if t is Var:
-            e = Size(SVar(e.name), e.pos)
+            e = Size(((e.name, 0),), e.pos)
         elif t is not Size:
             raise Diagnostic(
                 "TYPE-MISMATCH",
@@ -757,21 +750,25 @@ class Checker:
                 e.pos,
             )
         s = e.size
-        for x in size_vars(s):
+        for x, _ in s:
+            if type(x) is not Ident:
+                continue
             b = ctx.lookup(x)
             if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
                 raise Diagnostic(
                     "TYPE-MISMATCH", f"'{x.text}' is not a size variable", e.pos
                 )
             self._use_check(ctx, x, erased, e.pos)
-        for m in size_metas(s):
+        for m, _ in s:
+            if type(m) is not Meta:
+                continue
             if ctx.state is None:
                 raise Diagnostic(
                     "UNSOLVED-META",
                     "size holes are only allowed on clause right-hand sides",
                     e.pos,
                 )
-            ctx.state.metas.add(m)
+            ctx.state.metas.add(m.mid)
         return e
 
     def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
@@ -791,7 +788,7 @@ class Checker:
             assert b is not None, f"unbound variable {x!r} after scope checking"
             self._use_check(ctx, x, erased, e.pos)
             if isinstance(self.ev.whnf(b.type), VSizeU):
-                return Size(SVar(x), e.pos), b.type
+                return Size(((x, 0),), e.pos), b.type
             return e, b.type
         if t is Def:
             entry = self.sig[e.name]
@@ -939,7 +936,8 @@ class Checker:
         elif t is Size:
             if isinstance(expected, VSizeU):
                 return self.as_size(ctx, e, erased)
-            if type(e.size) is SMeta:
+            s = e.size
+            if len(s) == 1 and type(s[0][0]) is Meta and s[0][1] == 0:
                 raise Diagnostic(
                     "UNSOLVED-META",
                     f"a hole '_' stands for a size, but "

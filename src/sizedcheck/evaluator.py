@@ -4,10 +4,12 @@ readback, and one comparison for both subtyping and conversion.
 Readback is one walk from values to syntax with two modes: `quote` reads
 back structurally, for diagnostics and the size-case rule, and
 `readback` displays eval output (unfolding, eliding coinductive layers past
-the print depth, erasing parametric sizes, costing fuel).  A size hole is
-read through the signature's table of solved holes, which holds each solution
-as a normal form: `eval_size` normalizes a solved hole as its solution, read
-under the environment, so elaborated syntax is never rewritten.
+the print depth, erasing parametric sizes, costing fuel).  A size is read
+back as a `Size` that holds its normal form's pairs, the same tuple of
+(base, successors) pairs the parser builds.  `eval_size` reads a size's
+pairs through `sizes.normalize`: a variable as the environment binds it, and
+a hole through the signature's table of solved holes, as its solution read
+under the same environment, so elaborated syntax is never rewritten.
 
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
@@ -52,16 +54,17 @@ argument at a time, and an n-argument call costs one new value and one
 unfold attempt, not n of each.
 
 The walks that run once per node (`evaluate`, `_match`, `size_view` and
-`_read` here, `sizes.normalize`, and the checker's `check`, `infer` and
-`_infer_atom`) read the node's exact class once and branch on it with `is`
-tests, the most frequent classes first.  A `match` over class patterns would
-make one `isinstance` test per arm that fails: a `Size` node passed eight of
-them before its own arm.  Every node class is a leaf class, so the exact
-class picks the arm a class pattern would (`tests/test_dispatch.py` holds
-both).  A chain of lambdas, of Pi types or of constructors nested in their
-last argument (a numeral, a list) is read back in a loop, as `pretty` prints
-a chain of applications in their last argument, so such a value of any depth
-reads back and prints at the default recursion limit.  The chain is linked
+`_read` here, and the checker's `check`, `infer` and `_infer_atom`) read the
+node's exact class once and branch on it with `is` tests, the most frequent
+classes first; `sizes.normalize` does the same with the base of each pair.
+A `match` over class patterns would make one `isinstance` test per arm that
+fails: a `Size` node passed eight of them before its own arm.  Every node
+class is a leaf class, so the exact class picks the arm a class pattern would
+(`tests/test_dispatch.py` holds both).  A chain of lambdas, of Pi types or of
+constructors nested in their last argument (a numeral, a list) is read back
+in a loop, as `pretty` prints a chain of applications in their last argument,
+so such a value of any depth reads back and prints at the default recursion
+limit.  The chain is linked
 outermost first, each node into the one before it as soon as it is made, so
 the tree is built once in its final shape; a constructor reads back as the
 one `Con` leaf its entry holds and an erased argument as one shared `_`.
@@ -86,6 +89,7 @@ from __future__ import annotations
 from .diagnostics import Diagnostic
 from .signature import DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
+    Meta,
     NormalSize,
     OffsetOverflow,
     Rel,
@@ -95,7 +99,6 @@ from .sizes import (
     normalize,
     ns_var,
     pred,
-    to_size_expr,
 )
 from .syntax import (
     Annot,
@@ -122,7 +125,6 @@ from .syntax import (
     SetU,
     Size,
     SizeU,
-    SMeta,
     Var,
     fresh_ident,
 )
@@ -157,7 +159,7 @@ _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
 # the last field of each node that `_read` links into a chain
 _OPEN = {Lam: "body", Pi: "codomain", App: "arg"}
 # every erased argument of eval output reads back as this one leaf
-_ERASED = Size(SMeta(-1))
+_ERASED = Size(((Meta(-1), 0),))
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -582,7 +584,7 @@ class Evaluator:
         elif t is VSize:
             for b, _ in v.size.pairs:
                 read.add(b)
-            e = Size(to_size_expr(v.size))
+            e = Size(v.size.pairs)
         elif t is VSet:
             e = SetU()
         elif t is VSizeU:

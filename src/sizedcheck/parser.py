@@ -16,7 +16,12 @@ in it, so neither costs stack.
 
 Names are resolved as they are read, by the rules of `scope.py`, so the
 parser builds the one tree the checker reads: a binder is a fresh Ident, a
-use is the Ident it names, and a size hole gets its number.  A relevant Pi
+use is the Ident it names, and a size hole gets its number.  A size is read
+as the tuple of (base, successors) pairs whose max it is (see `sizes`): a
+name is ((x, 0),), `#` the one ((INFTY, 0),), `_` its hole's one pair, a `$`
+run shifts every pair of the size it ends in and `max a b` joins the tuples
+of a and b.  Nothing is pruned, sorted or bounded here, so a size past
+`sizes.MAX_OFFSET` is refused where it is evaluated.  A relevant Pi
 binder that nothing reads is dropped, and so is a data kind's (`kind_binder`),
 so `pretty` prints such a Pi as an arrow.  A dot pattern may name a variable
 bound later in its left-hand side, so it is read twice: where it stands, to
@@ -30,6 +35,7 @@ import re
 
 from .diagnostics import Diagnostic
 from .scope import Scope
+from .sizes import INFTY_SIZE, Meta
 from .syntax import (
     App,
     CaseData,
@@ -57,13 +63,7 @@ from .syntax import (
     Record,
     SetU,
     Size,
-    SizeExpr,
     SizeU,
-    SINFTY,
-    SMax,
-    SMeta,
-    SSucc,
-    SVar,
     Var,
 )
 
@@ -347,8 +347,7 @@ class _Parser:
                 if outer:
                     self.size_pos = p
                 if t == "max":
-                    a = self.size_atom()
-                    s = SMax(a, self.size_atom())
+                    s = self.size_atom() + self.size_atom()
                 else:
                     s = self.successors()
                 if outer:
@@ -357,21 +356,21 @@ class _Parser:
             case "case":
                 return self.case(p)
             case "#":
-                return Size(SINFTY, p)
+                return Size(INFTY_SIZE, p)
             case "_":
                 self.sc.metas += 1
-                return Size(SMeta(self.sc.metas), p)
+                return Size(((Meta(self.sc.metas), 0),), p)
             case "(":
                 e = self.expr()
                 self.expect(")")
                 return e
         raise self.error(f"expected an expression, found {_found(t)}", k)
 
-    def successors(self) -> SizeExpr:
+    def successors(self) -> tuple:
         """The rest of a `$` run, read in a loop with every `( $` group
-        nested in it, as `$ ($ ($ i))` prints.  A group that holds more than
-        its size is read again from its `(` as an expression, which reports
-        the fault."""
+        nested in it, as `$ ($ ($ i))` prints; the run shifts every pair of
+        the size it ends in.  A group that holds more than its size is read
+        again from its `(` as an expression, which reports the fault."""
         texts = self.texts
         n, opens = 1, []
         while True:
@@ -389,9 +388,7 @@ class _Parser:
                 self.size_atom()
                 raise AssertionError("a size group read again must be refused")
             self.i += 1
-        for _ in range(n):
-            s = SSucc(s)
-        return s
+        return tuple([(b, k + n) for b, k in s])
 
     def case(self, p) -> Expr:
         """A case, or a size case if its one branch is `($ j)`; the case's own
@@ -410,7 +407,7 @@ class _Parser:
                 )
         elif isinstance(scrut, (Var, Size)):
             ((pat, body),) = branches
-            s = SVar(scrut.name) if isinstance(scrut, Var) else scrut.size
+            s = ((scrut.name, 0),) if isinstance(scrut, Var) else scrut.size
             return CaseSize(s, pat.child, body, p)
         elif scrut_fault is None:
             sc.fault = Diagnostic(
@@ -429,11 +426,11 @@ class _Parser:
         sc.restore(mark)
         return pat, body
 
-    def size_atom(self) -> SizeExpr:
+    def size_atom(self) -> tuple:
         k = self.i
         e = self.atom()
         if isinstance(e, Var):
-            return SVar(e.name)
+            return ((e.name, 0),)
         if isinstance(e, Size):
             return e.size
         raise self.error("expected a size expression", k)

@@ -2,8 +2,8 @@
 
 Output re-parses to an alpha-equivalent tree with minimal parenthesization;
 names that clash textually get a numeric suffix in order of appearance.
-Chains of binders, of successors and of applications in their last argument
-are printed in a loop, so their length costs no stack."""
+Chains of binders, of successors, of a size's pairs and of applications in
+their last argument are printed in a loop, so their length costs no stack."""
 
 from __future__ import annotations
 
@@ -33,16 +33,11 @@ from .syntax import (
     PWild,
     SetU,
     Size,
-    SizeExpr,
     SizeU,
-    SInfty,
-    SMax,
-    SMeta,
-    SSucc,
-    SVar,
     Var,
     spine,
 )
+from .sizes import INFTY
 
 
 class _Namer:
@@ -72,30 +67,32 @@ def pretty(e: Expr, namer: _Namer | None = None) -> str:
     return _expr(e, namer or _Namer())
 
 
-def _size(s: SizeExpr, nm: _Namer) -> str:
-    match s:
-        case SVar(name=x):
-            return nm.name(x)
-        case SInfty():
-            return "#"
-        case SMeta():
-            return "_"
-        case SSucc():
-            n = 0  # a chain of successors is printed in a loop
-            while isinstance(s, SSucc):
-                s = s.arg
-                n += 1
-            return "$ (" * (n - 1) + "$ " + _size_atom(s, nm) + ")" * (n - 1)
-        case SMax(left=a, right=b):
-            return f"max {_size_atom(a, nm)} {_size_atom(b, nm)}"
-    raise AssertionError(s)
+def _size(s: tuple, nm: _Namer) -> str:
+    """The pairs of a size as a binary max folded to the left, each pair
+    with its successors nested: ((i, 1), (j, 0), (k, 0)) prints as
+    `max (max ($ i) j) k`."""
+    if len(s) == 1:
+        return _pair(*s[0], nm)
+    text = f"max {_pair_atom(*s[0], nm)} {_pair_atom(*s[1], nm)}"
+    for b, n in s[2:]:
+        text = f"max ({text}) {_pair_atom(b, n, nm)}"
+    return text
 
 
-def _size_atom(s: SizeExpr, nm: _Namer) -> str:
+def _pair(b, n: int, nm: _Namer) -> str:
+    base = "#" if b is INFTY else nm.name(b) if isinstance(b, Ident) else "_"
+    if n == 0:
+        return base
+    return "$ (" * (n - 1) + "$ " + base + ")" * (n - 1)
+
+
+def _pair_atom(b, n: int, nm: _Namer) -> str:
+    return _pair(b, n, nm) if n == 0 else f"({_pair(b, n, nm)})"
+
+
+def _size_atom(s: tuple, nm: _Namer) -> str:
     t = _size(s, nm)
-    if isinstance(s, (SSucc, SMax)):
-        return f"({t})"
-    return t
+    return t if len(s) == 1 and s[0][1] == 0 else f"({t})"
 
 
 def _is_atomic(e: Expr) -> bool:
@@ -103,7 +100,7 @@ def _is_atomic(e: Expr) -> bool:
         case Var() | Def() | Con() | SetU() | SizeU() | Elided():
             return True
         case Size(size=s):
-            return isinstance(s, (SVar, SInfty, SMeta))
+            return len(s) == 1 and s[0][1] == 0
         case _:
             return False
 

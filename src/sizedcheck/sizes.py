@@ -1,25 +1,20 @@
 """Size algebra: canonical forms for size expressions, entailment of size
 inequalities under a hypothesis context, and solving of size holes.
 
-A canonical form is a tuple of (base, offset) pairs in one fixed order,
-chosen where the form is built, so no reader sorts it again."""
+A size has one form from parser to printer: a tuple of (base, successors)
+pairs read as their max, where a base is a variable (an `Ident`), a hole (a
+`Meta`) or `INFTY`.  As the parser writes it, the pairs are in source order
+and may repeat a base; `normalize` reads them under an environment and the
+table of solved holes.  A canonical form, `NormalSize`, holds such a tuple
+with distinct bases in one fixed order, chosen where the form is built, so no
+reader sorts it again."""
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
 
-from .syntax import (
-    Ident,
-    Record,
-    SINFTY,
-    SInfty,
-    SizeExpr,
-    SMax,
-    SMeta,
-    SSucc,
-    SVar,
-)
+from .syntax import Ident, Record
 
 MAX_OFFSET = 1 << 16
 
@@ -126,8 +121,10 @@ def _ordered(pairs: tuple) -> NormalSize:
     return ns
 
 
-# the one #: a NormalSize is never changed, so every # can be this one
-_NS_INFTY = _ordered(((INFTY, 0),))
+# the one # of the syntax, and its normal form: neither is ever changed, so
+# every # can be these
+INFTY_SIZE = ((INFTY, 0),)
+_NS_INFTY = _ordered(INFTY_SIZE)
 
 
 def _prune(pairs) -> NormalSize:
@@ -184,73 +181,36 @@ def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
     return _prune(a.pairs + b.pairs)
 
 
-def normalize(
-    s: SizeExpr, lookup=None, holes: dict[int, NormalSize] | None = None
-) -> NormalSize:
-    """Fold successors into offsets, collapse $ # to #, flatten max.
-
-    `lookup` optionally maps a size variable to an already-normalized size
-    (used when evaluating under an environment).  `holes` optionally maps
-    solved size holes to their solutions, normal forms that name no hole;
-    a solved hole normalizes as its solution read under the same lookup,
-    as if the solution were written in place of the hole."""
-    t = type(s)
-    if t is SVar:
-        if lookup is not None:
-            ns = lookup(s.name)
-            if ns is not None:
-                return ns
-        return ns_var(s.name)
-    if t is SMeta:
-        m = s.mid
-        sol = holes.get(m) if holes else None
-        if sol is None:
-            return ns_meta(m)
-        if lookup is None or sol.is_infty():
-            return sol
-        return _read_solution(sol, lookup)
-    if t is SSucc:
-        n = 0
-        while type(s) is SSucc:
-            s = s.arg
-            n += 1
-        return bump(normalize(s, lookup, holes), n)
-    if t is SInfty:
-        return ns_infty()
-    if t is SMax:
-        return ns_max(normalize(s.left, lookup, holes), normalize(s.right, lookup, holes))
-    raise AssertionError(f"normalize: unhandled {s!r}")
-
-
-def _read_solution(sol: NormalSize, lookup) -> NormalSize:
-    # each variable pair reads as its value under lookup, shifted by the
-    # pair's offset; the variables are looked up in printing order
-    out = None
-    for b, n in sol.pairs:
-        assert isinstance(b, Ident), f"a hole solution names a hole: {sol!r}"
-        val = lookup(b)
-        val = bump(ns_var(b) if val is None else val, n)
-        out = val if out is None else ns_max(out, val)
-    return out
-
-
-def to_size_expr(ns: NormalSize) -> SizeExpr:
-    def atom(b: Base, n: int) -> SizeExpr:
-        if b is INFTY:
-            e: SizeExpr = SINFTY
-        elif isinstance(b, Meta):
-            e = SMeta(b.mid)
+def normalize(size: tuple, lookup=None, holes: dict[int, NormalSize] | None = None) -> NormalSize:
+    """The normal form of a size written as a tuple of (base, successors)
+    pairs, read as their max, as the parser builds it.  Each pair is read in
+    order: a variable as `lookup` maps it (an already-normalized size), or
+    as itself; a hole as its solution in `holes` (a normal form that names no
+    hole) read under the same lookup, as if the solution were written in
+    place of the hole, or as itself while unsolved; `#` as #.  Its
+    successors are added with `bump`, and the max is taken over all pairs,
+    so a pair past MAX_OFFSET raises even beside a #.  A size of one pair
+    that stands for itself is its own normal form, on the same tuple."""
+    out = []
+    for b, n in size:
+        if type(b) is Ident:
+            val = lookup(b) if lookup is not None else None
+        elif b is INFTY:
+            val = _NS_INFTY
         else:
-            e = SVar(b)
-        for _ in range(n):
-            e = SSucc(e)
-        return e
-
-    parts = ns.pairs
-    e = atom(*parts[0])
-    for b, n in parts[1:]:
-        e = SMax(e, atom(b, n))
-    return e
+            val = holes.get(b.mid) if holes else None
+            if val is not None and lookup is not None and not val.is_infty():
+                val = normalize(val.pairs, lookup)
+        if val is None:
+            if n > MAX_OFFSET:
+                raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
+            out.append((b, n))
+        else:
+            val = bump(val, n)
+            out += val.pairs
+    if len(size) > 1:
+        return _prune(out)
+    return _ordered(size) if val is None else val
 
 
 def _pair_key(pair):

@@ -1,6 +1,8 @@
-"""Abstract syntax: identifiers, polarities, size expressions, terms,
-patterns and declarations, plus spines, and `Record`, the base of the
-package's slotted classes."""
+"""Abstract syntax: identifiers, polarities, terms, patterns and
+declarations, plus spines, and `Record`, the base of the package's slotted
+classes.  A size expression has no tree of its own: a `Size` term and a
+size case's scrutinee hold it as the tuple of (base, successors) pairs whose
+max it is, the form `sizes.normalize` reads."""
 
 from __future__ import annotations
 
@@ -136,86 +138,6 @@ def join(p: Polarity, q: Polarity) -> Polarity:
 
 
 # ---------------------------------------------------------------------------
-# Size expressions
-
-
-class SizeExpr(Record):
-    __slots__ = ()
-
-
-class SVar(SizeExpr):
-    """Size variable: i"""
-
-    __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: Ident):
-        self.name = name
-
-
-class SSucc(SizeExpr):
-    """Successor: $ s"""
-
-    __slots__ = __match_args__ = ("arg",)
-
-    def __init__(self, arg: SizeExpr):
-        self.arg = arg
-
-
-class SInfty(SizeExpr):
-    """Infinity: #"""
-
-    __slots__ = __match_args__ = ()
-
-
-SINFTY = SInfty()  # the one #: it holds nothing
-
-
-class SMax(SizeExpr):
-    """Binary maximum: max s t"""
-
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: SizeExpr, right: SizeExpr):
-        self.left = left
-        self.right = right
-
-
-class SMeta(SizeExpr):
-    """Size hole on a right-hand side: _"""
-
-    __slots__ = __match_args__ = ("mid",)
-
-    def __init__(self, mid: int):
-        self.mid = mid
-
-
-def size_vars(s: SizeExpr) -> list[Ident]:
-    """The variables of s in source order, so a check that reports the first
-    bad one reports the same one in every run."""
-    while isinstance(s, SSucc):
-        s = s.arg
-    match s:
-        case SVar(name=x):
-            return [x]
-        case SMax(left=a, right=b):
-            return size_vars(a) + size_vars(b)
-        case _:
-            return []
-
-
-def size_metas(s: SizeExpr) -> set[int]:
-    while isinstance(s, SSucc):
-        s = s.arg
-    match s:
-        case SMax(left=a, right=b):
-            return size_metas(a) | size_metas(b)
-        case SMeta(mid=m):
-            return {m}
-        case _:
-            return set()
-
-
-# ---------------------------------------------------------------------------
 # Terms
 
 
@@ -312,21 +234,24 @@ class App(Expr):
 
 
 class Size(Expr):
-    """A size expression used as a term: #, ($ i), (max i j), _"""
+    """A size expression used as a term: #, ($ i), (max i j), _.  `size` is
+    a tuple of (base, successors) pairs read as their max, in source order
+    (see `sizes`): `$ (max i #)` is ((i, 1), (INFTY, 1))."""
 
     __slots__ = __match_args__ = ("size", "pos")
 
-    def __init__(self, size: SizeExpr, pos: Pos = NOPOS):
+    def __init__(self, size: tuple, pos: Pos = NOPOS):
         self.size = size
         self.pos = pos
 
 
 class CaseSize(Expr):
-    """Right-hand-side match on a size variable: case i { ($ j) -> e }"""
+    """Right-hand-side match on a size variable: case i { ($ j) -> e }; the
+    scrutinee is a size's tuple of pairs, as `Size.size` is."""
 
     __slots__ = __match_args__ = ("scrut", "binder", "branch", "pos")
 
-    def __init__(self, scrut: SizeExpr, binder: Ident, branch: Expr, pos: Pos = NOPOS):
+    def __init__(self, scrut: tuple, binder: Ident, branch: Expr, pos: Pos = NOPOS):
         self.scrut = scrut
         self.binder = binder
         self.branch = branch

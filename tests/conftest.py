@@ -33,14 +33,11 @@ from sizedcheck.syntax import (
     PWild,
     SetU,
     Size,
+    Ident,
     SizeU,
-    SInfty,
-    SMax,
-    SMeta,
-    SSucc,
-    SVar,
     Var,
 )
+from sizedcheck.sizes import INFTY, Meta
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -119,19 +116,16 @@ def alpha_eq_programs(ds1, ds2) -> bool:
     def bind(a, b):
         pairing[a.uid] = b.uid
 
+    def base(x, y) -> bool:
+        if type(x) is Ident and type(y) is Ident:
+            return idents(x, y)
+        return (x is INFTY and y is INFTY) or (type(x) is Meta and type(y) is Meta)
+
     def size(a, b) -> bool:
-        match a, b:
-            case (SVar(x), SVar(y)):
-                return idents(x, y)
-            case (SSucc(p), SSucc(q)):
-                return size(p, q)
-            case (SInfty(), SInfty()):
-                return True
-            case (SMax(p, q), SMax(r, s)):
-                return size(p, r) and size(q, s)
-            case (SMeta(_), SMeta(_)):
-                return True
-        return False
+        # two sizes' pairs, in source order
+        return len(a) == len(b) and all(
+            m == n and base(x, y) for (x, m), (y, n) in zip(a, b)
+        )
 
     def pat_bind(a, b) -> bool:
         match a, b:

@@ -5,15 +5,34 @@ where top is the closure ordinal #: successor is absorbed at top only, and
 size variables range over {0..6, omega}.  Streams get a tiny lazy-list
 implementation mirroring the paper equations.  Two substitutions that only
 the property tests use, on size expressions and on normal forms, live here
-too."""
+too.
+
+Size expressions as trees (`SVar`, `SSucc`, `SInfty`, `SMax`, `SMeta`) and
+their recursive normalizer, `tree_normalize`, are the reference for
+`sizes.normalize`, which reads the flat tuple of (base, successors) pairs the
+parser builds; `tree_pairs` flattens a tree as the parser does, and
+`tree_source` prints one as source."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 
-from sizedcheck.sizes import INFTY, NormalSize, Rel, SizeCtx, bump, ns_max, ns_var
-from sizedcheck.syntax import Ident, SizeExpr, SMax, SSucc, SVar
+from sizedcheck.sizes import (
+    INFTY,
+    Meta,
+    NormalSize,
+    OffsetOverflow,
+    Rel,
+    SizeCtx,
+    bump,
+    ns_infty,
+    ns_max,
+    ns_var,
+)
+from sizedcheck.parser import parse_source
+from sizedcheck.syntax import Ident, Lam, Var
 
 FIN, OM, TOP = 0, 1, 2
 VAR_RANGE = [(FIN, k) for k in range(7)] + [(OM, 0)]
@@ -85,7 +104,170 @@ def semantically_valid(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> 
     return all(holds(v, a, rel, b) for v in satisfying_valuations(ctx))
 
 
-def subst_size(s: SizeExpr, x: Ident, r: SizeExpr) -> SizeExpr:
+# -- size expressions as trees: the reference for sizes.normalize -----------
+
+
+@dataclass(frozen=True)
+class SVar:
+    """Size variable: i"""
+
+    name: Ident
+
+
+@dataclass(frozen=True)
+class SSucc:
+    """Successor: $ s"""
+
+    arg: object
+
+
+@dataclass(frozen=True)
+class SInfty:
+    """Infinity: #"""
+
+
+@dataclass(frozen=True)
+class SMax:
+    """Binary maximum: max s t"""
+
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class SMeta:
+    """Size hole: _"""
+
+    mid: int
+
+
+def tree_normalize(s, lookup=None, holes: dict[int, NormalSize] | None = None) -> NormalSize:
+    """The normal form of a tree, the recursive way: a max is pruned before
+    a successor above it is added, so `$ (max i #)` is # whatever i is.  A
+    solved hole is its solution read under the same lookup."""
+    match s:
+        case SVar(name=x):
+            if lookup is not None:
+                ns = lookup(x)
+                if ns is not None:
+                    return ns
+            return ns_var(x)
+        case SMeta(mid=m):
+            sol = holes.get(m) if holes else None
+            if sol is None:
+                return NormalSize([(Meta(m), 0)])
+            if lookup is None or sol.is_infty():
+                return sol
+            out = None
+            for b, n in sol.pairs:
+                val = lookup(b)
+                val = bump(ns_var(b) if val is None else val, n)
+                out = val if out is None else ns_max(out, val)
+            return out
+        case SSucc():
+            n = 0
+            while isinstance(s, SSucc):
+                s = s.arg
+                n += 1
+            return bump(tree_normalize(s, lookup, holes), n)
+        case SInfty():
+            return ns_infty()
+        case SMax(left=a, right=b):
+            return ns_max(tree_normalize(a, lookup, holes), tree_normalize(b, lookup, holes))
+    raise AssertionError(f"tree_normalize: unhandled {s!r}")
+
+
+def tree_pairs(s) -> tuple:
+    """The parser's form of a tree: its (base, successors) pairs in source
+    order, each shifted by the successors above it."""
+    match s:
+        case SVar(name=x):
+            return ((x, 0),)
+        case SMeta(mid=m):
+            return ((Meta(m), 0),)
+        case SInfty():
+            return ((INFTY, 0),)
+        case SSucc(arg=a):
+            return tuple((b, n + 1) for b, n in tree_pairs(a))
+        case SMax(left=a, right=b):
+            return tree_pairs(a) + tree_pairs(b)
+    raise AssertionError(s)
+
+
+def tree_source(s) -> str:
+    """A tree as the source text that parses to it: `$ ($ i)`, `max a b`."""
+    match s:
+        case SVar(name=x):
+            return x.text
+        case SMeta():
+            return "_"
+        case SInfty():
+            return "#"
+        case SSucc(arg=a):
+            return f"$ ({tree_source(a)})"
+        case SMax(left=a, right=b):
+            return f"max ({tree_source(a)}) ({tree_source(b)})"
+    raise AssertionError(s)
+
+
+def parse_size(text: str, names=("i", "j", "k")) -> tuple[tuple, dict[str, Ident]]:
+    """The pairs the parser builds for the size `text` where the size
+    variables `names` are bound, and those variables by name.  A bare
+    variable parses as a `Var`, which the checker reads as its one pair."""
+    binders = "".join(f"({x} : Size) -> " for x in names)
+    lams = "".join(f"\\ {x} -> " for x in names)
+    (decl,) = parse_source(f"let t : {binders}Size = {lams}{text}")
+    e, bound = decl.body, {}
+    while isinstance(e, Lam):
+        bound[e.binder.text] = e.binder
+        e = e.body
+    return (((e.name, 0),) if isinstance(e, Var) else e.size), bound
+
+
+def size_tree(ns: NormalSize):
+    """A normal form as a tree: its pairs as a left-folded max of successor
+    chains."""
+    def atom(b, n):
+        e = SInfty() if b is INFTY else SMeta(b.mid) if isinstance(b, Meta) else SVar(b)
+        for _ in range(n):
+            e = SSucc(e)
+        return e
+
+    return reduce(SMax, [atom(b, n) for b, n in ns.pairs])
+
+
+def push_successors(s):
+    """s with every successor moved below the maxes under it, `$ (max a b)`
+    to `max ($ a) ($ b)`: the tree whose recursive reading is the reading of
+    its pairs."""
+    match s:
+        case SSucc(arg=a):
+            a = push_successors(a)
+            if isinstance(a, SMax):
+                return SMax(push_successors(SSucc(a.left)), push_successors(SSucc(a.right)))
+            return SSucc(a)
+        case SMax(left=a, right=b):
+            return SMax(push_successors(a), push_successors(b))
+    return s
+
+
+def absorbs_before_shift(s, lookup=None, holes=None) -> bool:
+    """The one place where the pairs of s and its tree disagree: a `$` over
+    a `max` that holds # (written, or a variable or solved hole that reads as
+    #).  The tree absorbs the # before the shift, so it reads as #, while the
+    pairs shift every base first, and one is pushed past MAX_OFFSET."""
+    try:
+        tree_normalize(push_successors(s), lookup, holes)
+        return False
+    except OffsetOverflow:
+        pass
+    try:
+        return tree_normalize(s, lookup, holes) == ns_infty()
+    except OffsetOverflow:
+        return False
+
+
+def subst_size(s, x: Ident, r):
     """s with the size variable x replaced by r."""
     match s:
         case SVar(y):

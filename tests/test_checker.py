@@ -410,7 +410,8 @@ eval let two : SNat # = inc2 # (zero #)
         ch, _, _ = build(src)
         entry = ch.sig.entries[ch.sig.by_text["inc2"].uid]
         from sizedcheck.cli import RunConfig, check_source
-        from sizedcheck.syntax import size_metas, Size, App, Lam
+        from sizedcheck.sizes import Meta
+        from sizedcheck.syntax import Size, App, Lam
 
         def metas_in(e):
             match e:
@@ -419,7 +420,7 @@ eval let two : SNat # = inc2 # (zero #)
                 case Lam(_, b):
                     return metas_in(b)
                 case Size(s):
-                    return size_metas(s)
+                    return {b.mid for b, _ in s if type(b) is Meta}
                 case _:
                     return set()
 

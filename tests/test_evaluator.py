@@ -8,10 +8,10 @@ from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.scope import scope_check
-from sizedcheck.sizes import SizeCtx, ns_infty, ns_var
+from sizedcheck.sizes import INFTY, INFTY_SIZE, SizeCtx, ns_infty, ns_var
 from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.syntax import (
-    NOPOS, App, Annot, Con, Def, Elided, Pi, SetU, SInfty, Size, SSucc, fresh_ident,
+    NOPOS, App, Annot, Con, Def, Elided, Pi, SetU, Size, fresh_ident,
 )
 from sizedcheck.values import Thunk, VCon, VDef, VNe, VSize
 
@@ -314,8 +314,8 @@ eval let s : Nat =
         ev = ch.ev
         fib = Def(ch.sig.by_text["fib"])
         ev.reset_budget()
-        at_infty = ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC))
-        at_succ_infty = ev.evaluate({}, App(fib, Size(SSucc(SInfty())), Annot.PARAMETRIC))
+        at_infty = ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))
+        at_succ_infty = ev.evaluate({}, App(fib, Size(((INFTY, 1),)), Annot.PARAMETRIC))
         v = ev.whnf(at_infty)
         assert isinstance(v, VCon) and ev.steps == 1
         assert ev.whnf(at_succ_infty) is v
@@ -326,9 +326,9 @@ eval let s : Nat =
         ev = ch.ev
         fib = Def(ch.sig.by_text["fib"])
         ev.reset_budget()
-        v = ev.whnf(ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC)))
+        v = ev.whnf(ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC)))
         ev.reset_budget()
-        assert ev.whnf(ev.evaluate({}, App(fib, Size(SInfty()), Annot.PARAMETRIC))) is not v
+        assert ev.whnf(ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))) is not v
         assert ev.steps == 1
 
 

@@ -3,7 +3,7 @@ is built once.
 
 After `Checker.check_program`, every term and pattern node that the
 signature's clauses and lets hold is, by identity, a node the parser made;
-the only new nodes are the `Size(SVar x)` nodes made for size variables
+the only new nodes are the `Size(((x, 0),))` nodes made for size variables
 passed as size arguments.  An AST scan keeps the checker from constructing
 tree nodes, and the universes, data types and funs evaluate to one value
 each."""
@@ -19,23 +19,22 @@ from sizedcheck.checker import Checker
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
 from sizedcheck.signature import FunEntry, LetEntry
-from sizedcheck.sizes import ns_infty, to_size_expr
+from sizedcheck.sizes import INFTY_SIZE, normalize, ns_infty
 from sizedcheck.syntax import (
-    SINFTY,
     App,
     Clause,
     ConSpec,
     Declaration,
     Def,
     Expr,
+    Ident,
     ParamSpec,
     Pattern,
     SetU,
     Size,
     SizeU,
-    SVar,
 )
-from sizedcheck.values import VSET, VSIZEU
+from sizedcheck.values import VSET, VSIZEU, VSize
 
 from conftest import NAT, SNAT_PARAMETRIC, accept_sources, build
 
@@ -45,8 +44,8 @@ _WALKED = (Expr, Pattern, Declaration, Clause, ParamSpec, ConSpec)
 
 
 def _nodes(roots) -> dict[int, object]:
-    """Every node reachable from roots, by id; a `Size` node's size
-    expression is not walked.  The dict holds the nodes, so no id is reused
+    """Every node reachable from roots, by id; a `Size` node's pairs hold
+    no node.  The dict holds the nodes, so no id is reused
     while it lives."""
     seen: dict[int, object] = {}
     stack = list(roots)
@@ -86,7 +85,9 @@ def test_signature_holds_the_parsers_nodes(name):
             roots.append(entry.body)
     checked = _nodes(roots)
     new = [x for k, x in checked.items() if k not in parsed]
-    assert [x for x in new if not (type(x) is Size and type(x.size) is SVar)] == []
+    assert [x for x in new if not (
+        type(x) is Size and len(x.size) == 1 and type(x.size[0][0]) is Ident
+        and x.size[0][1] == 0)] == []
     assert any(type(x) is App for x in checked.values())
 
 
@@ -128,6 +129,7 @@ def test_nullary_values_are_built_once():
 
 
 def test_one_infinity():
-    _, decls, _ = build("let s : Size = #\n")
-    assert decls[0].body.size is SINFTY
-    assert to_size_expr(ns_infty()) is SINFTY
+    ch, decls, _ = build("let s : Size = #\n")
+    assert decls[0].body.size is INFTY_SIZE
+    assert normalize(INFTY_SIZE) is ns_infty()
+    assert ch.ev.quote(VSize(ns_infty())).size is INFTY_SIZE

@@ -7,6 +7,7 @@ from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.parser import parse_source, tokenize
 from sizedcheck.pretty import pretty, pretty_program
 from sizedcheck.scope import scope_check
+from sizedcheck.sizes import INFTY
 from sizedcheck.syntax import (
     Annot,
     App,
@@ -20,10 +21,7 @@ from sizedcheck.syntax import (
     PVar,
     SetU,
     Size,
-    SInfty,
     SizeU,
-    SSucc,
-    SVar,
     LineTable,
     fresh_ident,
 )
@@ -90,7 +88,7 @@ fun minus : [i : Size] -> SNat i -> SNat # -> SNat i
         assert isinstance(mid[2], PCon) and mid[2].con.text == "zero"
         (dot,) = mid[2].args
         assert isinstance(dot, PDot) and isinstance(dot.expr, Size)
-        assert isinstance(dot.expr.size, SInfty)
+        assert dot.expr.size == ((INFTY, 0),)
 
     def test_plain_let(self):
         (d,) = parse_source("let x : Set = Set")
@@ -233,7 +231,7 @@ class TestPretty:
 
         j = fresh_ident("j")
         i = fresh_ident("i")
-        assert pretty(CaseSize(SVar(i), j, SetU())) == "case i { ($ j) -> Set }"
+        assert pretty(CaseSize(((i, 0),), j, SetU())) == "case i { ($ j) -> Set }"
 
     @pytest.mark.parametrize("name", sorted(accept_sources()))
     def test_roundtrip_over_corpus(self, name):

@@ -41,6 +41,8 @@ LIST = NAT + "data List (A : Set) : Set { nil : List A ; cons : A -> List A -> L
 SNAT = NAT + ("sized data SNat : Size -> Set\n{ szero : [i : Size] -> SNat ($ i)\n"
               "; ssucc : [i : Size] -> SNat i -> SNat ($ i)\n}\n")
 BOOL = NAT + "data Bool : Set { tt : Bool ; ff : Bool }\n"
+VEC = NAT + ("data Vec (A : Set) : Nat -> Set\n{ nil : Vec A zero\n"
+             "; cons : (n : Nat) -> A -> Vec A n -> Vec A (succ n)\n}\n")
 
 ONLY_VARIABLES = "only variable patterns may match an inner size argument"
 SIZE_REL_OUTSIDE = "size patterns (i > j) belong inside constructor patterns"
@@ -128,6 +130,22 @@ REJECTIONS = {
         SNAT + "fun f : [i : Size] -> [j : Size] -> SNat (max i j) -> Nat\n"
         "{ f i j (szero .i) = zero\n}\n",
         "SIZE-PATTERN-REQUIRED", "cannot match at a max-shaped size index", (10, 16)),
+    "constructor, size pattern relating another index": (
+        SNAT + "fun f : [i : Size] -> [k : Size] -> SNat i -> Nat\n"
+        "{ f i k (ssucc (k > j) n) = zero\n}\n",
+        "SIZE-PATTERN-REQUIRED", "size pattern must relate the matched index 'i', found 'k'",
+        (10, 16)),
+    "constructor, variable at a variable size": (
+        SNAT + "fun f : [i : Size] -> SNat i -> Nat\n{ f i (ssucc j n) = zero\n}\n",
+        "SIZE-PATTERN-REQUIRED", "matching at a variable size requires a size pattern (i > j)",
+        (10, 14)),
+    # there is no unification: an index past the size must convert as written
+    "constructor, index of another value": (
+        VEC + "fun f : (n : Nat) -> Vec Nat (succ n) -> Nat\n{ f n (nil .Nat) = zero\n}\n",
+        "TYPE-MISMATCH", "index 1 of 'nil' does not match the scrutinee type", (10, 7)),
+    "case branch, index of another value": (
+        VEC + "let f : Vec Nat zero -> Nat = \\ v -> case v { (cons .Nat m x xs) -> zero }\n",
+        "TYPE-MISMATCH", "index 1 of 'cons' does not match the scrutinee type", (9, 47)),
     "constructor of another type": (
         BOOL + "fun f : Nat -> Nat\n{ f tt = zero\n}\n",
         "TYPE-MISMATCH", "'tt' is not a constructor of 'Nat'", (7, 5)),

@@ -15,8 +15,6 @@ from sizedcheck.syntax import (
     Polarity,
     SetU,
     Size,
-    SSucc,
-    SVar,
     Var,
     fresh_ident,
 )
@@ -62,10 +60,7 @@ def arrow(dom, cod):
 
 
 def size(w, succs=0):
-    s = SVar(w.ids["i"])
-    for _ in range(succs):
-        s = SSucc(s)
-    return Size(s)
+    return Size(((w.ids["i"], succs),))
 
 
 # (case, subject, type built from the fixture's names, expected polarity)

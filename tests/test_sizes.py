@@ -5,7 +5,9 @@ import pytest
 
 from sizedcheck import sizes
 from sizedcheck.sizes import (
+    INFTY,
     Ambiguous,
+    Meta,
     NormalSize,
     Rel,
     ShadowedVariable,
@@ -22,9 +24,8 @@ from sizedcheck.sizes import (
     ns_meta,
     ns_var,
     solve_metas,
-    to_size_expr,
 )
-from sizedcheck.syntax import SInfty, SMax, SMeta, SSucc, SVar, fresh_ident
+from sizedcheck.syntax import fresh_ident
 
 i = fresh_ident("i")
 j = fresh_ident("j")
@@ -40,35 +41,36 @@ def ctx_of(*vars_):
 
 class TestNormalize:
     def test_fold_two_successors(self):
-        assert normalize(SSucc(SSucc(SVar(i)))) == ns_var(i, 2)
+        assert normalize(((i, 2),)) == ns_var(i, 2)
 
     def test_successor_of_infinity_collapses(self):
-        assert normalize(SSucc(SInfty())) == ns_infty()
+        assert normalize(((INFTY, 1),)) == ns_infty()
 
     def test_max_dominance(self):
         # max ($ i) i = i+1, verified by brute force over valuations
-        got = normalize(SMax(SSucc(SVar(i)), SVar(i)))
+        got = normalize(((i, 1), (i, 0)))
         assert got == ns_var(i, 1)
         for v in range(6):
             assert max(v + 1, v) == v + 1
 
     def test_max_keeps_incomparable_bases(self):
-        got = normalize(SMax(SVar(i), SVar(j)))
+        got = normalize(((i, 0), (j, 0)))
         assert got == ns_max(ns_var(i), ns_var(j))
 
     def test_idempotent(self):
         cases = [
-            SSucc(SMax(SVar(i), SSucc(SVar(j)))),
-            SMax(SInfty(), SVar(i)),
-            SMeta(7),
+            ((i, 1), (j, 2)),  # $ (max i ($ j))
+            ((INFTY, 0), (i, 0)),  # max # i
+            ((Meta(7), 0),),  # _
         ]
         for s in cases:
             once = normalize(s)
-            assert normalize(to_size_expr(once)) == once
+            assert normalize(once.pairs) == once
 
     def test_roundtrip_through_expr(self):
         ns = ns_max(ns_var(i, 2), ns_var(j))
-        assert normalize(to_size_expr(ns)) == ns
+        # a size reads back as the pairs of its normal form
+        assert normalize(ns.pairs) == ns
 
 
 class TestEntails:

@@ -16,24 +16,21 @@ from sizedcheck.sizes import (
     ns_infty,
     ns_max,
     ns_var,
-    to_size_expr,
 )
-from sizedcheck.syntax import (
-    Ident,
+from sizedcheck.syntax import Ident, fresh_ident
+
+from oracle import (
     SInfty,
     SMax,
     SSucc,
     SVar,
-    fresh_ident,
-)
-
-from oracle import (
     all_valuations,
     satisfies,
     satisfying_valuations,
     semantically_valid,
     subst_base,
     subst_size,
+    tree_pairs,
 )
 
 
@@ -135,16 +132,16 @@ def size_exprs(draw, depth=3):
 class TestNormalizeLaws:
     @given(size_exprs())
     def test_idempotent(self, s):
-        once = normalize(s)
-        assert normalize(to_size_expr(once)) == once
+        once = normalize(tree_pairs(s))
+        assert normalize(once.pairs) == once
 
     @given(size_exprs(), st.integers(1, 3))
     def test_commutes_with_renaming(self, s, uid):
         old = Ident("i", 1)
         new = Ident("z", 77)
         renamed = subst_size(s, old, SVar(new))
-        direct = normalize(renamed)
-        via = normalize(s)
+        direct = normalize(tree_pairs(renamed))
+        via = normalize(tree_pairs(s))
         for b, n in via.pairs:
             assert b != new
         assert subst_base(via, old, ns_var(new)) == direct

@@ -3,7 +3,8 @@ with distinct bases in `_pair_key` order (variables by uid, then holes by
 id), `#` only as the lone pair (INFTY, 0), equal to and hashed like the same
 pairs given to the public constructor in any order.
 
-Hypothesis draws size expressions, lookups and solutions; the inputs of the
+Hypothesis draws size expressions (trees of `tests/oracle.py`, given to
+`normalize` as the parser's pairs), lookups and solutions; the inputs of the
 operations are themselves results of `normalize`, so each result checked
 here was built by the module's own constructors."""
 
@@ -26,6 +27,7 @@ from sizedcheck.sizes import (
     pred,
 )
 
+from oracle import tree_pairs
 from test_sizes_equivalence import MIDS, VARS, lookups, offsets, size_exprs, solutions
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -53,7 +55,7 @@ def check(f, *args) -> None:
 
 def read(s, env=None, sol=None) -> NormalSize | None:
     try:
-        return normalize(s, None if env is None else env.get, sol)
+        return normalize(tree_pairs(s), None if env is None else env.get, sol)
     except OffsetOverflow:
         return None
 
@@ -62,7 +64,7 @@ class TestEveryResultIsOrdered:
     @SETTINGS
     @given(size_exprs(), st.one_of(st.none(), lookups), solutions)
     def test_normalize(self, s, env, sol):
-        check(normalize, s, None if env is None else env.get, sol)
+        check(normalize, tree_pairs(s), None if env is None else env.get, sol)
 
     @SETTINGS
     @given(st.sampled_from(VARS), st.sampled_from(MIDS), offsets)
