@@ -22,7 +22,7 @@ the hole, so no clause or let body is rewritten."""
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
+from .evaluator import ARROW_BINDER, DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
 from .signature import (
     CallSite,
@@ -301,7 +301,7 @@ class Checker:
         # the target's parameters may mention the telescope's size variables
         sctx = SizeCtx()
         for _, dom, x in binders:
-            if isinstance(dom, VSizeU):
+            if x is not None and isinstance(dom, VSizeU):
                 sctx = sctx.declare(_bound_var(x))
         for k in range(n_params):
             if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2], sctx):
@@ -313,7 +313,9 @@ class Checker:
                 )
 
         if d.sized:
-            size_var = _bound_var(binders[n_params][2])
+            # an arrow from Size binds no variable, so no target carries its successor
+            x = binders[n_params][2]
+            size_var = ARROW_BINDER if x is None else _bound_var(x)
             ts = self.ev.size_view(self.ev.force(t.args[n_params]))
             if ts is None or not ts.is_atom() or ts.atom() != (size_var, 1):
                 raise Diagnostic(
@@ -513,7 +515,7 @@ class Checker:
                     )
                 i_star = fresh_ident(pi.binder.text)
                 residual = self.ev.close(pi.closure, VSize(ns_var(i_star)))
-                reason = admissibility_check(self.ev, residual, i_star, cofun=True)
+                reason = admissibility_check(self.ev, residual, i_star)
                 if reason is not None:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
                 ctx = ctx.bind(j, dom, pi.annot)
@@ -750,15 +752,7 @@ class Checker:
                 e.pos,
             )
         s = e.size
-        for x, _ in s:
-            if type(x) is not Ident:
-                continue
-            b = ctx.lookup(x)
-            if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
-                raise Diagnostic(
-                    "TYPE-MISMATCH", f"'{x.text}' is not a size variable", e.pos
-                )
-            self._use_check(ctx, x, erased, e.pos)
+        self._check_size_vars(ctx, s, erased, e.pos)
         for m, _ in s:
             if type(m) is not Meta:
                 continue
@@ -770,6 +764,17 @@ class Checker:
                 )
             ctx.state.metas.add(m.mid)
         return e
+
+    def _check_size_vars(self, ctx: Ctx, s: tuple, erased: bool, pos: Pos):
+        """Each variable of the size pairs s is a size variable that may be
+        used where s is, checked in source order."""
+        for x, _ in s:
+            if type(x) is not Ident:
+                continue
+            b = ctx.lookup(x)
+            if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
+                raise Diagnostic("TYPE-MISMATCH", f"'{x.text}' is not a size variable", pos)
+            self._use_check(ctx, x, erased, pos)
 
     def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
         b = ctx.lookup(x)
@@ -956,6 +961,8 @@ class Checker:
         return elab
 
     def _check_case_size(self, ctx: Ctx, e: CaseSize, expected: Value, erased: bool) -> Expr:
+        # the match is computationally irrelevant, so its scrutinee is erased
+        self._check_size_vars(ctx, e.scrut, True, e.pos)
         ns = self.ev.eval_size(ctx.env, e.scrut)
         if not (ns.is_atom() and not ns.is_infty() and ns.atom()[1] == 0
                 and isinstance(ns.atom()[0], Ident)):
@@ -965,7 +972,7 @@ class Checker:
                 e.pos,
             )
         i: Ident = ns.atom()[0]
-        reason = admissibility_check(self.ev, expected, i, cofun=True)
+        reason = admissibility_check(self.ev, expected, i)
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
         # in the branch i stands for $ j; it is parametric there, as j is

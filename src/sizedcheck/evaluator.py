@@ -34,7 +34,12 @@ depends only on the closure's environment, which nothing mutates.
 application, subtyping, conversion) gets the same value, with no copied
 environment and no fresh variable, and two such codomains are compared with
 no variable bound.  A codomain that unfolds definitions therefore pays fuel
-only on its first instantiation, whichever declaration makes it.
+only on its first instantiation, whichever declaration makes it.  The same
+holds for any body at `#`, the one closed size: sizes are erased, so a type
+instantiated at `#` (`ssucc #`, `fib #`) is always the same value, and
+`close` keeps it in the same slot; a body at a size variable or at a size
+with a hole is evaluated afresh each time.  `telescope` mints no variable for
+an arrow, whose codomain could not read it.
 
 Application is one routine, `apply`, which takes a whole spine.  `evaluate`
 walks the left spine of `f a1 ... an` in one loop, suspends each argument as a
@@ -80,15 +85,19 @@ Pi types compares its domains the other way round and its codomains at the
 relation.  Every other pair is compared for equality: sizes, universes,
 constructors, lambdas, and neutral or defined heads with their spines.
 Under LE both sides are put in whnf first, strictly, so an unmatched closed
-value raises STUCK-MATCH; under EQ a defined head is unfolded only when the
-two sides differ, never strictly, and two sizes a, b are constrained as
-a <= b before b <= a, which fixes the order of the constraint dump."""
+value raises STUCK-MATCH; two sides that are then one object, a universe or a
+data type with no argument, are subtypes at once, since such a type holds no
+hole and so adds no constraint.  Under EQ a defined head is unfolded only
+when the two sides differ, never strictly, and two sizes a, b are
+constrained as a <= b before b <= a, which fixes the order of the
+constraint dump."""
 
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
 from .signature import DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
+    INFTY,
     Meta,
     NormalSize,
     OffsetOverflow,
@@ -149,7 +158,7 @@ from .values import (
 _NOMATCH = object()
 _STUCK = object()
 # the binder of every arrow's VPi: displayed, never bound
-_ARROW = fresh_ident("_x")
+ARROW_BINDER = fresh_ident("_x")
 # the hot paths read these on every call or argument; reading an enum member
 # through its class costs a descriptor call in CPython 3.11, about ten times a
 # global's cost
@@ -245,7 +254,7 @@ class Evaluator:
         if t is Pi:
             binder = e.binder
             clo = Closure(env, binder, e.codomain)
-            return VPi(e.annot, binder or _ARROW, self.evaluate(env, e.domain), clo)
+            return VPi(e.annot, binder or ARROW_BINDER, self.evaluate(env, e.domain), clo)
         if t is Lam:
             return VLam(e.binder, Closure(env, e.binder, e.body))
         if t is SetU:
@@ -331,10 +340,15 @@ class Evaluator:
     def close(self, clo: Closure, v: Value | Thunk | None) -> Value:
         """The body of clo with its binder bound to v, a value or a thunk,
         which is bound as it is and forced only if the body reads it.  A body
-        that cannot mention its binder ignores v and is evaluated only once."""
+        that cannot mention its binder ignores v and is evaluated only once;
+        so is a body at the closed size # (see `Closure`)."""
         if clo.binder is None:
             if clo.value is None:
                 clo.value = self.evaluate(clo.env, clo.body)
+            return clo.value
+        if type(v) is VSize and v.size.pairs[0][0] is INFTY:  # `is_infty`, with no call
+            if clo.value is None:
+                clo.value = self.evaluate({**clo.env, clo.binder.uid: Thunk.of(v)}, clo.body)
             return clo.value
         env2 = dict(clo.env)
         env2[clo.binder.uid] = v if type(v) is Thunk else Thunk.of(v)
@@ -359,14 +373,16 @@ class Evaluator:
     ) -> tuple[list[tuple[Annot, Value, Value]], Value]:
         """Walk the Pi telescope of t, at most `limit` binders deep, binding
         each to a fresh variable; returns (annot, whnf domain, variable) per
-        binder and the whnf rest."""
-        binders: list[tuple[Annot, Value, Value]] = []
+        binder and the whnf rest.  An arrow's codomain cannot read its
+        argument, so an arrow gets no variable: None stands in its place."""
+        binders: list[tuple[Annot, Value, Value | None]] = []
         t = self.whnf(t)
         while isinstance(t, VPi) and len(binders) != limit:
             dom = self.whnf(t.domain)
-            x = self.fresh_neutral(t.binder.text, dom)
+            clo = t.closure
+            x = None if clo.binder is None else self.fresh_neutral(clo.binder.text, dom)
             binders.append((t.annot, dom, x))
-            t = self.whnf(self.close(t.closure, x))
+            t = self.whnf(self.close(clo, x))
         return binders, t
 
     # -- definition unfolding -------------------------------------------------
@@ -659,6 +675,11 @@ class Evaluator:
         the module docstring."""
         if rel is _LE:
             a, b = self.whnf(a), self.whnf(b)
+            if a is b:
+                # a type that holds no size holds no hole, so it adds no constraint
+                t = type(a)
+                if t is VData and not a.args or t is VSet or t is VSizeU:
+                    return True
         elif a is b:
             return True
         # data and Pi pairs are decided first: the size and unfolding cases

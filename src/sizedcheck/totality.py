@@ -121,31 +121,26 @@ def _sized_data_at(ev, t: Value, i: Ident, coinductive: bool) -> bool:
     return polarity_of(i, t, ev) is entry.variances[n_params]
 
 
-def admissibility_check(ev, residual: Value, i: Ident, cofun: bool) -> str | None:
+def admissibility_check(ev, residual: Value, i: Ident) -> str | None:
     """Check that matching size variable i against a successor pattern is
-    sound for the remaining type `residual`.  Returns a reason on failure.
+    sound for the remaining type `residual` of a corecursive definition.
+    Returns a reason on failure.
 
-    For corecursion every domain must be antitone in i or a sized inductive
-    type at exactly i, and the result must be a sized coinductive type at
-    exactly i; for recursion the dual reading applies."""
+    Every domain must be antitone in i or a sized inductive type at exactly
+    i, and the result must be a sized coinductive type at exactly i."""
     binders, t = ev.telescope(residual)
-    good_dom = Polarity.NEG if cofun else Polarity.POS
     for _, d, _ in binders:
-        p = polarity_of(i, d, ev)
-        if leq_pol(p, good_dom):
+        if leq_pol(polarity_of(i, d, ev), Polarity.NEG):
             continue
-        if _sized_data_at(ev, d, i, coinductive=not cofun):
+        if _sized_data_at(ev, d, i, coinductive=False):
             continue
-        kind = "antitone" if cofun else "monotone"
-        other = "inductive" if cofun else "coinductive"
         return (
-            f"argument type '{pretty(ev.quote(d))}' is neither {kind} "
-            f"nor sized {other} at '{i.text}'"
+            f"argument type '{pretty(ev.quote(d))}' is neither antitone "
+            f"nor sized inductive at '{i.text}'"
         )
-    if not _sized_data_at(ev, t, i, coinductive=cofun):
-        want = "coinductive" if cofun else "inductive"
+    if not _sized_data_at(ev, t, i, coinductive=True):
         return (
-            f"result type '{pretty(ev.quote(t))}' is not a sized {want} "
+            f"result type '{pretty(ev.quote(t))}' is not a sized coinductive "
             f"type at exactly '{i.text}'"
         )
     return None

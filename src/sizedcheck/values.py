@@ -34,9 +34,11 @@ class Closure(Record):
     """A body under one binder, with the environment it was built in.
 
     The binder is None when the body cannot mention it: the codomain of an
-    arrow `A -> B`, to which the parser gives no binder.  Such a body has one
-    value whatever it is instantiated at, so `Evaluator.close` evaluates it
-    on the first instantiation and keeps the result in `value`."""
+    arrow `A -> B`, to which the parser gives no binder.  `value` is the body
+    evaluated once and kept by `Evaluator.close`: for such a body, its value
+    at every argument; for a body with a binder, its value at the closed
+    size `#`, which is the same whichever `#` it is given.  It is None until
+    the first such instantiation."""
 
     __slots__ = ("env", "binder", "body", "value")
 

@@ -5,7 +5,13 @@ sized constructor, the inference and checking arms, and the case rules.
 
 A few rows need a shape no corpus program has: a data type with a parameter
 of kind `Size -> Set`, which lets a sized type occur unapplied, short of its
-size, or under a lambda inside a constructor's argument type."""
+size, or under a lambda inside a constructor's argument type.
+
+Two more rows pin how the hole solver shifts a lower bound past the
+successors written on the hole's side (`sizes.solve_metas`): one solves only
+if the shift is made, one needs a predecessor and is rejected."""
+
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +61,9 @@ REJECTIONS = {
     "size case on a successor": (
         SNAT + "cofun f : [i : Size] -> SNat i\n{ f i = case ($ i) { ($ j) -> f j }\n}\n",
         "ADMISSIBILITY", "case on a size requires a plain size variable scrutinee", (10, 9)),
+    "size case on a variable that is not a size": (
+        NAT + "let f : Nat -> Nat = \\ x -> case x { ($ j) -> zero }\n",
+        "TYPE-MISMATCH", "'x' is not a size variable", (5, 29)),
     "case on a type": (
         NAT + "let x : Set -> Nat = \\ A -> case A { zero -> zero }\n",
         "TYPE-MISMATCH", "case scrutinee must have a data type, got 'Set'", (5, 29)),
@@ -70,3 +79,26 @@ def test_checker_rejection(name):
     d = check_source(src, "<test>").diagnostic
     assert d is not None
     assert (d.code, d.message, d.pos) == (code, message, pos)
+
+
+# the SNat of `corpus/accept/holes.ma`, then one let whose size hole has one
+# lower bound: n's size shifted by the successors of `succ ($ _)`, which
+# solves when n's size has a successor to spare and otherwise needs a
+# predecessor of i
+HOLES_SNAT = (Path(__file__).resolve().parent.parent / "corpus" / "accept"
+              / "holes.ma").read_text().split("\n\n")[1] + "\n"
+HOLE_BOUNDS = {
+    "hole bound shifted by the hole's successor": (
+        "let inc : [i : Size] -> SNat ($ i) -> SNat ($$ i) = \\ i -> \\ n -> succ ($ _) n\n",
+        None),
+    "hole bound that needs a predecessor": (
+        "let inc : [i : Size] -> SNat i -> SNat ($ i) = \\ i -> \\ n -> succ ($ _) n\n",
+        ("UNSOLVED-META", "size hole would need an expression 1 below i", (5, 1))),
+}
+
+
+@pytest.mark.parametrize("name", HOLE_BOUNDS)
+def test_hole_lower_bound(name):
+    src, want = HOLE_BOUNDS[name]
+    d = check_source(HOLES_SNAT + src, "<test>").diagnostic
+    assert (d and (d.code, d.message, d.pos)) == want

@@ -8,12 +8,12 @@ from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.scope import scope_check
-from sizedcheck.sizes import INFTY, INFTY_SIZE, SizeCtx, ns_infty, ns_var
+from sizedcheck.sizes import INFTY, INFTY_SIZE, Rel, SizeCtx, ns_infty, ns_meta, ns_var
 from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.syntax import (
     NOPOS, App, Annot, Con, Def, Elided, Pi, SetU, Size, fresh_ident,
 )
-from sizedcheck.values import Thunk, VCon, VDef, VNe, VSize
+from sizedcheck.values import VSET, VSIZEU, Thunk, VCon, VData, VDef, VNe, VSize
 
 from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build
 
@@ -321,6 +321,28 @@ eval let s : Nat =
         assert ev.whnf(at_succ_infty) is v
         assert ev.steps == 1  # the hit unfolded no clause
 
+    # doubly recursive: linear with the memo, exponential without it
+    DOUBLE = NAT + """data Bool : Set { true : Bool ; false : Bool }
+fun or : Bool -> Bool -> Bool
+{ or true  b = true
+; or false b = b
+}
+fun g : Nat -> Bool
+{ g  zero    = false
+; g (succ n) = or (g n) (g n)
+}
+""" + f"eval let r : Bool = g {numeral(18)}\n"
+
+    def test_doubly_recursive_fun_is_linear_in_its_argument(self):
+        ch, _, outputs = build(self.DOUBLE)
+        assert outputs == ["r = false"]
+        assert ch.ev.steps == 2 * 18 + 1  # g at 19 arguments, or at 18
+
+    def test_without_the_memo_it_runs_out_of_fuel(self, monkeypatch):
+        monkeypatch.setattr(Evaluator, "_memo_key", lambda self, th: object())
+        d = check_source(self.DOUBLE, "<t>").diagnostic
+        assert d is not None and d.code == "FUEL"
+
     def test_reset_budget_drops_the_memo(self):
         ch, _, _ = build(FIB)
         ev = ch.ev
@@ -415,6 +437,76 @@ class TestSharedCodomains:
         # each arrow keeps its own codomain, evaluated once
         assert ev.close(at_i.closure, VNe(fresh_ident("x"))) is ev.close(at_i.closure, None)
         assert ev.close(at_i.closure, None) is not ev.close(at_infty.closure, None)
+
+
+SSUCC = """sized data SNat : Size -> Set
+{ szero : [i : Size] -> SNat ($ i)
+; ssucc : [i : Size] -> SNat i -> SNat ($ i)
+}
+"""
+
+
+class TestValueAtInfinity:
+    def _ssucc(self):
+        ch, _, _ = build(NAT + SSUCC)
+        return ch, ch.sig.con(ch.sig.by_text["ssucc"]).type_value
+
+    def test_closed_at_infinity_twice_is_one_value(self):
+        ch, ty = self._ssucc()
+        ev = ch.ev
+        at_infty = ev.close(ty.closure, VSize(ns_infty()))
+        assert pretty(ev.quote(at_infty)) == "SNat # -> SNat #"
+        assert ev.close(ty.closure, VSize(ns_infty())) is at_infty
+
+    def test_value_at_a_variable_or_a_hole_is_not_kept(self):
+        ch, ty = self._ssucc()
+
+        def at(size):
+            return ch.ev.close(ty.closure, VSize(size))
+
+        i = fresh_ident("i")
+        assert at(ns_var(i)) is not at(ns_var(i))
+        assert at(ns_meta(0)) is not at(ns_meta(0))
+        assert ty.closure.value is None
+
+    def test_telescope_mints_no_variable_for_an_arrow(self):
+        ch, ty = self._ssucc()
+        (_, d1, x1), (_, d2, x2) = ch.ev.telescope(ty)[0]
+        assert d1 is VSIZEU and isinstance(x1, VSize) and x1.size.atom()[0].text == "i"
+        assert isinstance(d2, VData) and x2 is None
+        ch2, _, _ = build(arrows(5, lets=0))
+        binders, rest = ch2.ev.telescope(ch2.sig.fun(ch2.sig.by_text["f"]).type_value)
+        assert [x for _, _, x in binders] == [None] * 5
+        assert pretty(ch2.ev.quote(rest)) == "Nat"
+
+    def test_identical_closed_types_are_subtypes_without_a_walk(self, monkeypatch):
+        ch, _ = self._ssucc()
+        ev = ch.ev
+        calls = []
+        compare = Evaluator.compare
+
+        def counting(self, a, b, rel, sctx, col):
+            calls.append(rel)
+            return compare(self, a, b, rel, sctx, col)
+
+        def no_entailment(*args):
+            raise AssertionError("size_entails called")
+
+        monkeypatch.setattr(Evaluator, "compare", counting)
+        monkeypatch.setattr(Evaluator, "size_entails", no_entailment)
+        nat = ev.evaluate({}, Def(ch.sig.by_text["Nat"]))
+        for v in (nat, VSET, VSIZEU):
+            calls.clear()
+            assert ev.compare(v, v, Rel.LE, SizeCtx(), [])
+            assert calls == [Rel.LE]  # no EQ comparison behind it
+
+    def test_shared_type_with_a_hole_still_adds_its_constraint(self):
+        ch, _ = self._ssucc()
+        snat = ch.sig.by_text["SNat"]
+        v = VData(snat, (Thunk.of(VSize(ns_meta(7))),))
+        col = []
+        assert ch.ev.compare(v, v, Rel.LE, SizeCtx(), col)
+        assert [(str(c.lhs), str(c.rhs)) for c in col] == [("?7", "?7")]
 
 
 # a partial, an exact and an over-application of funs, one of which is stuck

@@ -1,15 +1,16 @@
 """Oracles for the evaluator's sharing.
 
 The evaluator shares work three ways: the unfold memo (keyed by a thunk's
-identity or a size's normal form), the arrow codomain kept on its
-`Closure.value`, and thunks passed on and forced once.  None of them may
+identity or a size's normal form), the value kept on a `Closure` (an arrow's
+codomain, or a body at the closed size #), and thunks passed on and forced
+once.  None of them may
 change an outcome.  Each oracle runs the corpus and the four bench
 workloads at seed 1 and compares with the evaluator as it is:
 
 - with the memo off (`Evaluator._memo_key` returns a fresh key, so no
   unfolding is found again), every outcome is the same;
-- with `Closure.value` never kept (every arrow codomain evaluated afresh),
-  every outcome is the same;
+- with `Closure.value` never kept (every arrow codomain and every body at
+  # evaluated afresh), every outcome is the same;
 - every eval output, checked as `let x_sr : T = <output>` after its own
   program, is ACCEPT (type preservation).
 
@@ -29,7 +30,7 @@ from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.syntax import LetDecl
-from sizedcheck.values import Closure
+from sizedcheck.values import Closure, Thunk
 
 from test_workload_snapshot import ROOT, _workloads, outcome
 
@@ -95,12 +96,11 @@ def test_memo_off_changes_no_outcome(programs, reference, monkeypatch):
 
 
 def test_unshared_arrow_codomains_change_no_outcome(programs, reference, monkeypatch):
-    close = Evaluator.close
-
     def close_afresh(self, clo: Closure, v):
         if clo.binder is None:
             return self.evaluate(clo.env, clo.body)
-        return close(self, clo, v)
+        return self.evaluate({**clo.env, clo.binder.uid: v if type(v) is Thunk else Thunk.of(v)},
+                             clo.body)
 
     monkeypatch.setattr(Evaluator, "close", close_afresh)
     found = _on_worker(lambda: _differences(programs, reference))
