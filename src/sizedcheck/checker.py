@@ -17,12 +17,18 @@ hold the parser's own nodes.
 Elaborated syntax keeps its size holes.  Once a clause or let body is
 checked, its holes are solved and each solution is stored once in the
 signature's hole table; the evaluator reads it there whenever it normalizes
-the hole, so no clause or let body is rewritten."""
+the hole, so no clause or let body is rewritten.
+
+Binding costs the same however many binders are in scope.  A declaration's
+typing context is one pair of maps, from binder to type and from binder to
+value, that each binder is added to in place (`Ctx`); only a size case,
+which rebinds its scrutinee, binds into a copy.  The size context grows one
+shared table in place the same way (`sizes.SizeCtx`)."""
 
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .evaluator import ARROW_BINDER, DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
+from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
 from .signature import (
     CallSite,
@@ -126,7 +132,14 @@ class ClauseState(Record):
 class Ctx:
     """Typing context: binding types and annotations, a semantic environment
     mapping each bound variable to its (usually neutral) value, the size
-    hypothesis set, and the state of the clause being checked, if any."""
+    hypothesis set, and the state of the clause being checked, if any.
+
+    One pair of maps serves a whole declaration: `bind` adds its binder to
+    them in place and returns a context that shares them, so n binders cost
+    n entries.  Every binder is a fresh uid and the parser has resolved
+    every name, so maps that also hold later or sibling binders give the
+    answer the context's own would to every lookup the program makes.  The
+    one rebinding, `_check_case_size`'s i := $ j, binds into a `fork`."""
 
     __slots__ = ("bindings", "env", "sctx", "state")
 
@@ -141,11 +154,13 @@ class Ctx:
         return self.state.collector if self.state is not None else None
 
     def _extended(self, x: Ident, b: _Binding, th: Thunk, sctx: SizeCtx) -> "Ctx":
-        bindings = dict(self.bindings)
-        env = dict(self.env)
-        bindings[x.uid] = b
-        env[x.uid] = th
-        return Ctx(bindings, env, sctx, self.state)
+        self.bindings[x.uid] = b
+        self.env[x.uid] = th
+        return Ctx(self.bindings, self.env, sctx, self.state)
+
+    def fork(self) -> "Ctx":
+        """The context with maps of its own, for a binding that replaces one."""
+        return Ctx(dict(self.bindings), dict(self.env), self.sctx, self.state)
 
     def bind(
         self,
@@ -313,9 +328,16 @@ class Checker:
                 )
 
         if d.sized:
-            # an arrow from Size binds no variable, so no target carries its successor
             x = binders[n_params][2]
-            size_var = ARROW_BINDER if x is None else _bound_var(x)
+            if x is None:
+                # an arrow from Size binds no variable for the target to carry
+                raise Diagnostic(
+                    "SIZE-INDEX-SHAPE",
+                    f"constructor '{cname.text}' of a sized type must name its "
+                    "size binder, as in '[i : Size] ->'",
+                    pos,
+                )
+            size_var = _bound_var(x)
             ts = self.ev.size_view(self.ev.force(t.args[n_params]))
             if ts is None or not ts.is_atom() or ts.atom() != (size_var, 1):
                 raise Diagnostic(
@@ -975,9 +997,10 @@ class Checker:
         reason = admissibility_check(self.ev, expected, i)
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
-        # in the branch i stands for $ j; it is parametric there, as j is
+        # in the branch i stands for $ j; it is parametric there, as j is.
+        # The branch binds into a fork: the expressions beside the case still read i
         j = e.binder
-        ctx2 = ctx.bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
+        ctx2 = ctx.fork().bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
         ctx2 = ctx2.bind_value(i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
         # re-evaluated from a readback: i = $ j in the size context changes hole solving
         expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))

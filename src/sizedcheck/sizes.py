@@ -11,8 +11,10 @@ reader sorts it again."""
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import reduce
+from itertools import islice
 
 from .syntax import Ident, Record
 
@@ -255,31 +257,60 @@ class OffsetOverflow(Exception):
 
 
 class SizeCtx(_Frozen):
-    """Hypotheses child < parent (or child <= parent) gathered from size and
-    successor patterns.  Children are always freshly bound, so the strict
-    edges are acyclic.  All operations return new contexts."""
+    """The size variables in scope and the hypotheses child < parent (or
+    child <= parent) gathered from size and successor patterns.  Contexts
+    that extend one another share one table, uid -> (depth, parent, strict,
+    variable), in the order the variables were bound, with parent None for a
+    variable declared with no hypothesis; a context reads the table up to its
+    own depth.  Extending the table's latest context adds to the table in
+    place; extending an older one first copies the part it can see.  So a
+    context never changes, and the ones kept in `ElabClause`, `CallSite` and
+    `SizeConstraint` give the answers they gave when taken.
 
-    __slots__ = ("scope", "edges")
+    Every hypothesis is on a freshly bound child, so a variable has at most
+    one and the strict edges are acyclic."""
 
-    def __init__(self, scope: frozenset = frozenset(), edges: tuple = ()):
-        _set(self, "scope", scope)
-        _set(self, "edges", edges)  # (child, parent NormalSize, strict)
+    __slots__ = ("table", "depth")
+
+    def __init__(self, table: dict | None = None, depth: int = 0):
+        _set(self, "table", table or {})
+        _set(self, "depth", depth)
+
+    @property
+    def scope(self) -> frozenset:
+        return frozenset(e[3] for e in islice(self.table.values(), self.depth))
+
+    @property
+    def edges(self) -> tuple:
+        """(child, parent NormalSize, strict) for each hypothesis, in order."""
+        return tuple((x, p, s) for _, p, s, x in islice(self.table.values(), self.depth)
+                     if p is not None)
+
+    def _extended(self, x: Ident, parent: NormalSize | None, strict: bool) -> "SizeCtx":
+        table, depth = self.table, self.depth
+        if table.get(x.uid, _UNSEEN)[0] < depth:
+            raise ShadowedVariable(x.text)
+        if parent is not None:
+            _check_scope(self, parent)
+        if len(table) != depth:
+            table = dict(islice(table.items(), depth))
+        table[x.uid] = (depth, parent, strict, x)
+        return SizeCtx(table, depth + 1)
 
     def declare(self, x: Ident) -> "SizeCtx":
-        if x in self.scope:
-            raise ShadowedVariable(x.text)
-        return SizeCtx(self.scope | {x}, self.edges)
+        return self._extended(x, None, False)
 
     def add(self, child: Ident, parent: NormalSize, strict: bool) -> "SizeCtx":
-        if child in self.scope:
-            raise ShadowedVariable(child.text)
-        missing = parent.vars() - self.scope
-        if missing:
-            raise UnknownVariable(next(iter(missing)).text)
-        return SizeCtx(self.scope | {child}, self.edges + ((child, parent, strict),))
+        return self._extended(child, parent, strict)
 
-    def out_edges(self, x: Ident):
-        return [(p, s) for c, p, s in self.edges if c == x]
+    def out_edges(self, x: Ident) -> tuple:
+        """x's hypothesis as a (parent, strict) pair, or none."""
+        depth, parent, strict, _ = self.table.get(x.uid, _UNSEEN)
+        return () if depth >= self.depth or parent is None else ((parent, strict),)
+
+
+# the table entry of a variable no context has bound: deeper than any context
+_UNSEEN = (sys.maxsize, None, False, None)
 
 
 class Rel(Enum):
@@ -289,9 +320,9 @@ class Rel(Enum):
 
 
 def _check_scope(ctx: SizeCtx, ns: NormalSize):
-    scope = ctx.scope
+    table = ctx.table
     for b, _ in ns.pairs:
-        if isinstance(b, Ident) and b not in scope:
+        if isinstance(b, Ident) and table.get(b.uid, _UNSEEN)[0] >= ctx.depth:
             raise UnknownVariable(b.text)
 
 

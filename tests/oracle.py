@@ -5,7 +5,8 @@ where top is the closure ordinal #: successor is absorbed at top only, and
 size variables range over {0..6, omega}.  Streams get a tiny lazy-list
 implementation mirroring the paper equations.  Two substitutions that only
 the property tests use, on size expressions and on normal forms, live here
-too.
+too, and so does `ListSizeCtx`, a size context that copies itself on every
+binding: the reference for `sizes.SizeCtx`, whose contexts share one table.
 
 Size expressions as trees (`SVar`, `SSucc`, `SInfty`, `SMax`, `SMeta`) and
 their recursive normalizer, `tree_normalize`, are the reference for
@@ -25,7 +26,9 @@ from sizedcheck.sizes import (
     NormalSize,
     OffsetOverflow,
     Rel,
+    ShadowedVariable,
     SizeCtx,
+    UnknownVariable,
     bump,
     ns_infty,
     ns_max,
@@ -102,6 +105,44 @@ def satisfying_valuations(ctx: SizeCtx):
 
 def semantically_valid(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
     return all(holds(v, a, rel, b) for v in satisfying_valuations(ctx))
+
+
+class ListSizeCtx:
+    """A size context as a frozenset of variables and a tuple of
+    (child, parent, strict) hypotheses, each binding making a new one, with
+    `out_edges` a scan of the hypotheses: the reference for `sizes.SizeCtx`."""
+
+    def __init__(self, scope: frozenset = frozenset(), edges: tuple = ()):
+        self.scope = scope
+        self.edges = edges
+
+    def declare(self, x: Ident) -> "ListSizeCtx":
+        if x in self.scope:
+            raise ShadowedVariable(x.text)
+        return ListSizeCtx(self.scope | {x}, self.edges)
+
+    def add(self, child: Ident, parent: NormalSize, strict: bool) -> "ListSizeCtx":
+        if child in self.scope:
+            raise ShadowedVariable(child.text)
+        missing = sorted(parent.vars() - self.scope, key=lambda x: x.uid)
+        if missing:
+            raise UnknownVariable(missing[0].text)
+        return ListSizeCtx(self.scope | {child}, self.edges + ((child, parent, strict),))
+
+    def out_edges(self, x: Ident) -> list:
+        return [(p, s) for c, p, s in self.edges if c == x]
+
+    def replay(self) -> SizeCtx:
+        """A SizeCtx built from nothing with the same variables and
+        hypotheses: the variables with no hypothesis first, by uid, then the
+        hypotheses in order, whose parents are all bound by then."""
+        children = {c for c, _, _ in self.edges}
+        ctx = SizeCtx()
+        for x in sorted(self.scope - children, key=lambda x: x.uid):
+            ctx = ctx.declare(x)
+        for c, p, s in self.edges:
+            ctx = ctx.add(c, p, s)
+        return ctx
 
 
 # -- size expressions as trees: the reference for sizes.normalize -----------

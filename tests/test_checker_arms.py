@@ -7,6 +7,11 @@ A few rows need a shape no corpus program has: a data type with a parameter
 of kind `Size -> Set`, which lets a sized type occur unapplied, short of its
 size, or under a lambda inside a constructor's argument type.
 
+Accepted programs pin what a rule lets through, with their eval output: a
+size case whose siblings still read the size it refines, a cofun argument
+that is sized inductive at exactly the matched size, and a size hole whose
+one lower bound is #.
+
 Two more rows pin how the hole solver shifts a lower bound past the
 successors written on the hole's side (`sizes.solve_metas`): one solves only
 if the shift is made, one needs a predecessor and is rejected."""
@@ -25,6 +30,9 @@ NAT = """data Nat : Set
 SNAT = NAT + ("sized data SNat : Size -> Set\n{ szero : [i : Size] -> SNat ($ i)\n"
               "; ssucc : [i : Size] -> SNat i -> SNat ($ i)\n}\n")
 WRAP = "data Wrap (F : Size -> Set) : Set { wrap : Wrap F }\n"
+STREAM = ("sized codata Stream ++(A : Set) : Size -> Set\n"
+          "{ cons : [i : Size] -> A -> Stream A i -> Stream A ($ i)\n}\n")
+ZEROS = "cofun zs : [i : Size] -> Stream Nat i\n{ zs ($ i) = cons Nat i zero (zs i)\n}\n"
 
 # (program, code, message, position)
 REJECTIONS = {
@@ -34,6 +42,17 @@ REJECTIONS = {
     "data signature ending in a data type": (
         NAT + "data D : Nat -> Nat { }\n",
         "TYPE-MISMATCH", "a data type signature must end in Set", (5, 1)),
+    "sized constructor with an arrow size binder": (
+        NAT + "sized data SNat : Size -> Set\n{ zero : Size -> SNat ($ #)\n}\n",
+        "SIZE-INDEX-SHAPE",
+        "constructor 'zero' of a sized type must name its size binder, as in '[i : Size] ->'",
+        (6, 3)),
+    # the parser makes an unread relevant size binder an arrow
+    "sized constructor with an unread size binder": (
+        NAT + "sized data SNat : Size -> Set\n{ zero : (i : Size) -> SNat #\n}\n",
+        "SIZE-INDEX-SHAPE",
+        "constructor 'zero' of a sized type must name its size binder, as in '[i : Size] ->'",
+        (6, 3)),
     "constructor of another type's target": (
         NAT + "data D : Set\n{ c : Nat\n}\n",
         "TYPE-MISMATCH", "constructor 'c' must target 'D'", (6, 3)),
@@ -64,6 +83,12 @@ REJECTIONS = {
     "size case on a variable that is not a size": (
         NAT + "let f : Nat -> Nat = \\ x -> case x { ($ j) -> zero }\n",
         "TYPE-MISMATCH", "'x' is not a size variable", (5, 29)),
+    "cofun argument sized inductive above the matched size": (
+        SNAT + STREAM + ZEROS
+        + "cofun g : [i : Size] -> SNat ($ i) -> Stream Nat i\n"
+        "{ g ($ i) n = cons Nat i zero (zs i)\n}\n",
+        "ADMISSIBILITY",
+        "argument type 'SNat ($ i)' is neither antitone nor sized inductive at 'i'", (16, 5)),
     "case on a type": (
         NAT + "let x : Set -> Nat = \\ A -> case A { zero -> zero }\n",
         "TYPE-MISMATCH", "case scrutinee must have a data type, got 'Set'", (5, 29)),
@@ -79,6 +104,35 @@ def test_checker_rejection(name):
     d = check_source(src, "<test>").diagnostic
     assert d is not None
     assert (d.code, d.message, d.pos) == (code, message, pos)
+
+
+# (program, eval output)
+ACCEPTS = {
+    # the branch rebinds i to $ j; the sibling argument `f i` must still
+    # read i, so the branch binds into a copy of the clause's context
+    "size case beside a use of its scrutinee": (
+        NAT + STREAM + "fun two : [A : Set] -> A -> A -> A\n{ two A x y = x\n}\n"
+        "cofun f : [i : Size] -> Stream Nat i\n"
+        "{ f ($ i) = cons Nat i zero (two (Stream Nat i) "
+        "(case i { ($ j) -> cons Nat j zero (f j) }) (f i))\n}\n",
+        []),
+    "cofun argument sized inductive at the matched size": (
+        SNAT + STREAM + ZEROS
+        + "cofun g : [i : Size] -> SNat i -> Stream Nat i\n"
+        "{ g ($ i) n = cons Nat i zero (zs i)\n}\n",
+        []),
+    "size hole bounded below by #": (
+        SNAT + "eval let a : SNat # = ssucc _ (szero #)\n",
+        ["a = ssucc _ (szero _)"]),
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTS)
+def test_checker_acceptance(name):
+    src, outputs = ACCEPTS[name]
+    result = check_source(src, "<test>")
+    assert result.diagnostic is None
+    assert result.outputs == outputs
 
 
 # the SNat of `corpus/accept/holes.ma`, then one let whose size hole has one

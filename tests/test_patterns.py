@@ -176,3 +176,13 @@ def test_pattern_rejection(name):
 ], ids=["size wildcard", "inner size variable", "inner size wildcard"])
 def test_variable_patterns_at_sizes_are_accepted(src):
     assert check_source(src, "<test>").diagnostic is None
+
+
+# a parameter argument of a constructor pattern is forced by the scrutinee's
+# type: a variable binds it, a wildcard ignores it
+@pytest.mark.parametrize("src", [
+    LIST + "fun f : List Nat -> Nat\n{ f (nil A) = zero\n; f (cons A x xs) = x\n}\n",
+    LIST + "fun f : List Nat -> Nat\n{ f (nil _) = zero\n; f (cons _ x xs) = x\n}\n",
+], ids=["forced parameter variable", "forced parameter wildcard"])
+def test_forced_parameter_patterns_are_accepted(src):
+    assert check_source(src, "<test>").diagnostic is None

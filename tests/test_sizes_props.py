@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from sizedcheck.sizes import (
     NormalSize,
     Rel,
+    ShadowedVariable,
     SizeCtx,
+    UnknownVariable,
     bump,
     entails,
     normalize,
@@ -20,6 +22,7 @@ from sizedcheck.sizes import (
 from sizedcheck.syntax import Ident, fresh_ident
 
 from oracle import (
+    ListSizeCtx,
     SInfty,
     SMax,
     SSucc,
@@ -183,3 +186,68 @@ class TestStrictIsIrreflexive:
             ctx = random_ctx(rng, rng.randrange(1, 4), rng.randrange(0, 4))
             a = random_size(rng, ctx)
             assert not entails(ctx, a, Rel.LT, a)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the scope error it raised."""
+    try:
+        return fn(*args)
+    except (ShadowedVariable, UnknownVariable) as e:
+        return (type(e), str(e))
+
+
+class TestSharedSnapshots:
+    """Contexts that extend one another share a table, and a context that is
+    extended after a later one copies what it sees: every context kept along
+    a branching sequence of bindings answers as a context that copies itself
+    on each binding, however the table grew after it was taken."""
+
+    def test_snapshots_answer_as_copying_contexts(self):
+        rng = random.Random(28)
+        raised = {ShadowedVariable: 0, UnknownVariable: 0}
+        elsewhere = 0  # a variable bound again, having been bound in another branch only
+        for _ in range(300):
+            kept = [(SizeCtx(), ListSizeCtx())]
+            made: list[Ident] = []
+            bound: set[Ident] = set()
+            for _ in range(rng.randrange(1, 16)):
+                # often the latest context, which grows the table in place
+                ctx, ref = kept[-1] if rng.random() < 0.5 else rng.choice(kept)
+                if made and rng.random() < 0.25:
+                    x = rng.choice(made)  # bound here, or only in another branch
+                else:
+                    x = fresh_ident(f"v{len(made)}")
+                    made.append(x)
+                if rng.random() < 0.4:
+                    step = ("declare", x)
+                else:
+                    parent = ns_infty()
+                    if made and rng.random() < 0.85:
+                        parent = ns_var(rng.choice(made), rng.randrange(0, 3))
+                        if rng.random() < 0.2:
+                            parent = ns_max(parent, ns_var(rng.choice(made)))
+                    step = ("add", x, parent, rng.random() < 0.8)
+                got = _outcome(getattr(ctx, step[0]), *step[1:])
+                want = _outcome(getattr(ref, step[0]), *step[1:])
+                if isinstance(want, tuple):
+                    assert got == want, step
+                    raised[want[0]] += 1
+                else:
+                    assert not isinstance(got, tuple), (step, got)
+                    elsewhere += x in bound
+                    bound.add(x)
+                    kept.append((got, want))
+            for ctx, ref in kept:
+                assert ctx.scope == ref.scope
+                assert ctx.edges == ref.edges
+                scratch = ref.replay()
+                for x in made:
+                    assert list(ctx.out_edges(x)) == ref.out_edges(x)
+                for _ in range(6):
+                    a = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else ns_infty()
+                    b = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else ns_infty()
+                    rel = Rel.LT if rng.random() < 0.4 else Rel.LE
+                    assert (_outcome(entails, ctx, a, rel, b)
+                            == _outcome(entails, scratch, a, rel, b)), (ref.edges, a, rel, b)
+        # the sequences reach both scope errors and bind across branches
+        assert min(raised.values()) > 20 and elsewhere > 20, (raised, elsewhere)
