@@ -19,11 +19,13 @@ checked, its holes are solved and each solution is stored once in the
 signature's hole table; the evaluator reads it there whenever it normalizes
 the hole, so no clause or let body is rewritten.
 
-Binding costs the same however many binders are in scope.  A declaration's
-typing context is one pair of maps, from binder to type and from binder to
-value, that each binder is added to in place (`Ctx`); only a size case,
-which rebinds its scrutinee, binds into a copy.  The size context grows one
-shared table in place the same way (`sizes.SizeCtx`)."""
+A declaration's typing context is one pair of maps, from binder to type and
+from binder to value, that each binder is added to in place (`Ctx`), so a
+bind copies no map.  Only a size case, which rebinds its scrutinee, binds
+into a copy of the whole pair, so n nested size cases still copy O(n^2)
+entries.  The size context grows one shared table in place the same way
+(`sizes.SizeCtx`).  A closure the evaluator builds over these maps holds
+them by reference and copies them whole each time it is entered."""
 
 from __future__ import annotations
 
@@ -139,7 +141,8 @@ class Ctx:
     n entries.  Every binder is a fresh uid and the parser has resolved
     every name, so maps that also hold later or sibling binders give the
     answer the context's own would to every lookup the program makes.  The
-    one rebinding, `_check_case_size`'s i := $ j, binds into a `fork`."""
+    one rebinding, `_check_case_size`'s i := $ j, binds into a `fork`, a
+    copy of both maps with every binder bound so far."""
 
     __slots__ = ("bindings", "env", "sctx", "state")
 

@@ -2,13 +2,13 @@
 
 Run from the repository root:
 
-    python tests/scaling_probe.py [--max N] [shape ...]
+    python tests/scaling_probe.py
 
 It checks four programs whose binders nest n deep and prints the wall time
-of `check_source` for each at n = 1000, 2000, 4000, ... up to N (16000 by
-default), with the ratio to the previous n.  A checker whose cost per binder
-does not depend on how many binders are already in scope doubles its time
-when n doubles.  The shapes:
+of `check_source` for each at n = 1000, 2000, 4000, 8000 and 16000, with
+the ratio to the previous n.  A checker whose cost per binder does not
+depend on how many binders are already in scope doubles its time when n
+doubles.  The shapes:
 
 - `lambda`: a lambda chain, `let f : Set -> ... -> Set = \\ x0 -> ... -> Set`;
 - `patterns`: a fun with n pattern variables, `f x0 ... = x0`;
@@ -23,7 +23,6 @@ does not start with `test_`, so pytest does not collect it; the count-based
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import threading
@@ -57,6 +56,8 @@ def nested_cases(n: int) -> str:
         body = f"case x{k} {{ zero -> zero ; (succ x{k + 1}) -> {body} }}"
     return NAT + f"let f : Nat -> Nat = \\ x0 -> {body}\n"
 
+
+SIZES = (1000, 2000, 4000, 8000, 16000)
 
 SHAPES = {
     "lambda": lambda_chain,
@@ -106,22 +107,14 @@ def timed_check(source: str) -> float:
     return elapsed
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--max", type=int, default=16000, help="largest n (default 16000)")
-    ap.add_argument("shapes", nargs="*", help=f"any of {', '.join(SHAPES)} (default all)")
-    args = ap.parse_args(argv)
-    unknown = [s for s in args.shapes if s not in SHAPES]
-    if unknown:
-        ap.error(f"unknown shape {unknown[0]!r}")
-    for name in args.shapes or SHAPES:
+def main() -> int:
+    for name, shape in SHAPES.items():
         prev = None
-        n = 1000
-        while n <= args.max:
-            ms = 1000 * run_deep(timed_check, SHAPES[name](n))
+        for n in SIZES:
+            ms = 1000 * run_deep(timed_check, shape(n))
             ratio = f"  x{ms / prev:.2f}" if prev else ""
             print(f"{name:9} n={n:6}  {ms:9.1f} ms{ratio}", flush=True)
-            prev, n = ms, 2 * n
+            prev = ms
     return 0
 
 
