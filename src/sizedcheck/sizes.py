@@ -7,7 +7,11 @@ pairs read as their max, where a base is a variable (an `Ident`), a hole (a
 and may repeat a base; `normalize` reads them under an environment and the
 table of solved holes.  A canonical form, `NormalSize`, holds such a tuple
 with distinct bases in one fixed order, chosen where the form is built, so no
-reader sorts it again."""
+reader sorts it again.
+
+`solve_metas` solves a clause's holes in dependency order by a depth-first
+walk whose path is a flat stack of (hole id, index of its next lower bound)
+ints, so a hole on the path costs no iterator, frame or set."""
 
 from __future__ import annotations
 
@@ -60,9 +64,7 @@ class Meta(_Frozen):
         _set(self, "mid", mid)
 
     def __eq__(self, other):
-        if type(other) is not Meta:
-            return NotImplemented
-        return self.mid == other.mid
+        return type(other) is Meta and self.mid == other.mid
 
     def __hash__(self):
         return hash((self.mid,))
@@ -130,12 +132,11 @@ _NS_INFTY = _ordered(INFTY_SIZE)
 
 
 def _prune(pairs) -> NormalSize:
+    """The max of pairs whose offsets `normalize` or `bump` have checked."""
     best: dict = {}
     for b, n in pairs:
         if b is INFTY:
             return _NS_INFTY
-        if n > MAX_OFFSET:
-            raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
         if b not in best or best[b] < n:
             best[b] = n
     if len(best) == 1:
@@ -444,17 +445,25 @@ def solve_metas(
     offset covers n (there is no subtraction below a variable); each hole
     takes the least solution consistent with its lower bounds, holes without
     lower bounds fall back to #, and every constraint is re-verified.  Holes
-    are solved once each, in dependency order: a depth-first walk over the
-    holes named in their lower bounds."""
-    mids: set[int] = set()
-    for c in constraints:
-        mids |= c.metas()
+    that need one another through their lower bounds are rejected as a
+    cycle, even where # or one shared size would satisfy them.
+
+    Holes are solved once each, in dependency order, by a depth-first walk
+    from each unsolved hole in id order.  Every lower bound is one pair, so
+    it depends on at most one hole, its base.  The walk keeps the path as a
+    flat stack of (hole id, index of its next lower bound to read) ints: the
+    top hole reads its bounds from that index to the first whose base is an
+    unsolved hole, and walks into it (a hole already on the path is a
+    cycle); with none left it is solved, and its bounds are dropped."""
+    mids = {b.mid for c in constraints for ns in (c.lhs, c.rhs)
+            for b, _ in ns.pairs if type(b) is Meta}
     if known_metas:
         unconstrained = known_metas - mids
         if unconstrained:
             raise Ambiguous(f"size hole ?{min(unconstrained)} has no constraints")
 
-    # lower bounds per meta: list of NormalSize possibly mentioning other metas
+    # lower bounds per hole, in constraint order: one-pair NormalSizes, the
+    # left side itself where the shift leaves it as it is
     lower: dict[int, list[NormalSize]] = {m: [] for m in mids}
     for c in constraints:
         if not c.rhs.is_atom():
@@ -463,42 +472,46 @@ def solve_metas(
         if not isinstance(rb, Meta):
             continue
         strict = c.rel is Rel.LT
+        bounds = lower[rb.mid]
         for lb, ln in c.lhs.pairs:
             k = ln + (1 if strict else 0)
             if lb is INFTY:
-                lower[rb.mid].append(ns_infty())
-                continue
-            if k < rn:
+                bounds.append(_NS_INFTY)
+            elif k < rn:
                 raise Unsolvable(
                     f"size hole would need an expression {rn - k} below "
                     f"{format_size(_ordered(((lb, ln),)))}"
                 )
-            pair = _ordered(((lb, k - rn),))
-            lower[rb.mid].append(pair)
-
-    def deps(m: int):
-        return (d for b in lower[m] for d in b.metas())
+            elif k - rn == ln and len(c.lhs.pairs) == 1:
+                bounds.append(c.lhs)
+            else:
+                bounds.append(_ordered(((lb, k - rn),)))
 
     sol: dict[int, NormalSize] = {}
     for root in sorted(mids):
         if root in sol:
             continue
-        # each frame holds a hole and the iterator over the holes it needs
-        stack = [(root, deps(root))]
+        stack = [root, 0]
         walking = {root}
         while stack:
-            m, needs = stack[-1]
-            d = next((d for d in needs if d not in sol), None)
-            if d is None:
-                stack.pop()
-                walking.discard(m)
-                bounds = [apply_solution(b, sol) for b in lower[m]]
-                sol[m] = reduce(ns_max, bounds) if bounds else ns_infty()
-            elif d in walking:
-                raise Unsolvable("cyclic size hole constraints")
+            m, at = stack[-2], stack[-1]
+            bounds = lower[m]
+            while at < len(bounds):
+                b = bounds[at].pairs[0][0]
+                at += 1
+                if type(b) is Meta and b.mid not in sol:
+                    if b.mid in walking:
+                        raise Unsolvable("cyclic size hole constraints")
+                    stack[-1] = at
+                    stack += (b.mid, 0)
+                    walking.add(b.mid)
+                    break
             else:
-                stack.append((d, deps(d)))
-                walking.add(d)
+                del stack[-2:]
+                del lower[m]
+                walking.discard(m)
+                bounds = [apply_solution(b, sol) for b in bounds]
+                sol[m] = reduce(ns_max, bounds) if bounds else ns_infty()
 
     for c in constraints:
         lhs = apply_solution(c.lhs, sol)

@@ -7,6 +7,7 @@ implementation mirroring the paper equations.  Two substitutions that only
 the property tests use, on size expressions and on normal forms, live here
 too, and so does `ListSizeCtx`, a size context that copies itself on every
 binding: the reference for `sizes.SizeCtx`, whose contexts share one table.
+`hole_solutions` is the brute-force reference for `sizes.solve_metas`.
 
 Size expressions as trees (`SVar`, `SSucc`, `SInfty`, `SMax`, `SMeta`) and
 their recursive normalizer, `tree_normalize`, are the reference for
@@ -143,6 +144,63 @@ class ListSizeCtx:
         for c, p, s in self.edges:
             ctx = ctx.add(c, p, s)
         return ctx
+
+
+def hole_solutions(ctx: SizeCtx, constraints: list, mids: set[int]) -> list[dict]:
+    """Every assignment of candidate sizes to the holes `mids` under which
+    each of the max-free `constraints` holds at every valuation that
+    satisfies ctx: the brute-force reference for `sizes.solve_metas`.  A
+    candidate is a variable of ctx plus an offset up to one past the largest
+    offset in the constraints, or #.  A hole that is the right side of no
+    constraint has no lower bound, and the solver's fallback makes it #, so
+    # is its only candidate.
+
+    The holes are assigned in id order, and each constraint is checked as
+    soon as the holes it names have values; a check compares the two sides'
+    values at every valuation, kept per (base, offset) pair."""
+    vals = list(satisfying_valuations(ctx))
+    top = max((n for c in constraints for ns in (c.lhs, c.rhs) for _, n in ns.pairs), default=0)
+    free = [ns_var(x, n) for x in sorted(ctx.scope, key=lambda x: x.uid) for n in range(top + 2)]
+    bounded = {b.mid for c in constraints for b, _ in c.rhs.pairs if isinstance(b, Meta)}
+    order = sorted(mids)
+    domains = [free + [ns_infty()] if m in bounded else [ns_infty()] for m in order]
+    # ready[k]: the constraints whose holes are all among the first k
+    ready: list[list] = [[] for _ in range(len(order) + 1)]
+    for c in constraints:
+        ready[max((order.index(m) + 1 for m in c.metas()), default=0)].append(c)
+    vectors: dict = {}
+
+    def side(ns: NormalSize, s: dict) -> tuple:
+        ((b, n),) = ns.pairs
+        if isinstance(b, Meta):
+            ((b, k),) = s[b.mid].pairs
+            n += k
+        if (b, n) not in vectors:
+            vectors[b, n] = tuple(val_atom(v, b, n) for v in vals)
+        return vectors[b, n]
+
+    def valid(c, s: dict) -> bool:
+        a, b = side(c.lhs, s), side(c.rhs, s)
+        if c.rel is Rel.LT:
+            return all(x < y for x, y in zip(a, b))
+        return all(x <= y for x, y in zip(a, b))
+
+    found: list[dict] = []
+    assignment: dict = {}
+
+    def extend(k: int):
+        if not all(valid(c, assignment) for c in ready[k]):
+            return
+        if k == len(order):
+            found.append(dict(assignment))
+            return
+        for cand in domains[k]:
+            assignment[order[k]] = cand
+            extend(k + 1)
+        del assignment[order[k]]
+
+    extend(0)
+    return found
 
 
 # -- size expressions as trees: the reference for sizes.normalize -----------

@@ -1,6 +1,9 @@
 """Size algebra: normalization, entailment, hypothesis contexts, and the
 hole solver, against hand-checked and brute-forced expectations."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from sizedcheck import sizes
@@ -116,6 +119,16 @@ class TestEntails:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             entails(SizeCtx(), ns_var(i), Rel.LE, ns_var(i))
+
+    def test_an_unsolved_hole_is_related_only_to_itself(self):
+        # nothing is known of a hole yet: it bounds, and is bounded by, only
+        # itself plus an offset
+        ctx = ctx_of(i).add(j, ns_var(i), True)
+        assert entails(ctx, ns_meta(1), Rel.LE, ns_meta(1, 1))
+        assert not entails(ctx, ns_meta(1), Rel.LE, ns_var(i))
+        assert not entails(ctx, ns_var(j), Rel.LT, ns_meta(1))
+        assert not entails(ctx, ns_meta(1), Rel.LE, ns_meta(2))
+        assert entails(ctx, ns_meta(1), Rel.LT, ns_infty())
 
 
 class TestAddHypothesis:
@@ -248,6 +261,24 @@ class TestSolveMetas:
         n = 300
         cs, mids = self._chain(n)
         sol = solve_metas(cs, ctx_of(i), mids)
+        assert sol == {m: ns_var(i, n - m) for m in mids}
+
+    def test_memory_per_hole_stays_small_on_a_deep_chain(self):
+        # the walk down the chain keeps two ints per hole on its path and
+        # drops a hole's bounds once it is solved; a suspended generator and
+        # a set per hole on the path would cost about 1,100 B per hole
+        n = 4000
+        cs, mids = self._chain(n)
+        ctx = ctx_of(i)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve_metas(cs, ctx, mids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / n < 800
         assert sol == {m: ns_var(i, n - m) for m in mids}
 
     def test_work_grows_linearly_with_the_chain(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Property suite for the size algebra: soundness against the valuation
-model, completeness on the max-free fragment, and structural laws."""
+model, completeness on the max-free fragment, structural laws, and the hole
+solver against a brute-force search."""
 
 import random
 
@@ -7,17 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sizedcheck.sizes import (
+    INFTY,
+    Meta,
     NormalSize,
     Rel,
     ShadowedVariable,
+    SizeConstraint,
     SizeCtx,
     UnknownVariable,
+    Unsolvable,
+    apply_solution,
     bump,
     entails,
     normalize,
     ns_infty,
     ns_max,
     ns_var,
+    solve_metas,
 )
 from sizedcheck.syntax import Ident, fresh_ident
 
@@ -28,12 +35,15 @@ from oracle import (
     SSucc,
     SVar,
     all_valuations,
+    hole_solutions,
+    holds,
     satisfies,
     satisfying_valuations,
     semantically_valid,
     subst_base,
     subst_size,
     tree_pairs,
+    val_size,
 )
 
 
@@ -166,8 +176,6 @@ class TestAntisymmetry:
     def test_mutual_entailment_with_max_is_semantic_equality(self):
         # a hypothesis-dominated max component may make two distinct normal
         # forms mutually entailed; they must still agree at every valuation
-        from oracle import val_size
-
         rng = random.Random(8)
         for _ in range(300):
             ctx = random_ctx(rng, rng.randrange(1, 4), rng.randrange(0, 4))
@@ -251,3 +259,83 @@ class TestSharedSnapshots:
                             == _outcome(entails, scratch, a, rel, b)), (ref.edges, a, rel, b)
         # the sequences reach both scope errors and bind across branches
         assert min(raised.values()) > 20 and elsewhere > 20, (raised, elsewhere)
+
+
+@st.composite
+def hole_problems(draw):
+    """Up to 3 size variables, each declared or below an earlier one (strict
+    or not, offsets 0-3), and 1-5 max-free constraints on up to 4 holes,
+    each side a variable, a hole or # plus 0-3."""
+    ctx, xs = SizeCtx(), []
+    for k in range(draw(st.integers(0, 3))):
+        x = fresh_ident(f"v{k}")
+        if xs and draw(st.booleans()):
+            parent = ns_var(draw(st.sampled_from(xs)), draw(st.integers(0, 3)))
+            ctx = ctx.add(x, parent, draw(st.booleans()))
+        else:
+            ctx = ctx.declare(x)
+        xs.append(x)
+    bases = xs + [Meta(m) for m in range(1, draw(st.integers(1, 4)) + 1)] + [INFTY]
+    side = st.tuples(st.sampled_from(bases), st.integers(0, 3)).map(
+        lambda p: ns_infty() if p[0] is INFTY else NormalSize([p])
+    )
+    rel = st.sampled_from([Rel.LE, Rel.LE, Rel.LE, Rel.LT])
+    constraints = draw(st.lists(st.builds(SizeConstraint, side, rel, side), min_size=1, max_size=5))
+    return ctx, constraints
+
+
+def _needs_subtraction(constraints) -> bool:
+    """A lower bound on a hole that sits below a base: s + n <= ?m + k with
+    n (plus 1 if strict) under k and s not #."""
+    return any(
+        b is not INFTY and n + (c.rel is Rel.LT) < c.rhs.pairs[0][1]
+        for c in constraints if isinstance(c.rhs.pairs[0][0], Meta)
+        for b, n in c.lhs.pairs
+    )
+
+
+def _bounds_cycle(constraints) -> bool:
+    """A hole reaches itself through lower bounds: ?a ... <= ?b ... makes ?b
+    need ?a."""
+    needs: dict = {}
+    for c in constraints:
+        (rb, _), (lb, _) = c.rhs.pairs[0], c.lhs.pairs[0]
+        if isinstance(rb, Meta) and isinstance(lb, Meta):
+            needs.setdefault(rb.mid, set()).add(lb.mid)
+
+    def reaches(a, b, seen) -> bool:
+        return any(d == b or (d not in seen and reaches(d, b, seen | {d}))
+                   for d in needs.get(a, ()))
+
+    return any(reaches(m, m, {m}) for m in needs)
+
+
+class TestSolverOracle:
+    """`solve_metas` against `oracle.hole_solutions`: what it returns
+    satisfies every constraint and is at most every candidate solution at
+    every valuation, and it rejects only what has no candidate solution, or
+    what needs one of its two named limits (no subtraction below a base, no
+    cycle of holes)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hole_problems())
+    def test_least_solution_or_no_candidate(self, problem):
+        ctx, constraints = problem
+        mids = set().union(*(c.metas() for c in constraints))
+        found = hole_solutions(ctx, constraints, mids)
+        try:
+            sol = solve_metas(constraints, ctx, mids)
+        except Unsolvable as e:
+            if found:
+                msg = str(e)
+                assert (msg.startswith("size hole would need") and _needs_subtraction(constraints)
+                        or msg.startswith("cyclic") and _bounds_cycle(constraints)), (msg, found[0])
+            return
+        vals = list(satisfying_valuations(ctx))
+        for c in constraints:
+            lhs, rhs = apply_solution(c.lhs, sol), apply_solution(c.rhs, sol)
+            assert entails(ctx, lhs, c.rel, rhs), (c, sol)
+            assert all(holds(v, lhs, c.rel, rhs) for v in vals), (c, sol)
+        for other in found:
+            for m in mids:
+                assert all(val_size(v, sol[m]) <= val_size(v, other[m]) for v in vals), (m, sol, other)
