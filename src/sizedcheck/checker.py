@@ -43,7 +43,7 @@ from .signature import (
 )
 from .sizes import (
     Ambiguous,
-    NormalSize,
+    INFTY,
     OffsetOverflow,
     Rel,
     SizeConstraint,
@@ -55,7 +55,6 @@ from .sizes import (
     ns_var,
     pred,
     solve_metas,
-    Meta,
 )
 from .syntax import (
     Annot,
@@ -103,7 +102,7 @@ from .values import Thunk, Value, VCon, VData, VDef, VLam, VNe, VPi, VSet, VSize
 
 def _bound_var(v: Value) -> Ident:
     """The variable that `Evaluator.telescope` bound: a neutral or a size."""
-    return v.head if isinstance(v, VNe) else v.size.atom()[0]
+    return v.head if isinstance(v, VNe) else v.size[0][0]
 
 
 class _Binding(Record):
@@ -125,7 +124,7 @@ class ClauseState(Record):
     def __init__(self, fun: int | None = None, index: int = 0):
         self.fun = fun
         self.index = index
-        self.lhs_size: NormalSize | None = None
+        self.lhs_size: tuple | None = None
         self.collector: list[SizeConstraint] = []
         self.metas: set[int] = set()
         self.calls: list[CallSite] = []
@@ -170,7 +169,7 @@ class Ctx:
         x: Ident,
         ty: Value,
         annot: Annot,
-        hypothesis: tuple[NormalSize, bool] | None = None,
+        hypothesis: tuple[tuple, bool] | None = None,
     ) -> "Ctx":
         """Bind x to a fresh neutral of type ty; size-typed binders are
         declared in the size context, optionally with a hypothesis edge."""
@@ -342,7 +341,7 @@ class Checker:
                 )
             size_var = _bound_var(x)
             ts = self.ev.size_view(self.ev.force(t.args[n_params]))
-            if ts is None or not ts.is_atom() or ts.atom() != (size_var, 1):
+            if ts != ((size_var, 1),):
                 raise Diagnostic(
                     "SIZE-INDEX-SHAPE",
                     f"the target of '{cname.text}' must carry size "
@@ -389,7 +388,7 @@ class Checker:
                         raise Diagnostic(
                             "SIZE-INDEX-SHAPE", f"{occurrence} lacks its size index", pos
                         )
-                    if not (size.size.is_atom() and size.size.atom() == (i, 0)):
+                    if size.size != ((i, 0),):
                         raise Diagnostic(
                             "SIZE-INDEX-SHAPE",
                             f"{occurrence} must carry size exactly {i.text}",
@@ -448,7 +447,7 @@ class Checker:
         entry.calls.extend(state.calls)
         return ElabClause(clause.lhs, rhs, ctx.sctx, clause.pos)
 
-    def _solve_holes(self, ctx: Ctx, pos: Pos, where: str) -> dict[int, NormalSize]:
+    def _solve_holes(self, ctx: Ctx, pos: Pos, where: str) -> dict[int, tuple]:
         """Dump the constraints of the checked body if asked (before solving,
         so a rejection shows them too), then solve its size holes and store
         each solution in the signature's hole table; returns the solution."""
@@ -635,9 +634,9 @@ class Checker:
             # a checked type's size argument is a size: `as_size` admits no other
             s_ns = self.ev.size_view(self.ev.force(dty.args[centry.n_params]))
             sub = p.args[centry.n_params]
-            if s_ns.is_atom() and s_ns.atom()[1] == 0 and not s_ns.is_infty():
-                base, _ = s_ns.atom()
-                if isinstance(base, Meta):
+            base, n = s_ns[0]
+            if len(s_ns) == 1 and n == 0 and base is not INFTY:
+                if type(base) is int:
                     raise Diagnostic(
                         "TYPE-MISMATCH", "cannot match at an unsolved size", p.pos
                     )
@@ -676,7 +675,7 @@ class Checker:
                             sub.pos,
                         )
             else:
-                if len(s_ns.pairs) > 1:
+                if len(s_ns) > 1:
                     raise Diagnostic(
                         "SIZE-PATTERN-REQUIRED",
                         "cannot match at a max-shaped size index",
@@ -779,7 +778,7 @@ class Checker:
         s = e.size
         self._check_size_vars(ctx, s, erased, e.pos)
         for m, _ in s:
-            if type(m) is not Meta:
+            if type(m) is not int:
                 continue
             if ctx.state is None:
                 raise Diagnostic(
@@ -787,7 +786,7 @@ class Checker:
                     "size holes are only allowed on clause right-hand sides",
                     e.pos,
                 )
-            ctx.state.metas.add(m.mid)
+            ctx.state.metas.add(m)
         return e
 
     def _check_size_vars(self, ctx: Ctx, s: tuple, erased: bool, pos: Pos):
@@ -883,10 +882,13 @@ class Checker:
         else:
             _, fty = self.infer(ctx, head, erased)
 
-        size_arg: NormalSize | None = None
+        size_arg: tuple | None = None
         size_param = self.sig.fun(head.name).size_param if is_self else None
+        # found by identity, so the loop keeps no counter alive across the
+        # recursive check of each argument
+        size_app = apps[size_param] if size_param is not None and size_param < len(apps) else None
 
-        for k, app in enumerate(apps):
+        for app in apps:
             arg = app.arg
             fty = self.ev.whnf(fty)
             if not isinstance(fty, VPi):
@@ -901,7 +903,7 @@ class Checker:
             if isinstance(dom, VSizeU):
                 arg = self.as_size(ctx, arg, arg_erased)
                 val: Value | Thunk | None = VSize(self.ev.eval_size(ctx.env, arg.size))
-                if k == size_param:
+                if app is size_app:
                     size_arg = val.size
             else:
                 arg = self.check(ctx, arg, dom, arg_erased)
@@ -967,7 +969,7 @@ class Checker:
             if isinstance(expected, VSizeU):
                 return self.as_size(ctx, e, erased)
             s = e.size
-            if len(s) == 1 and type(s[0][0]) is Meta and s[0][1] == 0:
+            if len(s) == 1 and type(s[0][0]) is int and s[0][1] == 0:
                 raise Diagnostic(
                     "UNSOLVED-META",
                     f"a hole '_' stands for a size, but "
@@ -989,14 +991,13 @@ class Checker:
         # the match is computationally irrelevant, so its scrutinee is erased
         self._check_size_vars(ctx, e.scrut, True, e.pos)
         ns = self.ev.eval_size(ctx.env, e.scrut)
-        if not (ns.is_atom() and not ns.is_infty() and ns.atom()[1] == 0
-                and isinstance(ns.atom()[0], Ident)):
+        i = ns[0][0]
+        if len(ns) != 1 or ns[0][1] != 0 or type(i) is not Ident:
             raise Diagnostic(
                 "ADMISSIBILITY",
                 "case on a size requires a plain size variable scrutinee",
                 e.pos,
             )
-        i: Ident = ns.atom()[0]
         reason = admissibility_check(self.ev, expected, i)
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)

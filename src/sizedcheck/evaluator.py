@@ -4,12 +4,14 @@ readback, and one comparison for both subtyping and conversion.
 Readback is one walk from values to syntax with two modes: `quote` reads
 back structurally, for diagnostics and the size-case rule, and
 `readback` displays eval output (unfolding, eliding coinductive layers past
-the print depth, erasing parametric sizes, costing fuel).  A size is read
-back as a `Size` that holds its normal form's pairs, the same tuple of
-(base, successors) pairs the parser builds.  `eval_size` reads a size's
-pairs through `sizes.normalize`: a variable as the environment binds it, and
-a hole through the signature's table of solved holes, as its solution read
-under the same environment, so elaborated syntax is never rewritten.
+the print depth, erasing parametric sizes, costing fuel).  A size value
+holds its normal form, which is a tuple of (base, successors) pairs like the
+parser's, so it reads back as a `Size` of that same tuple; an erased argument
+reads back as `_ERASED`, the hole -1, which no program has.  `eval_size`
+normalizes a size's pairs with `sizes.normalize`: a variable as the
+environment binds it, and a hole through the signature's table of solved
+holes, as its solution read under the same environment, so elaborated
+syntax is never rewritten.
 
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
@@ -98,13 +100,12 @@ from .diagnostics import Diagnostic
 from .signature import DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
     INFTY,
-    Meta,
-    NormalSize,
     OffsetOverflow,
     Rel,
     SizeConstraint,
     SizeCtx,
     entails,
+    metas,
     normalize,
     ns_var,
     pred,
@@ -167,8 +168,9 @@ _COVARIANT, _NEG, _INVARIANT = Polarity.STRICT_POS, Polarity.NEG, Polarity.INVAR
 _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
 # the last field of each node that `_read` links into a chain
 _OPEN = {Lam: "body", Pi: "codomain", App: "arg"}
-# every erased argument of eval output reads back as this one leaf
-_ERASED = Size(((Meta(-1), 0),))
+# every erased argument of eval output reads back as this one leaf, a hole
+# that no program has: the parser numbers holes from 1
+_ERASED = Size(((-1, 0),))
 
 DEFAULT_UNFOLD_FUEL = 100_000
 DEFAULT_PRINT_DEPTH = 3
@@ -282,7 +284,7 @@ class Evaluator:
             raise Diagnostic("STUCK-MATCH", "cannot evaluate an elided value", e.pos)
         raise AssertionError(f"evaluate: unhandled node {e!r}")
 
-    def eval_size(self, env: dict, s) -> NormalSize:
+    def eval_size(self, env: dict, s: tuple) -> tuple:
         def lookup(x: Ident):
             th = env.get(x.uid)
             if th is None:
@@ -346,7 +348,7 @@ class Evaluator:
             if clo.value is None:
                 clo.value = self.evaluate(clo.env, clo.body)
             return clo.value
-        if type(v) is VSize and v.size.pairs[0][0] is INFTY:  # `is_infty`, with no call
+        if type(v) is VSize and v.size[0][0] is INFTY:
             if clo.value is None:
                 clo.value = self.evaluate({**clo.env, clo.binder.uid: Thunk.of(v)}, clo.body)
             return clo.value
@@ -598,9 +600,9 @@ class Evaluator:
         elif t is VData:
             e = self._read_spine(Def(v.name), [(th, _RELEVANT) for th in v.args], None)
         elif t is VSize:
-            for b, _ in v.size.pairs:
+            for b, _ in v.size:
                 read.add(b)
-            e = Size(v.size.pairs)
+            e = Size(v.size)
         elif t is VSet:
             e = SetU()
         elif t is VSizeU:
@@ -650,17 +652,17 @@ class Evaluator:
     def size_entails(
         self,
         sctx: SizeCtx,
-        a: NormalSize,
-        b: NormalSize,
+        a: tuple,
+        b: tuple,
         collector: list[SizeConstraint] | None,
     ) -> bool:
         """a <= b under sctx, or a constraint on collector if a hole occurs."""
-        if (a.metas() or b.metas()) and collector is not None:
+        if collector is not None and (metas(a) or metas(b)):
             collector.append(SizeConstraint(a, _LE, b, sctx))
             return True
         return entails(sctx, a, _LE, b)
 
-    def size_view(self, v: Value) -> NormalSize | None:
+    def size_view(self, v: Value) -> tuple | None:
         """The normal form of a size value or of a bare size variable."""
         t = type(v)
         if t is VSize:
@@ -716,7 +718,7 @@ class Evaluator:
                 return self.compare(self.close(c1, None), self.close(c2, None), rel, sctx, col)
             x = self.fresh_neutral(a.binder.text, a.domain)
             if isinstance(x, VSize):
-                sctx = sctx.declare(x.size.atom()[0])
+                sctx = sctx.declare(x.size[0][0])
             return self.compare(self.close(c1, x), self.close(c2, x), rel, sctx, col)
         if rel is _LE:
             return self.compare(a, b, _EQ, sctx, col)

@@ -16,12 +16,13 @@ in it, so neither costs stack.
 
 Names are resolved as they are read, by the rules of `scope.py`, so the
 parser builds the one tree the checker reads: a binder is a fresh Ident, a
-use is the Ident it names, and a size hole gets its number.  A size is read
-as the tuple of (base, successors) pairs whose max it is (see `sizes`): a
-name is ((x, 0),), `#` the one ((INFTY, 0),), `_` its hole's one pair, a `$`
-run shifts every pair of the size it ends in and `max a b` joins the tuples
-of a and b.  Nothing is pruned, sorted or bounded here, so a size past
-`sizes.MAX_OFFSET` is refused where it is evaluated.  A relevant Pi
+use is the Ident it names, and a size hole gets its number, an int counted
+from 1 in source order.  A size is read as the tuple of (base, successors)
+pairs whose max it is (see `sizes`): a name is ((x, 0),), `#` the one
+((INFTY, 0),), `_` its hole's one pair (id, 0), a `$` run shifts every pair
+of the size it ends in and `max a b` joins the tuples of a and b.  Nothing
+is pruned, sorted or bounded here, so a size past `sizes.MAX_OFFSET` is
+refused where it is evaluated.  A relevant Pi
 binder that nothing reads is dropped, and so is a data kind's (`kind_binder`),
 so `pretty` prints such a Pi as an arrow.  A dot pattern may name a variable
 bound later in its left-hand side, so it is read twice: where it stands, to
@@ -35,7 +36,7 @@ import re
 
 from .diagnostics import Diagnostic
 from .scope import Scope
-from .sizes import INFTY_SIZE, Meta
+from .sizes import INFTY_SIZE
 from .syntax import (
     App,
     CaseData,
@@ -359,7 +360,7 @@ class _Parser:
                 return Size(INFTY_SIZE, p)
             case "_":
                 self.sc.metas += 1
-                return Size(((Meta(self.sc.metas), 0),), p)
+                return Size(((self.sc.metas, 0),), p)
             case "(":
                 e = self.expr()
                 self.expect(")")

@@ -4,7 +4,7 @@ solutions of the program's size holes."""
 
 from __future__ import annotations
 
-from .sizes import NormalSize, SizeCtx
+from .sizes import SizeCtx
 from .syntax import Annot, Con, Expr, Ident, Pattern, Polarity, Pos, Record
 from .values import Thunk, Value, VCon, VData, VDef
 
@@ -72,8 +72,8 @@ class CallSite(Record):
 
     __slots__ = ("args", "size_arg", "sctx", "lhs_size", "clause_index", "pos")
 
-    def __init__(self, args: list[Expr], size_arg: NormalSize | None, sctx: SizeCtx,
-                 lhs_size: NormalSize | None, clause_index: int, pos: Pos):
+    def __init__(self, args: list[Expr], size_arg: tuple | None, sctx: SizeCtx,
+                 lhs_size: tuple | None, clause_index: int, pos: Pos):
         self.args = args
         self.size_arg = size_arg
         self.sctx = sctx
@@ -126,7 +126,7 @@ class Signature:
 
     def __init__(self):
         self.entries: dict[int, Entry] = {}
-        self.holes: dict[int, NormalSize] = {}
+        self.holes: dict[int, tuple] = {}
         self.order: list[Ident] = []
         # the first ident declared under each text: for a constructor name
         # reused across data types this is the earliest declaration

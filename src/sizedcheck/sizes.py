@@ -2,12 +2,12 @@
 inequalities under a hypothesis context, and solving of size holes.
 
 A size has one form from parser to printer: a tuple of (base, successors)
-pairs read as their max, where a base is a variable (an `Ident`), a hole (a
-`Meta`) or `INFTY`.  As the parser writes it, the pairs are in source order
+pairs read as their max, where a base is a variable (an `Ident`), a hole (its
+int id) or `INFTY`.  As the parser writes it, the pairs are in source order
 and may repeat a base; `normalize` reads them under an environment and the
-table of solved holes.  A canonical form, `NormalSize`, holds such a tuple
-with distinct bases in one fixed order, chosen where the form is built, so no
-reader sorts it again.
+table of solved holes.  A normal form is such a tuple with distinct bases in
+one fixed order, `_pair_key`'s, chosen where the form is built, so no reader
+sorts it again; a one-pair size that stands for itself is its own normal form.
 
 `solve_metas` solves a clause's holes in dependency order by a depth-first
 walk whose path is a flat stack of (hole id, index of its next lower bound)
@@ -53,138 +53,81 @@ class _Frozen(Record):
         raise AttributeError(f"cannot assign {type(self).__name__}.{name}")
 
 
-class Meta(_Frozen):
-    """Canonical base for an unsolved size hole.  Two Metas of one hole are
-    equal, and the hash is that of the tuple (mid,).  The order of the pairs
-    that hold Metas is fixed where a NormalSize is built, not by the hash."""
-
-    __slots__ = ("mid",)
-
-    def __init__(self, mid: int):
-        _set(self, "mid", mid)
-
-    def __eq__(self, other):
-        return type(other) is Meta and self.mid == other.mid
-
-    def __hash__(self):
-        return hash((self.mid,))
-
-    def __repr__(self):
-        return f"?{self.mid}"
-
-
-# A base is an Ident, a Meta, or INFTY.
-Base = object
-
-
-class NormalSize:
-    """Canonical size: a non-empty tuple of (base, offset) pairs with distinct
-    bases, read as the maximum of base+offset.  The pairs are in `_pair_key`
-    order: variables by uid, then holes by id.  INFTY absorbs everything and
-    successor chains are folded into offsets, so # is always the one pair
-    (INFTY, 0).  `NormalSize(pairs)` orders any iterable of pairs; the
-    operations of this module build through `_ordered`, which does not sort."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = tuple(sorted(pairs, key=_pair_key))
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalSize):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def is_infty(self) -> bool:
-        return self.pairs[0][0] is INFTY
-
-    def is_atom(self) -> bool:
-        return len(self.pairs) == 1
-
-    def atom(self) -> tuple[Base, int]:
-        (p,) = self.pairs
-        return p
-
-    def vars(self) -> set[Ident]:
-        return {b for b, _ in self.pairs if isinstance(b, Ident)}
-
-    def metas(self) -> set[int]:
-        return {b.mid for b, _ in self.pairs if isinstance(b, Meta)}
-
-    def __repr__(self):
-        return format_size(self)
-
-
-def _ordered(pairs: tuple) -> NormalSize:
-    """The NormalSize of a tuple of pairs already in `_pair_key` order."""
-    ns = object.__new__(NormalSize)
-    ns.pairs = pairs
-    return ns
-
-
-# the one # of the syntax, and its normal form: neither is ever changed, so
-# every # can be these
+# A base is an Ident, a hole's int id, or INFTY.  A normal form is a non-empty
+# tuple of (base, offset) pairs with distinct bases, read as the maximum of
+# base+offset, in `_pair_key` order: variables by uid, then holes by id.
+# INFTY absorbs everything and successor chains are folded into offsets, so #
+# is always the one pair (INFTY, 0): INFTY_SIZE, the one # of the syntax too.
 INFTY_SIZE = ((INFTY, 0),)
-_NS_INFTY = _ordered(INFTY_SIZE)
 
 
-def _prune(pairs) -> NormalSize:
+def _pair_key(pair):
+    b, n = pair
+    if b is INFTY:
+        return (2, 0, n)
+    if type(b) is int:
+        return (1, b, n)
+    return (0, b.uid, n)
+
+
+def canonical(pairs) -> tuple:
+    """Any iterable of pairs with distinct bases, in `_pair_key` order."""
+    return tuple(sorted(pairs, key=_pair_key))
+
+
+def size_vars(ns: tuple) -> set[Ident]:
+    return {b for b, _ in ns if type(b) is Ident}
+
+
+def metas(ns: tuple) -> set[int]:
+    return {b for b, _ in ns if type(b) is int}
+
+
+def _prune(pairs) -> tuple:
     """The max of pairs whose offsets `normalize` or `bump` have checked."""
     best: dict = {}
     for b, n in pairs:
         if b is INFTY:
-            return _NS_INFTY
+            return INFTY_SIZE
         if b not in best or best[b] < n:
             best[b] = n
     if len(best) == 1:
-        return _ordered(tuple(best.items()))
-    return _ordered(tuple(sorted(best.items(), key=_pair_key)))
+        return tuple(best.items())
+    return canonical(best.items())
 
 
-def ns_var(x: Ident, offset: int = 0) -> NormalSize:
-    return _ordered(((x, offset),))
+def ns_var(x: Ident, offset: int = 0) -> tuple:
+    return ((x, offset),)
 
 
-def ns_meta(mid: int, offset: int = 0) -> NormalSize:
-    return _ordered(((Meta(mid), offset),))
-
-
-def ns_infty() -> NormalSize:
-    return _NS_INFTY
-
-
-def bump(ns: NormalSize, n: int) -> NormalSize:
+def bump(ns: tuple, n: int) -> tuple:
     """ns + n.  A uniform shift keeps the bases distinct and in order, so
     nothing is pruned or sorted; only the offset bound is checked."""
-    pairs = ns.pairs
-    if n == 0 or pairs[0][0] is INFTY:
+    if n == 0 or ns[0][0] is INFTY:
         return ns
     shifted = []
-    for b, k in pairs:
+    for b, k in ns:
         k += n
         if k > MAX_OFFSET:
             raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
         shifted.append((b, k))
-    return _ordered(tuple(shifted))
+    return tuple(shifted)
 
 
-def pred(ns: NormalSize) -> NormalSize:
+def pred(ns: tuple) -> tuple:
     """The size a successor pattern binds at erased sizes: every offset one
     lower, but not below 0, and $ # matches with j = #.  The bases are
     unchanged, so the order is kept."""
-    if ns.is_infty():
+    if ns[0][0] is INFTY:
         return ns
-    return _ordered(tuple([(b, max(n - 1, 0)) for b, n in ns.pairs]))
+    return tuple([(b, max(n - 1, 0)) for b, n in ns])
 
 
-def ns_max(a: NormalSize, b: NormalSize) -> NormalSize:
-    return _prune(a.pairs + b.pairs)
+def ns_max(a: tuple, b: tuple) -> tuple:
+    return _prune(a + b)
 
 
-def normalize(size: tuple, lookup=None, holes: dict[int, NormalSize] | None = None) -> NormalSize:
+def normalize(size: tuple, lookup=None, holes: dict[int, tuple] | None = None) -> tuple:
     """The normal form of a size written as a tuple of (base, successors)
     pairs, read as their max, as the parser builds it.  Each pair is read in
     order: a variable as `lookup` maps it (an already-normalized size), or
@@ -193,49 +136,40 @@ def normalize(size: tuple, lookup=None, holes: dict[int, NormalSize] | None = No
     place of the hole, or as itself while unsolved; `#` as #.  Its
     successors are added with `bump`, and the max is taken over all pairs,
     so a pair past MAX_OFFSET raises even beside a #.  A size of one pair
-    that stands for itself is its own normal form, on the same tuple."""
+    that stands for itself is its own normal form, the same tuple."""
     out = []
     for b, n in size:
         if type(b) is Ident:
             val = lookup(b) if lookup is not None else None
         elif b is INFTY:
-            val = _NS_INFTY
+            val = INFTY_SIZE
         else:
-            val = holes.get(b.mid) if holes else None
-            if val is not None and lookup is not None and not val.is_infty():
-                val = normalize(val.pairs, lookup)
+            val = holes.get(b) if holes else None
+            if val is not None and lookup is not None and val[0][0] is not INFTY:
+                val = normalize(val, lookup)
         if val is None:
             if n > MAX_OFFSET:
                 raise OffsetOverflow(f"size offset exceeds {MAX_OFFSET}")
             out.append((b, n))
         else:
             val = bump(val, n)
-            out += val.pairs
+            out += val
     if len(size) > 1:
         return _prune(out)
-    return _ordered(size) if val is None else val
+    return size if val is None else val
 
 
-def _pair_key(pair):
-    b, n = pair
-    if b is INFTY:
-        return (2, 0, n)
-    if isinstance(b, Meta):
-        return (1, b.mid, n)
-    return (0, b.uid, n)
-
-
-def format_size(ns: NormalSize, meta_names: dict[int, str] | None = None) -> str:
-    def one(b: Base, n: int) -> str:
+def format_size(ns: tuple, meta_names: dict[int, str] | None = None) -> str:
+    def one(b, n: int) -> str:
         if b is INFTY:
             return "#"
-        if isinstance(b, Meta):
-            base = meta_names[b.mid] if meta_names else f"?{b.mid}"
+        if type(b) is int:
+            base = meta_names[b] if meta_names else f"?{b}"
         else:
             base = b.text
         return f"{base}+{n}" if n else base
 
-    parts = [one(b, n) for b, n in ns.pairs]
+    parts = [one(b, n) for b, n in ns]
     if len(parts) == 1:
         return parts[0]
     return "max(" + ", ".join(parts) + ")"
@@ -283,11 +217,11 @@ class SizeCtx(_Frozen):
 
     @property
     def edges(self) -> tuple:
-        """(child, parent NormalSize, strict) for each hypothesis, in order."""
+        """(child, parent size, strict) for each hypothesis, in order."""
         return tuple((x, p, s) for _, p, s, x in islice(self.table.values(), self.depth)
                      if p is not None)
 
-    def _extended(self, x: Ident, parent: NormalSize | None, strict: bool) -> "SizeCtx":
+    def _extended(self, x: Ident, parent: tuple | None, strict: bool) -> "SizeCtx":
         table, depth = self.table, self.depth
         if table.get(x.uid, _UNSEEN)[0] < depth:
             raise ShadowedVariable(x.text)
@@ -301,7 +235,7 @@ class SizeCtx(_Frozen):
     def declare(self, x: Ident) -> "SizeCtx":
         return self._extended(x, None, False)
 
-    def add(self, child: Ident, parent: NormalSize, strict: bool) -> "SizeCtx":
+    def add(self, child: Ident, parent: tuple, strict: bool) -> "SizeCtx":
         return self._extended(child, parent, strict)
 
     def out_edges(self, x: Ident) -> tuple:
@@ -320,14 +254,14 @@ class Rel(Enum):
     EQ = "="  # conversion in Evaluator.compare; entails and constraints take LE or LT
 
 
-def _check_scope(ctx: SizeCtx, ns: NormalSize):
+def _check_scope(ctx: SizeCtx, ns: tuple):
     table = ctx.table
-    for b, _ in ns.pairs:
-        if isinstance(b, Ident) and table.get(b.uid, _UNSEEN)[0] >= ctx.depth:
+    for b, _ in ns:
+        if type(b) is Ident and table.get(b.uid, _UNSEEN)[0] >= ctx.depth:
             raise UnknownVariable(b.text)
 
 
-def _best_gain(ctx: SizeCtx, x: Ident, y: Base) -> int | None:
+def _best_gain(ctx: SizeCtx, x: Ident, y) -> int | None:
     """Largest g such that the hypotheses prove x + g <= y, or None."""
     best: dict = {x: 0}
     frontier = [x]
@@ -335,10 +269,10 @@ def _best_gain(ctx: SizeCtx, x: Ident, y: Base) -> int | None:
         v = frontier.pop()
         g = best[v]
         for parent, strict in ctx.out_edges(v):
-            if not parent.is_atom():
+            if len(parent) != 1:
                 continue  # a max-parent gives only disjunctive information
-            b, k = parent.atom()
-            if b is INFTY or isinstance(b, Meta):
+            ((b, k),) = parent
+            if b is INFTY or type(b) is int:
                 continue
             g2 = g + (1 if strict else 0) - k
             if b not in best or best[b] < g2:
@@ -351,35 +285,31 @@ def _atom_le(ctx: SizeCtx, a: tuple, b: tuple) -> bool:
     (xb, n), (yb, m) = a, b
     if xb == yb:
         return n <= m
-    if isinstance(xb, Meta) or isinstance(yb, Meta):
+    if type(xb) is int or type(yb) is int:
         return False
     g = _best_gain(ctx, xb, yb)
     return g is not None and g >= n - m
 
 
-def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
+def entails(ctx: SizeCtx, a: tuple, rel: Rel, b: tuple) -> bool:
     """Sound entailment of a <= b or a < b under ctx; complete on the
     max-free fragment.  A max on the left splits into a conjunction, a max
     on the right into a disjunction."""
     _check_scope(ctx, a)
     _check_scope(ctx, b)
-    if len(a.pairs) > 1:
-        return all(
-            entails(ctx, _ordered((p,)), rel, b) for p in a.pairs
-        )
-    if a.is_infty():
-        return rel is Rel.LE and b.is_infty()
-    if b.is_infty():
+    if len(a) > 1:
+        return all(entails(ctx, (p,), rel, b) for p in a)
+    if a[0][0] is INFTY:
+        return rel is Rel.LE and b[0][0] is INFTY
+    if b[0][0] is INFTY:
         # variables never denote the closure ordinal itself
         return True
-    if len(b.pairs) > 1:
-        return any(
-            entails(ctx, a, rel, _ordered((q,))) for q in b.pairs
-        )
-    xa, na = a.atom()
+    if len(b) > 1:
+        return any(entails(ctx, a, rel, (q,)) for q in b)
+    ((xa, na),) = a
     if rel is Rel.LT:
-        return _atom_le(ctx, (xa, na + 1), b.atom())
-    return _atom_le(ctx, (xa, na), b.atom())
+        return _atom_le(ctx, (xa, na + 1), b[0])
+    return _atom_le(ctx, (xa, na), b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +319,7 @@ def entails(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
 class SizeConstraint(_Frozen):
     __slots__ = ("lhs", "rel", "rhs", "sctx")
 
-    def __init__(self, lhs: NormalSize, rel: Rel, rhs: NormalSize, sctx: SizeCtx | None = None):
+    def __init__(self, lhs: tuple, rel: Rel, rhs: tuple, sctx: SizeCtx | None = None):
         _set(self, "lhs", lhs)
         _set(self, "rel", rel)
         _set(self, "rhs", rhs)
@@ -399,7 +329,7 @@ class SizeConstraint(_Frozen):
         _set(self, "sctx", sctx)
 
     def metas(self) -> set[int]:
-        return self.lhs.metas() | self.rhs.metas()
+        return metas(self.lhs) | metas(self.rhs)
 
 
 class Unsolvable(Exception):
@@ -410,27 +340,27 @@ class Ambiguous(Exception):
     __slots__ = ()
 
 
-def apply_solution(ns: NormalSize, sol: dict[int, NormalSize]) -> NormalSize:
+def apply_solution(ns: tuple, sol: dict[int, tuple]) -> tuple:
     """Replace every solved hole in ns by its solution, in one pass; ns
     itself when it mentions no solved hole.  A hole solved as # makes the
     whole of ns #, whatever offsets the other pairs would reach."""
-    if len(ns.pairs) == 1:
-        ((b, n),) = ns.pairs
-        val = sol.get(b.mid) if isinstance(b, Meta) else None
+    if len(ns) == 1:
+        ((b, n),) = ns
+        val = sol.get(b) if type(b) is int else None
         return ns if val is None else bump(val, n)
     out, hits = [], []
-    for b, n in ns.pairs:
-        val = sol.get(b.mid) if isinstance(b, Meta) else None
+    for b, n in ns:
+        val = sol.get(b) if type(b) is int else None
         if val is None:
             out.append((b, n))
-        elif val.is_infty():
+        elif val[0][0] is INFTY:
             return val
         else:
             hits.append((val, n))
     if not hits:
         return ns
     for val, n in hits:
-        out.extend(bump(val, n).pairs)
+        out.extend(bump(val, n))
     return _prune(out)
 
 
@@ -438,7 +368,7 @@ def solve_metas(
     constraints: list[SizeConstraint],
     ctx: SizeCtx,
     known_metas: set[int] | None = None,
-) -> dict[int, NormalSize]:
+) -> dict[int, tuple]:
     """First-order solving of the size holes of one clause.
 
     Lower bounds s <= m+n are shifted into solved form only when the left
@@ -455,39 +385,39 @@ def solve_metas(
     top hole reads its bounds from that index to the first whose base is an
     unsolved hole, and walks into it (a hole already on the path is a
     cycle); with none left it is solved, and its bounds are dropped."""
-    mids = {b.mid for c in constraints for ns in (c.lhs, c.rhs)
-            for b, _ in ns.pairs if type(b) is Meta}
+    mids = {b for c in constraints for ns in (c.lhs, c.rhs)
+            for b, _ in ns if type(b) is int}
     if known_metas:
         unconstrained = known_metas - mids
         if unconstrained:
             raise Ambiguous(f"size hole ?{min(unconstrained)} has no constraints")
 
-    # lower bounds per hole, in constraint order: one-pair NormalSizes, the
+    # lower bounds per hole, in constraint order: one-pair normal forms, the
     # left side itself where the shift leaves it as it is
-    lower: dict[int, list[NormalSize]] = {m: [] for m in mids}
+    lower: dict[int, list[tuple]] = {m: [] for m in mids}
     for c in constraints:
-        if not c.rhs.is_atom():
+        if len(c.rhs) != 1:
             continue  # meta under a max on the right: disjunctive, defer
-        rb, rn = c.rhs.atom()
-        if not isinstance(rb, Meta):
+        ((rb, rn),) = c.rhs
+        if type(rb) is not int:
             continue
         strict = c.rel is Rel.LT
-        bounds = lower[rb.mid]
-        for lb, ln in c.lhs.pairs:
+        bounds = lower[rb]
+        for lb, ln in c.lhs:
             k = ln + (1 if strict else 0)
             if lb is INFTY:
-                bounds.append(_NS_INFTY)
+                bounds.append(INFTY_SIZE)
             elif k < rn:
                 raise Unsolvable(
                     f"size hole would need an expression {rn - k} below "
-                    f"{format_size(_ordered(((lb, ln),)))}"
+                    f"{format_size(((lb, ln),))}"
                 )
-            elif k - rn == ln and len(c.lhs.pairs) == 1:
+            elif k - rn == ln and len(c.lhs) == 1:
                 bounds.append(c.lhs)
             else:
-                bounds.append(_ordered(((lb, k - rn),)))
+                bounds.append(((lb, k - rn),))
 
-    sol: dict[int, NormalSize] = {}
+    sol: dict[int, tuple] = {}
     for root in sorted(mids):
         if root in sol:
             continue
@@ -497,21 +427,21 @@ def solve_metas(
             m, at = stack[-2], stack[-1]
             bounds = lower[m]
             while at < len(bounds):
-                b = bounds[at].pairs[0][0]
+                b = bounds[at][0][0]
                 at += 1
-                if type(b) is Meta and b.mid not in sol:
-                    if b.mid in walking:
+                if type(b) is int and b not in sol:
+                    if b in walking:
                         raise Unsolvable("cyclic size hole constraints")
                     stack[-1] = at
-                    stack += (b.mid, 0)
-                    walking.add(b.mid)
+                    stack += (b, 0)
+                    walking.add(b)
                     break
             else:
                 del stack[-2:]
                 del lower[m]
                 walking.discard(m)
                 bounds = [apply_solution(b, sol) for b in bounds]
-                sol[m] = reduce(ns_max, bounds) if bounds else ns_infty()
+                sol[m] = reduce(ns_max, bounds) if bounds else INFTY_SIZE
 
     for c in constraints:
         lhs = apply_solution(c.lhs, sol)

@@ -2,7 +2,9 @@
 declarations, plus spines, and `Record`, the base of the package's slotted
 classes.  A size expression has no tree of its own: a `Size` term and a
 size case's scrutinee hold it as the tuple of (base, successors) pairs whose
-max it is, the form `sizes.normalize` reads."""
+max it is, a base being an `Ident`, a hole's int id or `sizes.INFTY`.  It is
+the form `sizes.normalize` reads and returns, so a normal form read back is
+a `Size` of the same tuple."""
 
 from __future__ import annotations
 

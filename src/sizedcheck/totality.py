@@ -17,7 +17,7 @@ from enum import Enum
 from .diagnostics import Diagnostic
 from .pretty import pretty
 from .signature import FunEntry
-from .sizes import Rel, entails
+from .sizes import Rel, entails, size_vars
 from .syntax import (
     Annot,
     Ident,
@@ -48,7 +48,7 @@ def polarity_of(x: Ident, t: Value, ev) -> Polarity:
     in parametric (erased) arguments do not count."""
     match t:
         case VSize(size=ns):
-            return Polarity.STRICT_POS if x in ns.vars() else Polarity.UNUSED
+            return Polarity.STRICT_POS if x in size_vars(ns) else Polarity.UNUSED
         case VPi(binder=b, domain=dom, closure=clo):
             _, body = ev.open(clo, b)
             p = compose(Polarity.NEG, polarity_of(x, dom, ev))
@@ -116,7 +116,7 @@ def _sized_data_at(ev, t: Value, i: Ident, coinductive: bool) -> bool:
     if len(t.args) <= n_params:
         return False
     ns = ev.size_view(ev.force(t.args[n_params]))
-    if ns is None or not ns.is_atom() or ns.atom() != (i, 0):
+    if ns != ((i, 0),):
         return False
     return polarity_of(i, t, ev) is entry.variances[n_params]
 

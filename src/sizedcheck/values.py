@@ -3,7 +3,6 @@ closures, and memoizing thunks."""
 
 from __future__ import annotations
 
-from .sizes import NormalSize
 from .syntax import Annot, Expr, Ident, Record
 
 
@@ -67,9 +66,11 @@ VSIZEU = VSizeU()
 
 
 class VSize(Value):
+    """A size, as its normal form's tuple of pairs (see `sizes`)."""
+
     __slots__ = ("size",)
 
-    def __init__(self, size: NormalSize):
+    def __init__(self, size: tuple):
         self.size = size
 
 

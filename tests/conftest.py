@@ -37,7 +37,7 @@ from sizedcheck.syntax import (
     SizeU,
     Var,
 )
-from sizedcheck.sizes import INFTY, Meta
+from sizedcheck.sizes import INFTY
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -119,7 +119,7 @@ def alpha_eq_programs(ds1, ds2) -> bool:
     def base(x, y) -> bool:
         if type(x) is Ident and type(y) is Ident:
             return idents(x, y)
-        return (x is INFTY and y is INFTY) or (type(x) is Meta and type(y) is Meta)
+        return (x is INFTY and y is INFTY) or (type(x) is int and type(y) is int)
 
     def size(a, b) -> bool:
         # two sizes' pairs, in source order

@@ -23,17 +23,16 @@ from functools import reduce
 
 from sizedcheck.sizes import (
     INFTY,
-    Meta,
-    NormalSize,
+    INFTY_SIZE,
     OffsetOverflow,
     Rel,
     ShadowedVariable,
     SizeCtx,
     UnknownVariable,
     bump,
-    ns_infty,
     ns_max,
     ns_var,
+    size_vars,
 )
 from sizedcheck.parser import parse_source
 from sizedcheck.syntax import Ident, Lam, Var
@@ -51,11 +50,11 @@ def val_atom(valuation, base, offset):
     return (tier, k + offset)
 
 
-def val_size(valuation, ns: NormalSize):
-    return max(val_atom(valuation, b, n) for b, n in ns.pairs)
+def val_size(valuation, ns: tuple):
+    return max(val_atom(valuation, b, n) for b, n in ns)
 
 
-def holds(valuation, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
+def holds(valuation, a: tuple, rel: Rel, b: tuple) -> bool:
     va, vb = val_size(valuation, a), val_size(valuation, b)
     if rel is Rel.LE:
         return va <= vb
@@ -87,7 +86,7 @@ def satisfying_valuations(ctx: SizeCtx):
     index = {x: k for k, x in enumerate(vs)}
     ready: list[list] = [[] for _ in vs]
     for child, parent, strict in ctx.edges:
-        k = max(index[x] for x in parent.vars() | {child})
+        k = max(index[x] for x in size_vars(parent) | {child})
         ready[k].append((ns_var(child), Rel.LT if strict else Rel.LE, parent))
     valuation: dict = {}
 
@@ -104,7 +103,7 @@ def satisfying_valuations(ctx: SizeCtx):
     return extend(0)
 
 
-def semantically_valid(ctx: SizeCtx, a: NormalSize, rel: Rel, b: NormalSize) -> bool:
+def semantically_valid(ctx: SizeCtx, a: tuple, rel: Rel, b: tuple) -> bool:
     return all(holds(v, a, rel, b) for v in satisfying_valuations(ctx))
 
 
@@ -122,10 +121,10 @@ class ListSizeCtx:
             raise ShadowedVariable(x.text)
         return ListSizeCtx(self.scope | {x}, self.edges)
 
-    def add(self, child: Ident, parent: NormalSize, strict: bool) -> "ListSizeCtx":
+    def add(self, child: Ident, parent: tuple, strict: bool) -> "ListSizeCtx":
         if child in self.scope:
             raise ShadowedVariable(child.text)
-        missing = sorted(parent.vars() - self.scope, key=lambda x: x.uid)
+        missing = sorted(size_vars(parent) - self.scope, key=lambda x: x.uid)
         if missing:
             raise UnknownVariable(missing[0].text)
         return ListSizeCtx(self.scope | {child}, self.edges + ((child, parent, strict),))
@@ -159,21 +158,21 @@ def hole_solutions(ctx: SizeCtx, constraints: list, mids: set[int]) -> list[dict
     soon as the holes it names have values; a check compares the two sides'
     values at every valuation, kept per (base, offset) pair."""
     vals = list(satisfying_valuations(ctx))
-    top = max((n for c in constraints for ns in (c.lhs, c.rhs) for _, n in ns.pairs), default=0)
+    top = max((n for c in constraints for ns in (c.lhs, c.rhs) for _, n in ns), default=0)
     free = [ns_var(x, n) for x in sorted(ctx.scope, key=lambda x: x.uid) for n in range(top + 2)]
-    bounded = {b.mid for c in constraints for b, _ in c.rhs.pairs if isinstance(b, Meta)}
+    bounded = {b for c in constraints for b, _ in c.rhs if type(b) is int}
     order = sorted(mids)
-    domains = [free + [ns_infty()] if m in bounded else [ns_infty()] for m in order]
+    domains = [free + [INFTY_SIZE] if m in bounded else [INFTY_SIZE] for m in order]
     # ready[k]: the constraints whose holes are all among the first k
     ready: list[list] = [[] for _ in range(len(order) + 1)]
     for c in constraints:
         ready[max((order.index(m) + 1 for m in c.metas()), default=0)].append(c)
     vectors: dict = {}
 
-    def side(ns: NormalSize, s: dict) -> tuple:
-        ((b, n),) = ns.pairs
-        if isinstance(b, Meta):
-            ((b, k),) = s[b.mid].pairs
+    def side(ns: tuple, s: dict) -> tuple:
+        ((b, n),) = ns
+        if type(b) is int:
+            ((b, k),) = s[b]
             n += k
         if (b, n) not in vectors:
             vectors[b, n] = tuple(val_atom(v, b, n) for v in vals)
@@ -240,7 +239,7 @@ class SMeta:
     mid: int
 
 
-def tree_normalize(s, lookup=None, holes: dict[int, NormalSize] | None = None) -> NormalSize:
+def tree_normalize(s, lookup=None, holes: dict[int, tuple] | None = None) -> tuple:
     """The normal form of a tree, the recursive way: a max is pruned before
     a successor above it is added, so `$ (max i #)` is # whatever i is.  A
     solved hole is its solution read under the same lookup."""
@@ -254,11 +253,11 @@ def tree_normalize(s, lookup=None, holes: dict[int, NormalSize] | None = None) -
         case SMeta(mid=m):
             sol = holes.get(m) if holes else None
             if sol is None:
-                return NormalSize([(Meta(m), 0)])
-            if lookup is None or sol.is_infty():
+                return ((m, 0),)
+            if lookup is None or sol == INFTY_SIZE:
                 return sol
             out = None
-            for b, n in sol.pairs:
+            for b, n in sol:
                 val = lookup(b)
                 val = bump(ns_var(b) if val is None else val, n)
                 out = val if out is None else ns_max(out, val)
@@ -270,7 +269,7 @@ def tree_normalize(s, lookup=None, holes: dict[int, NormalSize] | None = None) -
                 n += 1
             return bump(tree_normalize(s, lookup, holes), n)
         case SInfty():
-            return ns_infty()
+            return INFTY_SIZE
         case SMax(left=a, right=b):
             return ns_max(tree_normalize(a, lookup, holes), tree_normalize(b, lookup, holes))
     raise AssertionError(f"tree_normalize: unhandled {s!r}")
@@ -283,7 +282,7 @@ def tree_pairs(s) -> tuple:
         case SVar(name=x):
             return ((x, 0),)
         case SMeta(mid=m):
-            return ((Meta(m), 0),)
+            return ((m, 0),)
         case SInfty():
             return ((INFTY, 0),)
         case SSucc(arg=a):
@@ -323,16 +322,16 @@ def parse_size(text: str, names=("i", "j", "k")) -> tuple[tuple, dict[str, Ident
     return (((e.name, 0),) if isinstance(e, Var) else e.size), bound
 
 
-def size_tree(ns: NormalSize):
+def size_tree(ns: tuple):
     """A normal form as a tree: its pairs as a left-folded max of successor
     chains."""
     def atom(b, n):
-        e = SInfty() if b is INFTY else SMeta(b.mid) if isinstance(b, Meta) else SVar(b)
+        e = SInfty() if b is INFTY else SMeta(b) if type(b) is int else SVar(b)
         for _ in range(n):
             e = SSucc(e)
         return e
 
-    return reduce(SMax, [atom(b, n) for b, n in ns.pairs])
+    return reduce(SMax, [atom(b, n) for b, n in ns])
 
 
 def push_successors(s):
@@ -361,7 +360,7 @@ def absorbs_before_shift(s, lookup=None, holes=None) -> bool:
     except OffsetOverflow:
         pass
     try:
-        return tree_normalize(s, lookup, holes) == ns_infty()
+        return tree_normalize(s, lookup, holes) == INFTY_SIZE
     except OffsetOverflow:
         return False
 
@@ -379,11 +378,9 @@ def subst_size(s, x: Ident, r):
             return s
 
 
-def subst_base(ns: NormalSize, base, repl: NormalSize) -> NormalSize:
+def subst_base(ns: tuple, base, repl: tuple) -> tuple:
     """ns with each pair on base replaced by repl, bumped by the pair's offset."""
-    parts = [
-        bump(repl, n) if b == base else NormalSize(frozenset({(b, n)})) for b, n in ns.pairs
-    ]
+    parts = [bump(repl, n) if b == base else ((b, n),) for b, n in ns]
     return reduce(ns_max, parts)
 
 

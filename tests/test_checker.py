@@ -1,8 +1,10 @@
 """Bidirectional checking: inference, subsumption, data declarations,
 pattern elaboration, the size-case rule, and the diagnostic catalog."""
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from sizedcheck import RunConfig, check_source
 from sizedcheck.checker import Ctx
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
-from sizedcheck.sizes import Rel, SizeCtx, ns_infty, ns_var
+from sizedcheck.sizes import INFTY_SIZE, ns_var
 from sizedcheck.syntax import Annot, App, Def, Var, fresh_ident
 from sizedcheck.values import Thunk, VData, VSize, VSizeU
 
@@ -168,7 +170,7 @@ class TestSubtype:
 
     def test_subtyping_chain_to_infinity(self, world):
         ch, ctx, i, j = world
-        chain = [ns_var(i), ns_var(i, 1), ns_infty()]
+        chain = [ns_var(i), ns_var(i, 1), INFTY_SIZE]
         for lo, hi in zip(chain, chain[1:]):
             assert ch.subtype(ctx, self._snat(ch, lo), self._snat(ch, hi))
             assert not ch.subtype(ctx, self._snat(ch, hi), self._snat(ch, lo))
@@ -410,7 +412,6 @@ eval let two : SNat # = inc2 # (zero #)
         ch, _, _ = build(src)
         entry = ch.sig.entries[ch.sig.by_text["inc2"].uid]
         from sizedcheck.cli import RunConfig, check_source
-        from sizedcheck.sizes import Meta
         from sizedcheck.syntax import Size, App, Lam
 
         def metas_in(e):
@@ -420,7 +421,7 @@ eval let two : SNat # = inc2 # (zero #)
                 case Lam(_, b):
                     return metas_in(b)
                 case Size(s):
-                    return {b.mid for b, _ in s if type(b) is Meta}
+                    return {b for b, _ in s if type(b) is int}
                 case _:
                     return set()
 
@@ -496,7 +497,7 @@ eval let inck : [k : Size] -> SNat k -> SNat ($ k) = \\ k -> \\ n -> inc k n
         # inc2's holes are solved as i and $ i, mx's as max(i, j) and inc's
         # as i; each eval let reads them with i bound to # or to a variable
         from sizedcheck.cli import RunConfig, check_source
-        from sizedcheck.sizes import NormalSize
+        from sizedcheck.sizes import canonical, format_size, metas
 
         r = check_source(self.SOLVED_UNDER_ENV, "<test>",
                          RunConfig([], print_sizes=True, print_constraints=True))
@@ -519,8 +520,28 @@ eval let inck : [k : Size] -> SNat k -> SNat ($ k) = \\ k -> \\ n -> inc k n
         ch, _, _ = build(self.SOLVED_UNDER_ENV)
         assert len(ch.sig.holes) == 4
         for ns in ch.sig.holes.values():
-            assert isinstance(ns, NormalSize) and not ns.metas()
-        assert sorted(map(repr, ch.sig.holes.values())) == ["i", "i", "i+1", "max(i, j)"]
+            assert type(ns) is tuple and canonical(ns) == ns and not metas(ns)
+        assert sorted(map(format_size, ch.sig.holes.values())) == ["i", "i", "i+1", "max(i, j)"]
+
+    def test_memory_per_hole_stays_small_in_a_deep_let(self):
+        # a let 200 holes deep over the SNat of corpus/accept/holes.ma: a hole
+        # is its int id and a normal form its pair tuple, so no object wraps
+        # either; a wrapper object per hole and per normal form would cost
+        # about 1,450 B per hole
+        n = 200
+        body = "succ _ (" * (n - 1) + "succ _ m" + ")" * (n - 1)
+        src = SNAT_PARAMETRIC + (f"let deep : [i : Size] -> SNat i -> SNat ({'$' * n} i)\n"
+                                 f"  = \\ i -> \\ m -> {body}\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            r = check_source(src, "<test>")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.diagnostic is None
+        assert (peak - before) / n < 1350
 
 
 class TestProgram:

@@ -22,7 +22,7 @@ from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.evaluator import _NOMATCH, _STUCK
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import ConEntry, DataEntry, FunEntry, LetEntry
-from sizedcheck.sizes import INFTY, Meta, bump, format_size, normalize, ns_meta, ns_var
+from sizedcheck.sizes import INFTY, bump, format_size, normalize, ns_var
 from sizedcheck.syntax import (
     Annot,
     App,
@@ -144,8 +144,8 @@ def test_evaluate_on_a_minimal_instance(world, cls):
 
 
 # a size is a tuple of (base, successors) pairs; `normalize` branches on the
-# class of each base
-BASES = (Ident, Meta, type(INFTY))
+# class of each base: a variable, a hole's int id, or #
+BASES = (Ident, int, type(INFTY))
 
 
 def _normalize_rows():
@@ -154,7 +154,7 @@ def _normalize_rows():
         Ident: [(((i, 0),), "j+1"), (((k, 0),), "k"), (((k, 2),), "k+2"), (((i, 1),), "j+2"),
                 (((k, 0), (i, 1)), "max(j+2, k)")],
         type(INFTY): [(((INFTY, 0),), "#"), (((INFTY, 1),), "#"), (((k, 0), (INFTY, 0)), "#")],
-        Meta: [(((Meta(7), 0),), "j+1"), (((Meta(8), 0),), "?8")],
+        int: [(((7, 0),), "j+1"), (((8, 0),), "?8")],
     }, {i.uid: bump(ns_var(j), 1)}, {7: ns_var(i)}
 
 
@@ -169,7 +169,7 @@ def test_normalize_on_a_minimal_instance(cls):
         ns = normalize(s, lambda x: bound.get(x.uid), holes)
         assert format_size(ns, {8: "?8"}) == want
     # without a lookup or a hole table a hole stays a hole
-    assert normalize(((Meta(7), 0),)) == ns_meta(7)
+    assert normalize(((7, 0),)) == ((7, 0),)
 
 
 # -- _match --------------------------------------------------------------------------

@@ -19,8 +19,12 @@ from pathlib import Path
 import pytest
 
 from sizedcheck import parse_source
-from sizedcheck.sizes import Meta, Rel, SizeConstraint, SizeCtx, ns_meta
+from sizedcheck.evaluator import _ERASED
+from sizedcheck.sizes import INFTY_SIZE, Rel, SizeConstraint, SizeCtx, normalize, ns_var
 from sizedcheck.syntax import Ident, LineTable
+
+from conftest import CORPUS, build
+from oracle import parse_size
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "sizedcheck").glob("*.py"))
@@ -84,11 +88,26 @@ def test_import_loads_no_cli_or_class_generator_modules():
 # -- what the slotted classes keep ---------------------------------------------
 
 
-def _meta_equality():
-    assert Meta(3) == Meta(3) and Meta(3) != Meta(4)
-    # the hash of the tuple (mid,), as before: it fixes the iteration order of
-    # the pair sets that hold Metas, and so the order of printed maxima
-    assert hash(Meta(3)) == hash(Meta(3)) == hash((3,))
+def _hole_ids():
+    # a hole is its int id, numbered in source order from 1
+    pairs, _ = parse_size("max _ (max ($ _) _)")
+    assert pairs == ((1, 0), (2, 1), (3, 0))
+    assert all(type(b) is int for b, _ in pairs)
+
+
+def _erased_is_no_hole():
+    # an erased argument reads back as the hole -1, which no program has, so
+    # the table of solved holes never holds it
+    assert _ERASED.size == ((-1, 0),)
+    ch, _, outputs = build((CORPUS / "accept" / "holes.ma").read_text())
+    assert sorted(ch.sig.holes) == [1, 2, 3, 4, 5]
+    assert outputs and "_" in outputs[0]
+
+
+def _one_pair_is_its_normal_form():
+    x = Ident("x", 5)
+    for ns in (ns_var(x), ns_var(x, 2), ((3, 1),), INFTY_SIZE):
+        assert normalize(ns) is ns
 
 
 def _assign(obj, field, value):
@@ -117,11 +136,12 @@ def _recorded_fault():
 
 
 KEPT = {
-    "meta-equality-and-hash": _meta_equality,
-    "meta-immutable": _assign(lambda: Meta(3), "mid", 4),
+    "hole-ids-are-ints-from-1": _hole_ids,
+    "erased-hole-never-solved": _erased_is_no_hole,
+    "one-pair-size-is-its-normal-form": _one_pair_is_its_normal_form,
     "sizectx-immutable": _assign(SizeCtx, "scope", frozenset()),
     "constraint-immutable": _assign(
-        lambda: SizeConstraint(ns_meta(1), Rel.LE, ns_meta(2)), "rel", Rel.LT),
+        lambda: SizeConstraint(((1, 0),), Rel.LE, ((2, 0),)), "rel", Rel.LT),
     "ident-equality-by-uid": _ident_by_uid,
     "fault-none-when-clean": _no_fault,
     "fault-as-recorded": _recorded_fault,

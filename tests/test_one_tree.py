@@ -19,7 +19,7 @@ from sizedcheck.checker import Checker
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
 from sizedcheck.signature import FunEntry, LetEntry
-from sizedcheck.sizes import INFTY_SIZE, normalize, ns_infty
+from sizedcheck.sizes import INFTY_SIZE, normalize
 from sizedcheck.syntax import (
     App,
     Clause,
@@ -131,5 +131,5 @@ def test_nullary_values_are_built_once():
 def test_one_infinity():
     ch, decls, _ = build("let s : Size = #\n")
     assert decls[0].body.size is INFTY_SIZE
-    assert normalize(INFTY_SIZE) is ns_infty()
-    assert ch.ev.quote(VSize(ns_infty())).size is INFTY_SIZE
+    assert normalize(INFTY_SIZE) is INFTY_SIZE
+    assert ch.ev.quote(VSize(INFTY_SIZE)).size is INFTY_SIZE

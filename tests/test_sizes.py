@@ -9,9 +9,8 @@ import pytest
 from sizedcheck import sizes
 from sizedcheck.sizes import (
     INFTY,
+    INFTY_SIZE,
     Ambiguous,
-    Meta,
-    NormalSize,
     Rel,
     ShadowedVariable,
     SizeConstraint,
@@ -22,9 +21,7 @@ from sizedcheck.sizes import (
     entails,
     format_size,
     normalize,
-    ns_infty,
     ns_max,
-    ns_meta,
     ns_var,
     solve_metas,
 )
@@ -47,7 +44,7 @@ class TestNormalize:
         assert normalize(((i, 2),)) == ns_var(i, 2)
 
     def test_successor_of_infinity_collapses(self):
-        assert normalize(((INFTY, 1),)) == ns_infty()
+        assert normalize(((INFTY, 1),)) == INFTY_SIZE
 
     def test_max_dominance(self):
         # max ($ i) i = i+1, verified by brute force over valuations
@@ -64,16 +61,16 @@ class TestNormalize:
         cases = [
             ((i, 1), (j, 2)),  # $ (max i ($ j))
             ((INFTY, 0), (i, 0)),  # max # i
-            ((Meta(7), 0),),  # _
+            ((7, 0),),  # _
         ]
         for s in cases:
             once = normalize(s)
-            assert normalize(once.pairs) == once
+            assert normalize(once) == once
 
     def test_roundtrip_through_expr(self):
         ns = ns_max(ns_var(i, 2), ns_var(j))
         # a size reads back as the pairs of its normal form
-        assert normalize(ns.pairs) == ns
+        assert normalize(ns) == ns
 
 
 class TestEntails:
@@ -92,11 +89,11 @@ class TestEntails:
 
     def test_anything_below_infinity(self):
         ctx = ctx_of(i)
-        assert entails(ctx, ns_var(i, 5), Rel.LE, ns_infty())
-        assert entails(ctx, ns_var(i), Rel.LT, ns_infty())
-        assert entails(ctx, ns_infty(), Rel.LE, ns_infty())
-        assert not entails(ctx, ns_infty(), Rel.LT, ns_infty())
-        assert not entails(ctx, ns_infty(), Rel.LE, ns_var(i))
+        assert entails(ctx, ns_var(i, 5), Rel.LE, INFTY_SIZE)
+        assert entails(ctx, ns_var(i), Rel.LT, INFTY_SIZE)
+        assert entails(ctx, INFTY_SIZE, Rel.LE, INFTY_SIZE)
+        assert not entails(ctx, INFTY_SIZE, Rel.LT, INFTY_SIZE)
+        assert not entails(ctx, INFTY_SIZE, Rel.LE, ns_var(i))
 
     def test_offset_rule_same_base(self):
         ctx = ctx_of(i)
@@ -124,11 +121,11 @@ class TestEntails:
         # nothing is known of a hole yet: it bounds, and is bounded by, only
         # itself plus an offset
         ctx = ctx_of(i).add(j, ns_var(i), True)
-        assert entails(ctx, ns_meta(1), Rel.LE, ns_meta(1, 1))
-        assert not entails(ctx, ns_meta(1), Rel.LE, ns_var(i))
-        assert not entails(ctx, ns_var(j), Rel.LT, ns_meta(1))
-        assert not entails(ctx, ns_meta(1), Rel.LE, ns_meta(2))
-        assert entails(ctx, ns_meta(1), Rel.LT, ns_infty())
+        assert entails(ctx, ((1, 0),), Rel.LE, ((1, 1),))
+        assert not entails(ctx, ((1, 0),), Rel.LE, ns_var(i))
+        assert not entails(ctx, ns_var(j), Rel.LT, ((1, 0),))
+        assert not entails(ctx, ((1, 0),), Rel.LE, ((2, 0),))
+        assert entails(ctx, ((1, 0),), Rel.LT, INFTY_SIZE)
 
 
 class TestAddHypothesis:
@@ -137,9 +134,9 @@ class TestAddHypothesis:
         assert entails(ctx, ns_var(j), Rel.LT, ns_var(i))
 
     def test_top_element(self):
-        ctx = SizeCtx().add(j, ns_infty(), True)
-        assert entails(ctx, ns_var(j), Rel.LE, ns_infty())
-        assert not entails(ctx, ns_infty(), Rel.LE, ns_var(j))
+        ctx = SizeCtx().add(j, INFTY_SIZE, True)
+        assert entails(ctx, ns_var(j), Rel.LE, INFTY_SIZE)
+        assert not entails(ctx, INFTY_SIZE, Rel.LE, ns_var(j))
 
     def test_offset_accumulation(self):
         ctx = ctx_of(i).add(j, ns_var(i), True)
@@ -163,8 +160,8 @@ class TestSolveMetas:
         ctx = ctx_of(i)
         # m = i as a pair of inequalities
         cs = [
-            SizeConstraint(ns_meta(1), Rel.LE, ns_var(i)),
-            SizeConstraint(ns_var(i), Rel.LE, ns_meta(1)),
+            SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
+            SizeConstraint(ns_var(i), Rel.LE, ((1, 0),)),
         ]
         sol = solve_metas(cs, ctx, {1})
         assert sol[1] == ns_var(i)
@@ -173,8 +170,8 @@ class TestSolveMetas:
         # {m <= i, $ j <= m} under {j < i}: least solution m = j+1
         ctx = ctx_of(i).add(j, ns_var(i), True)
         cs = [
-            SizeConstraint(ns_meta(1), Rel.LE, ns_var(i)),
-            SizeConstraint(ns_var(j, 1), Rel.LE, ns_meta(1)),
+            SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
+            SizeConstraint(ns_var(j, 1), Rel.LE, ((1, 0),)),
         ]
         sol = solve_metas(cs, ctx, {1})
         assert sol[1] == ns_var(j, 1)
@@ -192,7 +189,7 @@ class TestSolveMetas:
     def test_unsolvable_needs_subtraction(self):
         # j <= m+2 with no successor structure below j: no expressible hole
         ctx = ctx_of(j)
-        cs = [SizeConstraint(ns_var(j), Rel.LE, ns_meta(1, 2))]
+        cs = [SizeConstraint(ns_var(j), Rel.LE, ((1, 2),))]
         with pytest.raises(Unsolvable):
             solve_metas(cs, ctx, {1})
 
@@ -202,16 +199,16 @@ class TestSolveMetas:
 
     def test_infinity_fallback_for_upper_only(self):
         # $ m <= # constrains nothing; the hole defaults to #
-        cs = [SizeConstraint(ns_meta(1, 1), Rel.LE, ns_infty())]
+        cs = [SizeConstraint(((1, 1),), Rel.LE, INFTY_SIZE)]
         sol = solve_metas(cs, SizeCtx(), {1})
-        assert sol[1] == ns_infty()
+        assert sol[1] == INFTY_SIZE
 
     def test_dependency_chain(self):
         ctx = ctx_of(i)
         cs = [
-            SizeConstraint(ns_var(i), Rel.LE, ns_meta(1)),
-            SizeConstraint(ns_meta(1, 1), Rel.LE, ns_meta(2)),
-            SizeConstraint(ns_meta(2, 1), Rel.LE, ns_var(i, 2)),
+            SizeConstraint(ns_var(i), Rel.LE, ((1, 0),)),
+            SizeConstraint(((1, 1),), Rel.LE, ((2, 0),)),
+            SizeConstraint(((2, 1),), Rel.LE, ns_var(i, 2)),
         ]
         sol = solve_metas(cs, ctx, {1, 2})
         assert sol[1] == ns_var(i)
@@ -221,30 +218,30 @@ class TestSolveMetas:
         ctx = ctx_of(i, j)
         # j <= m and m <= i is unsolvable without a hypothesis relating them
         cs = [
-            SizeConstraint(ns_var(j), Rel.LE, ns_meta(1)),
-            SizeConstraint(ns_meta(1), Rel.LE, ns_var(i)),
+            SizeConstraint(ns_var(j), Rel.LE, ((1, 0),)),
+            SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
         ]
         with pytest.raises(Unsolvable):
             solve_metas(cs, ctx, {1})
 
     def test_self_loop_is_cyclic(self):
-        cs = [SizeConstraint(ns_meta(1, 1), Rel.LE, ns_meta(1))]
+        cs = [SizeConstraint(((1, 1),), Rel.LE, ((1, 0),))]
         with pytest.raises(Unsolvable, match="cyclic"):
             solve_metas(cs, SizeCtx(), {1})
 
     def test_two_cycle_is_cyclic(self):
         cs = [
-            SizeConstraint(ns_meta(1), Rel.LE, ns_meta(2)),
-            SizeConstraint(ns_meta(2), Rel.LE, ns_meta(1)),
+            SizeConstraint(((1, 0),), Rel.LE, ((2, 0),)),
+            SizeConstraint(((2, 0),), Rel.LE, ((1, 0),)),
         ]
         with pytest.raises(Unsolvable, match="cyclic"):
             solve_metas(cs, SizeCtx(), {1, 2})
 
     def test_cycle_beside_a_solvable_hole_is_cyclic(self):
         cs = [
-            SizeConstraint(ns_var(i), Rel.LE, ns_meta(1)),
-            SizeConstraint(ns_meta(2), Rel.LE, ns_meta(3)),
-            SizeConstraint(ns_meta(3), Rel.LE, ns_meta(2)),
+            SizeConstraint(ns_var(i), Rel.LE, ((1, 0),)),
+            SizeConstraint(((2, 0),), Rel.LE, ((3, 0),)),
+            SizeConstraint(((3, 0),), Rel.LE, ((2, 0),)),
         ]
         with pytest.raises(Unsolvable, match="cyclic"):
             solve_metas(cs, ctx_of(i), {1, 2, 3})
@@ -253,8 +250,8 @@ class TestSolveMetas:
     def _chain(n):
         # ?n >= i and ?m >= ?(m+1) + 1: each hole needs the one with the next
         # higher id, so ?m = i + (n - m)
-        cs = [SizeConstraint(ns_var(i), Rel.LE, ns_meta(n))]
-        cs += [SizeConstraint(ns_meta(m + 1, 1), Rel.LE, ns_meta(m)) for m in range(1, n)]
+        cs = [SizeConstraint(ns_var(i), Rel.LE, ((n, 0),))]
+        cs += [SizeConstraint(((m + 1, 1),), Rel.LE, ((m, 0),)) for m in range(1, n)]
         return cs, set(range(1, n + 1))
 
     def test_chain_from_low_to_high_ids(self):
@@ -305,9 +302,9 @@ class TestSolveMetas:
 class TestFormat:
     def test_stable_textual_form(self):
         naming = {1: "m1"}
-        assert format_size(ns_meta(1), naming) == "m1"
+        assert format_size(((1, 0),), naming) == "m1"
         assert format_size(ns_var(i, 1)) == "i+1"
-        assert format_size(ns_infty()) == "#"
+        assert format_size(INFTY_SIZE) == "#"
         assert format_size(ns_max(ns_var(i, 1), ns_var(j))) in (
             "max(i+1, j)",
             "max(j, i+1)",

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sizedcheck.sizes import (
     INFTY,
-    Meta,
-    NormalSize,
+    INFTY_SIZE,
     Rel,
     ShadowedVariable,
     SizeConstraint,
@@ -18,10 +17,8 @@ from sizedcheck.sizes import (
     UnknownVariable,
     Unsolvable,
     apply_solution,
-    bump,
     entails,
     normalize,
-    ns_infty,
     ns_max,
     ns_var,
     solve_metas,
@@ -58,19 +55,19 @@ def random_ctx(rng: random.Random, n_vars: int, n_edges: int) -> SizeCtx:
         if pool and rng.random() < 0.85:
             parent = ns_var(rng.choice(pool), rng.randrange(0, 3))
         else:
-            parent = ns_infty()
+            parent = INFTY_SIZE
         ctx = ctx.add(child, parent, rng.random() < 0.8)
     return ctx
 
 
-def random_atom(rng: random.Random, ctx: SizeCtx) -> NormalSize:
+def random_atom(rng: random.Random, ctx: SizeCtx) -> tuple:
     pool = sorted(ctx.scope, key=lambda x: x.uid)
     if not pool or rng.random() < 0.1:
-        return ns_infty()
+        return INFTY_SIZE
     return ns_var(rng.choice(pool), rng.randrange(0, 4))
 
 
-def random_size(rng: random.Random, ctx: SizeCtx, allow_max=True) -> NormalSize:
+def random_size(rng: random.Random, ctx: SizeCtx, allow_max=True) -> tuple:
     a = random_atom(rng, ctx)
     if allow_max and rng.random() < 0.3:
         return ns_max(a, random_atom(rng, ctx))
@@ -146,7 +143,7 @@ class TestNormalizeLaws:
     @given(size_exprs())
     def test_idempotent(self, s):
         once = normalize(tree_pairs(s))
-        assert normalize(once.pairs) == once
+        assert normalize(once) == once
 
     @given(size_exprs(), st.integers(1, 3))
     def test_commutes_with_renaming(self, s, uid):
@@ -155,7 +152,7 @@ class TestNormalizeLaws:
         renamed = subst_size(s, old, SVar(new))
         direct = normalize(tree_pairs(renamed))
         via = normalize(tree_pairs(s))
-        for b, n in via.pairs:
+        for b, n in via:
             assert b != new
         assert subst_base(via, old, ns_var(new)) == direct
 
@@ -229,7 +226,7 @@ class TestSharedSnapshots:
                 if rng.random() < 0.4:
                     step = ("declare", x)
                 else:
-                    parent = ns_infty()
+                    parent = INFTY_SIZE
                     if made and rng.random() < 0.85:
                         parent = ns_var(rng.choice(made), rng.randrange(0, 3))
                         if rng.random() < 0.2:
@@ -252,8 +249,8 @@ class TestSharedSnapshots:
                 for x in made:
                     assert list(ctx.out_edges(x)) == ref.out_edges(x)
                 for _ in range(6):
-                    a = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else ns_infty()
-                    b = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else ns_infty()
+                    a = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else INFTY_SIZE
+                    b = ns_var(rng.choice(made), rng.randrange(0, 3)) if made else INFTY_SIZE
                     rel = Rel.LT if rng.random() < 0.4 else Rel.LE
                     assert (_outcome(entails, ctx, a, rel, b)
                             == _outcome(entails, scratch, a, rel, b)), (ref.edges, a, rel, b)
@@ -275,9 +272,9 @@ def hole_problems(draw):
         else:
             ctx = ctx.declare(x)
         xs.append(x)
-    bases = xs + [Meta(m) for m in range(1, draw(st.integers(1, 4)) + 1)] + [INFTY]
+    bases = xs + list(range(1, draw(st.integers(1, 4)) + 1)) + [INFTY]
     side = st.tuples(st.sampled_from(bases), st.integers(0, 3)).map(
-        lambda p: ns_infty() if p[0] is INFTY else NormalSize([p])
+        lambda p: INFTY_SIZE if p[0] is INFTY else (p,)
     )
     rel = st.sampled_from([Rel.LE, Rel.LE, Rel.LE, Rel.LT])
     constraints = draw(st.lists(st.builds(SizeConstraint, side, rel, side), min_size=1, max_size=5))
@@ -288,9 +285,9 @@ def _needs_subtraction(constraints) -> bool:
     """A lower bound on a hole that sits below a base: s + n <= ?m + k with
     n (plus 1 if strict) under k and s not #."""
     return any(
-        b is not INFTY and n + (c.rel is Rel.LT) < c.rhs.pairs[0][1]
-        for c in constraints if isinstance(c.rhs.pairs[0][0], Meta)
-        for b, n in c.lhs.pairs
+        b is not INFTY and n + (c.rel is Rel.LT) < c.rhs[0][1]
+        for c in constraints if type(c.rhs[0][0]) is int
+        for b, n in c.lhs
     )
 
 
@@ -299,9 +296,9 @@ def _bounds_cycle(constraints) -> bool:
     need ?a."""
     needs: dict = {}
     for c in constraints:
-        (rb, _), (lb, _) = c.rhs.pairs[0], c.lhs.pairs[0]
-        if isinstance(rb, Meta) and isinstance(lb, Meta):
-            needs.setdefault(rb.mid, set()).add(lb.mid)
+        (rb, _), (lb, _) = c.rhs[0], c.lhs[0]
+        if type(rb) is int and type(lb) is int:
+            needs.setdefault(rb, set()).add(lb)
 
     def reaches(a, b, seen) -> bool:
         return any(d == b or (d not in seen and reaches(d, b, seen | {d}))

@@ -1,7 +1,7 @@
 """The representation of a size normal form: a tuple of (base, offset) pairs
 with distinct bases in `_pair_key` order (variables by uid, then holes by
 id), `#` only as the lone pair (INFTY, 0), equal to and hashed like the same
-pairs given to the public constructor in any order.
+pairs given to `canonical` in any order.
 
 Hypothesis draws size expressions (trees of `tests/oracle.py`, given to
 `normalize` as the parser's pairs), lookups and solutions; the inputs of the
@@ -14,15 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from sizedcheck.sizes import (
     INFTY,
-    Meta,
-    NormalSize,
     OffsetOverflow,
     _pair_key,
     apply_solution,
     bump,
+    canonical,
     normalize,
     ns_max,
-    ns_meta,
     ns_var,
     pred,
 )
@@ -33,15 +31,14 @@ from test_sizes_equivalence import MIDS, VARS, lookups, offsets, size_exprs, sol
 SETTINGS = settings(max_examples=200, deadline=None)
 
 
-def well_formed(ns: NormalSize) -> None:
-    pairs = ns.pairs
+def well_formed(pairs: tuple) -> None:
     assert type(pairs) is tuple and pairs
     assert list(pairs) == sorted(pairs, key=_pair_key)
     assert len({b for b, _ in pairs}) == len(pairs)
     if any(b is INFTY for b, _ in pairs):
         assert pairs == ((INFTY, 0),)
-    for other in (NormalSize(frozenset(pairs)), NormalSize(reversed(pairs))):
-        assert ns == other and hash(ns) == hash(other)
+    for other in (canonical(frozenset(pairs)), canonical(reversed(pairs))):
+        assert pairs == other and hash(pairs) == hash(other)
 
 
 def check(f, *args) -> None:
@@ -53,7 +50,7 @@ def check(f, *args) -> None:
     well_formed(ns)
 
 
-def read(s, env=None, sol=None) -> NormalSize | None:
+def read(s, env=None, sol=None) -> tuple | None:
     try:
         return normalize(tree_pairs(s), None if env is None else env.get, sol)
     except OffsetOverflow:
@@ -70,7 +67,7 @@ class TestEveryResultIsOrdered:
     @given(st.sampled_from(VARS), st.sampled_from(MIDS), offsets)
     def test_leaves(self, x, m, n):
         check(ns_var, x, n)
-        check(ns_meta, m, n)
+        check(normalize, ((m, n),))
 
     @SETTINGS
     @given(size_exprs(), st.one_of(st.none(), lookups), offsets)
@@ -98,6 +95,6 @@ class TestEveryResultIsOrdered:
 
 def test_public_constructor_orders_any_iterable():
     i, j = VARS[0], VARS[1]
-    ns = NormalSize([(Meta(2), 0), (j, 1), (i, 3)])
-    assert ns.pairs == ((i, 3), (j, 1), (Meta(2), 0))
-    assert ns == ns_max(ns_max(ns_meta(2), ns_var(j, 1)), ns_var(i, 3))
+    ns = canonical([(2, 0), (j, 1), (i, 3)])
+    assert ns == ((i, 3), (j, 1), (2, 0))
+    assert ns == ns_max(ns_max(((2, 0),), ns_var(j, 1)), ns_var(i, 3))
