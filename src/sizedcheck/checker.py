@@ -19,13 +19,13 @@ checked, its holes are solved and each solution is stored once in the
 signature's hole table; the evaluator reads it there whenever it normalizes
 the hole, so no clause or let body is rewritten.
 
-A declaration's typing context is one pair of maps, from binder to type and
-from binder to value, that each binder is added to in place (`Ctx`), so a
-bind copies no map.  Only a size case, which rebinds its scrutinee, binds
-into a copy of the whole pair, so n nested size cases still copy O(n^2)
-entries.  The size context grows one shared table in place the same way
-(`sizes.SizeCtx`).  A closure the evaluator builds over these maps holds
-them by reference and copies them whole each time it is entered."""
+A typing context's environment is the evaluator's (see `values`), whose
+cells also carry each binder's type and annotation: it never changes,
+binding a variable costs one cell, and looking one up costs the distance to
+its binder.  So a context, a closure built in it and every context that
+extends it share its cells, and a size case rebinds its scrutinee with one
+cell in front, which the expressions beside the case never see.  The size
+context is one shared table (`sizes.SizeCtx`)."""
 
 from __future__ import annotations
 
@@ -97,20 +97,12 @@ from .totality import (
     termination_check,
 )
 from .values import VSET, VSIZEU
-from .values import Thunk, Value, VCon, VData, VDef, VLam, VNe, VPi, VSet, VSize, VSizeU
+from .values import Env, Thunk, Value, VCon, VData, VDef, VLam, VNe, VPi, VSet, VSize, VSizeU, find
 
 
 def _bound_var(v: Value) -> Ident:
     """The variable that `Evaluator.telescope` bound: a neutral or a size."""
     return v.head if isinstance(v, VNe) else v.size[0][0]
-
-
-class _Binding(Record):
-    __slots__ = ("type", "annot")
-
-    def __init__(self, type: Value, annot: Annot):
-        self.type = type
-        self.annot = annot
 
 
 class ClauseState(Record):
@@ -130,39 +122,27 @@ class ClauseState(Record):
         self.calls: list[CallSite] = []
 
 
+# the fields of a context's cell past the evaluator's (uid, thunk, rest)
+_TYPE, _ANNOT = 3, 4
+
+
 class Ctx:
-    """Typing context: binding types and annotations, a semantic environment
-    mapping each bound variable to its (usually neutral) value, the size
-    hypothesis set, and the state of the clause being checked, if any.
+    """Typing context: an environment whose cells (uid, thunk, rest, type,
+    annot) bind each variable to its (usually neutral) value, its type and
+    its annotation; the size hypothesis set; and the state of the clause
+    being checked, if any."""
 
-    One pair of maps serves a whole declaration: `bind` adds its binder to
-    them in place and returns a context that shares them, so n binders cost
-    n entries.  Every binder is a fresh uid and the parser has resolved
-    every name, so maps that also hold later or sibling binders give the
-    answer the context's own would to every lookup the program makes.  The
-    one rebinding, `_check_case_size`'s i := $ j, binds into a `fork`, a
-    copy of both maps with every binder bound so far."""
+    __slots__ = ("env", "sctx", "state")
 
-    __slots__ = ("bindings", "env", "sctx", "state")
-
-    def __init__(self, bindings=None, env=None, sctx=None, state=None):
-        self.bindings: dict[int, _Binding] = bindings or {}
-        self.env: dict[int, Thunk] = env or {}
+    def __init__(self, env: Env = None, sctx: SizeCtx | None = None,
+                 state: ClauseState | None = None):
+        self.env = env
         self.sctx: SizeCtx = sctx or SizeCtx()
-        self.state: ClauseState | None = state
+        self.state = state
 
     @property
     def collector(self) -> list[SizeConstraint] | None:
         return self.state.collector if self.state is not None else None
-
-    def _extended(self, x: Ident, b: _Binding, th: Thunk, sctx: SizeCtx) -> "Ctx":
-        self.bindings[x.uid] = b
-        self.env[x.uid] = th
-        return Ctx(self.bindings, self.env, sctx, self.state)
-
-    def fork(self) -> "Ctx":
-        """The context with maps of its own, for a binding that replaces one."""
-        return Ctx(dict(self.bindings), dict(self.env), self.sctx, self.state)
 
     def bind(
         self,
@@ -182,13 +162,14 @@ class Ctx:
         else:
             value = VNe(x)
             sctx = self.sctx
-        return self._extended(x, _Binding(ty, annot), Thunk.of(value), sctx)
+        return Ctx((x.uid, Thunk.of(value), self.env, ty, annot), sctx, self.state)
 
     def bind_value(self, x: Ident, ty: Value, annot: Annot, value: Value) -> "Ctx":
-        return self._extended(x, _Binding(ty, annot), Thunk.of(value), self.sctx)
+        return Ctx((x.uid, Thunk.of(value), self.env, ty, annot), self.sctx, self.state)
 
-    def lookup(self, x: Ident) -> _Binding | None:
-        return self.bindings.get(x.uid)
+    def lookup(self, x: Ident) -> tuple | None:
+        """x's cell, or None."""
+        return find(self.env, x.uid)
 
 
 class Checker:
@@ -231,7 +212,7 @@ class Checker:
             for d in decls:
                 if isinstance(d, LetDecl) and d.eval:
                     self.ev.reset_budget(d.pos)
-                    v = self.ev.evaluate({}, Def(d.name, d.pos))
+                    v = self.ev.evaluate(None, Def(d.name, d.pos))
                     rb = self.ev.readback(v)
                     outputs.append(f"{d.name.text} = {pretty(rb)}")
         except OffsetOverflow as e:
@@ -271,7 +252,7 @@ class Checker:
             d.coinductive,
             [(n, pol) for n, pol, _ in params],
             len(indices),
-            self.ev.evaluate({}, kind),
+            self.ev.evaluate(None, kind),
         )
         self.sig.add(d.name, entry)
 
@@ -281,7 +262,7 @@ class Checker:
             ct = self.check_type(ctx, c.type)
             for name, _, pt in reversed(params):
                 ct = Pi(Annot.PARAMETRIC, name, pt, ct, c.pos)
-            cv = self.ev.evaluate({}, ct)
+            cv = self.ev.evaluate(None, ct)
             centry = self._check_constructor(d, params, c.name, cv, c.pos)
             self.sig.add(c.name, centry)
             entry.constructors.append(c.name)
@@ -409,7 +390,7 @@ class Checker:
 
     def check_fun_decl(self, f: FunDecl):
         ty = self.check_type(Ctx(), f.type)
-        tv = self.ev.evaluate({}, ty)
+        tv = self.ev.evaluate(None, ty)
         arities = {len(c.lhs) for c in f.clauses}
         if len(arities) > 1:
             raise Diagnostic(
@@ -471,7 +452,7 @@ class Checker:
 
     def check_let_decl(self, d: LetDecl):
         ty = self.check_type(Ctx(), d.type)
-        tv = self.ev.evaluate({}, ty)
+        tv = self.ev.evaluate(None, ty)
         ctx = Ctx(state=ClauseState())
         body = self.check(ctx, d.body, tv, erased=False)
         self._solve_holes(ctx, d.pos, d.name.text)
@@ -513,7 +494,7 @@ class Checker:
             case PVar() | PWild():
                 x = p.name if isinstance(p, PVar) else fresh_ident("_i" if at_size else "_x")
                 ctx = ctx.bind(x, dom, pi.annot)
-                val = self.ev.force(ctx.env[x.uid])
+                val = self.ev.force(ctx.env[1])
                 if designated and isinstance(p, PVar):
                     ctx.state.lhs_size = val.size
                 return ctx, val, []
@@ -796,13 +777,13 @@ class Checker:
             if type(x) is not Ident:
                 continue
             b = ctx.lookup(x)
-            if b is None or not isinstance(self.ev.whnf(b.type), VSizeU):
+            if b is None or not isinstance(self.ev.whnf(b[_TYPE]), VSizeU):
                 raise Diagnostic("TYPE-MISMATCH", f"'{x.text}' is not a size variable", pos)
-            self._use_check(ctx, x, erased, pos)
+            self._use_check(b, x, erased, pos)
 
-    def _use_check(self, ctx: Ctx, x: Ident, erased: bool, pos: Pos):
-        b = ctx.lookup(x)
-        if b is not None and b.annot is Annot.PARAMETRIC and not erased:
+    def _use_check(self, b: tuple, x: Ident, erased: bool, pos: Pos):
+        """x, bound by the cell b, may be used where erased says."""
+        if b[_ANNOT] is Annot.PARAMETRIC and not erased:
             raise Diagnostic(
                 "PARAMETRIC-VIOLATION",
                 f"parametric variable '{x.text}' used in a relevant position",
@@ -815,10 +796,10 @@ class Checker:
             x = e.name
             b = ctx.lookup(x)
             assert b is not None, f"unbound variable {x!r} after scope checking"
-            self._use_check(ctx, x, erased, e.pos)
-            if isinstance(self.ev.whnf(b.type), VSizeU):
-                return Size(((x, 0),), e.pos), b.type
-            return e, b.type
+            self._use_check(b, x, erased, e.pos)
+            if isinstance(self.ev.whnf(b[_TYPE]), VSizeU):
+                return Size(((x, 0),), e.pos), b[_TYPE]
+            return e, b[_TYPE]
         if t is Def:
             entry = self.sig[e.name]
             te = type(entry)
@@ -937,7 +918,7 @@ class Checker:
                     )
                 x = e.binder
                 ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
-                expected = self.ev.close(expected.closure, self.ev.force(ctx.env[x.uid]))
+                expected = self.ev.close(expected.closure, self.ev.force(ctx.env[1]))
                 last, e = e, e.body
                 if type(e) is not Lam:
                     break
@@ -1002,9 +983,9 @@ class Checker:
         if reason is not None:
             raise Diagnostic("ADMISSIBILITY", reason, e.pos)
         # in the branch i stands for $ j; it is parametric there, as j is.
-        # The branch binds into a fork: the expressions beside the case still read i
+        # Its cell goes in front of i's, which the expressions beside the case still read
         j = e.binder
-        ctx2 = ctx.fork().bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
+        ctx2 = ctx.bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
         ctx2 = ctx2.bind_value(i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
         # re-evaluated from a readback: i = $ j in the size context changes hole solving
         expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))

@@ -13,6 +13,11 @@ environment binds it, and a hole through the signature's table of solved
 holes, as its solution read under the same environment, so elaborated
 syntax is never rewritten.
 
+Environments are the cells of `values`, which never change: entering a
+closure, a size case, a case branch or a clause puts one cell per variable it
+binds in front of the environment it extends, which it shares, and `find`
+reads a variable at the cost of the distance to its binder.
+
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
 arguments of its head, `spine[:arity]`, to the value its matching clause
@@ -33,15 +38,15 @@ no binder, so its codomain cannot mention the argument, and its value
 depends only on the closure's environment, which nothing mutates.
 `close` evaluates it on the first instantiation and keeps it on the
 `Closure`; every later walk of the type (`telescope`, pattern elaboration,
-application, subtyping, conversion) gets the same value, with no copied
-environment and no fresh variable, and two such codomains are compared with
-no variable bound.  A codomain that unfolds definitions therefore pays fuel
-only on its first instantiation, whichever declaration makes it.  The same
-holds for any body at `#`, the one closed size: sizes are erased, so a type
-instantiated at `#` (`ssucc #`, `fib #`) is always the same value, and
-`close` keeps it in the same slot; a body at a size variable or at a size
-with a hole is evaluated afresh each time.  `telescope` mints no variable for
-an arrow, whose codomain could not read it.
+application, subtyping, conversion) gets the same value, with no fresh
+variable, and two such codomains are compared with no variable bound.  A
+codomain that unfolds definitions therefore pays fuel only on its first
+instantiation, whichever declaration makes it.  The same holds for any body
+at `#`, the one closed size: sizes are erased, so a type instantiated at `#`
+(`ssucc #`, `fib #`) is always the same value, and `close` keeps it in the
+same slot; a body at a size variable or at a size with a hole is evaluated
+afresh each time.  `telescope` mints no variable for an arrow, whose
+codomain could not read it.
 
 Application is one routine, `apply`, which takes a whole spine.  `evaluate`
 walks the left spine of `f a1 ... an` in one loop, suspends each argument as a
@@ -140,6 +145,7 @@ from .syntax import (
 )
 from .values import (
     Closure,
+    Env,
     Spine,
     Thunk,
     Value,
@@ -154,6 +160,7 @@ from .values import (
     VSize,
     VSIZEU,
     VSizeU,
+    find,
 )
 
 _NOMATCH = object()
@@ -216,7 +223,7 @@ class Evaluator:
             th.env = th.expr = None
         return th.value
 
-    def evaluate(self, env: dict, e: Expr) -> Value:
+    def evaluate(self, env: Env, e: Expr) -> Value:
         t = type(e)
         if t is App:
             # the whole left spine at once; an application's position is its
@@ -226,18 +233,18 @@ class Evaluator:
             f = e
             while type(f) is App:
                 a = f.arg
-                th = env.get(a.name.uid) if type(a) is Var else None
-                args.append((Thunk(env, a) if th is None else th, f.annot or _RELEVANT))
+                cell = find(env, a.name.uid) if type(a) is Var else None
+                args.append((Thunk(env, a) if cell is None else cell[1], f.annot or _RELEVANT))
                 poss.append(a.pos)
                 f = f.fun
             args.reverse()
             poss.reverse()
             return self.apply(self.evaluate(env, f), args, poss)
         if t is Var:
-            th = env.get(e.name.uid)
-            if th is None:
+            cell = find(env, e.name.uid)
+            if cell is None:
                 return VNe(e.name)
-            return self.force(th)
+            return self.force(cell[1])
         if t is Def:
             x = e.name
             entry = self.sig[x]
@@ -246,7 +253,7 @@ class Evaluator:
                 return entry.value
             if te is LetEntry:
                 if entry.thunk is None:
-                    entry.thunk = Thunk({}, entry.body)
+                    entry.thunk = Thunk(None, entry.body)
                 return self.force(entry.thunk)
             raise AssertionError(f"evaluate: bad Def target {x!r}")
         if t is Size:
@@ -266,30 +273,27 @@ class Evaluator:
         if t is CaseSize:
             # the match is computationally irrelevant; bind the scrutinee
             ns = self.eval_size(env, e.scrut)
-            env2 = dict(env)
-            env2[e.binder.uid] = Thunk.of(VSize(ns))
-            return self.evaluate(env2, e.branch)
+            return self.evaluate((e.binder.uid, Thunk.of(VSize(ns)), env), e.branch)
         if t is CaseData:
             pos = e.pos
             th = Thunk.of(self.whnf(self.evaluate(env, e.scrut), pos))
             for pat, body in e.branches:
-                bound: dict = {}
-                r = self._match(pat, th, bound, pos)
-                if r is True:
-                    return self.evaluate({**env, **bound}, body)
+                r = self._match(pat, th, env, pos)
                 if r is _STUCK:
                     raise Diagnostic("STUCK-MATCH", "case on a neutral value", pos)
+                if r is not _NOMATCH:
+                    return self.evaluate(r, body)
             raise Diagnostic("STUCK-MATCH", "no case branch matches", pos)
         if t is Elided:
             raise Diagnostic("STUCK-MATCH", "cannot evaluate an elided value", e.pos)
         raise AssertionError(f"evaluate: unhandled node {e!r}")
 
-    def eval_size(self, env: dict, s: tuple) -> tuple:
+    def eval_size(self, env: Env, s: tuple) -> tuple:
         def lookup(x: Ident):
-            th = env.get(x.uid)
-            if th is None:
+            cell = find(env, x.uid)
+            if cell is None:
                 return None
-            v = self.force(th)
+            v = self.force(cell[1])
             ns = self.size_view(v)
             if ns is None:
                 raise AssertionError(f"size variable bound to non-size value {v!r}")
@@ -307,9 +311,7 @@ class Evaluator:
         while k < n:
             if isinstance(fv, VLam):
                 clo = fv.closure
-                env2 = dict(clo.env)
-                env2[clo.binder.uid] = args[k][0]
-                fv = self.evaluate(env2, clo.body)
+                fv = self.evaluate((clo.binder.uid, args[k][0], clo.env), clo.body)
                 k += 1
                 continue
             rest = args[k:] if k else args
@@ -350,11 +352,10 @@ class Evaluator:
             return clo.value
         if type(v) is VSize and v.size[0][0] is INFTY:
             if clo.value is None:
-                clo.value = self.evaluate({**clo.env, clo.binder.uid: Thunk.of(v)}, clo.body)
+                clo.value = self.evaluate((clo.binder.uid, Thunk.of(v), clo.env), clo.body)
             return clo.value
-        env2 = dict(clo.env)
-        env2[clo.binder.uid] = v if type(v) is Thunk else Thunk.of(v)
-        return self.evaluate(env2, clo.body)
+        return self.evaluate((clo.binder.uid, v if type(v) is Thunk else Thunk.of(v), clo.env),
+                             clo.body)
 
     def open(self, clo: Closure, binder: Ident) -> tuple[Ident | None, Value]:
         """The body of clo under a fresh variable named after binder, and that
@@ -447,24 +448,23 @@ class Evaluator:
         for clause in clauses:
             if len(clause.patterns) != len(args):
                 continue
-            env: dict = {}
-            result = True
+            env = None
             for p, a in zip(clause.patterns, args):
-                r = self._match(p, a, env, pos)
-                if r is not True:
-                    result = r
+                env = self._match(p, a, env, pos)
+                if env is _STUCK:
+                    return _STUCK
+                if env is _NOMATCH:
                     break
-            if result is True:
+            else:
                 return env, clause
-            if result is _STUCK:
-                return _STUCK
         return _NOMATCH
 
-    def _match(self, p: Pattern, th: Thunk, env: dict, pos: Pos):
+    def _match(self, p: Pattern, th: Thunk, env: Env, pos: Pos):
+        """env extended by what p binds when th matches p, else _STUCK or
+        _NOMATCH."""
         t = type(p)
         if t is PVar:
-            env[p.name.uid] = th
-            return True
+            return (p.name.uid, th, env)
         if t is PCon:
             v = self.whnf(self.force(th), pos)
             if type(v) is not VCon:
@@ -475,21 +475,19 @@ class Evaluator:
             if len(subs) != len(args):
                 return _STUCK
             for sp, sa in zip(subs, args):
-                r = self._match(sp, sa, env, pos)
-                if r is not True:
-                    return r
-            return True
+                env = self._match(sp, sa, env, pos)
+                if env is _STUCK or env is _NOMATCH:
+                    return env
+            return env
         if t is PDot or t is PWild:
-            return True
+            return env
         if t is PSucc:
             ns = self.size_view(self.force(th))
             if ns is None:
                 return _STUCK
-            env[p.child.uid] = Thunk.of(VSize(pred(ns)))
-            return True
+            return (p.child.uid, Thunk.of(VSize(pred(ns))), env)
         if t is PSizeRel:
-            env[p.child.uid] = th
-            return True
+            return (p.child.uid, th, env)
         raise AssertionError(f"match: unhandled pattern {p!r}")
 
     # -- readback -------------------------------------------------------------

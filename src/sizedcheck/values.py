@@ -1,9 +1,27 @@
 """Weak-head values: constructor values with suspended arguments, neutrals,
-closures, and memoizing thunks."""
+closures, and memoizing thunks, and the environments they are built in.
+
+An environment is None, the empty one, or a cell `(uid, thunk, rest)` that
+binds the variable uid to thunk in front of the environment rest; the
+checker's cells also carry the binder's type and annotation.  No environment
+ever changes: extending one costs a cell and shares every cell it extends,
+and a lookup, `find`, costs the distance from the front to the binder."""
 
 from __future__ import annotations
 
 from .syntax import Annot, Expr, Ident, Record
+
+
+Env = tuple | None
+
+
+def find(env: Env, uid: int) -> tuple | None:
+    """The cell of env that binds uid, the nearest one, or None."""
+    while env is not None:
+        if env[0] == uid:
+            return env
+        env = env[2]
+    return None
 
 
 class Thunk:
@@ -11,7 +29,7 @@ class Thunk:
 
     __slots__ = ("env", "expr", "value")
 
-    def __init__(self, env: dict | None, expr: Expr | None, value: "Value | None" = None):
+    def __init__(self, env: Env, expr: Expr | None, value: "Value | None" = None):
         self.env = env
         self.expr = expr
         self.value = value
@@ -41,7 +59,7 @@ class Closure(Record):
 
     __slots__ = ("env", "binder", "body", "value")
 
-    def __init__(self, env: dict, binder: Ident | None, body: Expr):
+    def __init__(self, env: Env, binder: Ident | None, body: Expr):
         self.env = env
         self.binder = binder
         self.body = body

@@ -1,8 +1,11 @@
-"""Shared fixtures: corpus location, program builders, and an
-alpha-equivalence helper for round-trip checks."""
+"""Shared fixtures: corpus location, program builders, an
+alpha-equivalence helper for round-trip checks, and a window free of trace
+functions for memory measurements."""
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,19 @@ def rejected(src: str, code: str, name: str = "<test>"):
         f"expected {code}, got {r.diagnostic.code}: {r.diagnostic.message}"
     )
     return r.diagnostic
+
+
+@contextmanager
+def untraced():
+    """Suspend the active `sys.settrace` function, if any, for the block.  A
+    tracer such as `tests/coverage_probe.py`'s allocates on every event it
+    sees, which a `tracemalloc` window inside the block would count."""
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    try:
+        yield
+    finally:
+        sys.settrace(tracer)
 
 
 def build(src: str):

@@ -16,7 +16,7 @@ from sizedcheck.sizes import INFTY_SIZE, ns_var
 from sizedcheck.syntax import Annot, App, Def, Var, fresh_ident
 from sizedcheck.values import Thunk, VData, VSize, VSizeU
 
-from conftest import NAT, SNAT_PARAMETRIC, STREAM, build, ok, rejected
+from conftest import NAT, SNAT_PARAMETRIC, STREAM, build, ok, rejected, untraced
 from test_workload_snapshot import ROOT, _workloads
 
 MINUS = SNAT_PARAMETRIC + """
@@ -533,13 +533,14 @@ eval let inck : [k : Size] -> SNat k -> SNat ($ k) = \\ k -> \\ n -> inc k n
         src = SNAT_PARAMETRIC + (f"let deep : [i : Size] -> SNat i -> SNat ({'$' * n} i)\n"
                                  f"  = \\ i -> \\ m -> {body}\n")
         gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            r = check_source(src, "<test>")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with untraced():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                r = check_source(src, "<test>")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert r.diagnostic is None
         assert (peak - before) / n < 1350
 
@@ -778,7 +779,7 @@ class TestLongChains:
             f"eval let x : Nat = {'double (' * doublings}succ zero{')' * doublings}\n"
         ch, _, outputs = build(src)
         assert outputs == [f"x = {'succ (' * (n - 1)}succ zero{')' * (n - 1)}"]
-        quoted = ch.ev.quote(ch.ev.evaluate({}, Def(ch.sig.by_text["x"])))
+        quoted = ch.ev.quote(ch.ev.evaluate(None, Def(ch.sig.by_text["x"])))
         assert pretty(quoted) == outputs[0][4:]
 
     def test_application_chain_prints(self):

@@ -121,7 +121,7 @@ def _eval_rows(n):
 
 def _evaluated(ev, e: Expr):
     try:
-        v = ev.evaluate({}, e)
+        v = ev.evaluate(None, e)
     except Diagnostic as d:
         return d.code, d.message
     return type(v).__name__, pretty(ev.quote(v))
@@ -203,12 +203,15 @@ def test_match_table_covers_every_pattern_class(world):
                          ids=lambda c: c.__name__)
 def test_match_on_a_minimal_instance(world, cls):
     ev, names = world
-    outcome = {True: "match", _STUCK: "stuck", _NOMATCH: "nomatch"}
     for p, th, want, want_env in _match_rows(names)[cls]:
-        env: dict = {}
-        r = ev._match(p, th, env, NOPOS)
-        shown = {uid: pretty(ev.quote(ev.force(t))) for uid, t in env.items()}
-        assert (outcome[r], shown) == (want, want_env)
+        r = ev._match(p, th, None, NOPOS)
+        outcome = {_STUCK: "stuck", _NOMATCH: "nomatch"}.get(r, "match")
+        # the cells the match put in front of the empty environment
+        shown, env = {}, None if outcome != "match" else r
+        while env is not None:
+            shown[env[0]] = pretty(ev.quote(ev.force(env[1])))
+            env = env[2]
+        assert (outcome, shown) == (want, want_env)
 
 
 def test_size_view(world):

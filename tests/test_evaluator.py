@@ -15,7 +15,7 @@ from sizedcheck.syntax import (
 )
 from sizedcheck.values import VSET, VSIZEU, Thunk, VCon, VData, VDef, VNe, VSize
 
-from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build
+from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build, untraced
 
 PRED = SNAT_PARAMETRIC + """
 fun pred : [i : Size] -> SNat ($$ i) -> SNat ($ i)
@@ -31,7 +31,7 @@ class TestEvaluate:
     def test_pred_unfolds_to_constructor(self):
         ch, decls, outputs = build(PRED)
         name = ch.sig.by_text["one"]
-        v = ch.ev.whnf(ch.ev.evaluate({}, Def(name)))
+        v = ch.ev.whnf(ch.ev.evaluate(None, Def(name)))
         assert isinstance(v, VCon) and v.con.text == "zero"
         assert outputs == ["one = zero _"]
 
@@ -69,7 +69,7 @@ cofun repeat : [A : Set] -> (a : A) -> [i : Size] -> Stream A i
 let r : Stream Nat # = repeat Nat zero #
 """
         ch, _, _ = build(src)
-        v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        v = ch.ev.evaluate(None, Def(ch.sig.by_text["r"]))
         assert isinstance(v, VDef) and v.name.text == "repeat"
         assert isinstance(ch.ev.whnf(v), VCon)
 
@@ -150,7 +150,7 @@ cofun repeat : [A : Set] -> (a : A) -> [i : Size] -> Stream A i
 let r : Stream Nat # = repeat Nat zero #
 """
         ch, _, _ = build(src)
-        v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        v = ch.ev.evaluate(None, Def(ch.sig.by_text["r"]))
         ch.ev.print_depth = 2
         e = ch.ev.readback(v)
         assert pretty(e) == "cons _ zero (cons _ zero …)"
@@ -214,9 +214,9 @@ let probe2 : (i : Size) -> Set = \\ i -> SNat i -> SNat i
         ev = ch.ev
         i = fresh_ident("i")
         sctx = SizeCtx().declare(i)
-        v1 = ev.apply(ev.evaluate({}, Def(ch.sig.by_text["probe1"])),
+        v1 = ev.apply(ev.evaluate(None, Def(ch.sig.by_text["probe1"])),
                       [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
-        v2 = ev.apply(ev.evaluate({}, Def(ch.sig.by_text["probe2"])),
+        v2 = ev.apply(ev.evaluate(None, Def(ch.sig.by_text["probe2"])),
                       [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
         assert ev.convertible(v1, v2, sctx)
 
@@ -235,7 +235,7 @@ class TestThunks:
         src = SNAT_PARAMETRIC + "let three : SNat # = succ # (succ # (succ # (zero #)))"
         ch, _, _ = build(src)
         ev = ch.ev
-        th = Thunk({}, Def(ch.sig.by_text["three"]))
+        th = Thunk(None, Def(ch.sig.by_text["three"]))
         assert th.value is None
         v1 = ev.force(th)
         # the first force computed and dropped the suspension
@@ -256,7 +256,7 @@ let r : Stream Nat # = repeat Nat zero #
 """
         ch = Checker(unfold_fuel=5)
         ch.check_program(scope_check(parse_source(src)))
-        v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        v = ch.ev.evaluate(None, Def(ch.sig.by_text["r"]))
         ch.ev.reset_budget()
         ch.ev.print_depth = 50
         with pytest.raises(Diagnostic) as e:
@@ -314,8 +314,8 @@ eval let s : Nat =
         ev = ch.ev
         fib = Def(ch.sig.by_text["fib"])
         ev.reset_budget()
-        at_infty = ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))
-        at_succ_infty = ev.evaluate({}, App(fib, Size(((INFTY, 1),)), Annot.PARAMETRIC))
+        at_infty = ev.evaluate(None, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))
+        at_succ_infty = ev.evaluate(None, App(fib, Size(((INFTY, 1),)), Annot.PARAMETRIC))
         v = ev.whnf(at_infty)
         assert isinstance(v, VCon) and ev.steps == 1
         assert ev.whnf(at_succ_infty) is v
@@ -348,9 +348,9 @@ fun g : Nat -> Bool
         ev = ch.ev
         fib = Def(ch.sig.by_text["fib"])
         ev.reset_budget()
-        v = ev.whnf(ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC)))
+        v = ev.whnf(ev.evaluate(None, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC)))
         ev.reset_budget()
-        assert ev.whnf(ev.evaluate({}, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))) is not v
+        assert ev.whnf(ev.evaluate(None, App(fib, Size(INFTY_SIZE), Annot.PARAMETRIC))) is not v
         assert ev.steps == 1
 
 
@@ -494,7 +494,7 @@ class TestValueAtInfinity:
 
         monkeypatch.setattr(Evaluator, "compare", counting)
         monkeypatch.setattr(Evaluator, "size_entails", no_entailment)
-        nat = ev.evaluate({}, Def(ch.sig.by_text["Nat"]))
+        nat = ev.evaluate(None, Def(ch.sig.by_text["Nat"]))
         for v in (nat, VSET, VSIZEU):
             calls.clear()
             assert ev.compare(v, v, Rel.LE, SizeCtx(), [])
@@ -535,7 +535,7 @@ class TestApplySpine:
 
     def test_partial_application_is_a_def_holding_its_spine(self):
         ch, _, _ = build(SPINES + "let p : Nat -> Nat = add (succ zero)\n")
-        v = ch.ev.evaluate({}, Def(ch.sig.by_text["p"]))
+        v = ch.ev.evaluate(None, Def(ch.sig.by_text["p"]))
         assert isinstance(v, VDef) and v.name.text == "add"
         assert len(v.spine) == 1 and v.spine[0][0].value is None
 
@@ -545,15 +545,15 @@ class TestApplySpine:
         ev = ch.ev
         konst, succ, zero = (ch.sig.by_text[t] for t in ("konst", "succ", "zero"))
         one = App(Con(succ), Con(zero), Annot.RELEVANT)
-        whole = ev.evaluate({}, App(App(Def(konst), one, Annot.RELEVANT), Con(zero), Annot.RELEVANT))
-        v = ev.evaluate({}, Def(konst))
+        whole = ev.evaluate(None, App(App(Def(konst), one, Annot.RELEVANT), Con(zero), Annot.RELEVANT))
+        v = ev.evaluate(None, Def(konst))
         for arg in (one, Con(zero)):
-            v = ev.apply(v, [(Thunk({}, arg), Annot.RELEVANT)], [NOPOS])
+            v = ev.apply(v, [(Thunk(None, arg), Annot.RELEVANT)], [NOPOS])
         assert pretty(ev.readback(whole)) == pretty(ev.readback(v)) == "succ zero"
 
     def test_cofun_head_keeps_its_whole_spine_unevaluated(self):
         ch, _, _ = build(SPINES + "let r : Stream Nat # = repeat Nat zero #\n")
-        v = ch.ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        v = ch.ev.evaluate(None, Def(ch.sig.by_text["r"]))
         assert isinstance(v, VDef) and v.name.text == "repeat"
         assert [th.value for th, _ in v.spine] == [None, None, None]
 
@@ -574,7 +574,7 @@ class TestApplySpine:
         f = (SetU() if head is None
              else App(Def(ch.sig.by_text[head]), Con(zero, 5), Annot.RELEVANT, 5))
         with pytest.raises(Diagnostic) as e:
-            ch.ev.evaluate({}, App(App(f, Con(zero, 9), Annot.RELEVANT, 9),
+            ch.ev.evaluate(None, App(App(f, Con(zero, 9), Annot.RELEVANT, 9),
                                    Con(zero, 12), Annot.RELEVANT, 12))
         assert (e.value.code, e.value.message, e.value.pos) == (
             "STUCK-MATCH", "application of a non-function value", 9)
@@ -662,7 +662,7 @@ fun rep : Nat -> Nat -> Nat
     def deep(self):
         ch, _, _ = build(self.SRC)
         ev = ch.ev
-        v = ev.evaluate({}, Def(ch.sig.by_text["r"]))
+        v = ev.evaluate(None, Def(ch.sig.by_text["r"]))
         ev.reset_budget()
         ev.readback(v)  # forces every level
         return ev, v
@@ -682,16 +682,17 @@ fun rep : Nat -> Nat -> Nat
 
         ev, v = deep
         ev.reset_budget()
-        tracemalloc.start()
-        try:
-            e = ev.readback(v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with untraced():
+            tracemalloc.start()
+            try:
+                e = ev.readback(v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert isinstance(e, App)
         assert peak / self.LEVELS <= 100
 
     def test_bare_constructor_is_one_value(self, deep):
         ev, _ = deep
         zero = Con(ev.sig.by_text["zero"])
-        assert ev.evaluate({}, zero) is ev.evaluate({}, zero)
+        assert ev.evaluate(None, zero) is ev.evaluate(None, zero)

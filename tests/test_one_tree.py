@@ -123,9 +123,9 @@ def test_nullary_values_are_built_once():
     ev = ch.ev
     for name in ("Nat", "id"):
         d = Def(ch.sig.by_text[name])
-        assert ev.evaluate({}, d) is ev.evaluate({}, d)
-    assert ev.evaluate({}, SetU()) is ev.evaluate({}, SetU()) is VSET
-    assert ev.evaluate({}, SizeU()) is ev.evaluate({}, SizeU()) is VSIZEU
+        assert ev.evaluate(None, d) is ev.evaluate(None, d)
+    assert ev.evaluate(None, SetU()) is ev.evaluate(None, SetU()) is VSET
+    assert ev.evaluate(None, SizeU()) is ev.evaluate(None, SizeU()) is VSIZEU
 
 
 def test_one_infinity():

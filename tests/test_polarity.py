@@ -102,7 +102,7 @@ TABLE = [
 @pytest.mark.parametrize("case, subject, build_type, want", TABLE, ids=[t[0] for t in TABLE])
 def test_polarity_of_value(w, case, subject, build_type, want):
     x = w.ids[subject] if subject in w.ids else getattr(w, subject).name
-    t = w.ch.ev.evaluate({}, build_type(w))
+    t = w.ch.ev.evaluate(None, build_type(w))
     assert polarity_of(x, t, w.ch.ev) is want
 
 

@@ -99,7 +99,7 @@ def test_unshared_arrow_codomains_change_no_outcome(programs, reference, monkeyp
     def close_afresh(self, clo: Closure, v):
         if clo.binder is None:
             return self.evaluate(clo.env, clo.body)
-        return self.evaluate({**clo.env, clo.binder.uid: v if type(v) is Thunk else Thunk.of(v)},
+        return self.evaluate((clo.binder.uid, v if type(v) is Thunk else Thunk.of(v), clo.env),
                              clo.body)
 
     monkeypatch.setattr(Evaluator, "close", close_afresh)

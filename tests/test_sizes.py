@@ -27,6 +27,8 @@ from sizedcheck.sizes import (
 )
 from sizedcheck.syntax import fresh_ident
 
+from conftest import untraced
+
 i = fresh_ident("i")
 j = fresh_ident("j")
 k = fresh_ident("k")
@@ -268,13 +270,14 @@ class TestSolveMetas:
         cs, mids = self._chain(n)
         ctx = ctx_of(i)
         gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sol = solve_metas(cs, ctx, mids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with untraced():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                sol = solve_metas(cs, ctx, mids)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert (peak - before) / n < 800
         assert sol == {m: ns_var(i, n - m) for m in mids}
 
