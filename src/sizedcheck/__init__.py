@@ -1,7 +1,7 @@
 """sizedcheck: a batch type checker, totality checker and evaluator for a
 dependently typed core language with sized inductive and coinductive types."""
 
-from .checker import Checker, Ctx
+from .checker import Checker
 from .cli import CheckResult, RunConfig, check_source, run_check, run_golden
 from .diagnostics import CODES, Diagnostic
 from .parser import parse_source, tokenize
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Checker",
     "CheckResult",
-    "Ctx",
     "CODES",
     "Diagnostic",
     "RunConfig",

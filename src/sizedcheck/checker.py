@@ -19,13 +19,18 @@ checked, its holes are solved and each solution is stored once in the
 signature's hole table; the evaluator reads it there whenever it normalizes
 the hole, so no clause or let body is rewritten.
 
-A typing context's environment is the evaluator's (see `values`), whose
-cells also carry each binder's type and annotation: it never changes,
-binding a variable costs one cell, and looking one up costs the distance to
-its binder.  So a context, a closure built in it and every context that
-extends it share its cells, and a size case rebinds its scrutinee with one
-cell in front, which the expressions beside the case never see.  The size
-context is one shared table (`sizes.SizeCtx`)."""
+A typing context is just an environment, the evaluator's (see `values`),
+whose cells also carry each binder's type and annotation: it never changes,
+binding a variable (`bind`) costs one cell, and looking one up (`find`)
+costs the distance to its binder.  So a context, a closure built in it and
+every context that extends it share its cells, and a size case rebinds its
+scrutinee with one cell in front, which the expressions beside the case
+never see.  What a clause or let body gathers is in one place for the whole
+body, `Checker.state`.  A size hypothesis is stored once per binder, in
+`Signature.hyps`, when a size pattern or a size case binds its child (see
+`sizes`).  Each hole records the environment it is written in, and a hole
+may be solved only by variables bound there: a solution that names any
+other is UNSOLVED-META."""
 
 from __future__ import annotations
 
@@ -47,7 +52,6 @@ from .sizes import (
     OffsetOverflow,
     Rel,
     SizeConstraint,
-    SizeCtx,
     Unsolvable,
     apply_solution,
     bump,
@@ -107,9 +111,10 @@ def _bound_var(v: Value) -> Ident:
 
 class ClauseState(Record):
     """What checking one clause or let body gathers: its size constraints and
-    holes, solved once the body is checked, and the recursive calls of the
-    function `fun` (None for a let, which records none), each with the size
-    matched by clause `index`."""
+    holes, each hole with the environment it is written in, solved once the
+    body is checked, and the recursive calls of the function `fun` (None for
+    a let, which records none), each with the size matched by clause
+    `index`."""
 
     __slots__ = ("fun", "index", "lhs_size", "collector", "metas", "calls")
 
@@ -118,7 +123,7 @@ class ClauseState(Record):
         self.index = index
         self.lhs_size: tuple | None = None
         self.collector: list[SizeConstraint] = []
-        self.metas: set[int] = set()
+        self.metas: dict[int, Env] = {}
         self.calls: list[CallSite] = []
 
 
@@ -126,54 +131,16 @@ class ClauseState(Record):
 _TYPE, _ANNOT = 3, 4
 
 
-class Ctx:
-    """Typing context: an environment whose cells (uid, thunk, rest, type,
-    annot) bind each variable to its (usually neutral) value, its type and
-    its annotation; the size hypothesis set; and the state of the clause
-    being checked, if any."""
-
-    __slots__ = ("env", "sctx", "state")
-
-    def __init__(self, env: Env = None, sctx: SizeCtx | None = None,
-                 state: ClauseState | None = None):
-        self.env = env
-        self.sctx: SizeCtx = sctx or SizeCtx()
-        self.state = state
-
-    @property
-    def collector(self) -> list[SizeConstraint] | None:
-        return self.state.collector if self.state is not None else None
-
-    def bind(
-        self,
-        x: Ident,
-        ty: Value,
-        annot: Annot,
-        hypothesis: tuple[tuple, bool] | None = None,
-    ) -> "Ctx":
-        """Bind x to a fresh neutral of type ty; size-typed binders are
-        declared in the size context, optionally with a hypothesis edge."""
-        if isinstance(ty, VSizeU):
-            value: Value = VSize(ns_var(x))
-            if hypothesis is not None:
-                sctx = self.sctx.add(x, hypothesis[0], hypothesis[1])
-            else:
-                sctx = self.sctx.declare(x)
-        else:
-            value = VNe(x)
-            sctx = self.sctx
-        return Ctx((x.uid, Thunk.of(value), self.env, ty, annot), sctx, self.state)
-
-    def bind_value(self, x: Ident, ty: Value, annot: Annot, value: Value) -> "Ctx":
-        return Ctx((x.uid, Thunk.of(value), self.env, ty, annot), self.sctx, self.state)
-
-    def lookup(self, x: Ident) -> tuple | None:
-        """x's cell, or None."""
-        return find(self.env, x.uid)
+def bind(env: Env, x: Ident, ty: Value, annot: Annot, value: Value | None = None) -> Env:
+    """env with a cell in front that binds x, of type ty, to value, or else
+    to a fresh neutral: a size variable if ty is Size."""
+    if value is None:
+        value = VSize(ns_var(x)) if isinstance(ty, VSizeU) else VNe(x)
+    return (x.uid, Thunk.of(value), env, ty, annot)
 
 
 class Checker:
-    __slots__ = ("sig", "ev", "collect_constraints", "constraint_dump", "lines")
+    __slots__ = ("sig", "ev", "collect_constraints", "constraint_dump", "lines", "state")
 
     def __init__(
         self,
@@ -190,6 +157,8 @@ class Checker:
         # shows the call positions of totality reports and messages; without
         # the program's source, an offset shows as a column of line 1
         self.lines = lines or LineTable("")
+        # the clause or let body being checked, if any
+        self.state: ClauseState | None = None
 
     # -- program ------------------------------------------------------------
 
@@ -222,15 +191,15 @@ class Checker:
     # -- declarations ---------------------------------------------------------
 
     def check_data_decl(self, d: DataDecl):
-        ctx = Ctx()
+        env: Env = None
         params: list[tuple[Ident, Polarity, Expr]] = []
         for p in d.params:
-            pt = self.check_type(ctx, p.type)
-            ctx = ctx.bind(p.name, self.ev.evaluate(ctx.env, pt), Annot.RELEVANT)
+            pt = self.check_type(env, p.type)
+            env = bind(env, p.name, self.ev.evaluate(env, pt), Annot.RELEVANT)
             params.append((p.name, p.polarity, pt))
 
-        index_elab = self.check_type(ctx, d.index_sig)
-        indices, t = self.ev.telescope(self.ev.evaluate(ctx.env, index_elab))
+        index_elab = self.check_type(env, d.index_sig)
+        indices, t = self.ev.telescope(self.ev.evaluate(env, index_elab))
         if not isinstance(t, VSet):
             raise Diagnostic(
                 "TYPE-MISMATCH", "a data type signature must end in Set", d.pos
@@ -259,7 +228,7 @@ class Checker:
         # each constructor type is checked under the parameters, then bound
         # by them parametrically
         for c in d.constructors:
-            ct = self.check_type(ctx, c.type)
+            ct = self.check_type(env, c.type)
             for name, _, pt in reversed(params):
                 ct = Pi(Annot.PARAMETRIC, name, pt, ct, c.pos)
             cv = self.ev.evaluate(None, ct)
@@ -296,13 +265,8 @@ class Checker:
                 f"constructor '{cname.text}' must target '{d.name.text}'",
                 pos,
             )
-        # the target's parameters may mention the telescope's size variables
-        sctx = SizeCtx()
-        for _, dom, x in binders:
-            if x is not None and isinstance(dom, VSizeU):
-                sctx = sctx.declare(_bound_var(x))
         for k in range(n_params):
-            if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2], sctx):
+            if not self.ev.convertible(self.ev.force(t.args[k]), binders[k][2]):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
                     f"constructor '{cname.text}' must target '{d.name.text}' "
@@ -389,7 +353,7 @@ class Checker:
             self._check_rec_sizes(v, dname, i, n_params, cname, pos)
 
     def check_fun_decl(self, f: FunDecl):
-        ty = self.check_type(Ctx(), f.type)
+        ty = self.check_type(None, f.type)
         tv = self.ev.evaluate(None, ty)
         arities = {len(c.lhs) for c in f.clauses}
         if len(arities) > 1:
@@ -413,26 +377,30 @@ class Checker:
         self.sig.add(f.name, entry)
         for idx, clause in enumerate(f.clauses):
             entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
-        entry.report = termination_check(entry, self.lines)
+        entry.report = termination_check(entry, self.lines, self.sig.hyps)
 
     def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
-        ctx, residual, obligations, _ = self._elab_patterns(
-            Ctx(state=state), entry.type_value, clause.lhs, entry
+        self.state = state
+        env, residual, obligations, _ = self._elab_patterns(
+            None, entry.type_value, clause.lhs, entry
         )
-        self._check_obligations(ctx, obligations)
-        rhs = self.check(ctx, clause.rhs, residual, erased=False)
-        sol = self._solve_holes(ctx, clause.pos, f"{entry.name.text} clause {state.index + 1}")
+        self._check_obligations(env, obligations)
+        rhs = self.check(env, clause.rhs, residual, erased=False)
+        sol = self._solve_holes(clause.pos, f"{entry.name.text} clause {state.index + 1}")
         for call in state.calls:
             if call.size_arg is not None:
                 call.size_arg = apply_solution(call.size_arg, sol)
         entry.calls.extend(state.calls)
-        return ElabClause(clause.lhs, rhs, ctx.sctx, clause.pos)
+        return ElabClause(clause.lhs, rhs, clause.pos)
 
-    def _solve_holes(self, ctx: Ctx, pos: Pos, where: str) -> dict[int, tuple]:
+    def _solve_holes(self, pos: Pos, where: str) -> dict[int, tuple]:
         """Dump the constraints of the checked body if asked (before solving,
-        so a rejection shows them too), then solve its size holes and store
-        each solution in the signature's hole table; returns the solution."""
-        collector = ctx.state.collector
+        so a rejection shows them too), then solve its size holes, check that
+        each solution names only variables bound where its hole is written,
+        and store each in the signature's hole table; returns the solution
+        and ends the body's state."""
+        state = self.state
+        collector = state.collector
         if self.collect_constraints and collector:
             naming: dict[int, str] = {}
             for c in collector:
@@ -444,23 +412,33 @@ class Checker:
                     f"{format_size(c.lhs, naming)} {c.rel.value} {format_size(c.rhs, naming)}"
                 )
         try:
-            sol = solve_metas(collector, ctx.sctx, ctx.state.metas)
+            sol = solve_metas(collector, self.sig.hyps, state.metas.keys())
         except (Unsolvable, Ambiguous) as exc:
             raise Diagnostic("UNSOLVED-META", str(exc), pos)
+        for m, env in state.metas.items():
+            for x, _ in sol[m]:
+                if type(x) is Ident and find(env, x.uid) is None:
+                    raise Diagnostic(
+                        "UNSOLVED-META",
+                        f"size hole ?{m} would be {format_size(sol[m])}, but "
+                        f"'{x.text}' is not bound where the hole is written",
+                        pos,
+                    )
         self.sig.holes.update(sol)
+        self.state = None
         return sol
 
     def check_let_decl(self, d: LetDecl):
-        ty = self.check_type(Ctx(), d.type)
+        ty = self.check_type(None, d.type)
         tv = self.ev.evaluate(None, ty)
-        ctx = Ctx(state=ClauseState())
-        body = self.check(ctx, d.body, tv, erased=False)
-        self._solve_holes(ctx, d.pos, d.name.text)
+        self.state = ClauseState()
+        body = self.check(None, d.body, tv, erased=False)
+        self._solve_holes(d.pos, d.name.text)
         self.sig.add(d.name, LetEntry(d.name, tv, body))
 
     # -- pattern elaboration ----------------------------------------------------
 
-    def _elab_patterns(self, ctx: Ctx, t: Value, patterns: list[Pattern], fun: FunEntry | None):
+    def _elab_patterns(self, env: Env, t: Value, patterns: list[Pattern], fun: FunEntry | None):
         """Elaborate patterns against the Pi telescope t: a clause's own
         arguments against its function `fun`'s type, or (fun None) a
         constructor's arguments past its parameters and size.  Returns the
@@ -475,13 +453,13 @@ class Checker:
             # fresh variable does, or further
             assert isinstance(t, VPi), "more patterns than the type has arguments"
             designated = fun is not None and k == fun.size_param
-            ctx, val, obls = self._elab_pattern(ctx, t, p, fun, designated)
+            env, val, obls = self._elab_pattern(env, t, p, fun, designated)
             obligations.extend(obls)
             vals.append(val)
             t = self.ev.close(t.closure, val)
-        return ctx, t, obligations, vals
+        return env, t, obligations, vals
 
-    def _elab_pattern(self, ctx: Ctx, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool):
+    def _elab_pattern(self, env: Env, pi: VPi, p: Pattern, fun: FunEntry | None, designated: bool):
         """Elaborate one pattern against the binder pi; its domain decides
         which arms apply.  A Size binder takes a variable or a wildcard, or,
         among a clause's own arguments (fun not None), a successor pattern of
@@ -493,11 +471,11 @@ class Checker:
         match p:
             case PVar() | PWild():
                 x = p.name if isinstance(p, PVar) else fresh_ident("_i" if at_size else "_x")
-                ctx = ctx.bind(x, dom, pi.annot)
-                val = self.ev.force(ctx.env[1])
+                env = bind(env, x, dom, pi.annot)
+                val = self.ev.force(env[1])
                 if designated and isinstance(p, PVar):
-                    ctx.state.lhs_size = val.size
-                return ctx, val, []
+                    self.state.lhs_size = val.size
+                return env, val, []
             case _ if at_size and fun is None:
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -523,11 +501,11 @@ class Checker:
                 reason = admissibility_check(self.ev, residual, i_star)
                 if reason is not None:
                     raise Diagnostic("ADMISSIBILITY", reason, p.pos)
-                ctx = ctx.bind(j, dom, pi.annot)
+                env = bind(env, j, dom, pi.annot)
                 size = bump(ns_var(j), 1)
                 if designated:
-                    ctx.state.lhs_size = size
-                return ctx, VSize(size), []
+                    self.state.lhs_size = size
+                return env, VSize(size), []
             case PSucc():
                 raise Diagnostic(
                     "ADMISSIBILITY",
@@ -559,10 +537,10 @@ class Checker:
                         f"'{pretty(self.ev.quote(dom))}'",
                         p.pos,
                     )
-                return self._elab_con_pattern(ctx, dom, p)
+                return self._elab_con_pattern(env, dom, p)
         raise AssertionError(p)
 
-    def _elab_con_pattern(self, ctx: Ctx, dty: VData, p: PCon):
+    def _elab_con_pattern(self, env: Env, dty: VData, p: PCon):
         """Elaborate p against dty, naming in p the constructor it matches;
         returns as `_elab_pattern` does."""
         dentry = self.sig.data(dty.name)
@@ -596,7 +574,7 @@ class Checker:
                 case PDot(expr=e):
                     obligations.append((e, self.ev.whnf(ct.domain), forced, sub.pos))
                 case PVar(name=x):
-                    ctx = ctx.bind_value(x, self.ev.whnf(ct.domain), Annot.PARAMETRIC, forced)
+                    env = bind(env, x, self.ev.whnf(ct.domain), Annot.PARAMETRIC, forced)
                 case PWild():
                     pass
                 case _:
@@ -637,9 +615,8 @@ class Checker:
                                 f"'{base.text}', found '{parent.text}'",
                                 sub.pos,
                             )
-                        ctx = ctx.bind(
-                            child, VSIZEU, ct.annot, hypothesis=(ns_var(parent), True)
-                        )
+                        env = bind(env, child, VSIZEU, ct.annot)
+                        self.sig.hyps[child.uid] = (ns_var(parent), True)
                         size_val: Value = VSize(ns_var(child))
                     case PDot():
                         raise Diagnostic(
@@ -678,7 +655,7 @@ class Checker:
 
         # the proper arguments
         first_index = centry.n_params + (1 if centry.has_size else 0)
-        ctx, ct, obls, vals = self._elab_patterns(ctx, ct, p.args[first_index:], None)
+        env, ct, obls, vals = self._elab_patterns(env, ct, p.args[first_index:], None)
         obligations.extend(obls)
         thunks.extend(map(Thunk.of, vals))
 
@@ -689,8 +666,7 @@ class Checker:
             if not self.ev.convertible(
                 self.ev.force(target.args[k]),
                 self.ev.force(dty.args[k]),
-                ctx.sctx,
-                ctx.collector,
+                self.collector,
             ):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -699,18 +675,18 @@ class Checker:
                     p.pos,
                 )
         p.con = con
-        return ctx, VCon(con, tuple(thunks)), obligations
+        return env, VCon(con, tuple(thunks)), obligations
 
-    def _check_obligations(self, ctx: Ctx, obligations):
+    def _check_obligations(self, env: Env, obligations):
         for e, ty, forced, pos in obligations:
             ty = self.ev.whnf(ty)
             if isinstance(ty, VSizeU):
-                se = self.as_size(ctx, e, erased=True).size
-                v: Value = VSize(self.ev.eval_size(ctx.env, se))
+                se = self.as_size(env, e, erased=True).size
+                v: Value = VSize(self.ev.eval_size(env, se))
             else:
-                elab = self.check(ctx, e, ty, erased=True)
-                v = self.ev.evaluate(ctx.env, elab)
-            if not self.ev.convertible(v, forced, ctx.sctx, ctx.collector):
+                elab = self.check(env, e, ty, erased=True)
+                v = self.ev.evaluate(env, elab)
+            if not self.ev.convertible(v, forced, self.collector):
                 raise Diagnostic(
                     "DOT-MISMATCH",
                     f"dot pattern '{pretty(e)}' does not match the forced "
@@ -720,17 +696,17 @@ class Checker:
 
     # -- expressions ------------------------------------------------------------
 
-    def check_type(self, ctx: Ctx, e: Expr) -> Expr:
+    def check_type(self, env: Env, e: Expr) -> Expr:
         # a Pi chain is walked in a loop, binding each named domain and
         # setting each link's elaborated domain, so its length costs no stack
         top, last = e, None
         while type(e) is Pi:
-            dom = e.domain = self.check_type(ctx, e.domain)
+            dom = e.domain = self.check_type(env, e.domain)
             if e.binder is not None:
-                ctx = ctx.bind(e.binder, self.ev.evaluate(ctx.env, dom), e.annot)
+                env = bind(env, e.binder, self.ev.evaluate(env, dom), e.annot)
             last, e = e, e.codomain
         if not isinstance(e, (SetU, SizeU)):
-            elab, ty = self.infer(ctx, e, erased=True)
+            elab, ty = self.infer(env, e, erased=True)
             if not isinstance(self.ev.whnf(ty), VSet):
                 raise Diagnostic(
                     "TYPE-MISMATCH",
@@ -743,7 +719,7 @@ class Checker:
             last.codomain = elab
         return top
 
-    def as_size(self, ctx: Ctx, e: Expr, erased: bool) -> Size:
+    def as_size(self, env: Env, e: Expr, erased: bool) -> Size:
         """e as a size term; a size variable becomes `Size(((x, 0),))`.  Its
         variables are checked in source order, so the first bad one is the
         one reported, and then its holes are recorded."""
@@ -757,26 +733,26 @@ class Checker:
                 e.pos,
             )
         s = e.size
-        self._check_size_vars(ctx, s, erased, e.pos)
+        self._check_size_vars(env, s, erased, e.pos)
         for m, _ in s:
             if type(m) is not int:
                 continue
-            if ctx.state is None:
+            if self.state is None:
                 raise Diagnostic(
                     "UNSOLVED-META",
                     "size holes are only allowed on clause right-hand sides",
                     e.pos,
                 )
-            ctx.state.metas.add(m)
+            self.state.metas[m] = env
         return e
 
-    def _check_size_vars(self, ctx: Ctx, s: tuple, erased: bool, pos: Pos):
+    def _check_size_vars(self, env: Env, s: tuple, erased: bool, pos: Pos):
         """Each variable of the size pairs s is a size variable that may be
         used where s is, checked in source order."""
         for x, _ in s:
             if type(x) is not Ident:
                 continue
-            b = ctx.lookup(x)
+            b = find(env, x.uid)
             if b is None or not isinstance(self.ev.whnf(b[_TYPE]), VSizeU):
                 raise Diagnostic("TYPE-MISMATCH", f"'{x.text}' is not a size variable", pos)
             self._use_check(b, x, erased, pos)
@@ -790,11 +766,11 @@ class Checker:
                 pos,
             )
 
-    def _infer_atom(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
+    def _infer_atom(self, env: Env, e: Expr, erased: bool) -> tuple[Expr, Value]:
         t = type(e)
         if t is Var:
             x = e.name
-            b = ctx.lookup(x)
+            b = find(env, x.uid)
             assert b is not None, f"unbound variable {x!r} after scope checking"
             self._use_check(b, x, erased, e.pos)
             if isinstance(self.ev.whnf(b[_TYPE]), VSizeU):
@@ -812,16 +788,16 @@ class Checker:
             return e, self.sig.con(e.name).type_value
         raise AssertionError(e)
 
-    def infer(self, ctx: Ctx, e: Expr, erased: bool) -> tuple[Expr, Value]:
+    def infer(self, env: Env, e: Expr, erased: bool) -> tuple[Expr, Value]:
         t = type(e)
         if t is App or t is Def:
-            return self._infer_app(ctx, e, erased)
+            return self._infer_app(env, e, erased)
         if t is Var or t is Con:
-            return self._infer_atom(ctx, e, erased)
+            return self._infer_atom(env, e, erased)
         if t is Pi:
-            return self.check_type(ctx, e), VSET
+            return self.check_type(env, e), VSET
         if t is Size:
-            return self.as_size(ctx, e, erased), VSIZEU
+            return self.as_size(env, e, erased), VSIZEU
         if t is SetU:
             raise Diagnostic(
                 "TYPE-MISMATCH",
@@ -847,7 +823,7 @@ class Checker:
             )
         raise AssertionError(f"infer: unhandled node {e!r}")
 
-    def _infer_app(self, ctx: Ctx, e: App | Def, erased: bool) -> tuple[Expr, Value]:
+    def _infer_app(self, env: Env, e: App | Def, erased: bool) -> tuple[Expr, Value]:
         # the App nodes of the spine, innermost first; a head that can be
         # applied elaborates to itself
         apps: list[App] = []
@@ -856,12 +832,12 @@ class Checker:
             apps.append(head)
             head = head.fun
         apps.reverse()
-        st = ctx.state
+        st = self.state
         is_self = type(head) is Def and st is not None and st.fun == head.name.uid
         if isinstance(head, (Var, Def, Con)):
-            _, fty = self._infer_atom(ctx, head, erased)
+            _, fty = self._infer_atom(env, head, erased)
         else:
-            _, fty = self.infer(ctx, head, erased)
+            _, fty = self.infer(env, head, erased)
 
         size_arg: tuple | None = None
         size_param = self.sig.fun(head.name).size_param if is_self else None
@@ -882,25 +858,25 @@ class Checker:
             arg_erased = erased or fty.annot is Annot.PARAMETRIC
             dom = self.ev.whnf(fty.domain)
             if isinstance(dom, VSizeU):
-                arg = self.as_size(ctx, arg, arg_erased)
-                val: Value | Thunk | None = VSize(self.ev.eval_size(ctx.env, arg.size))
+                arg = self.as_size(env, arg, arg_erased)
+                val: Value | Thunk | None = VSize(self.ev.eval_size(env, arg.size))
                 if app is size_app:
                     size_arg = val.size
             else:
-                arg = self.check(ctx, arg, dom, arg_erased)
+                arg = self.check(env, arg, dom, arg_erased)
                 # type checking runs no code that no type needs: the argument
                 # is suspended, and an arrow's codomain cannot read it at all
-                val = None if fty.closure.binder is None else Thunk(ctx.env, arg)
+                val = None if fty.closure.binder is None else Thunk(env, arg)
             app.arg = arg
             app.annot = fty.annot
             fty = self.ev.close(fty.closure, val)
 
         if is_self:
             args = [app.arg for app in apps]
-            st.calls.append(CallSite(args, size_arg, ctx.sctx, st.lhs_size, st.index, e.pos))
+            st.calls.append(CallSite(args, size_arg, st.lhs_size, st.index, e.pos))
         return e, fty
 
-    def check(self, ctx: Ctx, e: Expr, expected: Value, erased: bool) -> Expr:
+    def check(self, env: Env, e: Expr, expected: Value, erased: bool) -> Expr:
         expected = self.ev.whnf(expected)
         t = type(e)
         if t is App or t is Var or t is Con or t is Def:
@@ -917,18 +893,18 @@ class Checker:
                         e.pos,
                     )
                 x = e.binder
-                ctx = ctx.bind(x, self.ev.whnf(expected.domain), expected.annot)
-                expected = self.ev.close(expected.closure, self.ev.force(ctx.env[1]))
+                env = bind(env, x, self.ev.whnf(expected.domain), expected.annot)
+                expected = self.ev.close(expected.closure, self.ev.force(env[1]))
                 last, e = e, e.body
                 if type(e) is not Lam:
                     break
                 expected = self.ev.whnf(expected)
-            last.body = self.check(ctx, e, expected, erased)
+            last.body = self.check(env, e, expected, erased)
             return top
         elif t is CaseSize:
-            return self._check_case_size(ctx, e, expected, erased)
+            return self._check_case_size(env, e, expected, erased)
         elif t is CaseData:
-            return self._check_case_data(ctx, e, expected, erased)
+            return self._check_case_data(env, e, expected, erased)
         elif t is SetU:
             if isinstance(expected, VSet):
                 return e
@@ -939,7 +915,7 @@ class Checker:
             )
         elif t is Pi:
             if isinstance(expected, VSet):
-                return self.check_type(ctx, e)
+                return self.check_type(env, e)
             raise Diagnostic(
                 "TYPE-MISMATCH",
                 f"function type checked against "
@@ -948,7 +924,7 @@ class Checker:
             )
         elif t is Size:
             if isinstance(expected, VSizeU):
-                return self.as_size(ctx, e, erased)
+                return self.as_size(env, e, erased)
             s = e.size
             if len(s) == 1 and type(s[0][0]) is int and s[0][1] == 0:
                 raise Diagnostic(
@@ -958,8 +934,8 @@ class Checker:
                     e.pos,
                 )
         # every other node is inferred, and its type compared with expected
-        elab, ty = self.infer(ctx, e, erased)
-        if not self.subtype(ctx, ty, expected):
+        elab, ty = self.infer(env, e, erased)
+        if not self.subtype(ty, expected):
             raise Diagnostic(
                 "TYPE-MISMATCH",
                 f"expected '{pretty(self.ev.quote(expected))}', got "
@@ -968,10 +944,10 @@ class Checker:
             )
         return elab
 
-    def _check_case_size(self, ctx: Ctx, e: CaseSize, expected: Value, erased: bool) -> Expr:
+    def _check_case_size(self, env: Env, e: CaseSize, expected: Value, erased: bool) -> Expr:
         # the match is computationally irrelevant, so its scrutinee is erased
-        self._check_size_vars(ctx, e.scrut, True, e.pos)
-        ns = self.ev.eval_size(ctx.env, e.scrut)
+        self._check_size_vars(env, e.scrut, True, e.pos)
+        ns = self.ev.eval_size(env, e.scrut)
         i = ns[0][0]
         if len(ns) != 1 or ns[0][1] != 0 or type(i) is not Ident:
             raise Diagnostic(
@@ -985,15 +961,16 @@ class Checker:
         # in the branch i stands for $ j; it is parametric there, as j is.
         # Its cell goes in front of i's, which the expressions beside the case still read
         j = e.binder
-        ctx2 = ctx.bind(j, VSIZEU, Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
-        ctx2 = ctx2.bind_value(i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
-        # re-evaluated from a readback: i = $ j in the size context changes hole solving
-        expected2 = self.ev.evaluate(ctx2.env, self.ev.quote(expected))
-        e.branch = self.check(ctx2, e.branch, expected2, erased)
+        self.sig.hyps[j.uid] = (ns_var(i), True)
+        env2 = bind(bind(env, j, VSIZEU, Annot.PARAMETRIC),
+                    i, VSIZEU, Annot.PARAMETRIC, VSize(bump(ns_var(j), 1)))
+        # re-evaluated from a readback: i = $ j in the branch changes hole solving
+        expected2 = self.ev.evaluate(env2, self.ev.quote(expected))
+        e.branch = self.check(env2, e.branch, expected2, erased)
         return e
 
-    def _check_case_data(self, ctx: Ctx, e: CaseData, expected: Value, erased: bool) -> Expr:
-        e.scrut, sty = self.infer(ctx, e.scrut, erased)
+    def _check_case_data(self, env: Env, e: CaseData, expected: Value, erased: bool) -> Expr:
+        e.scrut, sty = self.infer(env, e.scrut, erased)
         sty = self.ev.whnf(sty)
         if not isinstance(sty, VData):
             raise Diagnostic(
@@ -1010,13 +987,17 @@ class Checker:
                     "case branches must match a constructor",
                     pat.pos,
                 )
-            ctx2, _, obligations = self._elab_con_pattern(ctx, sty, pat)
-            self._check_obligations(ctx2, obligations)
-            branches[k] = (pat, self.check(ctx2, body, expected, erased))
+            env2, _, obligations = self._elab_con_pattern(env, sty, pat)
+            self._check_obligations(env2, obligations)
+            branches[k] = (pat, self.check(env2, body, expected, erased))
         return e
 
     # -- subtyping ----------------------------------------------------------------
 
-    def subtype(self, ctx: Ctx, a: Value, b: Value) -> bool:
-        """a <= b under the size hypotheses of ctx (`Evaluator.compare`)."""
-        return self.ev.compare(a, b, Rel.LE, ctx.sctx, ctx.collector)
+    @property
+    def collector(self) -> list[SizeConstraint] | None:
+        return self.state.collector if self.state is not None else None
+
+    def subtype(self, a: Value, b: Value) -> bool:
+        """a <= b under the program's size hypotheses (`Evaluator.compare`)."""
+        return self.ev.compare(a, b, Rel.LE, self.collector)

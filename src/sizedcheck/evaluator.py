@@ -83,11 +83,15 @@ one `Con` leaf its entry holds and an erased argument as one shared `_`.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
-polarity.  Two cases read the relation.  A pair of data types compares
-each argument by the variance of its slot, read from `DataEntry.variances`:
-a `++` parameter at the relation, an invariant parameter or index for
-equality, and, under LE, the size index by entailment, upwards at POS (data)
-and downwards at NEG (codata, `Stream A ($ i) <= Stream A i`).  A pair of
+polarity.  Sizes are compared under the program's size hypotheses, the one
+map `Signature.hyps`, which holds each hypothesis once, under the variable
+it bounds: a variable that `compare` binds to open two bodies has none, so
+the walk carries no context.  Two cases read the relation.  A pair of data
+types compares each argument by the variance of its slot, read from
+`DataEntry.variances`: a `++` parameter at the relation, an invariant
+parameter or index for equality, and, under LE, the size index by
+entailment, upwards at POS (data) and downwards at NEG (codata,
+`Stream A ($ i) <= Stream A i`).  A pair of
 Pi types compares its domains the other way round and its codomains at the
 relation.  Every other pair is compared for equality: sizes, universes,
 constructors, lambdas, and neutral or defined heads with their spines.
@@ -108,7 +112,6 @@ from .sizes import (
     OffsetOverflow,
     Rel,
     SizeConstraint,
-    SizeCtx,
     entails,
     metas,
     normalize,
@@ -638,27 +641,17 @@ class Evaluator:
 
     # -- comparison -----------------------------------------------------------
 
-    def convertible(
-        self,
-        a: Value,
-        b: Value,
-        sctx: SizeCtx | None = None,
-        collector: list[SizeConstraint] | None = None,
-    ) -> bool:
-        return self.compare(a, b, _EQ, sctx or SizeCtx(), collector)
+    def convertible(self, a: Value, b: Value,
+                    collector: list[SizeConstraint] | None = None) -> bool:
+        return self.compare(a, b, _EQ, collector)
 
-    def size_entails(
-        self,
-        sctx: SizeCtx,
-        a: tuple,
-        b: tuple,
-        collector: list[SizeConstraint] | None,
-    ) -> bool:
-        """a <= b under sctx, or a constraint on collector if a hole occurs."""
+    def size_entails(self, a: tuple, b: tuple, collector: list[SizeConstraint] | None) -> bool:
+        """a <= b under the program's size hypotheses, or a constraint on
+        collector if a hole occurs."""
         if collector is not None and (metas(a) or metas(b)):
-            collector.append(SizeConstraint(a, _LE, b, sctx))
+            collector.append(SizeConstraint(a, _LE, b))
             return True
-        return entails(sctx, a, _LE, b)
+        return entails(self.sig.hyps, a, _LE, b)
 
     def size_view(self, v: Value) -> tuple | None:
         """The normal form of a size value or of a bare size variable."""
@@ -669,10 +662,11 @@ class Evaluator:
             return ns_var(v.head)
         return None
 
-    def compare(self, a: Value, b: Value, rel: Rel, sctx: SizeCtx, col) -> bool:
+    def compare(self, a: Value, b: Value, rel: Rel, col) -> bool:
         """a <= b for rel LE (subtyping), a = b for rel EQ (conversion), under
-        the size hypotheses sctx; size constraints on holes go to col.  See
-        the module docstring."""
+        the program's size hypotheses; size constraints on holes go to col.
+        A fresh variable, bound to compare two bodies, has no hypothesis, so
+        it needs no entry in them.  See the module docstring."""
         if rel is _LE:
             a, b = self.whnf(a), self.whnf(b)
             if a is b:
@@ -692,16 +686,16 @@ class Evaluator:
                 v1, v2 = self.force(t1), self.force(t2)
                 var = variances[k]
                 if var is _COVARIANT:
-                    ok = self.compare(v1, v2, rel, sctx, col)
+                    ok = self.compare(v1, v2, rel, col)
                 elif rel is _LE and var is not _INVARIANT:
                     # the size index, compared upwards at POS, downwards at NEG
                     lo, hi = self.size_view(v1), self.size_view(v2)
                     if var is _NEG:
                         lo, hi = hi, lo
                     ok = (lo is not None and hi is not None
-                          and self.size_entails(sctx, lo, hi, col))
+                          and self.size_entails(lo, hi, col))
                 else:
-                    ok = self.compare(v1, v2, _EQ, sctx, col)
+                    ok = self.compare(v1, v2, _EQ, col)
                 if not ok:
                     return False
             return True
@@ -709,48 +703,42 @@ class Evaluator:
             if a.annot is not b.annot:
                 return False
             d1, d2 = (b.domain, a.domain) if rel is _LE else (a.domain, b.domain)
-            if not self.compare(d1, d2, rel, sctx, col):
+            if not self.compare(d1, d2, rel, col):
                 return False
             c1, c2 = a.closure, b.closure
             if c1.binder is None and c2.binder is None:
-                return self.compare(self.close(c1, None), self.close(c2, None), rel, sctx, col)
+                return self.compare(self.close(c1, None), self.close(c2, None), rel, col)
             x = self.fresh_neutral(a.binder.text, a.domain)
-            if isinstance(x, VSize):
-                sctx = sctx.declare(x.size[0][0])
-            return self.compare(self.close(c1, x), self.close(c2, x), rel, sctx, col)
+            return self.compare(self.close(c1, x), self.close(c2, x), rel, col)
         if rel is _LE:
-            return self.compare(a, b, _EQ, sctx, col)
+            return self.compare(a, b, _EQ, col)
         if isinstance(a, VSize) or isinstance(b, VSize):
             nsa, nsb = self.size_view(a), self.size_view(b)
             if nsa is None or nsb is None:
                 return False
-            return (self.size_entails(sctx, nsa, nsb, col)
-                    and self.size_entails(sctx, nsb, nsa, col))
+            return self.size_entails(nsa, nsb, col) and self.size_entails(nsb, nsa, col)
         if (
             isinstance(a, VDef)
             and isinstance(b, VDef)
             and a.name == b.name
             and len(a.spine) == len(b.spine)
         ):
-            if self._compare_spines(a.spine, b.spine, sctx, col):
+            if self._compare_spines(a.spine, b.spine, col):
                 return True
         ua = self._unfold(a, NOPOS, strict=False) if isinstance(a, VDef) else None
         ub = self._unfold(b, NOPOS, strict=False) if isinstance(b, VDef) else None
         if ua is not None or ub is not None:
             a, b = ua if ua is not None else a, ub if ub is not None else b
-            return self.compare(a, b, _EQ, sctx, col)
+            return self.compare(a, b, _EQ, col)
         match (a, b):
             case (VSet(), VSet()) | (VSizeU(), VSizeU()):
                 return True
             case (VLam(binder=binder), _) | (_, VLam(binder=binder)):
-                # both sides are applied to one fresh variable; its domain is
-                # unknown, so it is declared as a size in case a body uses it
-                # as one
+                # both sides are applied to one fresh variable
                 x = self.fresh_neutral(binder.text)
-                sctx = sctx.declare(x.head)
                 a = self.apply(a, [(Thunk.of(x), _RELEVANT)], [NOPOS])
                 b = self.apply(b, [(Thunk.of(x), _RELEVANT)], [NOPOS])
-                return self.compare(a, b, _EQ, sctx, col)
+                return self.compare(a, b, _EQ, col)
             case (VCon(con=c1, args=args1), VCon(con=c2, args=args2)):
                 if c1 != c2 or len(args1) != len(args2):
                     return False
@@ -764,20 +752,20 @@ class Evaluator:
                     annot = annots[k] if k < len(annots) else _RELEVANT
                     if annot is _PARAMETRIC:
                         continue
-                    if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):
+                    if not self.compare(self.force(t1), self.force(t2), _EQ, col):
                         return False
                 return True
             case (VNe(head=h1, spine=sp1), VNe(head=h2, spine=sp2)):
                 if h1 != h2 or len(sp1) != len(sp2):
                     return False
-                return self._compare_spines(sp1, sp2, sctx, col)
+                return self._compare_spines(sp1, sp2, col)
         return False
 
-    def _compare_spines(self, sp1: Spine, sp2: Spine, sctx: SizeCtx, col) -> bool:
+    def _compare_spines(self, sp1: Spine, sp2: Spine, col) -> bool:
         for (t1, an1), (t2, _) in zip(sp1, sp2):
             if an1 is _PARAMETRIC:
                 continue
             self._tick()
-            if not self.compare(self.force(t1), self.force(t2), _EQ, sctx, col):
+            if not self.compare(self.force(t1), self.force(t2), _EQ, col):
                 return False
         return True

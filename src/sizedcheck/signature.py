@@ -1,10 +1,9 @@
 """The checked global environment: data/codata entries, constructors,
-functions with elaborated clauses and totality verdicts, lets, and the
-solutions of the program's size holes."""
+functions with elaborated clauses and totality verdicts, lets, the
+solutions of the program's size holes and its size hypotheses."""
 
 from __future__ import annotations
 
-from .sizes import SizeCtx
 from .syntax import Annot, Con, Expr, Ident, Pattern, Polarity, Pos, Record
 from .values import Thunk, Value, VCon, VData, VDef
 
@@ -58,25 +57,23 @@ class ConEntry(Record):
 
 
 class ElabClause(Record):
-    __slots__ = ("patterns", "rhs", "sctx", "pos")
+    __slots__ = ("patterns", "rhs", "pos")
 
-    def __init__(self, patterns: list[Pattern], rhs: Expr, sctx: SizeCtx, pos: Pos):
+    def __init__(self, patterns: list[Pattern], rhs: Expr, pos: Pos):
         self.patterns = patterns
         self.rhs = rhs  # elaborated; its size holes are read through Signature.holes
-        self.sctx = sctx
         self.pos = pos
 
 
 class CallSite(Record):
     """One recursive occurrence, recorded while checking a clause body."""
 
-    __slots__ = ("args", "size_arg", "sctx", "lhs_size", "clause_index", "pos")
+    __slots__ = ("args", "size_arg", "lhs_size", "clause_index", "pos")
 
-    def __init__(self, args: list[Expr], size_arg: tuple | None, sctx: SizeCtx,
-                 lhs_size: tuple | None, clause_index: int, pos: Pos):
+    def __init__(self, args: list[Expr], size_arg: tuple | None, lhs_size: tuple | None,
+                 clause_index: int, pos: Pos):
         self.args = args
         self.size_arg = size_arg
-        self.sctx = sctx
         self.lhs_size = lhs_size
         self.clause_index = clause_index
         self.pos = pos
@@ -116,18 +113,20 @@ Entry = DataEntry | ConEntry | FunEntry | LetEntry
 
 
 class Signature:
-    """Append-only map from resolved idents to checked entries, and the
-    table of solved size holes.  Hole ids are unique in a program, so each
-    solution is stored once, as a normal form that names no hole, when its
-    clause or let is checked; the evaluator reads it wherever the hole is
-    normalized."""
+    """Append-only map from resolved idents to checked entries, in the order
+    they were declared, and the tables of solved size holes and of size
+    hypotheses.  Hole ids are unique in a program, so each solution is stored
+    once, as a normal form that names no hole, when its clause or let is
+    checked; the evaluator reads it wherever the hole is normalized.  So are
+    uids, so each hypothesis is stored once, under its child's uid, when the
+    child is bound (see `sizes`)."""
 
-    __slots__ = ("entries", "holes", "order", "by_text")
+    __slots__ = ("entries", "holes", "hyps", "by_text")
 
     def __init__(self):
         self.entries: dict[int, Entry] = {}
         self.holes: dict[int, tuple] = {}
-        self.order: list[Ident] = []
+        self.hyps: dict[int, tuple[tuple, bool]] = {}
         # the first ident declared under each text: for a constructor name
         # reused across data types this is the earliest declaration
         self.by_text: dict[str, Ident] = {}
@@ -135,7 +134,6 @@ class Signature:
     def add(self, name: Ident, entry: Entry):
         assert name.uid not in self.entries
         self.entries[name.uid] = entry
-        self.order.append(name)
         self.by_text.setdefault(name.text, name)
 
     def __getitem__(self, name: Ident) -> Entry:

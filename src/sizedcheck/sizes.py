@@ -1,5 +1,5 @@
 """Size algebra: canonical forms for size expressions, entailment of size
-inequalities under a hypothesis context, and solving of size holes.
+inequalities under the program's size hypotheses, and solving of size holes.
 
 A size has one form from parser to printer: a tuple of (base, successors)
 pairs read as their max, where a base is a variable (an `Ident`), a hole (its
@@ -9,16 +9,24 @@ table of solved holes.  A normal form is such a tuple with distinct bases in
 one fixed order, `_pair_key`'s, chosen where the form is built, so no reader
 sorts it again; a one-pair size that stands for itself is its own normal form.
 
+A size hypothesis comes only from a size pattern `(i > j)` or a size case's
+`$ j`: it is a fact about the freshly bound child, j < i.  So it is stored
+once per binder, in one program-wide map from the child's uid to (parent
+size, strict), `Signature.hyps`, which `entails` and `solve_metas` read.  A
+parent is bound before its child, so a walk up from a variable meets only
+variables bound before it, and the one map answers every query as the
+hypotheses in scope would; a variable has at most one hypothesis, and the
+strict edges are acyclic.  A hole may be solved only by variables bound
+where it is written, which the checker tests once the hole is solved.
+
 `solve_metas` solves a clause's holes in dependency order by a depth-first
 walk whose path is a flat stack of (hole id, index of its next lower bound)
 ints, so a hole on the path costs no iterator, frame or set."""
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from functools import reduce
-from itertools import islice
 
 from .syntax import Ident, Record
 
@@ -176,76 +184,11 @@ def format_size(ns: tuple, meta_names: dict[int, str] | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis contexts and entailment
-
-
-class UnknownVariable(Exception):
-    __slots__ = ()
-
-
-class ShadowedVariable(Exception):
-    __slots__ = ()
+# Hypotheses and entailment
 
 
 class OffsetOverflow(Exception):
     __slots__ = ()
-
-
-class SizeCtx(_Frozen):
-    """The size variables in scope and the hypotheses child < parent (or
-    child <= parent) gathered from size and successor patterns.  Contexts
-    that extend one another share one table, uid -> (depth, parent, strict,
-    variable), in the order the variables were bound, with parent None for a
-    variable declared with no hypothesis; a context reads the table up to its
-    own depth.  Extending the table's latest context adds to the table in
-    place; extending an older one first copies the part it can see.  So a
-    context never changes, and the ones kept in `ElabClause`, `CallSite` and
-    `SizeConstraint` give the answers they gave when taken.
-
-    Every hypothesis is on a freshly bound child, so a variable has at most
-    one and the strict edges are acyclic."""
-
-    __slots__ = ("table", "depth")
-
-    def __init__(self, table: dict | None = None, depth: int = 0):
-        _set(self, "table", table or {})
-        _set(self, "depth", depth)
-
-    @property
-    def scope(self) -> frozenset:
-        return frozenset(e[3] for e in islice(self.table.values(), self.depth))
-
-    @property
-    def edges(self) -> tuple:
-        """(child, parent size, strict) for each hypothesis, in order."""
-        return tuple((x, p, s) for _, p, s, x in islice(self.table.values(), self.depth)
-                     if p is not None)
-
-    def _extended(self, x: Ident, parent: tuple | None, strict: bool) -> "SizeCtx":
-        table, depth = self.table, self.depth
-        if table.get(x.uid, _UNSEEN)[0] < depth:
-            raise ShadowedVariable(x.text)
-        if parent is not None:
-            _check_scope(self, parent)
-        if len(table) != depth:
-            table = dict(islice(table.items(), depth))
-        table[x.uid] = (depth, parent, strict, x)
-        return SizeCtx(table, depth + 1)
-
-    def declare(self, x: Ident) -> "SizeCtx":
-        return self._extended(x, None, False)
-
-    def add(self, child: Ident, parent: tuple, strict: bool) -> "SizeCtx":
-        return self._extended(child, parent, strict)
-
-    def out_edges(self, x: Ident) -> tuple:
-        """x's hypothesis as a (parent, strict) pair, or none."""
-        depth, parent, strict, _ = self.table.get(x.uid, _UNSEEN)
-        return () if depth >= self.depth or parent is None else ((parent, strict),)
-
-
-# the table entry of a variable no context has bound: deeper than any context
-_UNSEEN = (sys.maxsize, None, False, None)
 
 
 class Rel(Enum):
@@ -254,62 +197,51 @@ class Rel(Enum):
     EQ = "="  # conversion in Evaluator.compare; entails and constraints take LE or LT
 
 
-def _check_scope(ctx: SizeCtx, ns: tuple):
-    table = ctx.table
-    for b, _ in ns:
-        if type(b) is Ident and table.get(b.uid, _UNSEEN)[0] >= ctx.depth:
-            raise UnknownVariable(b.text)
+def _best_gain(hyps: dict, x: Ident, y: Ident) -> int | None:
+    """Largest g such that the hypotheses prove x + g <= y, or None.  A
+    variable has at most one hypothesis, on a parent bound before it, so the
+    proof is the one chain of hypotheses up from x."""
+    g = 0
+    while x.uid != y.uid:
+        hyp = hyps.get(x.uid)
+        if hyp is None:
+            return None
+        parent, strict = hyp
+        if len(parent) != 1 or type(parent[0][0]) is not Ident:
+            # a max-parent gives only disjunctive information, # and a hole none
+            return None
+        ((x, k),) = parent
+        g += (1 if strict else 0) - k
+    return g
 
 
-def _best_gain(ctx: SizeCtx, x: Ident, y) -> int | None:
-    """Largest g such that the hypotheses prove x + g <= y, or None."""
-    best: dict = {x: 0}
-    frontier = [x]
-    while frontier:
-        v = frontier.pop()
-        g = best[v]
-        for parent, strict in ctx.out_edges(v):
-            if len(parent) != 1:
-                continue  # a max-parent gives only disjunctive information
-            ((b, k),) = parent
-            if b is INFTY or type(b) is int:
-                continue
-            g2 = g + (1 if strict else 0) - k
-            if b not in best or best[b] < g2:
-                best[b] = g2
-                frontier.append(b)
-    return best.get(y)
-
-
-def _atom_le(ctx: SizeCtx, a: tuple, b: tuple) -> bool:
+def _atom_le(hyps: dict, a: tuple, b: tuple) -> bool:
     (xb, n), (yb, m) = a, b
     if xb == yb:
         return n <= m
     if type(xb) is int or type(yb) is int:
         return False
-    g = _best_gain(ctx, xb, yb)
+    g = _best_gain(hyps, xb, yb)
     return g is not None and g >= n - m
 
 
-def entails(ctx: SizeCtx, a: tuple, rel: Rel, b: tuple) -> bool:
-    """Sound entailment of a <= b or a < b under ctx; complete on the
-    max-free fragment.  A max on the left splits into a conjunction, a max
-    on the right into a disjunction."""
-    _check_scope(ctx, a)
-    _check_scope(ctx, b)
+def entails(hyps: dict, a: tuple, rel: Rel, b: tuple) -> bool:
+    """Sound entailment of a <= b or a < b under the hypotheses hyps;
+    complete on the max-free fragment.  A max on the left splits into a
+    conjunction, a max on the right into a disjunction."""
     if len(a) > 1:
-        return all(entails(ctx, (p,), rel, b) for p in a)
+        return all(entails(hyps, (p,), rel, b) for p in a)
     if a[0][0] is INFTY:
         return rel is Rel.LE and b[0][0] is INFTY
     if b[0][0] is INFTY:
         # variables never denote the closure ordinal itself
         return True
     if len(b) > 1:
-        return any(entails(ctx, a, rel, (q,)) for q in b)
+        return any(entails(hyps, a, rel, (q,)) for q in b)
     ((xa, na),) = a
     if rel is Rel.LT:
-        return _atom_le(ctx, (xa, na + 1), b[0])
-    return _atom_le(ctx, (xa, na), b[0])
+        return _atom_le(hyps, (xa, na + 1), b[0])
+    return _atom_le(hyps, (xa, na), b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +249,12 @@ def entails(ctx: SizeCtx, a: tuple, rel: Rel, b: tuple) -> bool:
 
 
 class SizeConstraint(_Frozen):
-    __slots__ = ("lhs", "rel", "rhs", "sctx")
+    __slots__ = ("lhs", "rel", "rhs")
 
-    def __init__(self, lhs: tuple, rel: Rel, rhs: tuple, sctx: SizeCtx | None = None):
+    def __init__(self, lhs: tuple, rel: Rel, rhs: tuple):
         _set(self, "lhs", lhs)
         _set(self, "rel", rel)
         _set(self, "rhs", rhs)
-        # hypothesis context at the collection site; constraints may be
-        # gathered under binders deeper than the clause context they are
-        # solved in
-        _set(self, "sctx", sctx)
 
     def metas(self) -> set[int]:
         return metas(self.lhs) | metas(self.rhs)
@@ -366,7 +294,7 @@ def apply_solution(ns: tuple, sol: dict[int, tuple]) -> tuple:
 
 def solve_metas(
     constraints: list[SizeConstraint],
-    ctx: SizeCtx,
+    hyps: dict,
     known_metas: set[int] | None = None,
 ) -> dict[int, tuple]:
     """First-order solving of the size holes of one clause.
@@ -446,7 +374,7 @@ def solve_metas(
     for c in constraints:
         lhs = apply_solution(c.lhs, sol)
         rhs = apply_solution(c.rhs, sol)
-        if not entails(c.sctx if c.sctx is not None else ctx, lhs, c.rel, rhs):
+        if not entails(hyps, lhs, c.rel, rhs):
             raise Unsolvable(
                 f"no size expression fits: needs "
                 f"{format_size(lhs)} {c.rel.value} {format_size(rhs)}"

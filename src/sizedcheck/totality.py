@@ -213,13 +213,13 @@ def _top_var(p: Pattern) -> int | None:
     return p.name.uid if isinstance(p, PVar) else None
 
 
-def _call_entries(entry: FunEntry, lines: LineTable) -> list[CallGraphEntry]:
+def _call_entries(entry: FunEntry, lines: LineTable, hyps: dict) -> list[CallGraphEntry]:
     out = []
     for c in entry.calls:
         if c.size_arg is not None and c.lhs_size is not None:
-            if entails(c.sctx, c.size_arg, Rel.LT, c.lhs_size):
+            if entails(hyps, c.size_arg, Rel.LT, c.lhs_size):
                 srel = SizeRel.LT
-            elif entails(c.sctx, c.size_arg, Rel.LE, c.lhs_size):
+            elif entails(hyps, c.size_arg, Rel.LE, c.lhs_size):
                 srel = SizeRel.LE
             else:
                 srel = SizeRel.UNKNOWN
@@ -245,12 +245,13 @@ def _call_entries(entry: FunEntry, lines: LineTable) -> list[CallGraphEntry]:
     return out
 
 
-def termination_check(entry: FunEntry, lines: LineTable) -> TotalityReport:
+def termination_check(entry: FunEntry, lines: LineTable, hyps: dict) -> TotalityReport:
     """Accept when every recursive call descends in the designated size
-    parameter, or, failing that, when one argument position descends
-    structurally in every clause.  Raises TERMINATION/PRODUCTIVITY, whose
-    message shows each call's position by `lines`."""
-    entries = _call_entries(entry, lines)
+    parameter, under the size hypotheses hyps, or, failing that, when one
+    argument position descends structurally in every clause.  Raises
+    TERMINATION/PRODUCTIVITY, whose message shows each call's position by
+    `lines`."""
+    entries = _call_entries(entry, lines, hyps)
     name = entry.name.text
     if not entry.calls:
         return TotalityReport(name, "non-recursive", None, entries)

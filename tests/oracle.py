@@ -6,8 +6,11 @@ size variables range over {0..6, omega}.  Streams get a tiny lazy-list
 implementation mirroring the paper equations.  Two substitutions that only
 the property tests use, on size expressions and on normal forms, live here
 too, and so does `ListSizeCtx`, a size context that copies itself on every
-binding: the reference for `sizes.SizeCtx`, whose contexts share one table.
-`hole_solutions` is the brute-force reference for `sizes.solve_metas`.
+binding: the reference for the one program-wide map of size hypotheses,
+`Signature.hyps`, which every binding writes to.  The valuation model takes
+the size variables as an explicit list and their hypotheses as such a map,
+child uid -> (parent size, strict); `hole_solutions` is the brute-force
+reference for `sizes.solve_metas`.
 
 Size expressions as trees (`SVar`, `SSucc`, `SInfty`, `SMax`, `SMeta`) and
 their recursive normalizer, `tree_normalize`, are the reference for
@@ -26,9 +29,6 @@ from sizedcheck.sizes import (
     INFTY_SIZE,
     OffsetOverflow,
     Rel,
-    ShadowedVariable,
-    SizeCtx,
-    UnknownVariable,
     bump,
     ns_max,
     ns_var,
@@ -63,29 +63,35 @@ def holds(valuation, a: tuple, rel: Rel, b: tuple) -> bool:
     return va == vb
 
 
-def satisfies(valuation, ctx: SizeCtx) -> bool:
-    for child, parent, strict in ctx.edges:
+def edges(xs, hyps: dict) -> list:
+    """(child, parent, strict) for each variable of xs that hyps bounds."""
+    return [(x, *hyps[x.uid]) for x in xs if x.uid in hyps]
+
+
+def satisfies(valuation, xs, hyps: dict) -> bool:
+    for child, parent, strict in edges(xs, hyps):
         rel = Rel.LT if strict else Rel.LE
         if not holds(valuation, ns_var(child), rel, parent):
             return False
     return True
 
 
-def all_valuations(ctx: SizeCtx):
-    vs = sorted(ctx.scope, key=lambda x: x.uid)
+def all_valuations(xs):
+    vs = sorted(xs, key=lambda x: x.uid)
     for choice in itertools.product(VAR_RANGE, repeat=len(vs)):
         yield dict(zip(vs, choice))
 
 
-def satisfying_valuations(ctx: SizeCtx):
-    """The valuations of all_valuations(ctx) that satisfy ctx, found without
-    enumerating the others: variables are assigned one by one in uid order,
-    and each hypothesis edge is checked as soon as its child and its
-    parent's variables have values, so a prefix that breaks one is cut off."""
-    vs = sorted(ctx.scope, key=lambda x: x.uid)
+def satisfying_valuations(xs, hyps: dict):
+    """The valuations of all_valuations(xs) that satisfy the hypotheses hyps
+    holds on xs, found without enumerating the others: variables are
+    assigned one by one in uid order, and each hypothesis edge is checked as
+    soon as its child and its parent's variables have values, so a prefix
+    that breaks one is cut off."""
+    vs = sorted(xs, key=lambda x: x.uid)
     index = {x: k for k, x in enumerate(vs)}
     ready: list[list] = [[] for _ in vs]
-    for child, parent, strict in ctx.edges:
+    for child, parent, strict in edges(vs, hyps):
         k = max(index[x] for x in size_vars(parent) | {child})
         ready[k].append((ns_var(child), Rel.LT if strict else Rel.LE, parent))
     valuation: dict = {}
@@ -103,63 +109,53 @@ def satisfying_valuations(ctx: SizeCtx):
     return extend(0)
 
 
-def semantically_valid(ctx: SizeCtx, a: tuple, rel: Rel, b: tuple) -> bool:
-    return all(holds(v, a, rel, b) for v in satisfying_valuations(ctx))
+def semantically_valid(xs, hyps: dict, a: tuple, rel: Rel, b: tuple) -> bool:
+    return all(holds(v, a, rel, b) for v in satisfying_valuations(xs, hyps))
 
 
 class ListSizeCtx:
-    """A size context as a frozenset of variables and a tuple of
-    (child, parent, strict) hypotheses, each binding making a new one, with
-    `out_edges` a scan of the hypotheses: the reference for `sizes.SizeCtx`."""
+    """A size context as a tuple of variables, in binding order, and a tuple
+    of (child, parent, strict) hypotheses, each binding making a new one,
+    with `out_edges` a scan of the hypotheses: the reference for the one
+    program-wide map of hypotheses.  A variable is bound once, and a parent
+    only in a context that binds its variables, as in a checked program."""
 
-    def __init__(self, scope: frozenset = frozenset(), edges: tuple = ()):
-        self.scope = scope
+    def __init__(self, variables: tuple = (), edges: tuple = ()):
+        self.variables = variables
         self.edges = edges
 
     def declare(self, x: Ident) -> "ListSizeCtx":
-        if x in self.scope:
-            raise ShadowedVariable(x.text)
-        return ListSizeCtx(self.scope | {x}, self.edges)
+        assert x not in self.variables
+        return ListSizeCtx(self.variables + (x,), self.edges)
 
     def add(self, child: Ident, parent: tuple, strict: bool) -> "ListSizeCtx":
-        if child in self.scope:
-            raise ShadowedVariable(child.text)
-        missing = sorted(size_vars(parent) - self.scope, key=lambda x: x.uid)
-        if missing:
-            raise UnknownVariable(missing[0].text)
-        return ListSizeCtx(self.scope | {child}, self.edges + ((child, parent, strict),))
+        assert child not in self.variables and size_vars(parent) <= set(self.variables)
+        return ListSizeCtx(self.variables + (child,), self.edges + ((child, parent, strict),))
 
     def out_edges(self, x: Ident) -> list:
         return [(p, s) for c, p, s in self.edges if c == x]
 
-    def replay(self) -> SizeCtx:
-        """A SizeCtx built from nothing with the same variables and
-        hypotheses: the variables with no hypothesis first, by uid, then the
-        hypotheses in order, whose parents are all bound by then."""
-        children = {c for c, _, _ in self.edges}
-        ctx = SizeCtx()
-        for x in sorted(self.scope - children, key=lambda x: x.uid):
-            ctx = ctx.declare(x)
-        for c, p, s in self.edges:
-            ctx = ctx.add(c, p, s)
-        return ctx
+    @property
+    def hyps(self) -> dict:
+        """A map of this context's own hypotheses, built from nothing."""
+        return {c.uid: (p, s) for c, p, s in self.edges}
 
 
-def hole_solutions(ctx: SizeCtx, constraints: list, mids: set[int]) -> list[dict]:
+def hole_solutions(xs, hyps: dict, constraints: list, mids: set[int]) -> list[dict]:
     """Every assignment of candidate sizes to the holes `mids` under which
-    each of the max-free `constraints` holds at every valuation that
-    satisfies ctx: the brute-force reference for `sizes.solve_metas`.  A
-    candidate is a variable of ctx plus an offset up to one past the largest
-    offset in the constraints, or #.  A hole that is the right side of no
+    each of the max-free `constraints` holds at every valuation of the
+    variables xs that satisfies hyps: the brute-force reference for
+    `sizes.solve_metas`.  A candidate is a variable of xs plus an offset up
+    to one past the largest offset in the constraints, or #.  A hole that is the right side of no
     constraint has no lower bound, and the solver's fallback makes it #, so
     # is its only candidate.
 
     The holes are assigned in id order, and each constraint is checked as
     soon as the holes it names have values; a check compares the two sides'
     values at every valuation, kept per (base, offset) pair."""
-    vals = list(satisfying_valuations(ctx))
+    vals = list(satisfying_valuations(xs, hyps))
     top = max((n for c in constraints for ns in (c.lhs, c.rhs) for _, n in ns), default=0)
-    free = [ns_var(x, n) for x in sorted(ctx.scope, key=lambda x: x.uid) for n in range(top + 2)]
+    free = [ns_var(x, n) for x in sorted(xs, key=lambda x: x.uid) for n in range(top + 2)]
     bounded = {b for c in constraints for b, _ in c.rhs if type(b) is int}
     order = sorted(mids)
     domains = [free + [INFTY_SIZE] if m in bounded else [INFTY_SIZE] for m in order]

@@ -9,12 +9,11 @@ import tracemalloc
 import pytest
 
 from sizedcheck import RunConfig, check_source
-from sizedcheck.checker import Ctx
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
 from sizedcheck.sizes import INFTY_SIZE, ns_var
-from sizedcheck.syntax import Annot, App, Def, Var, fresh_ident
-from sizedcheck.values import Thunk, VData, VSize, VSizeU
+from sizedcheck.syntax import App, Def, Var, fresh_ident
+from sizedcheck.values import Thunk, VData, VSize
 
 from conftest import NAT, SNAT_PARAMETRIC, STREAM, build, ok, rejected, untraced
 from test_workload_snapshot import ROOT, _workloads
@@ -147,9 +146,8 @@ class TestSubtype:
     def world(self):
         ch, _, _ = build(NAT + SNAT_PARAMETRIC + STREAM)
         i, j = fresh_ident("i"), fresh_ident("j")
-        ctx = Ctx().bind(i, VSizeU(), Annot.PARAMETRIC)
-        ctx = ctx.bind(j, VSizeU(), Annot.PARAMETRIC, hypothesis=(ns_var(i), True))
-        return ch, ctx, i, j
+        ch.sig.hyps[j.uid] = (ns_var(i), True)
+        return ch, i, j
 
     def _snat(self, ch, ns):
         return VData(ch.sig.by_text["SNat"], [Thunk.of(VSize(ns))])
@@ -159,28 +157,28 @@ class TestSubtype:
         return VData(ch.sig.by_text["Stream"], [Thunk.of(nat), Thunk.of(VSize(ns))])
 
     def test_inductive_covariant(self, world):
-        ch, ctx, i, j = world
-        assert ch.subtype(ctx, self._snat(ch, ns_var(j)), self._snat(ch, ns_var(i)))
-        assert not ch.subtype(ctx, self._snat(ch, ns_var(i)), self._snat(ch, ns_var(j)))
+        ch, i, j = world
+        assert ch.subtype(self._snat(ch, ns_var(j)), self._snat(ch, ns_var(i)))
+        assert not ch.subtype(self._snat(ch, ns_var(i)), self._snat(ch, ns_var(j)))
 
     def test_reflexive(self, world):
-        ch, ctx, i, j = world
+        ch, i, j = world
         t = self._snat(ch, ns_var(i))
-        assert ch.subtype(ctx, t, t)
+        assert ch.subtype(t, t)
 
     def test_subtyping_chain_to_infinity(self, world):
-        ch, ctx, i, j = world
+        ch, i, j = world
         chain = [ns_var(i), ns_var(i, 1), INFTY_SIZE]
         for lo, hi in zip(chain, chain[1:]):
-            assert ch.subtype(ctx, self._snat(ch, lo), self._snat(ch, hi))
-            assert not ch.subtype(ctx, self._snat(ch, hi), self._snat(ch, lo))
+            assert ch.subtype(self._snat(ch, lo), self._snat(ch, hi))
+            assert not ch.subtype(self._snat(ch, hi), self._snat(ch, lo))
 
     def test_coinductive_contravariant(self, world):
-        ch, ctx, i, j = world
+        ch, i, j = world
         s_i = self._stream(ch, ns_var(i))
         s_si = self._stream(ch, ns_var(i, 1))
-        assert ch.subtype(ctx, s_si, s_i)
-        assert not ch.subtype(ctx, s_i, s_si)
+        assert ch.subtype(s_si, s_i)
+        assert not ch.subtype(s_i, s_si)
 
     # function types that quantify over a size: the codomains are compared
     # with the fresh size variable declared
@@ -345,10 +343,9 @@ cofun map : [A : Set] -> [B : Set] -> [i : Size] ->
         entry = ch.sig.fun(ch.sig.by_text["minus"])
         clause = entry.clauses[0]
         # the size pattern bound j with j < i available to the clause
-        edges = clause.sctx.edges
-        assert len(edges) == 1
-        child, parent, strict = edges[0]
-        assert child.text == "j" and strict
+        child = clause.patterns[1].args[0].child
+        parent, strict = ch.sig.hyps[child.uid]
+        assert child.text == "j" and parent == ns_var(clause.patterns[0].name) and strict
 
     def test_illegal_size_refinement(self):
         rejected(SNAT_PARAMETRIC + """
@@ -444,7 +441,8 @@ let inc2 : [i : Size] -> SNat i -> SNat ($$ i)
         again = Checker()
         again.sig = ch.sig
         again.ev.sig = ch.sig
-        out = again.check(Ctx(state=ClauseState()), entry.body, entry.type_value, erased=False)
+        again.state = ClauseState()
+        out = again.check(None, entry.body, entry.type_value, erased=False)
         assert out is not None
 
     def test_unsolvable_hole_reported(self):
@@ -568,7 +566,7 @@ fun div : [i : Size] -> SNat i -> SNat # -> SNat i
 }
 """
         ch, _, _ = build(src)
-        assert [n.text for n in ch.sig.order] == [
+        assert [e.name.text for e in ch.sig.entries.values()] == [
             "SNat", "zero", "succ", "inc2", "pred", "minus", "div"
         ]
 

@@ -14,13 +14,18 @@ one lower bound is #.
 
 Two more rows pin how the hole solver shifts a lower bound past the
 successors written on the hole's side (`sizes.solve_metas`): one solves only
-if the shift is made, one needs a predecessor and is rejected."""
+if the shift is made, one needs a predecessor and is rejected.
+
+The last rows pin the scope of a hole's solution: a hole may be solved only
+by variables bound where it is written.  A hole outside a case whose
+branches bind `j` by a size pattern, bounded below only by sizes in `j`, is
+UNSOLVED-META at its let; holes inside the branch that binds `j` solve."""
 
 from pathlib import Path
 
 import pytest
 
-from sizedcheck import check_source
+from sizedcheck import RunConfig, check_source
 
 NAT = """data Nat : Set
 { zero : Nat
@@ -156,3 +161,44 @@ def test_hole_lower_bound(name):
     src, want = HOLE_BOUNDS[name]
     d = check_source(HOLES_SNAT + src, "<test>").diagnostic
     assert (d and (d.code, d.message, d.pos)) == want
+
+
+# `g _` outside the case takes a size in the branches' j, which only the
+# branches bind
+G_HASH = "fun g : [k : Size] -> SNat k -> SNat # { g k n = zero # }\n"
+G_SAME = "fun g : [k : Size] -> SNat k -> SNat k { g k n = n }\n"
+LET_HASH = "let f : [i : Size] -> SNat i -> SNat # = \\ i -> \\ n -> g _ "
+SCOPE_ESCAPES = {
+    "two branches": (
+        G_HASH + LET_HASH
+        + "(case n { (zero (i > j)) -> zero j ; (succ (i > j) x) -> x })\n", "max(j+1, j)"),
+    "two branches of zero j": (
+        G_HASH + LET_HASH
+        + "(case n { (zero (i > j)) -> zero j ; (succ (i > j) x) -> zero j })\n",
+        "max(j+1, j+1)"),
+    "one branch": (
+        G_HASH + LET_HASH + "(case n { (succ (i > j) x) -> x })\n", "j"),
+    "two branches at the let's own size": (
+        G_SAME + "let f : [i : Size] -> SNat i -> SNat i = \\ i -> \\ n -> g _ "
+        "(case n { (zero (i > j)) -> zero j ; (succ (i > j) x) -> x })\n", "max(j+1, j)"),
+}
+
+
+@pytest.mark.parametrize("name", SCOPE_ESCAPES)
+def test_hole_solved_out_of_its_scope(name):
+    src, solution = SCOPE_ESCAPES[name]
+    d = check_source(HOLES_SNAT + src, "<test>").diagnostic
+    assert d is not None
+    assert (d.code, d.message, d.pos) == (
+        "UNSOLVED-META",
+        f"size hole ?1 would be {solution}, but 'j' is not bound where the hole is written",
+        (6, 1))
+
+
+def test_holes_inside_the_branch_that_binds_j():
+    src = (HOLES_SNAT + "let f : [i : Size] -> SNat i -> SNat ($ i) = \\ i -> \\ n -> "
+           "case n { (zero (i > j)) -> succ _ (zero j) ; (succ (i > j) x) -> succ _ (succ _ x) }\n")
+    result = check_source(src, "<test>", RunConfig([], print_constraints=True))
+    assert result.diagnostic is None
+    assert result.constraint_dump == [
+        "-- f", "j+1 <= m1", "m1+1 <= i+1", "j <= m2", "m2+1 <= m3", "m3+1 <= i+1"]

@@ -8,7 +8,7 @@ from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
 from sizedcheck.scope import scope_check
-from sizedcheck.sizes import INFTY, INFTY_SIZE, Rel, SizeCtx, format_size, ns_var
+from sizedcheck.sizes import INFTY, INFTY_SIZE, Rel, format_size, ns_var
 from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.syntax import (
     NOPOS, App, Annot, Con, Def, Elided, Pi, SetU, Size, fresh_ident,
@@ -186,14 +186,13 @@ class TestConvertible:
         ev = ch.ev
         pred = ch.sig.by_text["pred"]
         i, j, n = fresh_ident("i"), fresh_ident("j"), fresh_ident("n")
-        sctx = SizeCtx().declare(i).declare(j)
 
         def app(size_var):
             spine = [(Thunk.of(VSize(ns_var(size_var))), Annot.PARAMETRIC),
                      (Thunk.of(VNe(n)), Annot.RELEVANT)]
             return ev.apply(VDef(pred, []), spine, [NOPOS, NOPOS])
 
-        assert ev.convertible(app(i), app(j), sctx)
+        assert ev.convertible(app(i), app(j))
 
     def test_set_reflexive(self):
         ch, _, _ = build("")
@@ -213,12 +212,11 @@ let probe2 : (i : Size) -> Set = \\ i -> SNat i -> SNat i
         ch, _, _ = build(src)
         ev = ch.ev
         i = fresh_ident("i")
-        sctx = SizeCtx().declare(i)
         v1 = ev.apply(ev.evaluate(None, Def(ch.sig.by_text["probe1"])),
                       [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
         v2 = ev.apply(ev.evaluate(None, Def(ch.sig.by_text["probe2"])),
                       [(Thunk.of(VSize(ns_var(i))), Annot.RELEVANT)], [NOPOS])
-        assert ev.convertible(v1, v2, sctx)
+        assert ev.convertible(v1, v2)
 
     def test_different_constructors_differ(self):
         ch, _, _ = build(NAT)
@@ -485,9 +483,9 @@ class TestValueAtInfinity:
         calls = []
         compare = Evaluator.compare
 
-        def counting(self, a, b, rel, sctx, col):
+        def counting(self, a, b, rel, col):
             calls.append(rel)
-            return compare(self, a, b, rel, sctx, col)
+            return compare(self, a, b, rel, col)
 
         def no_entailment(*args):
             raise AssertionError("size_entails called")
@@ -497,7 +495,7 @@ class TestValueAtInfinity:
         nat = ev.evaluate(None, Def(ch.sig.by_text["Nat"]))
         for v in (nat, VSET, VSIZEU):
             calls.clear()
-            assert ev.compare(v, v, Rel.LE, SizeCtx(), [])
+            assert ev.compare(v, v, Rel.LE, [])
             assert calls == [Rel.LE]  # no EQ comparison behind it
 
     def test_shared_type_with_a_hole_still_adds_its_constraint(self):
@@ -505,7 +503,7 @@ class TestValueAtInfinity:
         snat = ch.sig.by_text["SNat"]
         v = VData(snat, (Thunk.of(VSize(((7, 0),))),))
         col = []
-        assert ch.ev.compare(v, v, Rel.LE, SizeCtx(), col)
+        assert ch.ev.compare(v, v, Rel.LE, col)
         assert [(format_size(c.lhs), format_size(c.rhs)) for c in col] == [("?7", "?7")]
 
 

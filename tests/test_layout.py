@@ -20,7 +20,7 @@ import pytest
 
 from sizedcheck import parse_source
 from sizedcheck.evaluator import _ERASED
-from sizedcheck.sizes import INFTY_SIZE, Rel, SizeConstraint, SizeCtx, normalize, ns_var
+from sizedcheck.sizes import INFTY_SIZE, Rel, SizeConstraint, normalize, ns_var
 from sizedcheck.syntax import Ident, LineTable
 
 from conftest import CORPUS, build
@@ -139,7 +139,6 @@ KEPT = {
     "hole-ids-are-ints-from-1": _hole_ids,
     "erased-hole-never-solved": _erased_is_no_hole,
     "one-pair-size-is-its-normal-form": _one_pair_is_its_normal_form,
-    "sizectx-immutable": _assign(SizeCtx, "scope", frozenset()),
     "constraint-immutable": _assign(
         lambda: SizeConstraint(((1, 0),), Rel.LE, ((2, 0),)), "rel", Rel.LT),
     "ident-equality-by-uid": _ident_by_uid,

@@ -1,4 +1,4 @@
-"""Size algebra: normalization, entailment, hypothesis contexts, and the
+"""Size algebra: normalization, entailment under size hypotheses, and the
 hole solver, against hand-checked and brute-forced expectations."""
 
 import gc
@@ -12,10 +12,7 @@ from sizedcheck.sizes import (
     INFTY_SIZE,
     Ambiguous,
     Rel,
-    ShadowedVariable,
     SizeConstraint,
-    SizeCtx,
-    UnknownVariable,
     Unsolvable,
     bump,
     entails,
@@ -34,11 +31,14 @@ j = fresh_ident("j")
 k = fresh_ident("k")
 
 
-def ctx_of(*vars_):
-    c = SizeCtx()
-    for v in vars_:
-        c = c.declare(v)
-    return c
+def hyps_of(*edges):
+    """The map of hypotheses child < parent (strict) or child <= parent, as
+    `Signature.hyps` holds them."""
+    return {child.uid: (parent, strict) for child, parent, strict in edges}
+
+
+J_BELOW_I = (j, ns_var(i), True)
+K_BELOW_I = (k, ns_var(i), True)
 
 
 class TestNormalize:
@@ -77,105 +77,88 @@ class TestNormalize:
 
 class TestEntails:
     def test_strict_hypothesis_gives_successor_bound(self):
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        assert entails(ctx, bump(ns_var(j), 1), Rel.LE, ns_var(i))
+        hyps = hyps_of(J_BELOW_I)
+        assert entails(hyps, bump(ns_var(j), 1), Rel.LE, ns_var(i))
 
     def test_reflexivity(self):
-        assert entails(ctx_of(i), ns_var(i), Rel.LE, ns_var(i))
+        assert entails({}, ns_var(i), Rel.LE, ns_var(i))
 
     def test_no_max_inversion(self):
         # {j < i, k < i} does not entail i <= max j k (take j = k = 0, i = 1)
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        ctx = ctx.add(k, ns_var(i), True)
-        assert not entails(ctx, ns_var(i), Rel.LE, ns_max(ns_var(j), ns_var(k)))
+        hyps = hyps_of(J_BELOW_I, K_BELOW_I)
+        assert not entails(hyps, ns_var(i), Rel.LE, ns_max(ns_var(j), ns_var(k)))
 
     def test_anything_below_infinity(self):
-        ctx = ctx_of(i)
-        assert entails(ctx, ns_var(i, 5), Rel.LE, INFTY_SIZE)
-        assert entails(ctx, ns_var(i), Rel.LT, INFTY_SIZE)
-        assert entails(ctx, INFTY_SIZE, Rel.LE, INFTY_SIZE)
-        assert not entails(ctx, INFTY_SIZE, Rel.LT, INFTY_SIZE)
-        assert not entails(ctx, INFTY_SIZE, Rel.LE, ns_var(i))
+        hyps = {}
+        assert entails(hyps, ns_var(i, 5), Rel.LE, INFTY_SIZE)
+        assert entails(hyps, ns_var(i), Rel.LT, INFTY_SIZE)
+        assert entails(hyps, INFTY_SIZE, Rel.LE, INFTY_SIZE)
+        assert not entails(hyps, INFTY_SIZE, Rel.LT, INFTY_SIZE)
+        assert not entails(hyps, INFTY_SIZE, Rel.LE, ns_var(i))
 
     def test_offset_rule_same_base(self):
-        ctx = ctx_of(i)
-        assert entails(ctx, ns_var(i, 1), Rel.LE, ns_var(i, 2))
-        assert not entails(ctx, ns_var(i, 2), Rel.LE, ns_var(i, 1))
-        assert entails(ctx, ns_var(i), Rel.LT, ns_var(i, 1))
-        assert not entails(ctx, ns_var(i), Rel.LT, ns_var(i))
+        hyps = {}
+        assert entails(hyps, ns_var(i, 1), Rel.LE, ns_var(i, 2))
+        assert not entails(hyps, ns_var(i, 2), Rel.LE, ns_var(i, 1))
+        assert entails(hyps, ns_var(i), Rel.LT, ns_var(i, 1))
+        assert not entails(hyps, ns_var(i), Rel.LT, ns_var(i))
 
     def test_max_left_is_conjunction(self):
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        ctx = ctx.add(k, ns_var(i), True)
+        hyps = hyps_of(J_BELOW_I, K_BELOW_I)
         m = ns_max(ns_var(j), ns_var(k))
-        assert entails(ctx, m, Rel.LT, ns_var(i))
-        assert entails(ctx, m, Rel.LE, ns_var(i, 3))
+        assert entails(hyps, m, Rel.LT, ns_var(i))
+        assert entails(hyps, m, Rel.LE, ns_var(i, 3))
 
     def test_max_right_is_disjunction(self):
-        ctx = ctx_of(i, j)
-        assert entails(ctx, ns_var(i), Rel.LE, ns_max(ns_var(i), ns_var(j)))
-
-    def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            entails(SizeCtx(), ns_var(i), Rel.LE, ns_var(i))
+        hyps = {}
+        assert entails(hyps, ns_var(i), Rel.LE, ns_max(ns_var(i), ns_var(j)))
 
     def test_an_unsolved_hole_is_related_only_to_itself(self):
         # nothing is known of a hole yet: it bounds, and is bounded by, only
         # itself plus an offset
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        assert entails(ctx, ((1, 0),), Rel.LE, ((1, 1),))
-        assert not entails(ctx, ((1, 0),), Rel.LE, ns_var(i))
-        assert not entails(ctx, ns_var(j), Rel.LT, ((1, 0),))
-        assert not entails(ctx, ((1, 0),), Rel.LE, ((2, 0),))
-        assert entails(ctx, ((1, 0),), Rel.LT, INFTY_SIZE)
+        hyps = hyps_of(J_BELOW_I)
+        assert entails(hyps, ((1, 0),), Rel.LE, ((1, 1),))
+        assert not entails(hyps, ((1, 0),), Rel.LE, ns_var(i))
+        assert not entails(hyps, ns_var(j), Rel.LT, ((1, 0),))
+        assert not entails(hyps, ((1, 0),), Rel.LE, ((2, 0),))
+        assert entails(hyps, ((1, 0),), Rel.LT, INFTY_SIZE)
 
 
 class TestAddHypothesis:
     def test_basic_edge(self):
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        assert entails(ctx, ns_var(j), Rel.LT, ns_var(i))
+        hyps = hyps_of(J_BELOW_I)
+        assert entails(hyps, ns_var(j), Rel.LT, ns_var(i))
 
     def test_top_element(self):
-        ctx = SizeCtx().add(j, INFTY_SIZE, True)
-        assert entails(ctx, ns_var(j), Rel.LE, INFTY_SIZE)
-        assert not entails(ctx, INFTY_SIZE, Rel.LE, ns_var(j))
+        hyps = hyps_of((j, INFTY_SIZE, True))
+        assert entails(hyps, ns_var(j), Rel.LE, INFTY_SIZE)
+        assert not entails(hyps, INFTY_SIZE, Rel.LE, ns_var(j))
 
     def test_offset_accumulation(self):
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        ctx = ctx.add(k, ns_var(j), True)
-        assert entails(ctx, ns_var(k, 2), Rel.LE, ns_var(i))
-        assert not entails(ctx, ns_var(k, 3), Rel.LE, ns_var(i))
-
-    def test_shadowing_rejected(self):
-        ctx = ctx_of(i).add(j, ns_var(i), True)
-        with pytest.raises(ShadowedVariable):
-            ctx.add(j, ns_var(i), True)
-
-    def test_original_unchanged(self):
-        base = ctx_of(i)
-        base.add(j, ns_var(i), True)
-        assert j not in base.scope
+        hyps = hyps_of(J_BELOW_I, (k, ns_var(j), True))
+        assert entails(hyps, ns_var(k, 2), Rel.LE, ns_var(i))
+        assert not entails(hyps, ns_var(k, 3), Rel.LE, ns_var(i))
 
 
 class TestSolveMetas:
     def test_direct_assignment(self):
-        ctx = ctx_of(i)
+        hyps = {}
         # m = i as a pair of inequalities
         cs = [
             SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
             SizeConstraint(ns_var(i), Rel.LE, ((1, 0),)),
         ]
-        sol = solve_metas(cs, ctx, {1})
+        sol = solve_metas(cs, hyps, {1})
         assert sol[1] == ns_var(i)
 
     def test_least_solution_with_lower_bound(self):
         # {m <= i, $ j <= m} under {j < i}: least solution m = j+1
-        ctx = ctx_of(i).add(j, ns_var(i), True)
+        hyps = hyps_of(J_BELOW_I)
         cs = [
             SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
             SizeConstraint(ns_var(j, 1), Rel.LE, ((1, 0),)),
         ]
-        sol = solve_metas(cs, ctx, {1})
+        sol = solve_metas(cs, hyps, {1})
         assert sol[1] == ns_var(j, 1)
         # brute-force check over candidate bases {j, i} and offsets 0..2:
         # j+1 is the least candidate satisfying both constraints
@@ -190,46 +173,46 @@ class TestSolveMetas:
 
     def test_unsolvable_needs_subtraction(self):
         # j <= m+2 with no successor structure below j: no expressible hole
-        ctx = ctx_of(j)
+        hyps = {}
         cs = [SizeConstraint(ns_var(j), Rel.LE, ((1, 2),))]
         with pytest.raises(Unsolvable):
-            solve_metas(cs, ctx, {1})
+            solve_metas(cs, hyps, {1})
 
     def test_ambiguous_when_unconstrained(self):
         with pytest.raises(Ambiguous):
-            solve_metas([], SizeCtx(), {1})
+            solve_metas([], {}, {1})
 
     def test_infinity_fallback_for_upper_only(self):
         # $ m <= # constrains nothing; the hole defaults to #
         cs = [SizeConstraint(((1, 1),), Rel.LE, INFTY_SIZE)]
-        sol = solve_metas(cs, SizeCtx(), {1})
+        sol = solve_metas(cs, {}, {1})
         assert sol[1] == INFTY_SIZE
 
     def test_dependency_chain(self):
-        ctx = ctx_of(i)
+        hyps = {}
         cs = [
             SizeConstraint(ns_var(i), Rel.LE, ((1, 0),)),
             SizeConstraint(((1, 1),), Rel.LE, ((2, 0),)),
             SizeConstraint(((2, 1),), Rel.LE, ns_var(i, 2)),
         ]
-        sol = solve_metas(cs, ctx, {1, 2})
+        sol = solve_metas(cs, hyps, {1, 2})
         assert sol[1] == ns_var(i)
         assert sol[2] == ns_var(i, 1)
 
     def test_reverification_catches_conflicts(self):
-        ctx = ctx_of(i, j)
+        hyps = {}
         # j <= m and m <= i is unsolvable without a hypothesis relating them
         cs = [
             SizeConstraint(ns_var(j), Rel.LE, ((1, 0),)),
             SizeConstraint(((1, 0),), Rel.LE, ns_var(i)),
         ]
         with pytest.raises(Unsolvable):
-            solve_metas(cs, ctx, {1})
+            solve_metas(cs, hyps, {1})
 
     def test_self_loop_is_cyclic(self):
         cs = [SizeConstraint(((1, 1),), Rel.LE, ((1, 0),))]
         with pytest.raises(Unsolvable, match="cyclic"):
-            solve_metas(cs, SizeCtx(), {1})
+            solve_metas(cs, {}, {1})
 
     def test_two_cycle_is_cyclic(self):
         cs = [
@@ -237,7 +220,7 @@ class TestSolveMetas:
             SizeConstraint(((2, 0),), Rel.LE, ((1, 0),)),
         ]
         with pytest.raises(Unsolvable, match="cyclic"):
-            solve_metas(cs, SizeCtx(), {1, 2})
+            solve_metas(cs, {}, {1, 2})
 
     def test_cycle_beside_a_solvable_hole_is_cyclic(self):
         cs = [
@@ -246,7 +229,7 @@ class TestSolveMetas:
             SizeConstraint(((3, 0),), Rel.LE, ((2, 0),)),
         ]
         with pytest.raises(Unsolvable, match="cyclic"):
-            solve_metas(cs, ctx_of(i), {1, 2, 3})
+            solve_metas(cs, {}, {1, 2, 3})
 
     @staticmethod
     def _chain(n):
@@ -259,7 +242,7 @@ class TestSolveMetas:
     def test_chain_from_low_to_high_ids(self):
         n = 300
         cs, mids = self._chain(n)
-        sol = solve_metas(cs, ctx_of(i), mids)
+        sol = solve_metas(cs, {}, mids)
         assert sol == {m: ns_var(i, n - m) for m in mids}
 
     def test_memory_per_hole_stays_small_on_a_deep_chain(self):
@@ -268,13 +251,13 @@ class TestSolveMetas:
         # a set per hole on the path would cost about 1,100 B per hole
         n = 4000
         cs, mids = self._chain(n)
-        ctx = ctx_of(i)
+        hyps = {}
         gc.collect()
         with untraced():
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                sol = solve_metas(cs, ctx, mids)
+                sol = solve_metas(cs, hyps, mids)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -297,7 +280,7 @@ class TestSolveMetas:
         for n in (100, 200):
             cs, mids = self._chain(n)
             calls = 0
-            solve_metas(cs, ctx_of(i), mids)
+            solve_metas(cs, {}, mids)
             counts.append(calls)
         assert counts[1] / counts[0] < 3
 
