@@ -8,7 +8,7 @@ Elaboration annotates the parser's tree in place; it builds no second tree.
 Each application node gets the annotation of the Pi it applies, and a size
 variable passed as a size argument becomes `Size(((x, 0),))`, a size of one
 pair, which the unfold memo keys by its normal form.  A Pi link gets its
-elaborated domain and codomain, a lambda chain its elaborated body, a case
+elaborated domain and codomain, a lambda its elaborated body, a case
 its elaborated scrutinee and branches, and a constructor pattern the
 constructor it names in the scrutinee's type.  A tree is checked once, and nothing reads it
 before, so annotating it loses nothing: the signature's clauses and lets
@@ -34,7 +34,7 @@ other is UNSOLVED-META."""
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, too_deep
 from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
 from .signature import (
@@ -163,8 +163,8 @@ class Checker:
     # -- program ------------------------------------------------------------
 
     def check_program(self, decls: list[Declaration]) -> tuple[Signature, list[str]]:
-        # a size offset past MAX_OFFSET is reported at the declaration or
-        # eval let that reached it
+        # a size offset past MAX_OFFSET or a nesting deeper than the recursion
+        # limit is reported at the declaration or eval let that reached it
         try:
             for d in decls:
                 self.ev.reset_budget(d.pos)
@@ -186,6 +186,8 @@ class Checker:
                     outputs.append(f"{d.name.text} = {pretty(rb)}")
         except OffsetOverflow as e:
             raise Diagnostic("LIMIT", str(e), d.pos) from None
+        except RecursionError:
+            raise too_deep(d.pos) from None
         return self.sig, outputs
 
     # -- declarations ---------------------------------------------------------
@@ -342,11 +344,10 @@ class Checker:
                 inner = (ev.force(th) for th in args)
             case VNe(spine=spine) | VDef(spine=spine):
                 inner = (ev.force(th) for th, _ in spine)
-            case VPi(binder=b, domain=dom, closure=clo):
-                _, body = ev.open(clo, b)
-                inner = (dom, body)
-            case VLam(binder=b, closure=clo):
-                inner = (ev.open(clo, b)[1],)
+            case VPi(domain=dom, closure=clo):
+                inner = (dom, ev.open(clo)[1])
+            case VLam(closure=clo):
+                inner = (ev.open(clo)[1],)
             case _:
                 return
         for v in inner:
@@ -496,7 +497,7 @@ class Checker:
                         "definitions",
                         p.pos,
                     )
-                i_star = fresh_ident(pi.binder.text)
+                i_star = fresh_ident("_x" if pi.closure.binder is None else pi.closure.binder.text)
                 residual = self.ev.close(pi.closure, VSize(ns_var(i_star)))
                 reason = admissibility_check(self.ev, residual, i_star)
                 if reason is not None:
@@ -697,27 +698,24 @@ class Checker:
     # -- expressions ------------------------------------------------------------
 
     def check_type(self, env: Env, e: Expr) -> Expr:
-        # a Pi chain is walked in a loop, binding each named domain and
-        # setting each link's elaborated domain, so its length costs no stack
-        top, last = e, None
-        while type(e) is Pi:
+        t = type(e)
+        if t is Pi:
             dom = e.domain = self.check_type(env, e.domain)
             if e.binder is not None:
                 env = bind(env, e.binder, self.ev.evaluate(env, dom), e.annot)
-            last, e = e, e.codomain
-        if not isinstance(e, (SetU, SizeU)):
-            elab, ty = self.infer(env, e, erased=True)
-            if not isinstance(self.ev.whnf(ty), VSet):
-                raise Diagnostic(
-                    "TYPE-MISMATCH",
-                    f"expected a type, got something of type "
-                    f"'{pretty(self.ev.quote(ty))}'",
-                    e.pos,
-                )
-            if last is None:
-                return elab
-            last.codomain = elab
-        return top
+            e.codomain = self.check_type(env, e.codomain)
+            return e
+        if t is SetU or t is SizeU:
+            return e
+        elab, ty = self.infer(env, e, erased=True)
+        if not isinstance(self.ev.whnf(ty), VSet):
+            raise Diagnostic(
+                "TYPE-MISMATCH",
+                f"expected a type, got something of type "
+                f"'{pretty(self.ev.quote(ty))}'",
+                e.pos,
+            )
+        return elab
 
     def as_size(self, env: Env, e: Expr, erased: bool) -> Size:
         """e as a size term; a size variable becomes `Size(((x, 0),))`.  Its
@@ -882,25 +880,17 @@ class Checker:
         if t is App or t is Var or t is Con or t is Def:
             pass  # inferred and compared below
         elif t is Lam:
-            # a chain of lambdas in a loop, as check_type walks a Pi chain
-            top = e
-            while True:
-                if not isinstance(expected, VPi):
-                    raise Diagnostic(
-                        "TYPE-MISMATCH",
-                        f"lambda checked against non-function type "
-                        f"'{pretty(self.ev.quote(expected))}'",
-                        e.pos,
-                    )
-                x = e.binder
-                env = bind(env, x, self.ev.whnf(expected.domain), expected.annot)
-                expected = self.ev.close(expected.closure, self.ev.force(env[1]))
-                last, e = e, e.body
-                if type(e) is not Lam:
-                    break
-                expected = self.ev.whnf(expected)
-            last.body = self.check(env, e, expected, erased)
-            return top
+            if not isinstance(expected, VPi):
+                raise Diagnostic(
+                    "TYPE-MISMATCH",
+                    f"lambda checked against non-function type "
+                    f"'{pretty(self.ev.quote(expected))}'",
+                    e.pos,
+                )
+            env = bind(env, e.binder, self.ev.whnf(expected.domain), expected.annot)
+            body_type = self.ev.close(expected.closure, self.ev.force(env[1]))
+            e.body = self.check(env, e.body, body_type, erased)
+            return e
         elif t is CaseSize:
             return self._check_case_size(env, e, expected, erased)
         elif t is CaseData:

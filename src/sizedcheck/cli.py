@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from pathlib import Path
 
 from .checker import Checker
@@ -19,6 +20,12 @@ from .scope import scope_check
 from .signature import FunEntry, Signature
 from .sizes import MAX_OFFSET
 from .syntax import LineTable, Record
+
+
+# the checker recurses as deeply as its input nests, so `check_source` runs it
+# on one thread with this stack, at this recursion limit (`run_deep`)
+STACK_BYTES = 512 * 1024 * 1024
+RECURSION_LIMIT = 200_000
 
 
 class RunConfig(Record):
@@ -36,14 +43,6 @@ class RunConfig(Record):
         self.print_depth = print_depth
 
 
-class GoldenCase(Record):
-    __slots__ = ("source", "expectation")
-
-    def __init__(self, source: Path, expectation: Path):
-        self.source = source
-        self.expectation = expectation
-
-
 class CheckResult(Record):
     __slots__ = ("signature", "outputs", "constraint_dump", "diagnostic")
 
@@ -55,11 +54,68 @@ class CheckResult(Record):
         self.diagnostic = diagnostic
 
 
+_DEFAULTS = RunConfig([])  # read only
+_worker: threading.Thread | None = None
+_jobs = None  # the calls for the worker to make
+_starting = threading.Lock()
+_held = threading.local()  # each calling thread's lock, which wakes it
+
+
+def _serve():
+    while True:
+        fn, args, done = job = _jobs.get()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        try:
+            job[0], job[1] = fn(*args), None
+        except BaseException as e:  # noqa: BLE001  (raised again on the caller's thread)
+            job[0], job[1] = None, e
+        sys.setrecursionlimit(limit)
+        if done.locked():  # else its caller has not waited yet, and will find the job done
+            done.release()
+        del job, fn, args, done  # hold nothing of this call while waiting for the next
+
+
+def run_deep(fn, *args):
+    """fn(*args) on the one worker thread, started on first use with a STACK_BYTES
+    stack, or directly when called there; while a call runs, the process-wide
+    recursion limit is RECURSION_LIMIT and the caller waits."""
+    global _jobs, _worker
+    if threading.current_thread() is _worker:
+        return fn(*args)
+    with _starting:
+        if _worker is None:
+            import queue  # only a process that checks something needs it
+
+            _jobs = queue.SimpleQueue()
+            stack = threading.stack_size(STACK_BYTES)
+            try:
+                worker = threading.Thread(target=_serve, name="sizedcheck", daemon=True)
+                worker.start()
+                _worker = worker
+            finally:
+                threading.stack_size(stack)
+    done = getattr(_held, "lock", None)
+    if done is None:
+        done = _held.lock = threading.Lock()
+    job = [fn, args, done]  # the call, then its result and what it raised
+    _jobs.put(job)
+    while job[1] is args:  # a wake-up may be stale, so the job itself tells when it is done
+        done.acquire()
+    if job[1] is not None:
+        raise job[1]
+    return job[0]
+
+
 def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> CheckResult:
-    cfg = cfg or RunConfig([])
+    return run_deep(_check, source, filename, cfg or _DEFAULTS)
+
+
+def _check(source: str, filename: str, cfg: RunConfig) -> CheckResult:
     lines = LineTable(source)
     checker = None  # built after parsing, so a parse or scope fault dumps nothing
     try:
+        # looked up here, as module globals, so a tracer that wraps them sees each call
         decls = scope_check(parse_source(source))
         checker = Checker(
             unfold_fuel=cfg.unfold_fuel,
@@ -113,15 +169,10 @@ def run_check(cfg: RunConfig, out=None, err=None) -> int:
     return status
 
 
-def collect_golden(root: Path) -> list[GoldenCase]:
-    cases = []
-    for sub in ("accept", "reject"):
-        d = root / sub
-        if not d.is_dir():
-            continue
-        for src in sorted(d.glob("*.ma")):
-            cases.append(GoldenCase(src, src.with_suffix(".expect")))
-    return cases
+def collect_golden(root: Path) -> list[Path]:
+    """The sources of a corpus, accepted ones first; each has its expectation
+    beside it, in a `.expect` file."""
+    return sorted(root.glob("accept/*.ma")) + sorted(root.glob("reject/*.ma"))
 
 
 def run_golden(cfg: RunConfig, out=None, err=None) -> int:
@@ -133,22 +184,22 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
         print(f"error: no golden cases under {root}", file=err)
         return 2
     failures = 0
-    for case in cases:
-        name = case.source.stem
+    for src in cases:
+        name, expectation = src.stem, src.with_suffix(".expect")
         try:
-            expect = case.expectation.read_text()
+            expect = expectation.read_text()
         except OSError as e:
             print(f"error: missing expectation for {name}: {e}", file=err)
             return 2
         lines = expect.splitlines()
         if not lines:
-            print(f"error: empty expectation file {case.expectation}", file=err)
+            print(f"error: empty expectation file {expectation}", file=err)
             return 2
         header = lines[0].split() or [""]  # a blank header is malformed
-        source = _read_source(case.source, err)
+        source = _read_source(src, err)
         if source is None:
             return 2
-        result = check_source(source, str(case.source), cfg)
+        result = check_source(source, str(src), cfg)
         ok, detail = False, ""
         if header[0] == "ACCEPT":
             want = "\n".join(lines[1:])
@@ -177,7 +228,7 @@ def run_golden(cfg: RunConfig, out=None, err=None) -> int:
             else:
                 ok = True
         else:
-            print(f"error: malformed expectation {case.expectation}", file=err)
+            print(f"error: malformed expectation {expectation}", file=err)
             return 2
         if ok:
             print(f"PASS {name}", file=out)
@@ -194,8 +245,9 @@ def main(argv=None) -> int:
         prog="sizedcheck",
         description="Type checker, totality checker and evaluator for a "
         "dependently typed core language with sized types. A size may lie at "
-        f"most {MAX_OFFSET} successors above its variable; a larger offset is "
-        "reported as LIMIT.",
+        f"most {MAX_OFFSET} successors above its variable, and checking may "
+        f"recurse at most {RECURSION_LIMIT} calls deep; a larger offset or a "
+        "deeper nesting is reported as LIMIT.",
     )
     sub = ap.add_subparsers(dest="mode", required=True)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from sys import getrecursionlimit
 from typing import TYPE_CHECKING
 
 from .syntax import NOPOS, Pos, Record
@@ -35,7 +36,8 @@ CODES = (
     # runtime guards, outside the type-level catalog
     "FUEL",
     "STUCK-MATCH",
-    # an implementation limit: a size offset past sizes.MAX_OFFSET
+    # an implementation limit: a size offset past sizes.MAX_OFFSET, or an
+    # input that nests deeper than the recursion limit (cli.RECURSION_LIMIT)
     "LIMIT",
 )
 
@@ -58,3 +60,8 @@ class Diagnostic(Record, Exception):
 
     def __str__(self):
         return self.render()
+
+
+def too_deep(pos: Pos) -> Diagnostic:
+    """LIMIT at pos for a RecursionError: what is read or checked there nests too deep."""
+    return Diagnostic("LIMIT", f"nesting exceeds the recursion limit of {getrecursionlimit()}", pos)

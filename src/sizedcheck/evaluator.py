@@ -72,14 +72,10 @@ classes first; `sizes.normalize` does the same with the base of each pair.
 A `match` over class patterns would make one `isinstance` test per arm that
 fails: a `Size` node passed eight of them before its own arm.  Every node
 class is a leaf class, so the exact class picks the arm a class pattern would
-(`tests/test_dispatch.py` holds both).  A chain of lambdas, of Pi types or of
-constructors nested in their last argument (a numeral, a list) is read back
-in a loop, as `pretty` prints a chain of applications in their last argument,
-so such a value of any depth reads back and prints at the default recursion
-limit.  The chain is linked
-outermost first, each node into the one before it as soon as it is made, so
-the tree is built once in its final shape; a constructor reads back as the
-one `Con` leaf its entry holds and an erased argument as one shared `_`.
+(`tests/test_dispatch.py` holds both).  Readback, like every walk here,
+recurses as deeply as its value nests (`cli.run_deep` gives it the stack).
+It builds each tree once, in its final shape: a constructor reads back as
+its entry's one `Con` leaf and an erased argument as one shared `_`.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
@@ -168,16 +164,12 @@ from .values import (
 
 _NOMATCH = object()
 _STUCK = object()
-# the binder of every arrow's VPi: displayed, never bound
-ARROW_BINDER = fresh_ident("_x")
 # the hot paths read these on every call or argument; reading an enum member
 # through its class costs a descriptor call in CPython 3.11, about ten times a
 # global's cost
 _LE, _EQ = Rel.LE, Rel.EQ
 _COVARIANT, _NEG, _INVARIANT = Polarity.STRICT_POS, Polarity.NEG, Polarity.INVARIANT
 _RELEVANT, _PARAMETRIC = Annot.RELEVANT, Annot.PARAMETRIC
-# the last field of each node that `_read` links into a chain
-_OPEN = {Lam: "body", Pi: "codomain", App: "arg"}
 # every erased argument of eval output reads back as this one leaf, a hole
 # that no program has: the parser numbers holes from 1
 _ERASED = Size(((-1, 0),))
@@ -264,11 +256,10 @@ class Evaluator:
         if t is Con:
             return self.sig[e.name].value
         if t is Pi:
-            binder = e.binder
-            clo = Closure(env, binder, e.codomain)
-            return VPi(e.annot, binder or ARROW_BINDER, self.evaluate(env, e.domain), clo)
+            clo = Closure(env, e.binder, e.codomain)
+            return VPi(e.annot, self.evaluate(env, e.domain), clo)
         if t is Lam:
-            return VLam(e.binder, Closure(env, e.binder, e.body))
+            return VLam(Closure(env, e.binder, e.body))
         if t is SetU:
             return VSET
         if t is SizeU:
@@ -360,12 +351,12 @@ class Evaluator:
         return self.evaluate((clo.binder.uid, v if type(v) is Thunk else Thunk.of(v), clo.env),
                              clo.body)
 
-    def open(self, clo: Closure, binder: Ident) -> tuple[Ident | None, Value]:
-        """The body of clo under a fresh variable named after binder, and that
-        variable; None for a body that cannot mention its binder."""
+    def open(self, clo: Closure) -> tuple[Ident | None, Value]:
+        """The body of clo under a fresh variable named after its binder, and
+        that variable; None for a body that cannot mention its binder."""
         if clo.binder is None:
             return None, self.close(clo, None)
-        x = fresh_ident(binder.text)
+        x = fresh_ident(clo.binder.text)
         return x, self.close(clo, VNe(x))
 
     def fresh_neutral(self, text: str, domain: Value | None = None) -> Value:
@@ -514,111 +505,60 @@ class Evaluator:
         put in whnf first, coinductive layers past depth are elided,
         constructor parameters are skipped, parametric arguments print as _
         unless print_sizes is set, and each constructor argument costs fuel.
-        Types and sizes always read back structurally.
-
-        A chain of lambdas, of Pi types, or of constructors or neutral heads
-        in their last shown argument is read in a loop and linked outermost
-        first: each wrapper (a `Lam`, a `Pi`, or an `App` whose argument is
-        read next) goes into the open last field of the wrapper before it as
-        soon as it is made, and its own last field is filled by what is read
-        next, so the chain's length costs no stack and no list.  A
-        constructor reads back as its entry's shared `Con` leaf.
-
-        Every neutral variable and size variable read goes into `read`, as
-        `Scope.read` holds the names a declaration uses.  A relevant Pi
-        binder that its codomain's readback never read is then dropped, as
-        the parser drops one that nothing reads, so the Pi prints as an
-        arrow."""
-        read = self.read
-        root = last = None  # the outermost wrapper, and the one whose field is open
-        pi = None  # the first Pi linked here with a relevant binder
-        while True:
-            if depth is not None:
-                v = self.whnf(v, self.budget_pos)
-            t = type(v)
-            if t is VLam:
-                x, v = self.open(v.closure, v.binder)
-                node = Lam(x, None)
-            elif t is VPi:
-                x, body = self.open(v.closure, v.binder)
-                node = Pi(v.annot, x, self._read(v.domain, None), None)
-                if pi is None and x is not None and v.annot is _RELEVANT:
-                    pi = node
-                v, depth = body, None
-            elif (t is VNe or t is VDef) and v.spine and (
-                    depth is None or v.spine[-1][1] is not _PARAMETRIC):
-                # an erased last argument is read with the rest of the spine
-                th, annot = v.spine[-1]
-                if t is VNe:
-                    read.add(v.head)
-                    head = Var(v.head)
+        Types and sizes always read back structurally.  Every variable read
+        goes into `read`, so a relevant Pi binder that its codomain never
+        read is dropped, as the parser drops one, and prints as an arrow."""
+        if depth is not None:
+            v = self.whnf(v, self.budget_pos)
+        t = type(v)
+        if t is VCon:
+            centry = self.sig.con(v.con)
+            if depth is not None and self.sig.data(centry.data).coinductive:
+                if depth <= 0:
+                    return Elided()
+                depth -= 1
+            e = centry.leaf
+            args, annots = v.args, centry.annots
+            # display skips the parameters; an index loop, since an iterator
+            # would stay alive in every level of a value nested in its last argument
+            k = 0 if depth is None else centry.n_params
+            while k < len(args):
+                annot = annots[k] if k < len(annots) else _RELEVANT
+                if depth is None:
+                    arg = self._read(self.force(args[k]), None)
+                elif centry.has_size and k == centry.n_params:
+                    arg = (self._erased(args[k], None) if annot is _PARAMETRIC
+                           else self._read(self.force(args[k]), None))
                 else:
-                    head = Def(v.name)
-                node = App(self._read_spine(head, v.spine[:-1], depth), None, annot)
-                v = self.force(th)
-            elif t is VCon:
-                centry = self.sig.con(v.con)
-                if depth is not None and self.sig.data(centry.data).coinductive:
-                    if depth <= 0:
-                        e: Expr = Elided()
-                        break
-                    depth -= 1
-                e = centry.leaf
-                n = len(v.args) - 1
-                for k, th in enumerate(v.args):
-                    annot = centry.annots[k] if k < len(centry.annots) else _RELEVANT
-                    d = depth
-                    if depth is not None:
-                        if k < centry.n_params:
-                            continue  # parameters are determined by the type
-                        if centry.has_size and k == centry.n_params:
-                            if annot is _PARAMETRIC:
-                                e = App(e, self._erased(th, None), annot)
-                                continue
-                            d = None
-                        else:
-                            self._tick()
-                    if k == n:
-                        # the last argument is read next, in this loop
-                        node = App(e, None, annot)
-                        v, depth = self.force(th), d
-                        break
-                    e = App(e, self._read(self.force(th), d), annot)
-                else:
-                    break  # no argument is left to read
-            else:
-                break
-            if last is None:
-                root = node
-            else:
-                setattr(last, _OPEN[type(last)], node)
-            last = node
-        if t is VNe:
-            read.add(v.head)
-            e = self._read_spine(Var(v.head), v.spine, depth)
-        elif t is VDef:
-            e = self._read_spine(Def(v.name), v.spine, depth)
-        elif t is VData:
-            e = self._read_spine(Def(v.name), [(th, _RELEVANT) for th in v.args], None)
-        elif t is VSize:
-            for b, _ in v.size:
-                read.add(b)
-            e = Size(v.size)
-        elif t is VSet:
-            e = SetU()
-        elif t is VSizeU:
-            e = SizeU()
-        elif t is not VCon:
-            raise AssertionError(f"readback: unhandled value {v!r}")
-        if last is None:
+                    self._tick()
+                    arg = self._read(self.force(args[k]), depth)
+                e = App(e, arg, annot)
+                k += 1
             return e
-        setattr(last, _OPEN[type(last)], e)
-        # every codomain is read now: drop each relevant binder its codomain never read
-        while pi is not None:
-            if type(pi) is Pi and pi.annot is _RELEVANT and pi.binder not in read:
-                pi.binder = None
-            pi = None if pi is last else getattr(pi, _OPEN[type(pi)])
-        return root
+        if t is VNe:
+            self.read.add(v.head)
+            return self._read_spine(Var(v.head), v.spine, depth)
+        if t is VDef:
+            return self._read_spine(Def(v.name), v.spine, depth)
+        if t is VLam:
+            x, body = self.open(v.closure)
+            return Lam(x, self._read(body, depth))
+        if t is VPi:
+            x, body = self.open(v.closure)
+            dom, cod = self._read(v.domain, None), self._read(body, None)
+            if v.annot is _RELEVANT and x not in self.read:
+                x = None
+            return Pi(v.annot, x, dom, cod)
+        if t is VData:
+            return self._read_spine(Def(v.name), [(th, _RELEVANT) for th in v.args], None)
+        if t is VSize:
+            self.read.update([b for b, _ in v.size])
+            return Size(v.size)
+        if t is VSet:
+            return SetU()
+        if t is VSizeU:
+            return SizeU()
+        raise AssertionError(f"readback: unhandled value {v!r}")
 
     def _read_spine(self, head: Expr, spine: Spine, depth: int | None) -> Expr:
         for th, annot in spine:
@@ -708,7 +648,7 @@ class Evaluator:
             c1, c2 = a.closure, b.closure
             if c1.binder is None and c2.binder is None:
                 return self.compare(self.close(c1, None), self.close(c2, None), rel, col)
-            x = self.fresh_neutral(a.binder.text, a.domain)
+            x = self.fresh_neutral("_x" if c1.binder is None else c1.binder.text, a.domain)
             return self.compare(self.close(c1, x), self.close(c2, x), rel, col)
         if rel is _LE:
             return self.compare(a, b, _EQ, col)
@@ -733,9 +673,9 @@ class Evaluator:
         match (a, b):
             case (VSet(), VSet()) | (VSizeU(), VSizeU()):
                 return True
-            case (VLam(binder=binder), _) | (_, VLam(binder=binder)):
+            case (VLam(closure=clo), _) | (_, VLam(closure=clo)):
                 # both sides are applied to one fresh variable
-                x = self.fresh_neutral(binder.text)
+                x = self.fresh_neutral(clo.binder.text)
                 a = self.apply(a, [(Thunk.of(x), _RELEVANT)], [NOPOS])
                 b = self.apply(b, [(Thunk.of(x), _RELEVANT)], [NOPOS])
                 return self.compare(a, b, _EQ, col)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, too_deep
 from .scope import Scope
 from .sizes import INFTY_SIZE
 from .syntax import (
@@ -195,13 +195,16 @@ class _Parser:
     def declaration(self) -> Declaration:
         t = self.texts[self.i]
         p = self.offsets[self.i]
-        match t:
-            case "sized" | "data" | "codata":
-                return self.data_decl(p)
-            case "fun" | "cofun":
-                return self.fun_decl(p)
-            case "eval" | "let":
-                return self.let_decl(p)
+        try:
+            match t:
+                case "sized" | "data" | "codata":
+                    return self.data_decl(p)
+                case "fun" | "cofun":
+                    return self.fun_decl(p)
+                case "eval" | "let":
+                    return self.let_decl(p)
+        except RecursionError:
+            raise too_deep(p) from None
         raise self.error(f"expected a declaration, found {_found(t)}")
 
     def data_decl(self, p) -> DataDecl:
@@ -419,8 +422,10 @@ class _Parser:
     def branch(self) -> tuple[Pattern, Expr]:
         sc = self.sc
         mark = len(sc.trail)
+        outer, sc.pattern_mark = sc.pattern_mark, mark
         dots: list = []
-        pat = self.pattern_atom(dots, shadow=True)  # a size case's ($ j)
+        pat = self.pattern_atom(dots)
+        sc.pattern_mark = outer
         self.resolve_dots(dots)
         self.expect("->")
         body = self.expr()
@@ -438,9 +443,8 @@ class _Parser:
 
     # -- patterns -----------------------------------------------------------
 
-    def pattern_atom(self, dots: list, shadow: bool = False) -> Pattern:
-        """One pattern, whose dots go to `dots`; with `shadow`, a successor
-        pattern may rebind a name in scope."""
+    def pattern_atom(self, dots: list) -> Pattern:
+        """One pattern, whose dots go to `dots`."""
         k = self.i
         t = self.texts[k]
         p = self.offsets[k]
@@ -459,7 +463,7 @@ class _Parser:
                 sc.fault, sc.metas = fault, metas
                 return dots[-1][1]
             case "(":
-                return self.paren_pattern(p, dots, shadow)
+                return self.paren_pattern(p, dots)
         raise self.error(f"expected a pattern, found {_found(t)}", k)
 
     def resolve_dots(self, dots: list):
@@ -471,7 +475,7 @@ class _Parser:
                 d.expr = self.atom()
             self.i = end
 
-    def paren_pattern(self, p, dots: list, shadow: bool) -> Pattern:
+    def paren_pattern(self, p, dots: list) -> Pattern:
         sc = self.sc
         t = self.texts[self.i]
         if t == "$":
@@ -483,7 +487,7 @@ class _Parser:
                 )
             self.i += 2
             self.expect(")")
-            return PSucc(sc.bind(v, None if shadow else p), p)
+            return PSucc(sc.bind(v, p), p)
         if t in _NOT_NAME:
             raise self.error(f"expected a pattern, found {_found(t)}")
         self.i += 1

@@ -3,7 +3,10 @@
 Output re-parses to an alpha-equivalent tree with minimal parenthesization;
 names that clash textually get a numeric suffix in order of appearance.
 Chains of binders, of successors, of a size's pairs and of applications in
-their last argument are printed in a loop, so their length costs no stack."""
+their last argument are printed in loops.  A chain of binders or of
+applications collects the text of its links and joins it once: printed by
+recursion, each link would copy the text of every link inside it, so the
+chain would print in time quadratic in its length."""
 
 from __future__ import annotations
 
@@ -119,7 +122,7 @@ def _expr(e: Expr, nm: _Namer) -> str:
             return _size(s, nm)
         case Pi() | Lam():
             # a chain of binders is printed in a loop, each link's prefix
-            # in order, so its length costs no stack
+            # in order, so it prints in linear time
             parts = []
             while True:
                 if isinstance(e, Lam):
@@ -142,7 +145,7 @@ def _expr(e: Expr, nm: _Namer) -> str:
             return "".join(parts)
         case App():
             # an application whose last argument is again an application is
-            # printed in a loop, so the chain's length costs no stack
+            # printed in a loop, so the chain prints in linear time
             parts = []
             depth = 0
             while True:

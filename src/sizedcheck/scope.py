@@ -17,9 +17,11 @@ latest declaration too, but the checker re-resolves it by name against the
 scrutinee's data type, so patterns always see the right constructor.
 
 Local names live in one dict from text to Ident; binding a name logs what it
-shadowed, and leaving a scope undoes the log back to a mark.  Every local
-Ident that a use resolves to joins `read`, which holds one declaration's
-reads, so the parser can tell a binder that nothing reads.
+shadowed, and leaving a scope undoes the log back to a mark.  A name that one
+clause's left-hand side, or one case branch's pattern, binds twice is
+DUPLICATE; a branch pattern may shadow a name bound outside it, as a lambda
+may.  Every local Ident that a use resolves to joins `read`, which holds one
+declaration's reads, so the parser can tell a binder that nothing reads.
 
 A PARSE fault outranks every scope fault, even one found earlier, so the
 parser keeps the first UNBOUND or DUPLICATE fault of a declaration on it and
@@ -49,13 +51,15 @@ class Scope:
     """The names in scope at one point of one program, its size-hole count
     and the first fault of the declaration being read."""
 
-    __slots__ = ("globals", "locals", "trail", "read", "unbound", "metas", "fault")
+    __slots__ = ("globals", "locals", "trail", "pattern_mark", "read", "unbound", "metas", "fault")
 
     def __init__(self):
         # text -> (ident, kind, the data type of a constructor)
         self.globals: dict[str, tuple[Ident, str, Ident | None]] = {}
         self.locals: dict[str, Ident] = {}
         self.trail: list[tuple[str, Ident | None]] = []  # (text, what it shadowed)
+        # where the trail stood when the clause or branch pattern being read began
+        self.pattern_mark = 0
         self.read: set[Ident] = set()  # the locals used so far in this declaration
         self.unbound: dict[str, Ident] = {}  # text -> the Ident of its every use
         self.metas = 0  # the number of the last size hole
@@ -76,9 +80,10 @@ class Scope:
     # -- local names -----------------------------------------------------------
 
     def bind(self, text: str, pattern: Pos | None = None) -> Ident:
-        """Bind a name; a pattern variable at `pattern` that is already in
-        scope is DUPLICATE."""
-        if pattern is not None and text in self.locals:
+        """Bind a name; a pattern variable at `pattern` is DUPLICATE if its own
+        clause's left-hand side or branch pattern already binds it."""
+        if pattern is not None and text in self.locals and any(
+                t == text for t, _ in self.trail[self.pattern_mark:]):
             self.report(Diagnostic(
                 "DUPLICATE", f"pattern variable '{text}' bound twice in one clause", pattern
             ))

@@ -49,12 +49,12 @@ def polarity_of(x: Ident, t: Value, ev) -> Polarity:
     match t:
         case VSize(size=ns):
             return Polarity.STRICT_POS if x in size_vars(ns) else Polarity.UNUSED
-        case VPi(binder=b, domain=dom, closure=clo):
-            _, body = ev.open(clo, b)
+        case VPi(domain=dom, closure=clo):
+            _, body = ev.open(clo)
             p = compose(Polarity.NEG, polarity_of(x, dom, ev))
             return join(p, polarity_of(x, body, ev))
-        case VLam(binder=b, closure=clo):
-            _, body = ev.open(clo, b)
+        case VLam(closure=clo):
+            _, body = ev.open(clo)
             used = polarity_of(x, body, ev) is not Polarity.UNUSED
             return Polarity.INVARIANT if used else Polarity.UNUSED
         case VData(name=d, args=args):

@@ -93,20 +93,18 @@ class VSize(Value):
 
 
 class VPi(Value):
-    __slots__ = ("annot", "binder", "domain", "closure")
+    __slots__ = ("annot", "domain", "closure")
 
-    def __init__(self, annot: Annot, binder: Ident, domain: Value, closure: Closure):
+    def __init__(self, annot: Annot, domain: Value, closure: Closure):
         self.annot = annot
-        self.binder = binder
         self.domain = domain
         self.closure = closure
 
 
 class VLam(Value):
-    __slots__ = ("binder", "closure")
+    __slots__ = ("closure",)
 
-    def __init__(self, binder: Ident, closure: Closure):
-        self.binder = binder
+    def __init__(self, closure: Closure):
         self.closure = closure
 
 

@@ -75,9 +75,11 @@ def rejected(src: str, code: str, name: str = "<test>"):
 
 @contextmanager
 def untraced():
-    """Suspend the active `sys.settrace` function, if any, for the block.  A
-    tracer such as `tests/coverage_probe.py`'s allocates on every event it
-    sees, which a `tracemalloc` window inside the block would count."""
+    """Suspend the calling thread's `sys.settrace` function, if any, for the
+    block.  A tracer such as `tests/coverage_probe.py`'s allocates on every
+    event it sees, which a `tracemalloc` window inside the block would count.
+    A trace function belongs to one thread, so enter the block on the thread
+    that allocates: for the checker, inside a `cli.run_deep` call."""
     tracer = sys.gettrace()
     sys.settrace(None)
     try:

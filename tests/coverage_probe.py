@@ -67,13 +67,26 @@ def run_traced(pytest_args: list[str]) -> set[tuple[str, int]]:
     import pytest
 
     sys.path.insert(0, str(ROOT / "src"))
+
+    class Retrace:
+        """A thread stops being traced where a RecursionError reaches its
+        trace function, as the deepest inputs do on the checker's worker
+        thread, so the worker is traced again before each test."""
+
+        @pytest.fixture(autouse=True)
+        def retrace(self):
+            from sizedcheck.cli import run_deep  # imported traced, by the first test
+
+            run_deep(sys.settrace, global_)
+
     os.chdir(ROOT)
     threading.settrace(global_)
     sys.settrace(global_)
     try:
-        pytest.main(pytest_args)
+        pytest.main(pytest_args, plugins=[Retrace()])
         from sizedcheck import cli
 
+        cli.run_deep(sys.settrace, global_)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["golden", "corpus"])
     finally:

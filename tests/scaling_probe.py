@@ -23,9 +23,9 @@ doubles.  The shapes:
 - `family`: a type family used three times per level, `(F : (B : Set) -> B
   -> Set) -> (x0 : F Nat zero) -> F (F Nat zero) x0 -> ... -> Set`.
 
-Each run is one worker thread with a 512 MB stack and a recursion limit of
-200000, so the parser and checker can recurse n deep, with the garbage
-collector off while timing.  It uses the standard library only, and its name
+Each run is on the checker's own worker thread (`cli.run_deep`, with a
+512 MB stack and a recursion limit of 200000), so the parser and checker can
+recurse n deep, with the garbage collector off while timing.  It uses the standard library only, and its name
 does not start with `test_`, so pytest does not collect it; the count-based
 `tests/test_scaling.py` is the tier-1 gate and imports its shapes from here."""
 
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import gc
 import sys
-import threading
 from pathlib import Path
 from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sizedcheck import check_source  # noqa: E402
+from sizedcheck.cli import run_deep  # noqa: E402
 
 NAT = "data Nat : Set { zero : Nat ; succ : Nat -> Nat }\n"
 STREAM = "sized codata Stream : Size -> Set { cons : [i : Size] -> Stream i -> Stream ($ i) }\n"
@@ -106,32 +106,6 @@ SHAPES = {
     "size_patterns": size_pattern_cases,
     "family": type_family,
 }
-
-
-def run_deep(fn, *args):
-    """fn(*args) on a worker thread with a 512 MB stack and a recursion
-    limit of 200000; its result, or the exception it raised."""
-    out: list = []
-
-    def work():
-        try:
-            out.append(fn(*args))
-        except BaseException as e:  # noqa: BLE001  (re-raised on the caller's thread)
-            out.append(e)
-
-    old_stack, old_limit = threading.stack_size(), sys.getrecursionlimit()
-    threading.stack_size(512 * 1024 * 1024)
-    sys.setrecursionlimit(200000)
-    try:
-        t = threading.Thread(target=work)
-        t.start()
-        t.join()
-    finally:
-        threading.stack_size(old_stack)
-        sys.setrecursionlimit(old_limit)
-    if isinstance(out[0], BaseException):
-        raise out[0]
-    return out[0]
 
 
 def timed_check(source: str) -> float:

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from sizedcheck import RunConfig, check_source
+from sizedcheck.cli import run_deep
 from sizedcheck.pretty import pretty
 from sizedcheck.signature import DataEntry, FunEntry, LetEntry
 from sizedcheck.sizes import INFTY_SIZE, ns_var
@@ -531,14 +532,19 @@ eval let inck : [k : Size] -> SNat k -> SNat ($ k) = \\ k -> \\ n -> inc k n
         src = SNAT_PARAMETRIC + (f"let deep : [i : Size] -> SNat i -> SNat ({'$' * n} i)\n"
                                  f"  = \\ i -> \\ m -> {body}\n")
         gc.collect()
-        with untraced():
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                r = check_source(src, "<test>")
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+
+        def measure():
+            # on the worker, which checks, and whose trace function is the one to suspend
+            with untraced():
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    r = check_source(src, "<test>")
+                    return r, before, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        r, before, peak = run_deep(measure)
         assert r.diagnostic is None
         assert (peak - before) / n < 1350
 
@@ -730,9 +736,10 @@ fun g : (x : Nat) -> F x -> Nat
 
 
 class TestLongChains:
-    """A lambda chain is checked, an application spine evaluated, and a
-    lambda or arrow chain read back and printed, in a loop, so none needs a
-    deep stack at the default recursion limit."""
+    """Long lambda, arrow, constructor and application chains are checked,
+    evaluated, read back and printed.  Checking and readback recurse as deep
+    as the chain, on the checker's worker thread (`cli.run_deep`); `pretty`
+    prints a chain in a loop, so it stays linear in the chain's length."""
 
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_lambda_chain(self, n):
@@ -768,16 +775,16 @@ class TestLongChains:
         assert r.outputs == ["T = (A : Set) -> A -> A"]
 
     def test_eval_constructor_chain_prints(self):
-        # a numeral 2^13 = 8192 constructors deep, read back and printed in
-        # its last argument's loop
+        # a numeral 2^13 = 8192 constructors deep, read back on the worker
+        # and printed in its last argument's loop
         doublings = 13
         n = 2 ** doublings
         src = NAT + "fun double : Nat -> Nat\n{ double zero = zero\n" \
             "; double (succ m) = succ (succ (double m))\n}\n" \
             f"eval let x : Nat = {'double (' * doublings}succ zero{')' * doublings}\n"
-        ch, _, outputs = build(src)
+        ch, _, outputs = run_deep(build, src)
         assert outputs == [f"x = {'succ (' * (n - 1)}succ zero{')' * (n - 1)}"]
-        quoted = ch.ev.quote(ch.ev.evaluate(None, Def(ch.sig.by_text["x"])))
+        quoted = run_deep(ch.ev.quote, ch.ev.evaluate(None, Def(ch.sig.by_text["x"])))
         assert pretty(quoted) == outputs[0][4:]
 
     def test_application_chain_prints(self):
@@ -789,7 +796,8 @@ class TestLongChains:
 
     def test_nth_16_of_fib_prints_on_the_main_thread(self):
         # the bench's `streams` program: 987 nested `succ`, evaluated, read
-        # back and printed at the default recursion limit
+        # back and printed for a caller on the main thread at the default
+        # recursion limit, as the bench calls `check_source`
         assert threading.current_thread() is threading.main_thread()
         assert sys.getrecursionlimit() == 1000
         fib16 = next(p for p in _workloads().build("streams", 1, ROOT) if p.name == "fib16")

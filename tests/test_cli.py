@@ -1,9 +1,12 @@
-"""The command-line entry point, run as a separate interpreter."""
+"""The command-line entry point, run as a separate interpreter, and its
+report of an internal error, run in process."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from sizedcheck import cli
 
 from conftest import CORPUS
 
@@ -26,13 +29,17 @@ def test_module_entry_point_runs_golden_without_warnings():
     assert r.stdout.count("PASS ") == len(list(CORPUS.glob("*/*.ma")))
 
 
-def test_internal_error_has_its_own_exit_code(tmp_path):
-    # nesting this deep exhausts Python's recursion limit in the parser
-    deep = tmp_path / "deep.ma"
-    deep.write_text("let x : Set = " + "(" * 3000 + "Set" + ")" * 3000 + "\n")
-    r = run_cli("check", str(deep))
-    assert r.returncode == 3
-    lines = r.stderr.splitlines()
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    # an exception that is not a diagnostic, raised on the worker thread
+    # that checks, is reported on the caller's
+    def crash(source):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    src = tmp_path / "any.ma"
+    src.write_text("let x : Set = Set\n")
+    monkeypatch.setattr(cli, "parse_source", crash)
+    assert cli.main(["check", str(src)]) == 3
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: RecursionError: ")
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from sizedcheck import RunConfig, check_source
 from sizedcheck.checker import Checker
+from sizedcheck.cli import run_deep
 from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
@@ -643,7 +644,8 @@ class TestReadbackShape:
     """Eval output is built once, in its final shape: a 5000-deep numeral
     reads back as 5000 `App` nodes around one shared `succ` leaf, with no
     other memory per level, and a bare constructor evaluates to the one
-    value its entry holds."""
+    value its entry holds.  Readback recurses as deep as the numeral, so
+    each step runs on the checker's worker thread (`cli.run_deep`)."""
 
     SRC = NAT + """fun add : Nat -> Nat -> Nat
 { add  zero    y = y
@@ -658,17 +660,17 @@ fun rep : Nat -> Nat -> Nat
 
     @pytest.fixture(scope="class")
     def deep(self):
-        ch, _, _ = build(self.SRC)
+        ch, _, _ = run_deep(build, self.SRC)
         ev = ch.ev
         v = ev.evaluate(None, Def(ch.sig.by_text["r"]))
         ev.reset_budget()
-        ev.readback(v)  # forces every level
+        run_deep(ev.readback, v)  # forces every level
         return ev, v
 
     def test_one_succ_leaf(self, deep):
         ev, v = deep
         ev.reset_budget()
-        e, leaves, levels = ev.readback(v), set(), 0
+        e, leaves, levels = run_deep(ev.readback, v), set(), 0
         while isinstance(e, App):
             leaves.add(id(e.fun))
             levels += 1
@@ -680,13 +682,17 @@ fun rep : Nat -> Nat -> Nat
 
         ev, v = deep
         ev.reset_budget()
-        with untraced():
-            tracemalloc.start()
-            try:
-                e = ev.readback(v)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+
+        def measure():
+            # on the worker, whose trace function is the one to suspend
+            with untraced():
+                tracemalloc.start()
+                try:
+                    return ev.readback(v), tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        e, peak = run_deep(measure)
         assert isinstance(e, App)
         assert peak / self.LEVELS <= 100
 

@@ -32,6 +32,7 @@ programs these are."""
 from __future__ import annotations
 
 from sizedcheck.checker import Checker
+from sizedcheck.cli import run_deep
 from sizedcheck.diagnostics import Diagnostic
 from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
@@ -41,7 +42,7 @@ from sizedcheck.signature import LetEntry
 from sizedcheck.syntax import Annot, Def, LetDecl, Size, fresh_ident
 from sizedcheck.values import Thunk, VNe, VSize
 
-from test_sharing_oracles import _on_worker, _programs
+from test_sharing_oracles import _programs
 from test_workload_snapshot import LET
 
 POISON = VNe(fresh_ident("POISON"))
@@ -148,7 +149,7 @@ def _oracle(programs) -> tuple[int, dict[str, list[str]]]:
 
 
 def test_erased_arguments_never_drive_evaluation():
-    compared, found = _on_worker(lambda: _oracle(_programs() + PARAMETRIC_USES))
+    compared, found = run_deep(_oracle, _programs() + PARAMETRIC_USES)
     assert found == {}
     # 81 variants of the corpus and the workloads, and both of `idf`'s
     assert compared == 83

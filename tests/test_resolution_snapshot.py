@@ -8,8 +8,9 @@ of every mutant, whatever its code: the diagnostic's code, position and
 message and the eval output, or, for an ending that is not a diagnostic, the
 exception's class.
 
-The mutants run on one worker thread, so the Python stack they start from is
-the same under pytest as from the command line.
+The mutants run on the checker's own worker thread (`cli.run_deep`), so the
+Python stack they start from is the same under pytest as from the command
+line.
 
 Regenerate with `python tests/test_resolution_snapshot.py` from the
 repository root, with `src` on `PYTHONPATH`."""
@@ -20,10 +21,10 @@ import hashlib
 import json
 import random
 import re
-import threading
 from pathlib import Path
 
 from sizedcheck import check_source
+from sizedcheck.cli import run_deep
 
 ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = Path(__file__).resolve().parent / "resolution_snapshot.json"
@@ -78,9 +79,7 @@ def outcomes() -> list[dict]:
     def run():
         rows.extend(outcome(name, src) for name, src in mutants())
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join()
+    run_deep(run)
     return rows
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from sizedcheck import check_source, checker, evaluator, signature, values
 
-from scaling_probe import SHAPES, fun_patterns, run_deep
+from scaling_probe import SHAPES, fun_patterns
 
 SIZES = (1000, 2000, 4000)
 MAX_RATIO = 2.3
@@ -73,7 +73,7 @@ class WorkCount:
 
     def of(self, source: str) -> int:
         self.work = self.steps = 0
-        result = run_deep(check_source, source, "<scaling>")
+        result = check_source(source, "<scaling>")
         assert result.diagnostic is None, result.diagnostic.render()
         return self.work + self.steps
 

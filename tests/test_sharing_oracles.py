@@ -14,18 +14,20 @@ workloads at seed 1 and compares with the evaluator as it is:
 - every eval output, checked as `let x_sr : T = <output>` after its own
   program, is ACCEPT (type preservation).
 
-A program that ends in FUEL or `RecursionError` on one side or on both, or
-whose output is elided or nested too deeply for the parser, is counted and
-named, not dropped: the tests assert which programs these are."""
+A program that ends in FUEL or LIMIT on one side or on both, or whose
+output is elided, is counted and named, not dropped: the tests assert which
+programs these are.  Every program runs on the checker's worker thread
+(`cli.run_deep`), so `nth 16 (fib #)`, whose output nests 987 deep, is
+evaluated, read back and checked again like the others."""
 
 from __future__ import annotations
 
 import re
-import threading
 
 import pytest
 
 from sizedcheck import check_source
+from sizedcheck.cli import run_deep
 from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.pretty import pretty
@@ -35,17 +37,6 @@ from sizedcheck.values import Closure, Thunk
 from test_workload_snapshot import ROOT, _workloads, outcome
 
 SEED = 1
-
-
-def _on_worker(fn):
-    """fn() on one worker thread, so the stack it starts from is the same
-    under pytest as from the command line."""
-    box = []
-    worker = threading.Thread(target=lambda: box.append(fn()))
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive() and box, "the worker raised or did not finish"
-    return box[0]
 
 
 def _programs() -> list[tuple[str, str, str]]:
@@ -60,16 +51,16 @@ def programs():
 
 @pytest.fixture(scope="module")
 def reference(programs):
-    return _on_worker(lambda: [outcome(w, n, s, True) for w, n, s in programs])
+    return run_deep(lambda: [outcome(w, n, s, True) for w, n, s in programs])
 
 
 def _resource_end(row: dict) -> bool:
     d = row.get("diagnostic")
-    return row.get("exception") == "RecursionError" or (d is not None and d[0] == "FUEL")
+    return d is not None and d[0] in ("FUEL", "LIMIT")
 
 
 def _differences(programs, reference) -> dict[str, list[str]]:
-    """The programs that ran out of fuel or stack on one side or on both,
+    """The programs that ran out of fuel or depth on one side or on both,
     and those whose outcome differs otherwise."""
     got = [outcome(w, n, s, True) for w, n, s in programs]
     found: dict[str, list[str]] = {"one side": [], "both": [], "differ": []}
@@ -82,17 +73,11 @@ def _differences(programs, reference) -> dict[str, list[str]]:
     return found
 
 
-# the one program whose value is deep enough to need the evaluator's loops
-# at the default recursion limit; where they are missing it runs out of
-# stack on both sides, which the oracles count but cannot compare
-BOTH_ENDED = {"streams/fib16"}
-
-
 def test_memo_off_changes_no_outcome(programs, reference, monkeypatch):
     monkeypatch.setattr(Evaluator, "_memo_key", lambda self, th: object())
-    found = _on_worker(lambda: _differences(programs, reference))
+    found = run_deep(_differences, programs, reference)
     assert (found["differ"], found["one side"]) == ([], [])
-    assert set(found["both"]) <= BOTH_ENDED
+    assert found["both"] == []
 
 
 def test_unshared_arrow_codomains_change_no_outcome(programs, reference, monkeypatch):
@@ -103,9 +88,9 @@ def test_unshared_arrow_codomains_change_no_outcome(programs, reference, monkeyp
                              clo.body)
 
     monkeypatch.setattr(Evaluator, "close", close_afresh)
-    found = _on_worker(lambda: _differences(programs, reference))
+    found = run_deep(_differences, programs, reference)
     assert (found["differ"], found["one side"]) == ([], [])
-    assert set(found["both"]) <= BOTH_ENDED
+    assert found["both"] == []
 
 
 _OUTPUT = re.compile(r"(\w+) = (.*)", re.S)
@@ -115,7 +100,7 @@ def _preservation(programs, reference):
     """(lets checked, programs whose lets were not ACCEPT, outputs that
     could not be checked by reason)."""
     checked, failures = 0, []
-    skipped: dict[str, list[str]] = {"no output": [], "elided": [], "too deep": []}
+    skipped: dict[str, list[str]] = {"no output": [], "elided": []}
     for (w, name, source), ref in zip(programs, reference):
         if "exception" in ref:
             skipped["no output"].append(f"{w}/{name}")
@@ -131,11 +116,7 @@ def _preservation(programs, reference):
                 skipped["elided"].append(f"{w}/{name}/{x}")
             else:
                 lets.append(f"let {x}_sr : {types[x]} = {value}\n")
-        try:
-            r = check_source(source + "\n" + "".join(lets), name)
-        except RecursionError:
-            skipped["too deep"].append(f"{w}/{name}")
-            continue
+        r = check_source(source + "\n" + "".join(lets), name)
         checked += len(lets)
         if r.diagnostic is not None:
             failures.append((f"{w}/{name}", r.diagnostic.code, r.diagnostic.message))
@@ -143,10 +124,9 @@ def _preservation(programs, reference):
 
 
 def test_eval_outputs_have_their_types(programs, reference):
-    checked, failures, skipped = _on_worker(lambda: _preservation(programs, reference))
+    checked, failures, skipped = run_deep(_preservation, programs, reference)
     assert failures == []
-    assert checked == 34
+    assert checked == 35
     assert skipped["elided"] == ["corpus/accept/stream/rep"]
-    # `nth 16 (fib #)` has no output where evaluation runs out of stack,
-    # and its 987 nested `succ` are deeper than the parser reads
-    assert skipped["no output"] + skipped["too deep"] == ["streams/fib16"]
+    # `nth 16 (fib #)` has its output, and its 987 nested `succ` parse again
+    assert skipped["no output"] == []

@@ -12,9 +12,9 @@ pinned as it is (`accept/ord` is STUCK-MATCH there, ROADMAP item 1).  The
 `print_sizes` rows come last and carry `"print_sizes": true`.  Nothing under
 `bench/` is changed.
 
-The programs run on one worker thread, so the Python stack they start from is
-the same under pytest as from the command line, and an ending that depends on
-the recursion depth is the same in both.
+The programs run on the checker's own worker thread (`cli.run_deep`), so the
+Python stack they start from is the same under pytest as from the command
+line, and an ending that depends on the recursion depth is the same in both.
 
 Regenerate with `python tests/test_workload_snapshot.py` from the repository
 root, with `src` on `PYTHONPATH`."""
@@ -25,10 +25,10 @@ import importlib.util
 import json
 import re
 import sys
-import threading
 from pathlib import Path
 
 from sizedcheck import RunConfig, check_source
+from sizedcheck.cli import run_deep
 
 ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = Path(__file__).resolve().parent / "workload_snapshot.json"
@@ -82,9 +82,7 @@ def outcomes() -> list[dict]:
                     rows.append(
                         outcome(workload, prog.name, prog.source, True, every_let_eval, True))
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join()
+    run_deep(run)
     return rows
 
 
