@@ -21,17 +21,20 @@ reads a variable at the cost of the distance to its binder.
 Unfoldings of defined heads are shared (call-by-need on heads, as Launchbury's
 natural semantics shares thunks).  The unfold memo maps a function and the
 arguments of its head, `spine[:arity]`, to the value its matching clause
-returned.  A size argument is keyed by its normal form, so `fib #` and
-`fib ($ #)` share one unfolding, since sizes are erased at run time; every
-other argument is keyed by the identity of its thunk.  An argument that is a
-bound variable is passed as that variable's own thunk, not wrapped in a new
-one, so a call that passes its arguments on (`repeat A a i` in `repeat`'s
-clause) meets the memo entry of the same call made before.  Only a clause that
-matched and whose right-hand side was evaluated is stored, never a stuck or
-unmatched head.  A memo hit unfolds no clause and so costs no fuel.  The memo
-serves evaluation and conversion alike and lives as long as the unfold
-budget: `reset_budget`, called for every declaration and every eval let,
-drops both.
+returned.  `_unfold` builds the key in the one loop that collects those
+arguments for `match_clauses`, and takes the fun's entry from its caller
+(`apply` has read it to find the saturating argument).  A size argument is
+keyed by its normal form, so `fib #` and `fib ($ #)` share one unfolding,
+since sizes are erased at run time; a suspended size expression is forced
+first, which is pure and cheap.  Every other argument is keyed by the
+identity of its thunk.  An argument that is a bound variable is passed as
+that variable's own thunk, not wrapped in a new one, so a call that passes
+its arguments on (`repeat A a i` in `repeat`'s clause) meets the memo entry
+of the same call made before.  Only a clause that matched and whose
+right-hand side was evaluated is stored, never a stuck or unmatched head.  A
+memo hit unfolds no clause and so costs no fuel.  The memo serves evaluation
+and conversion alike and lives as long as the unfold budget:
+`reset_budget`, called for every declaration and every eval let, drops both.
 
 The codomain of an arrow `A -> B` is shared too.  The parser gives such a Pi
 no binder, so its codomain cannot mention the argument, and its value
@@ -69,13 +72,19 @@ The walks that run once per node (`evaluate`, `_match`, `size_view` and
 `_read` here, and the checker's `check`, `infer` and `_infer_atom`) read the
 node's exact class once and branch on it with `is` tests, the most frequent
 classes first; `sizes.normalize` does the same with the base of each pair.
-A `match` over class patterns would make one `isinstance` test per arm that
-fails: a `Size` node passed eight of them before its own arm.  Every node
-class is a leaf class, so the exact class picks the arm a class pattern would
-(`tests/test_dispatch.py` holds both).  Readback, like every walk here,
-recurses as deeply as its value nests (`cli.run_deep` gives it the stack).
-It builds each tree once, in its final shape: a constructor reads back as
-its entry's one `Con` leaf and an erased argument as one shared `_`.
+So do `apply`, once per head it applies, and `whnf`, whose loop runs while
+its value is a `VDef`; `_match` and `compare` make the same test before they
+call `whnf`, so a value already in whnf costs no call.  A `match` over class
+patterns would make one `isinstance` test per arm that fails: a `Size` node
+passed eight of them before its own arm, and in CPython 3.11 an `isinstance`
+test that fails takes more than twice as long as an `is` test of `type(v)`.
+Every node class is a leaf class, so the exact class picks the arm a class
+pattern would (`tests/test_dispatch.py` holds both).  `_match` compares
+constructors by identity: `fresh_ident` makes the one `Ident` of each uid.
+Readback, like every walk here, recurses as deeply as its value nests
+(`cli.run_deep` gives it the stack).  It builds each tree once, in its final
+shape: a constructor reads back as its entry's one `Con` leaf and an erased
+argument as one shared `_`.
 
 Subtyping and conversion are one walk, `compare`, with a relation: `Rel.LE`
 for subtyping, `Rel.EQ` for conversion, which is subtyping at invariant
@@ -242,7 +251,7 @@ class Evaluator:
             return self.force(cell[1])
         if t is Def:
             x = e.name
-            entry = self.sig[x]
+            entry = self.sig.entries[x.uid]
             te = type(entry)
             if te is DataEntry or te is FunEntry:
                 return entry.value
@@ -254,7 +263,7 @@ class Evaluator:
         if t is Size:
             return VSize(self.eval_size(env, e.size))
         if t is Con:
-            return self.sig[e.name].value
+            return self.sig.entries[e.name.uid].value
         if t is Pi:
             clo = Closure(env, e.binder, e.codomain)
             return VPi(e.annot, self.evaluate(env, e.domain), clo)
@@ -303,20 +312,17 @@ class Evaluator:
         a stuck fun, a cofun and a rigid fun keep the whole spine."""
         k, n = 0, len(args)
         while k < n:
-            if isinstance(fv, VLam):
+            t = type(fv)
+            if t is VLam:
                 clo = fv.closure
                 fv = self.evaluate((clo.binder.uid, args[k][0], clo.env), clo.body)
                 k += 1
                 continue
             rest = args[k:] if k else args
-            if isinstance(fv, VCon):
-                return VCon(fv.con, (*fv.args, *[th for th, _ in rest]))
-            if isinstance(fv, VData):
-                return VData(fv.name, (*fv.args, *[th for th, _ in rest]))
-            if isinstance(fv, VDef):
+            if t is VDef:
                 f, have = fv.name, fv.spine
                 spine = have + rest
-                entry = self.sig.fun(f)
+                entry = self.sig.entries[f.uid]
                 # the arguments up to the saturating application, or to the
                 # next one past a stuck head; a fun of arity 0 is unfolded at
                 # its first argument
@@ -324,13 +330,17 @@ class Evaluator:
                 if entry.coinductive or m > len(rest):
                     return VDef(f, spine)
                 sat = spine if m == len(rest) else spine[: len(have) + m]
-                u = self._unfold(VDef(f, sat), poss[k + m - 1])
+                u = self._unfold(entry, f, sat, poss[k + m - 1])
                 if u is None:
                     return VDef(f, spine)
                 fv = u
                 k += m
                 continue
-            if isinstance(fv, VNe):
+            if t is VCon:
+                return VCon(fv.con, (*fv.args, *[th for th, _ in rest]))
+            if t is VData:
+                return VData(fv.name, (*fv.args, *[th for th, _ in rest]))
+            if t is VNe:
                 return VNe(fv.head, fv.spine + rest)
             raise Diagnostic("STUCK-MATCH", "application of a non-function value", poss[k])
         return fv
@@ -384,51 +394,51 @@ class Evaluator:
 
     # -- definition unfolding -------------------------------------------------
 
-    def _unfold(self, v: VDef, pos: Pos, strict: bool = True) -> Value | None:
-        """Try one unfolding of a defined head.  Returns None when the value
-        is underapplied or stuck; raises on an unmatched closed value only in
-        strict (runtime) mode, and never for a cofun.  Only a successful
-        unfolding is kept, in the memo.  A failed match is not cached: the
-        head is matched again the next time it is unfolded, which costs no
-        fuel and evaluates no thunk twice, since thunks are memoized.
-        Arguments past the arity are applied to the result at pos."""
-        entry = self.sig.fun(v.name)
+    def _unfold(self, entry: FunEntry, f: Ident, spine: Spine, pos: Pos,
+                strict: bool = True) -> Value | None:
+        """Try one unfolding of the fun f, whose entry is `entry`, applied to
+        spine.  Returns None when it is underapplied or stuck; raises on an
+        unmatched closed value only in strict (runtime) mode, and never for a
+        cofun.  Only a successful unfolding is kept, in the memo.  A failed
+        match is not cached: the head is matched again the next time it is
+        unfolded, which costs no fuel and evaluates no thunk twice, since
+        thunks are memoized.  Arguments past the arity are applied to the
+        result at pos."""
         if entry.report is None:
             return None  # rigid while its own clauses are still being checked
-        arity = entry.arity
-        if len(v.spine) < arity:
+        arity, n = entry.arity, len(spine)
+        if n < arity:
             return None
-        args = [t for t, _ in v.spine[:arity]]
-        key = (v.name, *map(self._memo_key, args))
+        # the memo key in the loop that collects the arguments: a size is
+        # erased at run time, so only its normal form matters, and evaluating
+        # a suspended size expression is pure and cheap
+        args, key = [], [f]
+        for th, _ in spine if n == arity else spine[:arity]:
+            v = th.value
+            if v is None and type(th.expr) is Size:
+                v = self.force(th)
+            args.append(th)
+            key.append(v.size if type(v) is VSize else th)
+        key = tuple(key)
         out = self.unfolded.get(key)
         if out is None:
             r = self.match_clauses(entry.clauses, args, pos)
             if r is _NOMATCH and strict and not entry.coinductive:
-                raise Diagnostic(
-                    "STUCK-MATCH", f"no clause of '{v.name.text}' matches", pos
-                )
+                raise Diagnostic("STUCK-MATCH", f"no clause of '{f.text}' matches", pos)
             if r is _STUCK or r is _NOMATCH:
                 return None
             env, clause = r
             self._tick()
             out = self.unfolded[key] = self.evaluate(env, clause.rhs)
-        if len(v.spine) > arity:
-            rest = v.spine[arity:]
+        if n > arity:
+            rest = spine[arity:]
             out = self.apply(out, rest, [pos] * len(rest))
         return out
 
-    def _memo_key(self, th: Thunk):
-        # a size is erased at run time, so only its normal form matters;
-        # evaluating a suspended size expression is pure and cheap
-        if th.value is None and isinstance(th.expr, Size):
-            self.force(th)
-        if isinstance(th.value, VSize):
-            return th.value.size
-        return th
-
     def whnf(self, v: Value, pos: Pos = NOPOS) -> Value:
-        while isinstance(v, VDef):
-            u = self._unfold(v, pos)
+        while type(v) is VDef:
+            f = v.name
+            u = self._unfold(self.sig.entries[f.uid], f, v.spine, pos)
             if u is None:
                 return v
             v = u
@@ -438,10 +448,9 @@ class Evaluator:
 
     def match_clauses(self, clauses, args: list[Thunk], pos: Pos = NOPOS):
         """First-match semantics in clause order; dot and wildcard patterns
-        never force their argument."""
+        never force their argument.  Every clause binds one pattern per
+        argument: `check_fun_decl` rejects clauses of unequal arity."""
         for clause in clauses:
-            if len(clause.patterns) != len(args):
-                continue
             env = None
             for p, a in zip(clause.patterns, args):
                 env = self._match(p, a, env, pos)
@@ -460,10 +469,12 @@ class Evaluator:
         if t is PVar:
             return (p.name.uid, th, env)
         if t is PCon:
-            v = self.whnf(self.force(th), pos)
+            v = self.force(th)
+            if type(v) is VDef:
+                v = self.whnf(v, pos)
             if type(v) is not VCon:
                 return _STUCK
-            if v.con != p.con:
+            if v.con is not p.con:
                 return _NOMATCH
             subs, args = p.args, v.args
             if len(subs) != len(args):
@@ -608,7 +619,10 @@ class Evaluator:
         A fresh variable, bound to compare two bodies, has no hypothesis, so
         it needs no entry in them.  See the module docstring."""
         if rel is _LE:
-            a, b = self.whnf(a), self.whnf(b)
+            if type(a) is VDef:
+                a = self.whnf(a)
+            if type(b) is VDef:
+                b = self.whnf(b)
             if a is b:
                 # a type that holds no size holds no hole, so it adds no constraint
                 t = type(a)
@@ -665,8 +679,11 @@ class Evaluator:
         ):
             if self._compare_spines(a.spine, b.spine, col):
                 return True
-        ua = self._unfold(a, NOPOS, strict=False) if isinstance(a, VDef) else None
-        ub = self._unfold(b, NOPOS, strict=False) if isinstance(b, VDef) else None
+        ua = ub = None
+        if type(a) is VDef:
+            ua = self._unfold(self.sig.entries[a.name.uid], a.name, a.spine, NOPOS, False)
+        if type(b) is VDef:
+            ub = self._unfold(self.sig.entries[b.name.uid], b.name, b.spine, NOPOS, False)
         if ua is not None or ub is not None:
             a, b = ua if ua is not None else a, ub if ub is not None else b
             return self.compare(a, b, _EQ, col)

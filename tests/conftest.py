@@ -12,6 +12,7 @@ import pytest
 
 from sizedcheck import check_source
 from sizedcheck.checker import Checker
+from sizedcheck.evaluator import Evaluator
 from sizedcheck.parser import parse_source
 from sizedcheck.scope import scope_check
 from sizedcheck.syntax import (
@@ -27,6 +28,7 @@ from sizedcheck.syntax import (
     FunDecl,
     Lam,
     LetDecl,
+    NOPOS,
     PCon,
     PDot,
     Pi,
@@ -86,6 +88,31 @@ def untraced():
         yield
     finally:
         sys.settrace(tracer)
+
+
+class _NoMemo(dict):
+    """An unfold memo that never finds a key and keeps nothing."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def memo_off(monkeypatch):
+    """Turn the evaluator's unfold memo off for the rest of the test: every
+    fresh budget (`Evaluator.reset_budget`, called for every declaration and
+    eval let) gets a memo in which no unfolding is found again."""
+    reset = Evaluator.reset_budget
+
+    def reset_without_memo(self, pos=NOPOS):
+        reset(self, pos)
+        self.unfolded = _NoMemo()
+
+    monkeypatch.setattr(Evaluator, "reset_budget", reset_without_memo)
 
 
 def build(src: str):

@@ -1,7 +1,8 @@
 """Every arm of `checker.py` that rejects a program outside pattern
 elaboration (which `tests/test_patterns.py` covers) gives its code, message
-and position: the data declaration checks, the recursive-size check of a
-sized constructor, the inference and checking arms, and the case rules.
+and position: the data declaration checks, the arity of a fun's clauses,
+the recursive-size check of a sized constructor, the inference and checking
+arms, and the case rules.
 
 A few rows need a shape no corpus program has: a data type with a parameter
 of kind `Size -> Set`, which lets a sized type occur unapplied, short of its
@@ -72,6 +73,15 @@ REJECTIONS = {
         WRAP + "sized data D : Size -> Set\n{ c : [i : Size] -> Wrap (\\ s -> D s) -> D ($ i)\n}\n",
         "SIZE-INDEX-SHAPE", "recursive occurrence of 'D' in 'c' must carry size exactly i",
         (3, 3)),
+    # the evaluator's clause matcher relies on every clause binding one
+    # pattern per argument of the fun
+    "clauses of unequal arity": (
+        NAT + "fun h : Nat -> Nat\n{ h m = m\n}\n"
+        "fun f : Nat -> Nat -> Nat\n{ f zero m = m\n; f n = h\n}\n",
+        "TYPE-MISMATCH", "all clauses must bind the same number of patterns", (8, 1)),
+    "clauses binding more patterns than the type has arguments": (
+        NAT + "fun h : Nat -> Nat\n{ h m = m\n}\nfun g : Nat -> Nat\n{ g m n = m\n}\n",
+        "TYPE-MISMATCH", "clauses bind more patterns than the type has arguments", (8, 1)),
     "inferred lambda": (
         NAT + "let x : Nat = (\\ y -> y) zero\n",
         "TYPE-MISMATCH", "cannot infer the type of a lambda", (5, 16)),

@@ -1,15 +1,18 @@
 """The per-node walks dispatch on a node's exact class.
 
-`Evaluator.evaluate`, `_match`, `size_view` and `_read`, `sizes.normalize`
-(on the base of each pair) and `Checker.check`, `infer` and `_infer_atom`
-read `type(x)` once and test it with `is`, in place of a `match` over class
-patterns.  The two pick the
-same arm only while every node class is a leaf class, so the first test
-asserts that, for classes found with `__subclasses__()`: a class added later
-is covered without editing this file.  The tables then pin what each walk
+`Evaluator.evaluate`, `apply`, `whnf`, `_unfold`, `_match`, `size_view` and
+`_read`, `sizes.normalize` (on the base of each pair) and `Checker.check`,
+`infer` and `_infer_atom` read `type(x)` once and test it with `is`, in
+place of a `match` over class patterns or an `isinstance` chain.  The two
+pick the same arm only while every node class is a leaf class, so the first
+test asserts that, for classes found with `__subclasses__()`: a class added
+later is covered without editing this file.  The tables then pin what each walk
 gives on a minimal instance of every concrete class (a value and its
 readback, a normal form, a match outcome, or a diagnostic); a class without
-a row fails.  An AST scan keeps `match` statements out of these functions."""
+a row fails.  The table of `apply` has a row for each kind of defined head
+too: a fun that saturates, one left under-applied, a cofun, and a fun whose
+clauses are still being checked.  An AST scan keeps `match` statements out
+of these functions, and `isinstance` out of `apply`, `whnf` and `_unfold`."""
 
 from __future__ import annotations
 
@@ -49,16 +52,37 @@ from sizedcheck.syntax import (
     Var,
     fresh_ident,
 )
-from sizedcheck.values import Thunk, Value, VCon, VNe, VSize
+from sizedcheck.values import (
+    VSET,
+    VSIZEU,
+    Closure,
+    Thunk,
+    Value,
+    VCon,
+    VData,
+    VDef,
+    VLam,
+    VNe,
+    VPi,
+    VSet,
+    VSize,
+    VSizeU,
+)
 
-from conftest import NAT, build
+from conftest import NAT, STREAM, build
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sizedcheck"
 
-PROGRAM = NAT + """
+PROGRAM = NAT + STREAM + """
 fun pred : Nat -> Nat
 { pred zero = zero
 ; pred (succ n) = n
+}
+fun const : Nat -> Nat -> Nat
+{ const m n = m
+}
+cofun zeros : [i : Size] -> Stream Nat i
+{ zeros ($ i) = cons Nat i zero (zeros i)
 }
 let one : Nat = succ zero
 """
@@ -86,7 +110,12 @@ def test_signature_entries_are_leaves():
 @pytest.fixture(scope="module")
 def world():
     ch, _, _ = build(PROGRAM)
-    names = {t: ch.sig.by_text[t] for t in ("Nat", "zero", "succ", "pred", "one")}
+    names = {t: ch.sig.by_text[t]
+             for t in ("Nat", "zero", "succ", "pred", "const", "zeros", "one")}
+    # a fun whose clauses are still being checked has no totality report yet
+    rigid = fresh_ident("rigid")
+    ch.sig.add(rigid, FunEntry(rigid, False, VSET, 1, None))
+    names["rigid"] = rigid
     return ch.ev, names
 
 
@@ -138,6 +167,63 @@ def test_evaluate_on_a_minimal_instance(world, cls):
     for e, want in _eval_rows(names)[cls]:
         ev.reset_budget()
         assert _evaluated(ev, e) == want
+
+
+# -- apply ---------------------------------------------------------------------------
+
+
+# the position of each argument's application: a head that cannot be applied
+# is reported at the argument that meets it
+POSS = [11, 22]
+
+
+def _apply_rows(n):
+    x = fresh_ident("x")
+    zero = Thunk.of(VCon(n["zero"], ()))
+    one = Thunk.of(VCon(n["succ"], (zero,)))
+    infty = Thunk.of(VSize(((INFTY, 0),)))
+    stuck = ("STUCK-MATCH", "application of a non-function value")
+    return {
+        VLam: [(VLam(Closure(None, x, Var(x))), [zero], ("VCon", "zero")),
+               # the lambda's body, Set, meets the second argument
+               (VLam(Closure(None, x, SetU())), [zero, one], stuck + (22,))],
+        VCon: [(VCon(n["succ"], ()), [zero], ("VCon", "succ zero"))],
+        VData: [(VData(n["Nat"], ()), [zero], ("VData", "Nat zero"))],
+        VNe: [(VNe(x), [zero, one], ("VNe", "x zero (succ zero)"))],
+        VDef: [(VDef(n["pred"], []), [one], ("VCon", "zero")),
+               # the leftover argument is applied to what `pred one` unfolds
+               # to; apply does not check types
+               (VDef(n["pred"], []), [one, zero], ("VCon", "zero zero")),
+               (VDef(n["const"], []), [one], ("VDef", "const (succ zero)")),
+               (VDef(n["const"], [(one, Annot.RELEVANT)]), [zero], ("VCon", "succ zero")),
+               (VDef(n["zeros"], []), [infty], ("VDef", "zeros #")),
+               (VDef(n["rigid"], []), [one], ("VDef", "rigid (succ zero)"))],
+        VPi: [(VPi(Annot.RELEVANT, VSET, Closure(None, None, SetU())), [zero], stuck + (11,))],
+        VSet: [(VSET, [zero], stuck + (11,))],
+        VSizeU: [(VSIZEU, [zero], stuck + (11,))],
+        VSize: [(VSize(((INFTY, 0),)), [zero], stuck + (11,))],
+    }
+
+
+def _applied(ev, head: Value, args: list[Thunk]):
+    try:
+        v = ev.apply(head, [(th, Annot.RELEVANT) for th in args], POSS[:len(args)])
+    except Diagnostic as d:
+        return d.code, d.message, d.pos
+    return type(v).__name__, pretty(ev.quote(v))
+
+
+def test_apply_table_covers_every_value_class(world):
+    assert set(_apply_rows(world[1])) == _concrete(Value)
+
+
+@pytest.mark.parametrize("cls", sorted(_concrete(Value), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_apply_on_a_minimal_instance(world, cls):
+    ev, names = world
+    for head, args, want in _apply_rows(names)[cls]:
+        ev.reset_budget()
+        assert _applied(ev, head, args) == want
 
 
 # -- normalize ---------------------------------------------------------------------
@@ -228,6 +314,9 @@ def test_size_view(world):
 
 WALKS = [
     ("evaluator.py", "Evaluator.evaluate"),
+    ("evaluator.py", "Evaluator.apply"),
+    ("evaluator.py", "Evaluator.whnf"),
+    ("evaluator.py", "Evaluator._unfold"),
     ("evaluator.py", "Evaluator._match"),
     ("evaluator.py", "Evaluator.size_view"),
     ("evaluator.py", "Evaluator._read"),
@@ -252,3 +341,17 @@ def test_walk_has_no_match_statement(module, qualname):
     fn = _function(ast.parse(path.read_text(), str(path)), qualname)
     assert fn is not None, f"{qualname} not found in {module}"
     assert [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Match)] == []
+
+
+# the walks whose dispatch was an `isinstance` chain
+EXACT = ["Evaluator.apply", "Evaluator.whnf", "Evaluator._unfold"]
+
+
+@pytest.mark.parametrize("qualname", EXACT)
+def test_walk_calls_no_isinstance(qualname):
+    path = SRC / "evaluator.py"
+    fn = _function(ast.parse(path.read_text(), str(path)), qualname)
+    assert fn is not None, f"{qualname} not found in evaluator.py"
+    calls = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "isinstance"]
+    assert calls == []

@@ -16,7 +16,7 @@ from sizedcheck.syntax import (
 )
 from sizedcheck.values import VSET, VSIZEU, Thunk, VCon, VData, VDef, VNe, VSize
 
-from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build, untraced
+from conftest import CORPUS, NAT, SNAT_PARAMETRIC, STREAM, build, memo_off, untraced
 
 PRED = SNAT_PARAMETRIC + """
 fun pred : [i : Size] -> SNat ($$ i) -> SNat ($ i)
@@ -338,7 +338,7 @@ fun g : Nat -> Bool
         assert ch.ev.steps == 2 * 18 + 1  # g at 19 arguments, or at 18
 
     def test_without_the_memo_it_runs_out_of_fuel(self, monkeypatch):
-        monkeypatch.setattr(Evaluator, "_memo_key", lambda self, th: object())
+        memo_off(monkeypatch)
         d = check_source(self.DOUBLE, "<t>").diagnostic
         assert d is not None and d.code == "FUEL"
 

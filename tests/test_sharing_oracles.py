@@ -7,8 +7,9 @@ once.  None of them may
 change an outcome.  Each oracle runs the corpus and the four bench
 workloads at seed 1 and compares with the evaluator as it is:
 
-- with the memo off (`Evaluator._memo_key` returns a fresh key, so no
-  unfolding is found again), every outcome is the same;
+- with the memo off (`conftest.memo_off`: every fresh budget gets a memo
+  in which no unfolding is found again), every outcome is the same, and the
+  switch bites: a pass over `streams` matches clauses many times more often;
 - with `Closure.value` never kept (every arrow codomain and every body at
   # evaluated afresh), every outcome is the same;
 - every eval output, checked as `let x_sr : T = <output>` after its own
@@ -34,6 +35,7 @@ from sizedcheck.pretty import pretty
 from sizedcheck.syntax import LetDecl
 from sizedcheck.values import Closure, Thunk
 
+from conftest import memo_off
 from test_workload_snapshot import ROOT, _workloads, outcome
 
 SEED = 1
@@ -74,10 +76,36 @@ def _differences(programs, reference) -> dict[str, list[str]]:
 
 
 def test_memo_off_changes_no_outcome(programs, reference, monkeypatch):
-    monkeypatch.setattr(Evaluator, "_memo_key", lambda self, th: object())
+    memo_off(monkeypatch)
     found = run_deep(_differences, programs, reference)
     assert (found["differ"], found["one side"]) == ([], [])
     assert found["both"] == []
+
+
+def test_memo_off_switch_bites(programs, monkeypatch):
+    """The switch above is no no-op: with the memo off, a pass over
+    `streams` runs `match_clauses` more than eight times as often (2,247
+    calls with the memo and 18,974 without it at seed 1)."""
+    streams = [(name, source) for w, name, source in programs if w == "streams"]
+    calls = 0
+    match_clauses = Evaluator.match_clauses
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return match_clauses(self, *args)
+
+    def clause_matches() -> int:
+        nonlocal calls
+        calls = 0
+        for name, source in streams:
+            check_source(source, name)
+        return calls
+
+    monkeypatch.setattr(Evaluator, "match_clauses", counted)
+    with_memo = run_deep(clause_matches)
+    memo_off(monkeypatch)
+    assert run_deep(clause_matches) > 8 * with_memo > 0
 
 
 def test_unshared_arrow_codomains_change_no_outcome(programs, reference, monkeypatch):
