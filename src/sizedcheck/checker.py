@@ -37,15 +37,7 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, too_deep
 from .evaluator import DEFAULT_PRINT_DEPTH, DEFAULT_UNFOLD_FUEL, Evaluator
 from .pretty import pretty
-from .signature import (
-    CallSite,
-    ConEntry,
-    DataEntry,
-    ElabClause,
-    FunEntry,
-    LetEntry,
-    Signature,
-)
+from .signature import ConEntry, DataEntry, FunEntry, LetEntry, Signature
 from .sizes import (
     Ambiguous,
     INFTY,
@@ -53,7 +45,6 @@ from .sizes import (
     Rel,
     SizeConstraint,
     Unsolvable,
-    apply_solution,
     bump,
     format_size,
     ns_var,
@@ -95,9 +86,11 @@ from .syntax import (
     leq_pol,
 )
 from .totality import (
+    CallGraphEntry,
     admissibility_check,
     polarity_of,
     strict_positivity_check,
+    struct_rels,
     termination_check,
 )
 from .values import VSET, VSIZEU
@@ -112,19 +105,19 @@ def _bound_var(v: Value) -> Ident:
 class ClauseState(Record):
     """What checking one clause or let body gathers: its size constraints and
     holes, each hole with the environment it is written in, solved once the
-    body is checked, and the recursive calls of the function `fun` (None for
-    a let, which records none), each with the size matched by clause
-    `index`."""
+    body is checked.  A clause of the fun `fun` (None for a let) records each
+    recursive call in `fun.calls`, as a row of its totality report, with the
+    size `lhs_size` that the clause matches; `termination_check` decides each
+    row's size relation once every clause is checked."""
 
-    __slots__ = ("fun", "index", "lhs_size", "collector", "metas", "calls")
+    __slots__ = ("fun", "clause", "lhs_size", "collector", "metas")
 
-    def __init__(self, fun: int | None = None, index: int = 0):
+    def __init__(self, fun: FunEntry | None = None, clause: Clause | None = None):
         self.fun = fun
-        self.index = index
+        self.clause = clause
         self.lhs_size: tuple | None = None
         self.collector: list[SizeConstraint] = []
         self.metas: dict[int, Env] = {}
-        self.calls: list[CallSite] = []
 
 
 # the fields of a context's cell past the evaluator's (uid, thunk, rest)
@@ -374,32 +367,29 @@ class Checker:
             (k for k, (_, dom, _) in enumerate(binders) if isinstance(dom, VSizeU)), None
         )
 
-        entry = FunEntry(f.name, f.coinductive, tv, arity, size_param)
+        entry = FunEntry(f.name, f.coinductive, tv, arity, size_param, f.clauses)
         self.sig.add(f.name, entry)
         for idx, clause in enumerate(f.clauses):
-            entry.clauses.append(self._check_clause(entry, clause, ClauseState(f.name.uid, idx)))
-        entry.report = termination_check(entry, self.lines, self.sig.hyps)
+            self._check_clause(entry, clause, idx)
+        entry.report = termination_check(entry, self.sig)
 
-    def _check_clause(self, entry: FunEntry, clause: Clause, state: ClauseState) -> ElabClause:
-        self.state = state
+    def _check_clause(self, entry: FunEntry, clause: Clause, idx: int):
+        """Elaborate the clause in place and solve its holes; as a method, it
+        keeps nothing of one clause alive while the next is checked."""
+        self.state = ClauseState(entry, clause)
         env, residual, obligations, _ = self._elab_patterns(
             None, entry.type_value, clause.lhs, entry
         )
         self._check_obligations(env, obligations)
-        rhs = self.check(env, clause.rhs, residual, erased=False)
-        sol = self._solve_holes(clause.pos, f"{entry.name.text} clause {state.index + 1}")
-        for call in state.calls:
-            if call.size_arg is not None:
-                call.size_arg = apply_solution(call.size_arg, sol)
-        entry.calls.extend(state.calls)
-        return ElabClause(clause.lhs, rhs, clause.pos)
+        clause.rhs = self.check(env, clause.rhs, residual, erased=False)
+        self._solve_holes(clause.pos, f"{entry.name.text} clause {idx + 1}")
 
-    def _solve_holes(self, pos: Pos, where: str) -> dict[int, tuple]:
+    def _solve_holes(self, pos: Pos, where: str):
         """Dump the constraints of the checked body if asked (before solving,
         so a rejection shows them too), then solve its size holes, check that
         each solution names only variables bound where its hole is written,
-        and store each in the signature's hole table; returns the solution
-        and ends the body's state."""
+        and store each in the signature's hole table; this ends the body's
+        state."""
         state = self.state
         collector = state.collector
         if self.collect_constraints and collector:
@@ -427,7 +417,6 @@ class Checker:
                     )
         self.sig.holes.update(sol)
         self.state = None
-        return sol
 
     def check_let_decl(self, d: LetDecl):
         ty = self.check_type(None, d.type)
@@ -831,14 +820,15 @@ class Checker:
             head = head.fun
         apps.reverse()
         st = self.state
-        is_self = type(head) is Def and st is not None and st.fun == head.name.uid
+        fun = st.fun if st is not None else None
+        is_self = fun is not None and type(head) is Def and head.name is fun.name
         if isinstance(head, (Var, Def, Con)):
             _, fty = self._infer_atom(env, head, erased)
         else:
             _, fty = self.infer(env, head, erased)
 
         size_arg: tuple | None = None
-        size_param = self.sig.fun(head.name).size_param if is_self else None
+        size_param = fun.size_param if is_self else None
         # found by identity, so the loop keeps no counter alive across the
         # recursive check of each argument
         size_app = apps[size_param] if size_param is not None and size_param < len(apps) else None
@@ -870,8 +860,9 @@ class Checker:
             fty = self.ev.close(fty.closure, val)
 
         if is_self:
-            args = [app.arg for app in apps]
-            st.calls.append(CallSite(args, size_arg, st.lhs_size, st.index, e.pos))
+            rels = struct_rels([app.arg for app in apps], st.clause.lhs)
+            fun.calls.append(CallGraphEntry(rels, self.lines.line_col(e.pos), size_arg,
+                                            st.lhs_size, st.clause.pos))
         return e, fty
 
     def check(self, env: Env, e: Expr, expected: Value, erased: bool) -> Expr:

@@ -56,37 +56,37 @@ class CheckResult(Record):
 
 _DEFAULTS = RunConfig([])  # read only
 _worker: threading.Thread | None = None
-_jobs = None  # the calls for the worker to make
+_jobs = None  # the calls for the worker to make, each with the queue its answer goes to
 _starting = threading.Lock()
-_held = threading.local()  # each calling thread's lock, which wakes it
 
 
 def _serve():
     while True:
-        fn, args, done = job = _jobs.get()
+        fn, args, answer = _jobs.get()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(RECURSION_LIMIT)
         try:
-            job[0], job[1] = fn(*args), None
+            out = fn(*args), None
         except BaseException as e:  # noqa: BLE001  (raised again on the caller's thread)
-            job[0], job[1] = None, e
+            out = None, e
         sys.setrecursionlimit(limit)
-        if done.locked():  # else its caller has not waited yet, and will find the job done
-            done.release()
-        del job, fn, args, done  # hold nothing of this call while waiting for the next
+        answer.put(out)
+        del fn, args, answer, out  # hold nothing of this call while waiting for the next
 
 
 def run_deep(fn, *args):
     """fn(*args) on the one worker thread, started on first use with a STACK_BYTES
     stack, or directly when called there; while a call runs, the process-wide
-    recursion limit is RECURSION_LIMIT and the caller waits."""
+    recursion limit is RECURSION_LIMIT and the caller waits.  Each call gets
+    its answer through a queue of its own, so a caller that stopped waiting
+    leaves its answer where no other call reads it."""
     global _jobs, _worker
     if threading.current_thread() is _worker:
         return fn(*args)
+    import queue  # only a process that checks something needs it
+
     with _starting:
         if _worker is None:
-            import queue  # only a process that checks something needs it
-
             _jobs = queue.SimpleQueue()
             stack = threading.stack_size(STACK_BYTES)
             try:
@@ -95,16 +95,12 @@ def run_deep(fn, *args):
                 _worker = worker
             finally:
                 threading.stack_size(stack)
-    done = getattr(_held, "lock", None)
-    if done is None:
-        done = _held.lock = threading.Lock()
-    job = [fn, args, done]  # the call, then its result and what it raised
-    _jobs.put(job)
-    while job[1] is args:  # a wake-up may be stale, so the job itself tells when it is done
-        done.acquire()
-    if job[1] is not None:
-        raise job[1]
-    return job[0]
+    answer = queue.SimpleQueue()
+    _jobs.put((fn, args, answer))
+    result, exc = answer.get()
+    if exc is not None:
+        raise exc
+    return result
 
 
 def check_source(source: str, filename: str, cfg: RunConfig | None = None) -> CheckResult:

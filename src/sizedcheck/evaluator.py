@@ -106,7 +106,10 @@ data type with no argument, are subtypes at once, since such a type holds no
 hole and so adds no constraint.  Under EQ a defined head is unfolded only
 when the two sides differ, never strictly, and two sizes a, b are
 constrained as a <= b before b <= a, which fixes the order of the
-constraint dump."""
+constraint dump.  A pair of codata constructor values met again inside its
+own comparison (`comparing`) is not convertible.  So two cyclic streams, such
+as `zeros #` and a copy of it, differ at once, though they are bisimilar:
+conversion is not bisimulation, which the paper does not claim."""
 
 from __future__ import annotations
 
@@ -189,7 +192,7 @@ DEFAULT_PRINT_DEPTH = 3
 
 class Evaluator:
     __slots__ = ("sig", "unfold_fuel", "print_depth", "print_sizes", "steps", "budget_pos",
-                 "unfolded", "read")
+                 "unfolded", "read", "comparing")
 
     def __init__(
         self,
@@ -203,6 +206,9 @@ class Evaluator:
         self.print_depth = print_depth
         self.print_sizes = print_sizes
         self.read: set = set()  # the variables one readback has read (see `_read`)
+        # the pairs of codata values `compare` is inside, made at the first
+        # such pair, so that a program that compares none pays nothing
+        self.comparing: set | None = None
         self.reset_budget()
 
     # -- budgets ------------------------------------------------------------
@@ -452,7 +458,7 @@ class Evaluator:
         argument: `check_fun_decl` rejects clauses of unequal arity."""
         for clause in clauses:
             env = None
-            for p, a in zip(clause.patterns, args):
+            for p, a in zip(clause.lhs, args):
                 env = self._match(p, a, env, pos)
                 if env is _STUCK:
                     return _STUCK
@@ -700,23 +706,36 @@ class Evaluator:
                 if c1 != c2 or len(args1) != len(args2):
                     return False
                 centry = self.sig.con(c1)
-                if self.sig.data(centry.data).coinductive:
-                    # shared unfoldings make streams cyclic: comparing two
-                    # of them unfolds nothing, so each layer costs fuel
-                    self._tick()
-                annots = centry.annots
-                for k, (t1, t2) in enumerate(zip(args1, args2)):
-                    annot = annots[k] if k < len(annots) else _RELEVANT
-                    if annot is _PARAMETRIC:
-                        continue
-                    if not self.compare(self.force(t1), self.force(t2), _EQ, col):
-                        return False
-                return True
+                if not self.sig.data(centry.data).coinductive:
+                    return self._compare_args(centry.annots, args1, args2, col)
+                # shared unfoldings make streams cyclic: a pair met again
+                # inside its own comparison is not convertible, and each
+                # layer costs fuel, since comparing two layers unfolds nothing
+                pair = (a, b)
+                comparing = self.comparing
+                if comparing is None:
+                    comparing = self.comparing = set()
+                elif pair in comparing:
+                    return False
+                self._tick()
+                comparing.add(pair)
+                try:
+                    return self._compare_args(centry.annots, args1, args2, col)
+                finally:
+                    comparing.discard(pair)
             case (VNe(head=h1, spine=sp1), VNe(head=h2, spine=sp2)):
                 if h1 != h2 or len(sp1) != len(sp2):
                     return False
                 return self._compare_spines(sp1, sp2, col)
         return False
+
+    def _compare_args(self, annots: list[Annot], args1: tuple, args2: tuple, col) -> bool:
+        for k, (t1, t2) in enumerate(zip(args1, args2)):
+            if k < len(annots) and annots[k] is _PARAMETRIC:
+                continue
+            if not self.compare(self.force(t1), self.force(t2), _EQ, col):
+                return False
+        return True
 
     def _compare_spines(self, sp1: Spine, sp2: Spine, col) -> bool:
         for (t1, an1), (t2, _) in zip(sp1, sp2):

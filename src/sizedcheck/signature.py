@@ -4,7 +4,7 @@ solutions of the program's size holes and its size hypotheses."""
 
 from __future__ import annotations
 
-from .syntax import Annot, Con, Expr, Ident, Pattern, Polarity, Pos, Record
+from .syntax import Annot, Clause, Con, Expr, Ident, Polarity, Record
 from .values import Thunk, Value, VCon, VData, VDef
 
 
@@ -56,45 +56,23 @@ class ConEntry(Record):
         self.leaf = Con(name)
 
 
-class ElabClause(Record):
-    __slots__ = ("patterns", "rhs", "pos")
-
-    def __init__(self, patterns: list[Pattern], rhs: Expr, pos: Pos):
-        self.patterns = patterns
-        self.rhs = rhs  # elaborated; its size holes are read through Signature.holes
-        self.pos = pos
-
-
-class CallSite(Record):
-    """One recursive occurrence, recorded while checking a clause body."""
-
-    __slots__ = ("args", "size_arg", "lhs_size", "clause_index", "pos")
-
-    def __init__(self, args: list[Expr], size_arg: tuple | None, lhs_size: tuple | None,
-                 clause_index: int, pos: Pos):
-        self.args = args
-        self.size_arg = size_arg
-        self.lhs_size = lhs_size
-        self.clause_index = clause_index
-        self.pos = pos
-
-
 class FunEntry(Record):
-    """A fun or cofun; `value` is its head with an empty spine, built once,
-    as `DataEntry.value` is."""
+    """A fun or cofun: `clauses` are the parser's own, elaborated in place,
+    and `value` is its head with an empty spine, built once, as
+    `DataEntry.value` is."""
 
     __slots__ = ("name", "coinductive", "type_value", "arity", "size_param", "clauses",
                  "calls", "report", "value")
 
     def __init__(self, name: Ident, coinductive: bool, type_value: Value, arity: int,
-                 size_param: int | None):
+                 size_param: int | None, clauses: list[Clause]):
         self.name = name
         self.coinductive = coinductive
         self.type_value = type_value
         self.arity = arity
         self.size_param = size_param
-        self.clauses: list[ElabClause] = []
-        self.calls: list[CallSite] = []
+        self.clauses = clauses
+        self.calls: list = []  # each a `totality.CallGraphEntry`, a report row
         self.report = None  # TotalityReport once checked; None while checking
         self.value = VDef(name, [])
 

@@ -8,7 +8,12 @@ quote them back into syntax: a body under a binder is opened with a fresh
 variable by `Evaluator.open`, and nothing is unfolded.  The variance of each
 argument slot of a data type, the size index's included, is decided once,
 in `DataEntry.variances`; `polarity_of`, the admissibility check, the
-checker's size-monotonicity test and `Evaluator.compare` all read it."""
+checker's size-monotonicity test and `Evaluator.compare` all read it.
+
+Each recursive call is recorded once, as the `CallGraphEntry` row its
+report prints, where the checker meets it; its size relation is decided by
+`termination_check`, after every clause of its fun is checked and its
+holes are solved."""
 
 from __future__ import annotations
 
@@ -16,12 +21,12 @@ from enum import Enum
 
 from .diagnostics import Diagnostic
 from .pretty import pretty
-from .signature import FunEntry
-from .sizes import Rel, entails, size_vars
+from .signature import FunEntry, Signature
+from .sizes import Rel, entails, normalize, size_vars
 from .syntax import (
     Annot,
+    Expr,
     Ident,
-    LineTable,
     NOPOS,
     Pattern,
     PCon,
@@ -163,14 +168,22 @@ class StructRel(Enum):
 
 
 class CallGraphEntry(Record):
-    __slots__ = ("callee", "size_rel", "struct_rels", "pos")
+    """A recursive call and its row of the totality report, recorded once,
+    where the checker meets the call (`Checker._infer_app`), with its
+    structural relations to its clause's patterns.  `termination_check` sets
+    its size relation once the holes are solved: `size`, the size argument,
+    against `lhs_size`, the size its clause matched."""
 
-    def __init__(self, callee: str, size_rel: SizeRel, struct_rels: list[StructRel],
-                 pos: tuple[int, int]):
-        self.callee = callee
-        self.size_rel = size_rel
+    __slots__ = ("size_rel", "struct_rels", "pos", "size", "lhs_size", "clause_pos")
+
+    def __init__(self, struct_rels: list[StructRel], pos: tuple[int, int],
+                 size: tuple | None, lhs_size: tuple | None, clause_pos: Pos):
+        self.size_rel = SizeRel.UNKNOWN
         self.struct_rels = struct_rels
         self.pos = pos  # the call's (line, column), as reports and messages show it
+        self.size = size
+        self.lhs_size = lhs_size
+        self.clause_pos = clause_pos
 
 
 class TotalityReport(Record):
@@ -189,72 +202,50 @@ class TotalityReport(Record):
         for e in self.entries:
             rels = " ".join(r.value for r in e.struct_rels)
             lines.append(
-                f"  call {e.callee} at {e.pos[0]}:{e.pos[1]}: "
+                f"  call {self.name} at {e.pos[0]}:{e.pos[1]}: "
                 f"size {e.size_rel.value} args [{rels}]"
             )
         return "\n".join(lines)
 
 
-def _strict_vars(p: Pattern, inside: bool = False) -> set[int]:
-    """Variables bound strictly inside a constructor pattern."""
-    match p:
-        case PVar(name=x):
-            return {x.uid} if inside else set()
-        case PCon(args=args):
-            out: set[int] = set()
-            for a in args:
-                out |= _strict_vars(a, True)
-            return out
-        case _:
-            return set()
+def _inside(p: Pattern, x: Ident) -> bool:
+    """x is bound strictly inside the constructor pattern p."""
+    return type(p) is PCon and any(
+        (type(a) is PVar and a.name is x) or _inside(a, x) for a in p.args)
 
 
-def _top_var(p: Pattern) -> int | None:
-    return p.name.uid if isinstance(p, PVar) else None
+def struct_rels(args: list[Expr], patterns: list[Pattern]) -> list[StructRel]:
+    """How each argument of a recursive call relates to the pattern its
+    clause binds at the same position: SUB for a variable bound strictly
+    inside it, EQ for the variable it is, else UNKNOWN, as for each pattern
+    the call passes no argument to."""
+    rels = [StructRel.UNKNOWN] * len(patterns)
+    for k, (a, p) in enumerate(zip(args, patterns)):
+        if type(a) is Var and _inside(p, a.name):
+            rels[k] = StructRel.SUB
+        elif type(a) is Var and type(p) is PVar and p.name is a.name:
+            rels[k] = StructRel.EQ
+    return rels
 
 
-def _call_entries(entry: FunEntry, lines: LineTable, hyps: dict) -> list[CallGraphEntry]:
-    out = []
-    for c in entry.calls:
-        if c.size_arg is not None and c.lhs_size is not None:
-            if entails(hyps, c.size_arg, Rel.LT, c.lhs_size):
-                srel = SizeRel.LT
-            elif entails(hyps, c.size_arg, Rel.LE, c.lhs_size):
-                srel = SizeRel.LE
-            else:
-                srel = SizeRel.UNKNOWN
-        else:
-            srel = SizeRel.UNKNOWN
-        rels = []
-        clause = entry.clauses[c.clause_index]
-        for p_idx in range(entry.arity):
-            if p_idx >= len(c.args) or p_idx >= len(clause.patterns):
-                rels.append(StructRel.UNKNOWN)
-                continue
-            arg = c.args[p_idx]
-            pat = clause.patterns[p_idx]
-            if isinstance(arg, Var):
-                if arg.name.uid in _strict_vars(pat):
-                    rels.append(StructRel.SUB)
-                    continue
-                if arg.name.uid == _top_var(pat):
-                    rels.append(StructRel.EQ)
-                    continue
-            rels.append(StructRel.UNKNOWN)
-        out.append(CallGraphEntry(entry.name.text, srel, rels, lines.line_col(c.pos)))
-    return out
-
-
-def termination_check(entry: FunEntry, lines: LineTable, hyps: dict) -> TotalityReport:
+def termination_check(entry: FunEntry, sig: Signature) -> TotalityReport:
     """Accept when every recursive call descends in the designated size
-    parameter, under the size hypotheses hyps, or, failing that, when one
-    argument position descends structurally in every clause.  Raises
-    TERMINATION/PRODUCTIVITY, whose message shows each call's position by
-    `lines`."""
-    entries = _call_entries(entry, lines, hyps)
+    parameter, under the size hypotheses of sig, or, failing that, when one
+    argument position descends structurally in every clause.  Sets each
+    call's size relation first, its size read through sig's solved holes.
+    Raises TERMINATION/PRODUCTIVITY at the clause of the first call."""
+    entries = entry.calls
     name = entry.name.text
-    if not entry.calls:
+    if not entries:
         return TotalityReport(name, "non-recursive", None, entries)
+
+    for e in entries:
+        if e.size is not None and e.lhs_size is not None:
+            size = normalize(e.size, None, sig.holes)
+            if entails(sig.hyps, size, Rel.LT, e.lhs_size):
+                e.size_rel = SizeRel.LT
+            elif entails(sig.hyps, size, Rel.LE, e.lhs_size):
+                e.size_rel = SizeRel.LE
 
     if entry.size_param is not None and all(
         e.size_rel is SizeRel.LT for e in entries
@@ -266,14 +257,10 @@ def termination_check(entry: FunEntry, lines: LineTable, hyps: dict) -> Totality
             return TotalityReport(name, "structural", p_idx, entries)
 
     code = "PRODUCTIVITY" if entry.coinductive else "TERMINATION"
-    bad = [
-        f"{e.callee} at {e.pos[0]}:{e.pos[1]}"
-        for e in entries
-        if e.size_rel is not SizeRel.LT
-    ] or [f"{e.callee} at {e.pos[0]}:{e.pos[1]}" for e in entries]
+    bad = [f"{name} at {e.pos[0]}:{e.pos[1]}" for e in entries if e.size_rel is not SizeRel.LT]
     raise Diagnostic(
         code,
         f"cannot justify recursive calls of '{name}': " + ", ".join(bad),
-        entry.clauses[entry.calls[0].clause_index].pos if entry.clauses else NOPOS,
+        entries[0].clause_pos,
         report=TotalityReport(name, "rejected", None, entries),
     )

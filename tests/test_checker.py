@@ -131,7 +131,7 @@ fun minus : [i : Size] -> SNat i -> SNat # -> SNat i
 eval let two : SNat # = minus # three one
 """)
         snat = ch.sig.data(ch.sig.by_text["SNat"])
-        first = ch.sig.fun(ch.sig.by_text["minus"]).clauses[0].patterns[1]
+        first = ch.sig.fun(ch.sig.by_text["minus"]).clauses[0].lhs[1]
         assert first.con.text == "zero" and first.con in snat.constructors
         assert outputs == ["two = succ _ (succ _ (zero _))"]
 
@@ -344,9 +344,9 @@ cofun map : [A : Set] -> [B : Set] -> [i : Size] ->
         entry = ch.sig.fun(ch.sig.by_text["minus"])
         clause = entry.clauses[0]
         # the size pattern bound j with j < i available to the clause
-        child = clause.patterns[1].args[0].child
+        child = clause.lhs[1].args[0].child
         parent, strict = ch.sig.hyps[child.uid]
-        assert child.text == "j" and parent == ns_var(clause.patterns[0].name) and strict
+        assert child.text == "j" and parent == ns_var(clause.lhs[0].name) and strict
 
     def test_illegal_size_refinement(self):
         rejected(SNAT_PARAMETRIC + """

@@ -10,8 +10,9 @@ size, or under a lambda inside a constructor's argument type.
 
 Accepted programs pin what a rule lets through, with their eval output: a
 size case whose siblings still read the size it refines, a cofun argument
-that is sized inductive at exactly the matched size, and a size hole whose
-one lower bound is #.
+that is sized inductive at exactly the matched size, a size hole whose
+one lower bound is #, and a case with constructor patterns in a fun's type
+and in a let's type, which are checked outside any clause or let body.
 
 Two more rows pin how the hole solver shifts a lower bound past the
 successors written on the hole's side (`sizes.solve_metas`): one solves only
@@ -38,6 +39,7 @@ SNAT = NAT + ("sized data SNat : Size -> Set\n{ szero : [i : Size] -> SNat ($ i)
 WRAP = "data Wrap (F : Size -> Set) : Set { wrap : Wrap F }\n"
 STREAM = ("sized codata Stream ++(A : Set) : Size -> Set\n"
           "{ cons : [i : Size] -> A -> Stream A i -> Stream A ($ i)\n}\n")
+EQ = "data Eq (A : Set) (a : A) : A -> Set\n{ refl : Eq A a a\n}\n"
 ZEROS = "cofun zs : [i : Size] -> Stream Nat i\n{ zs ($ i) = cons Nat i zero (zs i)\n}\n"
 
 # (program, code, message, position)
@@ -139,6 +141,16 @@ ACCEPTS = {
     "size hole bounded below by #": (
         SNAT + "eval let a : SNat # = ssucc _ (szero #)\n",
         ["a = ssucc _ (szero _)"]),
+    # a type is checked before its clauses or let body, where no clause
+    # state is gathered: its case elaborates patterns without one
+    "case with constructor patterns in a fun's type": (
+        NAT + "data T : Nat -> Set { }\n"
+        "fun f : T (case zero { zero -> zero ; (succ m) -> m }) -> Nat\n{ f x = zero\n}\n",
+        []),
+    "case with constructor patterns in a let's type": (
+        NAT + EQ + "let p : Eq Nat (case zero { zero -> zero ; (succ m) -> m }) zero "
+        "= refl Nat zero\n",
+        []),
 }
 
 

@@ -114,7 +114,7 @@ def world():
              for t in ("Nat", "zero", "succ", "pred", "const", "zeros", "one")}
     # a fun whose clauses are still being checked has no totality report yet
     rigid = fresh_ident("rigid")
-    ch.sig.add(rigid, FunEntry(rigid, False, VSET, 1, None))
+    ch.sig.add(rigid, FunEntry(rigid, False, VSET, 1, None, []))
     names["rigid"] = rigid
     return ch.ev, names
 

@@ -367,18 +367,19 @@ class TestFuelPerDeclaration:
         assert d.pos[0] > 0 and d.pos[0] == len(src.splitlines())
 
     def test_cyclic_streams_compare_under_fuel(self):
-        # zeros # and zeros2 # unfold to cyclic values through the memo
+        # up # zero and up2 # zero unfold to new layers forever, never to a
+        # pair already under comparison, and each layer costs fuel
         src = NAT + STREAM + """
 data Eq (A : Set) (a : A) : A -> Set
 { refl : Eq A a a
 }
-cofun zeros : [i : Size] -> Stream Nat i
-{ zeros ($ i) = cons Nat i zero (zeros i)
+cofun up : [i : Size] -> Nat -> Stream Nat i
+{ up ($ i) n = cons Nat i n (up i (succ n))
 }
-cofun zeros2 : [i : Size] -> Stream Nat i
-{ zeros2 ($ i) = cons Nat i zero (zeros2 i)
+cofun up2 : [i : Size] -> Nat -> Stream Nat i
+{ up2 ($ i) n = cons Nat i n (up2 i (succ n))
 }
-let p : Eq (Stream Nat #) (zeros #) (zeros2 #) = refl (Stream Nat #) (zeros #)
+let p : Eq (Stream Nat #) (up # zero) (up2 # zero) = refl (Stream Nat #) (up # zero)
 """
         d = check_source(src, "<t>", RunConfig([], unfold_fuel=10)).diagnostic
         assert d.code == "FUEL" and d.pos[0] == len(src.splitlines())
@@ -635,6 +636,47 @@ fun f : Nat -> Nat
 @pytest.mark.parametrize("name", UNFOLD_PATHS)
 def test_unfold_path(name):
     src, outputs, diagnostic = UNFOLD_PATHS[name]
+    r = check_source(src, "<t>")
+    d = r.diagnostic
+    assert (r.outputs, d and (d.code, d.pos, d.message)) == (outputs, diagnostic)
+
+
+# the arms of `Evaluator.compare` and `_match` that fail, each reached by
+# one program; (program, outputs, diagnostic as (code, position, message) or None)
+BOOL = "data Bool : Set { true : Bool ; false : Bool }\n"
+COMPARE_ARMS = {
+    "Pi annotations differ": (
+        NAT + "fun g : (x : Nat) -> Nat\n{ g x = x\n}\nlet f : [x : Nat] -> Nat = g\n",
+        [], ("TYPE-MISMATCH", (9, 28), "expected '[x : Nat] -> Nat', got 'Nat -> Nat'")),
+    "Pi domains differ": (
+        NAT + BOOL + "fun g : Bool -> Nat\n{ g x = zero\n}\nlet f : Nat -> Nat = g\n",
+        [], ("TYPE-MISMATCH", (10, 22), "expected 'Nat -> Nat', got 'Bool -> Nat'")),
+    "constructor arguments differ": (
+        NAT + EQ + "let p : Eq Nat (succ zero) (succ (succ zero)) = refl Nat (succ zero)\n",
+        [], ("TYPE-MISMATCH", (7, 58),
+             "expected 'Eq Nat (succ zero) (succ (succ zero))', got 'Eq Nat (succ zero) (succ zero)'")),
+    "neutral spines differ": (
+        NAT + EQ + "let p : (f : Nat -> Nat) -> Eq Nat (f zero) (f (succ zero)) "
+        "= \\ f -> refl Nat (f zero)\n",
+        [], ("TYPE-MISMATCH", (7, 79),
+             "expected 'Eq Nat (f zero) (f (succ zero))', got 'Eq Nat (f zero) (f zero)'")),
+    # a size against an applied variable of a type that ends in Size
+    "size against a value that is not a size": (
+        NAT + EQ + "let p : (f : Nat -> Size) -> Eq (Nat -> Size) (\\ n -> #) f "
+        "= \\ f -> refl (Nat -> Size) f\n",
+        [], ("TYPE-MISMATCH", (7, 88),
+             "expected 'Eq (Nat -> Size) (\\ n -> #) f', got 'Eq (Nat -> Size) f f'")),
+    # succ zero fails inside the match of succ (succ zero): the next clause matches
+    "nested constructor pattern that fails": (
+        NAT + "fun h : Nat -> Nat\n{ h (succ zero) = zero\n; h x = x\n}\n"
+        "eval let a : Nat = h (succ (succ zero))\n",
+        ["a = succ (succ zero)"], None),
+}
+
+
+@pytest.mark.parametrize("name", COMPARE_ARMS)
+def test_compare_arm(name):
+    src, outputs, diagnostic = COMPARE_ARMS[name]
     r = check_source(src, "<t>")
     d = r.diagnostic
     assert (r.outputs, d and (d.code, d.pos, d.message)) == (outputs, diagnostic)

@@ -80,7 +80,7 @@ def test_signature_holds_the_parsers_nodes(name):
     roots = []
     for entry in sig.entries.values():
         if isinstance(entry, FunEntry):
-            roots.extend((c.patterns, c.rhs) for c in entry.clauses)
+            roots.extend((c.lhs, c.rhs) for c in entry.clauses)
         elif isinstance(entry, LetEntry):
             roots.append(entry.body)
     checked = _nodes(roots)
